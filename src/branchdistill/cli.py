@@ -618,8 +618,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", dest="out_dir", default="runs",
                         help="directory holding every pipeline artifact")
     for key, (_, default, help_text) in SCHEMA.items():
+        # argparse %-formats help strings, so a literal % must be doubled
         parser.add_argument(f"--{key}", dest=key, default=None, metavar="V",
-                            help=f"{help_text} (default {default})")
+                            help=f"{help_text} (default {default})".replace("%", "%%"))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,14 +9,20 @@ combined by a per-teacher weighted sum of their raw logits; weights are
 either fixed at 1/K or derived per instance from the entropy (impurity) of
 each teacher's predicted distribution.
 
+Impurity weighting and aggregation both take a leading batch axis, so one
+call of each serves every instance of a run.
+
 Teacher logits are always consumed from a precomputed store, never
 recomputed during student training. The store is a binary container per
 teacher: a JSON header, length-prefixed records, and an appended
-sample-id -> offset index for random access.
+sample-id -> offset index. ``LogitStore`` reads the file once when it is
+opened, checks its structure, every record's sample id and every value,
+and then serves records from memory.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from dataclasses import dataclass
@@ -39,7 +45,11 @@ STORE_VERSION = 1
 
 @dataclass(frozen=True)
 class TeacherWeights:
-    """Per-teacher mixing weights for the start and end heads."""
+    """Per-teacher mixing weights for the start and end heads.
+
+    Each head is (K,), shared by every instance, or (..., K), one row of
+    weights per instance.
+    """
 
     start: np.ndarray
     end: np.ndarray
@@ -49,7 +59,7 @@ class TeacherWeights:
             w = np.asarray(head, dtype=np.float64)
             if np.any(w < 0.0):
                 raise InvalidParameter("teacher weights must be non-negative")
-            if abs(w.sum() - 1.0) > 1e-9:
+            if np.any(np.abs(w.sum(axis=-1) - 1.0) > 1e-9):
                 raise InvalidParameter("teacher weights must sum to 1")
 
 
@@ -66,6 +76,15 @@ class LogitRecord:
                 raise ShapeError(f"{name} has shape {z.shape}, expected ({max_len},)")
             if not np.all(np.isfinite(z)):
                 raise InvalidParameter(f"{name} contains non-finite values")
+
+
+@dataclass(frozen=True)
+class LogitRows:
+    """One teacher's logits for many samples, as (N, L) start and end arrays."""
+
+    teacher_id: str
+    z_s: np.ndarray
+    z_e: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -89,7 +108,9 @@ def fixed_weights(k: int) -> TeacherWeights:
 def impurity_weights(per_teacher_logits, sign: int = 1) -> np.ndarray:
     """Per-instance teacher weights from prediction entropy.
 
-    Each teacher's logits are softened at temperature 1; the entropy of the
+    ``per_teacher_logits`` holds one array of shape (..., L) per teacher; the
+    result has shape (..., K), one row of K weights per instance. Each
+    teacher's logits are softened at temperature 1; the entropy of the
     resulting distribution is the teacher's impurity, and the weights are the
     softmax of ``sign * impurity``. The default sign (+1) favours
     higher-entropy teachers; sign=-1 favours the more confident ones.
@@ -103,21 +124,26 @@ def impurity_weights(per_teacher_logits, sign: int = 1) -> np.ndarray:
             raise ShapeError("teacher logit lengths differ")
     if sign not in (1, -1):
         raise InvalidParameter(f"sign must be +1 or -1, got {sign}")
-    impurities = np.array([entropy(softmax_temperature(z, 1.0)) for z in logits])
+    impurities = entropy(softmax_temperature(np.stack(logits, axis=-2), 1.0))
     return softmax_temperature(sign * impurities, 1.0)
 
 
 def aggregate_logits(records, weights: TeacherWeights) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted sum of per-teacher start/end logits, in record order."""
+    """Weighted sum of per-teacher start/end logits, in record order.
+
+    ``records`` holds one entry per teacher whose ``z_s`` and ``z_e`` share
+    one shape (..., L): a ``LogitRecord`` for one instance or ``LogitRows``
+    for many. Weights broadcast over the leading axes.
+    """
     records = list(records)
     if not records:
         raise IncompleteLogits("no teacher records to aggregate")
     weights.validate()
     ws = np.asarray(weights.start, dtype=np.float64)
     we = np.asarray(weights.end, dtype=np.float64)
-    if len(records) != ws.shape[0] or len(records) != we.shape[0]:
+    if len(records) != ws.shape[-1] or len(records) != we.shape[-1]:
         raise IncompleteLogits(
-            f"{len(records)} teacher records for {ws.shape[0]} weights"
+            f"{len(records)} teacher records for {ws.shape[-1]} weights"
         )
     length = records[0].z_s.shape
     for r in records:
@@ -125,9 +151,9 @@ def aggregate_logits(records, weights: TeacherWeights) -> tuple[np.ndarray, np.n
             raise ShapeError("teacher logit lengths differ")
     z_s = np.zeros(length)
     z_e = np.zeros(length)
-    for w_s, w_e, record in zip(ws, we, records):
-        z_s += w_s * record.z_s
-        z_e += w_e * record.z_e
+    for k, record in enumerate(records):
+        z_s += ws[..., k, None] * record.z_s
+        z_e += we[..., k, None] * record.z_e
     return z_s, z_e
 
 
@@ -233,47 +259,102 @@ def write_logit_store(path, teacher_id: str, max_len: int, records) -> None:
 
 
 class LogitStore:
-    """Random-access reader over one teacher's precomputed logits."""
+    """One teacher's precomputed logits, read and checked once when opened.
+
+    Opening reads the file in one pass and checks the header, the index,
+    every record's extent and sample id against the index, the absence of
+    trailing bytes and that every value is finite; a defect raises
+    ``InvalidConfig``. The logits are then held as (count, L) start and end
+    arrays, ``get`` and ``take`` serve them from memory, and ``sha256`` is
+    the digest of the bytes read.
+    """
 
     def __init__(self, path):
         self.path = Path(path)
-        with self.path.open("rb") as fh:
-            (header_len,) = struct.unpack("<I", fh.read(4))
-            header = json.loads(fh.read(header_len).decode("utf-8"))
-            if header.get("format_version") != STORE_VERSION:
-                raise InvalidConfig(f"unsupported logit store version in {path}")
-            self.teacher_id: str = header["teacher_id"]
+        data = self.path.read_bytes()
+        self.sha256 = hashlib.sha256(data).hexdigest()
+        trailer = len(data) - 8
+        if trailer < 4:
+            raise self._corrupt("shorter than its header and trailer")
+        header_blob, records_start = self._prefixed(data, 0, trailer)
+        (index_pos,) = struct.unpack_from("<Q", data, trailer)
+        if not records_start <= index_pos <= trailer:
+            raise self._corrupt(f"index offset {index_pos} out of range")
+        index_blob, index_end = self._prefixed(data, index_pos, trailer)
+        if index_end != trailer:
+            raise self._corrupt(f"{trailer - index_end} stray bytes after the index")
+        try:
+            header = json.loads(header_blob.decode("utf-8"))
+            index = json.loads(index_blob.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise self._corrupt(f"unreadable header or index ({exc})") from exc
+        if not isinstance(header, dict) or header.get("format_version") != STORE_VERSION:
+            raise InvalidConfig(f"unsupported logit store version in {path}")
+        try:
+            self.teacher_id: str = str(header["teacher_id"])
             self.max_len: int = int(header["max_len"])
             self.count: int = int(header["count"])
-            fh.seek(-8, 2)
-            (index_pos,) = struct.unpack("<Q", fh.read(8))
-            fh.seek(index_pos)
-            (index_len,) = struct.unpack("<I", fh.read(4))
-            self._index: dict[str, int] = json.loads(fh.read(index_len).decode("utf-8"))
-        if len(self._index) != self.count:
+        except (KeyError, TypeError, ValueError) as exc:
+            raise self._corrupt(f"bad header field ({exc})") from exc
+        if self.max_len < 1:
+            raise self._corrupt(f"max_len {self.max_len}")
+        if not isinstance(index, dict) or len(index) != self.count:
             raise InvalidConfig(f"logit store {path} index does not match its count")
 
-    def sample_ids(self) -> list[str]:
-        return sorted(self._index)
+        width = 16 * self.max_len
+        self._rows: dict[str, int] = {}
+        chunks = []
+        pos = records_start
+        for row in range(self.count):
+            sid_blob, values_at = self._prefixed(data, pos, index_pos)
+            sid = sid_blob.decode("utf-8", errors="replace")
+            if index.get(sid) != pos:
+                raise self._corrupt(f"record at offset {pos} has sample id {sid!r}, "
+                                    "which the index does not map there")
+            self._rows[sid] = row
+            chunks.append(data[values_at : values_at + width])
+            pos = values_at + width
+        if pos != index_pos:
+            raise self._corrupt(f"records end at offset {pos}, the index starts at {index_pos}")
+        values = np.frombuffer(b"".join(chunks), dtype="<f8").reshape(self.count, 2, self.max_len)
+        if not np.isfinite(values).all():
+            raise self._corrupt("non-finite logits")
+        self._z_s = values[:, 0]
+        self._z_e = values[:, 1]
 
-    def __contains__(self, sample_id: str) -> bool:
-        return sample_id in self._index
+    def _corrupt(self, what: str) -> InvalidConfig:
+        return InvalidConfig(f"logit store {self.path} is corrupt: {what}")
+
+    def _prefixed(self, data: bytes, pos: int, end: int) -> tuple[bytes, int]:
+        """The length-prefixed bytes at ``pos`` and the offset after them,
+        which must not pass ``end``."""
+        if pos + 4 > end:
+            raise self._corrupt(f"truncated at offset {pos}")
+        (size,) = struct.unpack_from("<I", data, pos)
+        if pos + 4 + size > end:
+            raise self._corrupt(f"truncated at offset {pos}")
+        return data[pos + 4 : pos + 4 + size], pos + 4 + size
+
+    def sample_ids(self) -> list[str]:
+        return sorted(self._rows)
 
     def get(self, sample_id: str) -> LogitRecord:
-        offset = self._index.get(sample_id)
-        if offset is None:
+        row = self._rows.get(sample_id)
+        if row is None:
             raise IncompleteLogits(
                 f"teacher {self.teacher_id!r} has no logits for sample {sample_id!r}"
             )
-        with self.path.open("rb") as fh:
-            fh.seek(offset)
-            (sid_len,) = struct.unpack("<I", fh.read(4))
-            sid = fh.read(sid_len).decode("utf-8")
-            z_s = np.frombuffer(fh.read(8 * self.max_len), dtype="<f8").copy()
-            z_e = np.frombuffer(fh.read(8 * self.max_len), dtype="<f8").copy()
-        record = LogitRecord(sample_id=sid, teacher_id=self.teacher_id, z_s=z_s, z_e=z_e)
-        record.validate(self.max_len)
-        return record
+        return LogitRecord(sample_id=sample_id, teacher_id=self.teacher_id,
+                           z_s=self._z_s[row].copy(), z_e=self._z_e[row].copy())
 
-    def load_all(self) -> dict[str, LogitRecord]:
-        return {sid: self.get(sid) for sid in self.sample_ids()}
+    def take(self, sample_ids) -> LogitRows:
+        """The logits of ``sample_ids``, in that order."""
+        sample_ids = list(sample_ids)
+        missing = [sid for sid in sample_ids if sid not in self._rows]
+        if missing:
+            raise IncompleteLogits(
+                f"{len(missing)} samples lack teacher logits (first: {missing[0]!r} "
+                f"from teacher {self.teacher_id!r})"
+            )
+        rows = [self._rows[sid] for sid in sample_ids]
+        return LogitRows(teacher_id=self.teacher_id, z_s=self._z_s[rows], z_e=self._z_e[rows])

@@ -54,12 +54,16 @@ def softmax_temperature(z, tau: float = 1.0) -> np.ndarray:
     return p
 
 
-def entropy(p) -> float:
-    """Shannon entropy in nats, with the convention 0 * ln 0 = 0."""
+def entropy(p) -> float | np.ndarray:
+    """Shannon entropy in nats along the last axis, with 0 * ln 0 = 0.
+
+    A float for one distribution, an array of shape ``p.shape[:-1]`` for a
+    batch of them.
+    """
     p = _as_f64(p)
     _require_distribution(p)
     terms = np.where(p > 0.0, p * np.log(np.maximum(p, LOG_FLOOR)), 0.0)
-    return float(-terms.sum())
+    return -terms.sum(axis=-1)
 
 
 def cross_entropy(target, predicted) -> float:
@@ -73,16 +77,6 @@ def cross_entropy(target, predicted) -> float:
     _require_distribution(target)
     _require_distribution(predicted)
     return float(-(target * np.log(np.maximum(predicted, LOG_FLOOR))).sum())
-
-
-def log_softmax(z, tau: float = 1.0) -> np.ndarray:
-    """Log of ``softmax_temperature(z, tau)`` computed without underflow."""
-    if not tau > 0.0:
-        raise InvalidParameter(f"temperature must be positive, got {tau}")
-    z = _as_f64(z)
-    _require_finite(z, "logits")
-    shifted = (z - z.max(axis=-1, keepdims=True)) / tau
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------

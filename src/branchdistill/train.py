@@ -6,6 +6,9 @@ Three procedures are built on one deterministic mini-batch loop:
 * ``dump_teacher_logits``: forward-only pass writing a logit store,
 * ``distill_student``: trains the multilingual student against precomputed
   teacher stores with the combined hard-label + distillation objective.
+  The softened teacher targets never change during a run, so they are
+  built once, before the first epoch, as one (N, L) start table and one
+  (N, L) end table over the kept samples; each batch takes its rows.
 
 Both training procedures share one learning-rate rule (``learning_rate``):
 ``TrainConfig.lr`` is the peak, reached by a linear warmup over the first
@@ -27,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .corpus import Sample, sha256_file
+from .corpus import Sample
 from .distill import (
     LogitRecord,
     LogitStore,
@@ -39,7 +42,7 @@ from .distill import (
     write_logit_store,
     TeacherWeights,
 )
-from .errors import IncompleteLogits, InvalidConfig, ShapeError
+from .errors import InvalidConfig, ShapeError
 from .model import (
     ModelConfig,
     SpanModel,
@@ -114,12 +117,6 @@ class AdamW:
             m_hat = m / c1
             v_hat = v / c2
             theta -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * theta)
-
-
-def optimizer_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-                   state: AdamW) -> None:
-    """Apply one in-place update; ``state`` carries the moment accumulators."""
-    state.step(params, grads)
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -201,29 +198,21 @@ class RunManifest:
         return cls(**json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def _teacher_targets(batch_samples, stores: dict[str, LogitStore], cfg: TrainConfig,
-                     max_len: int):
-    """Aggregate per-teacher logits into softened target distributions."""
-    teacher_ids = list(cfg.teacher_ids) if cfg.teacher_ids else sorted(stores)
-    p_s = np.empty((len(batch_samples), max_len))
-    p_e = np.empty((len(batch_samples), max_len))
-    for row, sample in enumerate(batch_samples):
-        records = []
-        for tid in teacher_ids:
-            store = stores.get(tid)
-            if store is None:
-                raise IncompleteLogits(f"no logit store for teacher {tid!r}")
-            records.append(store.get(sample.key()))
-        if cfg.strategy == "fixed":
-            weights = fixed_weights(len(records))
-        else:
-            ws = impurity_weights([r.z_s for r in records], cfg.impurity_sign)
-            we = impurity_weights([r.z_e for r in records], cfg.impurity_sign)
-            weights = TeacherWeights(start=ws, end=we)
-        z_s, z_e = aggregate_logits(records, weights)
-        p_s[row] = softmax_temperature(z_s, cfg.tau)
-        p_e[row] = softmax_temperature(z_e, cfg.tau)
-    return p_s, p_e
+def _target_tables(samples: list[Sample], stores: dict[str, LogitStore],
+                   cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Softened aggregated teacher targets for ``samples``, in that order,
+    as (N, L) start and end tables."""
+    keys = [s.key() for s in samples]
+    rows = [stores[tid].take(keys) for tid in cfg.teacher_ids or sorted(stores)]
+    if cfg.strategy == "fixed":
+        weights = fixed_weights(len(rows))
+    else:
+        weights = TeacherWeights(
+            start=impurity_weights([r.z_s for r in rows], cfg.impurity_sign),
+            end=impurity_weights([r.z_e for r in rows], cfg.impurity_sign),
+        )
+    z_s, z_e = aggregate_logits(rows, weights)
+    return softmax_temperature(z_s, cfg.tau), softmax_temperature(z_e, cfg.tau)
 
 
 def _run_training(
@@ -250,18 +239,7 @@ def _run_training(
                     f"store for {tid!r} has max_len {store.max_len}, model expects "
                     f"{model_config.max_len}"
                 )
-        missing = [
-            (tid, s.key())
-            for tid in (cfg.teacher_ids or sorted(stores))
-            for s in kept
-            if s.key() not in stores[tid]
-        ]
-        if missing:
-            tid, key = missing[0]
-            raise IncompleteLogits(
-                f"{len(missing)} samples lack teacher logits (first: {key!r} "
-                f"from teacher {tid!r})"
-            )
+        targets_s, targets_e = _target_tables(kept, stores, cfg)
 
     model = init_model(model_config, cfg.seed)
     optimizer = AdamW(
@@ -293,15 +271,13 @@ def _run_training(
         for lo in range(0, n, cfg.batch_size):
             batch_idx = order[lo : lo + cfg.batch_size]
             batch_enc = [encoded[i] for i in batch_idx]
-            batch_samples = [kept[i] for i in batch_idx]
             gold_s = np.array([e.gold_start for e in batch_enc])
             gold_e = np.array([e.gold_end for e in batch_enc])
 
             result = forward_batch(model, batch_enc)
             nll_t = batch_nll(result, gold_s, gold_e)
             if stores is not None:
-                p_s, p_e = _teacher_targets(batch_samples, stores, cfg, model_config.max_len)
-                kd_t = batch_kd(result, p_s, p_e, cfg.tau)
+                kd_t = batch_kd(result, targets_s[batch_idx], targets_e[batch_idx], cfg.tau)
                 loss_t = nm.add(nm.mul(nll_t, cfg.lambda1), nm.mul(kd_t, cfg.lambda2))
                 kd_value = float(kd_t.data)
             else:
@@ -380,9 +356,7 @@ def distill_student(
         out_dir=out_dir, stores=stores,
         dataset_digest=dataset_digest, vocab_digest=vocab_digest,
     )
-    manifest.teacher_store_digests = {
-        tid: sha256_file(stores[tid].path) for tid in teacher_ids
-    }
+    manifest.teacher_store_digests = {tid: stores[tid].sha256 for tid in teacher_ids}
     if out_dir is not None:
         manifest.save(Path(out_dir) / "manifest.json")
     return model, manifest

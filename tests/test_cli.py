@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -139,6 +140,13 @@ class TestPipelineCommands:
         tiny("build", tmp_path)
         assert tiny("distill", tmp_path) == 3
 
+    def test_distill_on_truncated_store_is_exit_2(self, pipeline_dir, tmp_path):
+        out = tmp_path / "copy"
+        shutil.copytree(pipeline_dir, out)
+        store = out / "logits" / "es.logits"
+        store.write_bytes(store.read_bytes()[:-100])
+        assert tiny("distill", out, "--run-name", "truncated") == 2
+
     def test_teacher_determinism_across_reruns(self, pipeline_dir, tmp_path):
         out = tmp_path / "again"
         tiny("generate", out)
@@ -219,3 +227,9 @@ class TestConfigHandling:
         assert "--config" in text
         if command in ("generate", "build", "train-teacher", "distill"):
             assert "--train.epochs" in text and "--corpus.records" in text
+
+    def test_help_with_percent_in_text(self, monkeypatch, capsys):
+        parser, default, _ = cli.SCHEMA["train.lr"]
+        monkeypatch.setitem(cli.SCHEMA, "train.lr", (parser, default, "peak rate, 10% warmup"))
+        assert run(["generate", "--help"]) == 0
+        assert "10% warmup" in capsys.readouterr().out

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from branchdistill import corpus as cp
 from branchdistill import distill as ds
 from branchdistill import numerics as nm
 from branchdistill.errors import (
@@ -187,6 +188,24 @@ class TestFixedWeights:
         with pytest.raises(InvalidConfig):
             ds.fixed_weights(0)
 
+    def test_batch_rows_equal_one_instance_at_a_time(self):
+        rng = np.random.default_rng(7)
+        rows = [ds.LogitRows(teacher_id=t, z_s=rng.normal(size=(6, 9)),
+                             z_e=rng.normal(size=(6, 9))) for t in "abc"]
+        per_instance = rng.dirichlet(np.ones(3), size=6)
+        for weights in (ds.fixed_weights(3),
+                        ds.TeacherWeights(start=per_instance, end=per_instance[::-1].copy())):
+            z_s, z_e = ds.aggregate_logits(rows, weights)
+            for i in range(6):
+                ws = np.broadcast_to(weights.start, (6, 3))[i]
+                we = np.broadcast_to(weights.end, (6, 3))[i]
+                ref_s, ref_e = np.zeros(9), np.zeros(9)
+                for k, r in enumerate(rows):
+                    ref_s += ws[k] * r.z_s[i]
+                    ref_e += we[k] * r.z_e[i]
+                np.testing.assert_array_equal(z_s[i], ref_s)
+                np.testing.assert_array_equal(z_e[i], ref_e)
+
 
 class TestImpurityWeights:
     def test_identical_teachers_are_exactly_uniform(self):
@@ -220,6 +239,20 @@ class TestImpurityWeights:
         w = ds.impurity_weights([np.array(r) for r in rows], sign)
         assert np.all(w >= 0.0)
         assert abs(w.sum() - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("length", [5, 37, 150])
+    def test_batch_rows_equal_one_teacher_at_a_time(self, length):
+        # each row must match the per-teacher scalar-entropy formula bit for bit
+        rng = np.random.default_rng(length)
+        per_teacher = [rng.normal(scale=4.0, size=(20, length)) for _ in range(3)]
+        for sign in (1, -1):
+            w = ds.impurity_weights(per_teacher, sign)
+            assert w.shape == (20, 3)
+            for row in range(20):
+                impurities = np.array([nm.entropy(nm.softmax_temperature(z[row], 1.0))
+                                       for z in per_teacher])
+                np.testing.assert_array_equal(
+                    w[row], nm.softmax_temperature(sign * impurities, 1.0))
 
     def test_shift_of_impurities_leaves_weights_unchanged(self):
         rng = np.random.default_rng(3)
@@ -262,6 +295,64 @@ class TestLogitStore:
         records[1] = record(records[1].z_s, records[1].z_e, sample_id=records[0].sample_id)
         with pytest.raises(InvalidConfig):
             ds.write_logit_store(tmp_path / "dup.logits", "en", 6, records)
+
+    def _written(self, tmp_path, records=None):
+        path = tmp_path / "en.logits"
+        ds.write_logit_store(path, "en", 6, records or self._records(3))
+        return path
+
+    def test_digest_is_sha256_of_the_file(self, tmp_path):
+        path = self._written(tmp_path)
+        assert ds.LogitStore(path).sha256 == cp.sha256_file(path)
+
+    def test_get_does_not_reopen_the_file(self, tmp_path):
+        records = self._records(3)
+        path = self._written(tmp_path, records)
+        store = ds.LogitStore(path)
+        path.unlink()
+        np.testing.assert_array_equal(store.get("s2").z_e, records[2].z_e)
+
+    def test_take_keeps_the_requested_order(self, tmp_path):
+        records = self._records(4)
+        rows = ds.LogitStore(self._written(tmp_path, records)).take(["s3", "s0", "s3"])
+        np.testing.assert_array_equal(rows.z_s, [records[3].z_s, records[0].z_s, records[3].z_s])
+        np.testing.assert_array_equal(rows.z_e, [records[3].z_e, records[0].z_e, records[3].z_e])
+
+    def test_take_missing_sample(self, tmp_path):
+        with pytest.raises(IncompleteLogits):
+            ds.LogitStore(self._written(tmp_path)).take(["s0", "absent"])
+
+    @pytest.mark.parametrize("keep", [0, 3, 11, 40, -9, -1])
+    def test_truncated_file(self, tmp_path, keep):
+        path = self._written(tmp_path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(InvalidConfig):
+            ds.LogitStore(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = self._written(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(InvalidConfig):
+            ds.LogitStore(path)
+
+    def test_flipped_sample_id_byte(self, tmp_path):
+        # "s1" -> "s2": the record the index files under s1 now claims to be s2
+        path = self._written(tmp_path)
+        data = bytearray(path.read_bytes())
+        at = data.index(b"s1", 4 + int.from_bytes(data[:4], "little"))
+        data[at + 1] = ord("2")
+        path.write_bytes(bytes(data))
+        with pytest.raises(InvalidConfig):
+            ds.LogitStore(path)
+
+    def test_non_finite_value(self, tmp_path):
+        path = self._written(tmp_path)
+        data = bytearray(path.read_bytes())
+        at = data.index(b"s0", 4 + int.from_bytes(data[:4], "little")) + 2
+        data[at : at + 8] = np.array([np.nan], dtype="<f8").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(InvalidConfig):
+            ds.LogitStore(path)
 
     def test_write_is_deterministic(self, tmp_path):
         records = self._records(4)

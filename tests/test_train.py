@@ -4,6 +4,7 @@ import pytest
 from branchdistill import corpus as cp
 from branchdistill import distill as ds
 from branchdistill import model as md
+from branchdistill import numerics as nm
 from branchdistill import train as tr
 from branchdistill.errors import IncompleteLogits, InvalidConfig, ShapeError
 
@@ -169,6 +170,63 @@ class TestDumpLogits:
         assert len(ds.LogitStore(tmp_path / "s.logits").sample_ids()) == 90
 
 
+class _Keyed:
+    def __init__(self, key):
+        self._key = key
+
+    def key(self):
+        return self._key
+
+
+class TestTargetTables:
+    """The run's target table equals, bit for bit, targets built one row at a time."""
+
+    @staticmethod
+    def _stores(tmp_path, langs, n, max_len):
+        rng = np.random.default_rng(len(langs) * 100 + max_len)
+        stores = {}
+        for lang in langs:
+            records = [
+                ds.LogitRecord(sample_id=f"s{i}", teacher_id=lang,
+                               z_s=rng.normal(scale=4.0, size=max_len),
+                               z_e=rng.normal(scale=4.0, size=max_len))
+                for i in range(n)
+            ]
+            path = tmp_path / f"{lang}.logits"
+            ds.write_logit_store(path, lang, max_len, records)
+            stores[lang] = ds.LogitStore(path)
+        return stores
+
+    @staticmethod
+    def _reference_row(stores, teacher_ids, key, cfg):
+        records = [stores[tid].get(key) for tid in teacher_ids]
+        if cfg.strategy == "fixed":
+            weights = ds.fixed_weights(len(records))
+        else:
+            weights = ds.TeacherWeights(
+                start=ds.impurity_weights([r.z_s for r in records], cfg.impurity_sign),
+                end=ds.impurity_weights([r.z_e for r in records], cfg.impurity_sign),
+            )
+        z_s, z_e = ds.aggregate_logits(records, weights)
+        return nm.softmax_temperature(z_s, cfg.tau), nm.softmax_temperature(z_e, cfg.tau)
+
+    @pytest.mark.parametrize("teacher_ids", [("en",), ("es", "en"), ("es", "de", "en"), ()])
+    @pytest.mark.parametrize("strategy,sign", [("fixed", 1), ("impurity", 1), ("impurity", -1)])
+    @pytest.mark.parametrize("max_len", [7, 150])
+    def test_bit_identical_to_per_row_reference(self, tmp_path, teacher_ids, strategy, sign,
+                                               max_len):
+        stores = self._stores(tmp_path, ("de", "en", "es"), 30, max_len)
+        cfg = tr.TrainConfig(tau=1.7, strategy=strategy, impurity_sign=sign,
+                             teacher_ids=teacher_ids)
+        keys = [f"s{i}" for i in np.random.default_rng(1).permutation(30)]
+        p_s, p_e = tr._target_tables([_Keyed(k) for k in keys], stores, cfg)
+        assert p_s.shape == p_e.shape == (30, max_len)
+        for row, key in enumerate(keys):
+            ref_s, ref_e = self._reference_row(stores, teacher_ids or ("de", "en", "es"), key, cfg)
+            np.testing.assert_array_equal(p_s[row], ref_s)
+            np.testing.assert_array_equal(p_e[row], ref_e)
+
+
 class TestDistillStudent:
     def _stores(self, tmp_path, result, union, vocab, config, langs=("en", "es")):
         stores = {}
@@ -216,6 +274,24 @@ class TestDistillStudent:
         _, manifest = tr.distill_student(stores, union, vocab, config, cfg)
         assert manifest.epoch_losses[0]["kd"] > 0.0
         assert manifest.teacher_store_digests.keys() == {"en"}
+
+    def test_run_reads_no_store_after_opening(self, tmp_path):
+        result, union, vocab, config = small_task()
+        stores = self._stores(tmp_path, result, union, vocab, config)
+        cfg = tr.TrainConfig(epochs=2, seed=2, lr=1e-3, strategy="impurity")
+        _, present = tr.distill_student(stores, union, vocab, config, cfg,
+                                        out_dir=tmp_path / "present")
+        assert present.teacher_store_digests == {
+            lang: cp.sha256_file(store.path) for lang, store in stores.items()
+        }
+        reopened = {lang: ds.LogitStore(store.path) for lang, store in stores.items()}
+        for store in reopened.values():
+            store.path.unlink()
+        _, deleted = tr.distill_student(reopened, union, vocab, config, cfg,
+                                        out_dir=tmp_path / "deleted")
+        assert ((tmp_path / "deleted" / "final.ckpt").read_bytes()
+                == (tmp_path / "present" / "final.ckpt").read_bytes())
+        assert deleted.teacher_store_digests == present.teacher_store_digests
 
     def test_manifest_records_digests(self, tmp_path):
         result, union, vocab, config = small_task()
