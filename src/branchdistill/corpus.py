@@ -36,11 +36,6 @@ ANSWER_CLOSE = "⟧"
 RESERVED_TOKENS = frozenset({ANSWER_OPEN, ANSWER_CLOSE})
 
 
-def tokenize(text: str) -> list[str]:
-    """Desk-scale tokenizer: lowercased whitespace splitting."""
-    return text.lower().split()
-
-
 # ---------------------------------------------------------------------------
 # Data model
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ The hard-label term is a per-position negative log-likelihood evaluated at
 temperature 1. The distillation term softens aggregated teacher logits and
 student logits with the same temperature, takes the start and end
 cross-entropies, averages over the batch, and scales by temperature^2 so
-its gradient magnitude stays comparable across temperatures. Teachers are
+its gradient magnitude stays comparable across temperatures. The batch
+forms, ``batch_nll`` and ``batch_kd``, return each loss together with its
+written-out gradient with respect to the student's start and end logits,
+which ``model.backward`` carries through the encoder. Teachers are
 combined by a per-teacher weighted sum of their raw logits; weights are
 either fixed at 1/K or derived per instance from the entropy (impurity) of
 each teacher's predicted distribution.
@@ -30,7 +33,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import numerics as nm
 from .errors import (
     IncompleteLogits,
     InvalidConfig,
@@ -85,16 +87,6 @@ class LogitRows:
     teacher_id: str
     z_s: np.ndarray
     z_e: np.ndarray
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    nll: float
-    kd: float
-    total: float
-    tau: float
-    lambda1: float
-    lambda2: float
 
 
 def fixed_weights(k: int) -> TeacherWeights:
@@ -181,45 +173,55 @@ def kd_loss(teacher_z_s, teacher_z_e, student_z_s, student_z_e, tau: float) -> f
     return (cross_entropy(p_s, q_s) + cross_entropy(p_e, q_e)) * tau * tau
 
 
-def total_loss(nll: float, kd: float, lambda1: float = 0.5, lambda2: float = 0.5,
-               tau: float = 1.0) -> LossBreakdown:
-    """Weighted combination of the hard-label and distillation terms."""
-    if lambda1 < 0.0 or lambda2 < 0.0:
-        raise InvalidParameter("loss weights must be non-negative")
-    return LossBreakdown(
-        nll=float(nll),
-        kd=float(kd),
-        total=lambda1 * float(nll) + lambda2 * float(kd),
-        tau=tau,
-        lambda1=lambda1,
-        lambda2=lambda2,
-    )
-
-
 # ---------------------------------------------------------------------------
-# Differentiable batch objectives
+# Batch objectives and their logit gradients
 # ---------------------------------------------------------------------------
 
 
-def batch_nll(result, gold_start: np.ndarray, gold_end: np.ndarray) -> nm.Tensor:
-    """Mean hard-label loss over a batch, at temperature 1, as a graph node."""
-    logp_s = nm.log_softmax_last(result.z_s_t, 1.0)
-    logp_e = nm.log_softmax_last(result.z_e_t, 1.0)
-    picked = nm.add(nm.pick_last(logp_s, gold_start), nm.pick_last(logp_e, gold_end))
-    return nm.mul(nm.mean_all(picked), -1.0)
+def _log_softmax(z, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Log-softmax of ``z / tau`` over the last axis, and its exponential."""
+    shifted = (z - z.max(axis=-1, keepdims=True)) / tau
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return logp, np.exp(logp)
 
 
-def batch_kd(result, teacher_p_s: np.ndarray, teacher_p_e: np.ndarray, tau: float) -> nm.Tensor:
-    """Mean distillation loss over a batch, scaled by tau^2 after averaging."""
+def batch_nll(z_s, z_e, gold_start: np.ndarray, gold_end: np.ndarray):
+    """Mean hard-label loss over a batch of (B, L) student logits, at
+    temperature 1, and its gradients with respect to ``z_s`` and ``z_e``.
+
+    Returns ``(value, dz_s, dz_e)``; each gradient row is
+    ``(softmax(z) - one_hot(gold)) / B``.
+    """
+    rows = np.arange(len(gold_start))
+    c = -1.0 / len(rows)
+    value, grads = 0.0, []
+    for z, gold in ((z_s, gold_start), (z_e, gold_end)):
+        logp, p = _log_softmax(z, 1.0)
+        value = value + logp[rows, gold]
+        g = np.zeros_like(logp)
+        g[rows, gold] = c
+        grads.append(g - p * c)
+    return -float(value.mean()), grads[0], grads[1]
+
+
+def batch_kd(z_s, z_e, teacher_p_s: np.ndarray, teacher_p_e: np.ndarray, tau: float):
+    """Mean distillation loss over a batch of (B, L) student logits, scaled
+    by tau^2 after averaging, and its gradients with respect to ``z_s`` and
+    ``z_e``.
+
+    Returns ``(value, dz_s, dz_e)``; each gradient row is
+    ``tau * (softmax(z / tau) - teacher_p) / B``.
+    """
     if not tau > 0.0:
         raise InvalidParameter(f"temperature must be positive, got {tau}")
-    logq_s = nm.log_softmax_last(result.z_s_t, tau)
-    logq_e = nm.log_softmax_last(result.z_e_t, tau)
-    ce = nm.add(
-        nm.mul(nm.sum_last(nm.mul(logq_s, teacher_p_s)), -1.0),
-        nm.mul(nm.sum_last(nm.mul(logq_e, teacher_p_e)), -1.0),
-    )
-    return nm.mul(nm.mean_all(ce), tau * tau)
+    c = tau * tau / len(z_s)
+    value, grads = 0.0, []
+    for z, target in ((z_s, teacher_p_s), (z_e, teacher_p_e)):
+        logq, q = _log_softmax(z, tau)
+        value = value - (logq * target).sum(axis=-1)
+        g = -c * target
+        grads.append((g - q * g.sum(axis=-1, keepdims=True)) / tau)
+    return float(value.mean() * (tau * tau)), grads[0], grads[1]
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ adds a trainable per-position bias vector of length ``max_len``. Positions
 outside the passage window (start token, question, separator, padding) are
 forced to a large negative logit so they carry ~zero probability.
 
-Forward passes build a reverse-mode graph (see ``numerics``); ``backward``
-returns gradients for every trainable parameter. Checkpoints are a JSON
-header followed by little-endian float64 parameter blocks in declared
-order, and round-trip bit-exactly.
+``forward_batch`` keeps the activations of every block, and ``backward``
+runs the written-out reverse pass of that one architecture, returning the
+gradient of every trainable parameter. Checkpoints are a JSON header
+followed by little-endian float64 parameter blocks in declared order, and
+round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import numerics as nm
 from .corpus import RESERVED_TOKENS, Sample
 from .errors import InvalidConfig, ShapeError, SpanOutOfWindow, StateError
 
@@ -228,9 +228,6 @@ class SpanModel:
     def __post_init__(self):
         self.pos_table = positional_table(self.config.max_len, self.config.hidden)
 
-    def copy(self) -> "SpanModel":
-        return SpanModel(self.config, self.seed, {k: v.copy() for k, v in self.params.items()})
-
 
 def init_model(config: ModelConfig, seed: int) -> SpanModel:
     """All trainable weights drawn from N(0, 0.01^2) with a seeded generator."""
@@ -247,105 +244,143 @@ def init_model(config: ModelConfig, seed: int) -> SpanModel:
 # ---------------------------------------------------------------------------
 
 
-class ForwardResult:
-    """Forward outputs plus the graph needed for one backward pass."""
+@dataclass
+class Forward:
+    """Outputs of ``forward_batch``: start/end logits (B, L) and the final
+    hidden states H (B, L, h), plus what ``backward`` needs besides them.
 
-    def __init__(self, param_tensors, H, z_s, z_e, batch_size):
-        self.param_tensors = param_tensors
-        self.H_t = H
-        self.z_s_t = z_s
-        self.z_e_t = z_e
-        self.batch_size = batch_size
-        self._consumed = False
+    ``blocks`` holds one tuple per encoder block: its input x, the attention
+    q, k, v and probabilities, their mix ``attn @ v``, the first layer-norm
+    cache, the FFN input y, the FFN hidden layer after ReLU, and the second
+    layer-norm cache.
+    """
 
-    @property
-    def H(self) -> np.ndarray:
-        return self.H_t.data
-
-    @property
-    def z_s(self) -> np.ndarray:
-        return self.z_s_t.data
-
-    @property
-    def z_e(self) -> np.ndarray:
-        return self.z_e_t.data
+    z_s: np.ndarray
+    z_e: np.ndarray
+    H: np.ndarray
+    ids: np.ndarray
+    passage: np.ndarray
+    blocks: list[tuple]
 
 
-def _stack_batch(encoded):
+def layer_norm(x, gain, offset, eps: float = 1e-6):
+    """Normalize over the last axis, then apply elementwise gain and offset.
+
+    Returns the output and the cache ``layer_norm_backward`` takes.
+    """
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv
+    return xhat * gain + offset, (xhat, inv)
+
+
+def layer_norm_backward(g, gain, cache):
+    """Gradients of ``sum(g * layer_norm(x, gain, offset))`` with respect to
+    x, gain and offset, for a (B, L, h) input."""
+    xhat, inv = cache
+    gx = g * gain
+    m1 = gx.mean(axis=-1, keepdims=True)
+    m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+    return inv * (gx - m1 - xhat * m2), (g * xhat).sum(0).sum(0), g.sum(0).sum(0)
+
+
+def forward_batch(model: SpanModel, encoded) -> Forward:
+    """Run the encoder over a batch; per-sample outputs are independent."""
+    cfg = model.config
     ids = np.stack([e.token_ids for e in encoded])
     attention = np.stack([e.attention_mask for e in encoded])
     passage = np.stack([e.passage_mask for e in encoded])
-    return ids, attention, passage
-
-
-def forward_batch(model: SpanModel, encoded) -> ForwardResult:
-    """Run the encoder over a batch; per-sample outputs are independent."""
-    cfg = model.config
-    ids, attention, passage = _stack_batch(encoded)
     if ids.shape[1] != cfg.max_len:
         raise ShapeError(f"encoded length {ids.shape[1]} != model max_len {cfg.max_len}")
     if ids.max() >= cfg.vocab_size:
         raise ShapeError("token id outside the model vocabulary")
 
-    p = {name: nm.Tensor(arr, requires_grad=True) for name, arr in model.params.items()}
+    p = model.params
     scale = 1.0 / np.sqrt(cfg.hidden)
     # keys at padded positions are unreachable for every query
     attn_bias = np.where(attention, 0.0, MASKED_LOGIT)[:, None, :]
 
-    x = nm.add(nm.gather_rows(p["embed"], ids), model.pos_table)
+    x = p["embed"][ids] + model.pos_table
+    blocks = []
     for i in range(cfg.layers):
         prefix = f"layer{i}."
-        q = nm.matmul(x, p[prefix + "attn_wq"])
-        k = nm.matmul(x, p[prefix + "attn_wk"])
-        v = nm.matmul(x, p[prefix + "attn_wv"])
-        scores = nm.add(nm.mul(nm.matmul(q, nm.swap_last_axes(k)), scale), attn_bias)
-        attn = nm.softmax_last(scores)
-        context = nm.matmul(nm.matmul(attn, v), p[prefix + "attn_wo"])
-        x = nm.layer_norm(nm.add(x, context), p[prefix + "ln1_gain"], p[prefix + "ln1_offset"])
-        hidden = nm.relu(nm.add(nm.matmul(x, p[prefix + "ffn_w1"]), p[prefix + "ffn_b1"]))
-        ff = nm.add(nm.matmul(hidden, p[prefix + "ffn_w2"]), p[prefix + "ffn_b2"])
-        x = nm.layer_norm(nm.add(x, ff), p[prefix + "ln2_gain"], p[prefix + "ln2_offset"])
+        q = x @ p[prefix + "attn_wq"]
+        k = x @ p[prefix + "attn_wk"]
+        v = x @ p[prefix + "attn_wv"]
+        scores = (q @ k.swapaxes(-1, -2)) * scale + attn_bias
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        attn = e / e.sum(axis=-1, keepdims=True)
+        mixed = attn @ v
+        y, ln1 = layer_norm(x + mixed @ p[prefix + "attn_wo"],
+                            p[prefix + "ln1_gain"], p[prefix + "ln1_offset"])
+        pre = y @ p[prefix + "ffn_w1"] + p[prefix + "ffn_b1"]
+        hidden = np.where(pre > 0.0, pre, 0.0)
+        out, ln2 = layer_norm(y + (hidden @ p[prefix + "ffn_w2"] + p[prefix + "ffn_b2"]),
+                              p[prefix + "ln2_gain"], p[prefix + "ln2_offset"])
+        blocks.append((x, q, k, v, attn, mixed, ln1, y, hidden, ln2))
+        x = out
 
-    batch = ids.shape[0]
-    h = cfg.hidden
-
-    def head(vec_name, bias_name):
-        projected = nm.reshape(nm.matmul(x, nm.reshape(p[vec_name], (h, 1))), (batch, cfg.max_len))
-        return nm.masked_fill(nm.add(projected, p[bias_name]), passage, MASKED_LOGIT)
-
-    z_s = head("start_vec", "start_bias")
-    z_e = head("end_vec", "end_bias")
-    return ForwardResult(p, x, z_s, z_e, batch)
-
-
-def forward(model: SpanModel, encoded: EncodedInput):
-    """Single-sample forward: returns (H, z_s, z_e) plus the backward cache."""
-    result = forward_batch(model, [encoded])
-    return result.H[0], result.z_s[0], result.z_e[0], result
+    shape = (ids.shape[0], cfg.max_len)
+    z_s = np.where(passage, (x @ p["start_vec"].reshape(-1, 1)).reshape(shape) + p["start_bias"],
+                   MASKED_LOGIT)
+    z_e = np.where(passage, (x @ p["end_vec"].reshape(-1, 1)).reshape(shape) + p["end_bias"],
+                   MASKED_LOGIT)
+    return Forward(z_s=z_s, z_e=z_e, H=x, ids=ids, passage=passage, blocks=blocks)
 
 
-def collect_gradients(result: ForwardResult) -> dict[str, np.ndarray]:
-    return {
-        name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-        for name, t in result.param_tensors.items()
-    }
-
-
-def backward(model: SpanModel, cache: ForwardResult, grad_z_s, grad_z_e) -> dict[str, np.ndarray]:
-    """Gradients of sum(grad_z_s * z_s) + sum(grad_z_e * z_e) for every parameter."""
+def backward(model: SpanModel, cache: Forward, grad_z_s, grad_z_e) -> dict[str, np.ndarray]:
+    """Gradients of sum(grad_z_s * z_s) + sum(grad_z_e * z_e) for every
+    parameter, in declared order. ``cache`` is left unchanged, so one
+    forward can serve several backward passes."""
     if cache is None:
         raise StateError("backward requires the forward cache")
-    if cache._consumed:
-        raise StateError("forward cache was already consumed by a backward pass")
-    grad_z_s = np.asarray(grad_z_s, dtype=np.float64).reshape(cache.z_s.shape)
-    grad_z_e = np.asarray(grad_z_e, dtype=np.float64).reshape(cache.z_e.shape)
-    objective = nm.add(
-        nm.sum_all(nm.mul(cache.z_s_t, grad_z_s)),
-        nm.sum_all(nm.mul(cache.z_e_t, grad_z_e)),
-    )
-    nm.backward(objective)
-    cache._consumed = True
-    return collect_gradients(cache)
+    p = model.params
+    scale = 1.0 / np.sqrt(model.config.hidden)
+    grads: dict[str, np.ndarray] = {}
+    # Weight gradients are batched matmuls summed over the batch axis, bias
+    # gradients are .sum(0).sum(0), and a block input's gradient adds the
+    # residual and q terms first, then k, then v. This fixes the summation
+    # order, and with it the exact bits of every checkpoint a run writes.
+    dx = 0.0
+    for head, grad_z in (("start", grad_z_s), ("end", grad_z_e)):
+        g = np.asarray(grad_z, dtype=np.float64).reshape(cache.z_s.shape) * cache.passage
+        grads[f"{head}_bias"] = g.sum(axis=0)
+        grads[f"{head}_vec"] = (cache.H.swapaxes(-1, -2) @ g[..., None]).sum(axis=0).reshape(-1)
+        dx = dx + g[..., None] @ p[f"{head}_vec"].reshape(1, -1)
+
+    for i in reversed(range(model.config.layers)):
+        prefix = f"layer{i}."
+        x, q, k, v, attn, mixed, ln1, y, hidden, ln2 = cache.blocks[i]
+        d_out, grads[prefix + "ln2_gain"], grads[prefix + "ln2_offset"] = layer_norm_backward(
+            dx, p[prefix + "ln2_gain"], ln2)
+        grads[prefix + "ffn_b2"] = d_out.sum(0).sum(0)
+        grads[prefix + "ffn_w2"] = (hidden.swapaxes(-1, -2) @ d_out).sum(axis=0)
+        d_pre = (d_out @ p[prefix + "ffn_w2"].swapaxes(-1, -2)) * (hidden > 0.0)
+        grads[prefix + "ffn_b1"] = d_pre.sum(0).sum(0)
+        grads[prefix + "ffn_w1"] = (y.swapaxes(-1, -2) @ d_pre).sum(axis=0)
+        dy = d_out + d_pre @ p[prefix + "ffn_w1"].swapaxes(-1, -2)
+
+        d_sum, grads[prefix + "ln1_gain"], grads[prefix + "ln1_offset"] = layer_norm_backward(
+            dy, p[prefix + "ln1_gain"], ln1)
+        grads[prefix + "attn_wo"] = (mixed.swapaxes(-1, -2) @ d_sum).sum(axis=0)
+        d_mixed = d_sum @ p[prefix + "attn_wo"].swapaxes(-1, -2)
+        d_attn = d_mixed @ v.swapaxes(-1, -2)
+        d_v = attn.swapaxes(-1, -2) @ d_mixed
+        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True)) * scale
+        d_q = d_scores @ k
+        d_k = (q.swapaxes(-1, -2) @ d_scores).swapaxes(-1, -2)
+        xt = x.swapaxes(-1, -2)
+        grads[prefix + "attn_wq"] = (xt @ d_q).sum(axis=0)
+        grads[prefix + "attn_wk"] = (xt @ d_k).sum(axis=0)
+        grads[prefix + "attn_wv"] = (xt @ d_v).sum(axis=0)
+        dx = d_sum + d_q @ p[prefix + "attn_wq"].swapaxes(-1, -2)
+        dx = dx + d_k @ p[prefix + "attn_wk"].swapaxes(-1, -2)
+        dx = dx + d_v @ p[prefix + "attn_wv"].swapaxes(-1, -2)
+
+    grads["embed"] = np.zeros_like(p["embed"])
+    np.add.at(grads["embed"], cache.ids, dx)
+    return {name: grads[name] for name in p}
 
 
 # ---------------------------------------------------------------------------

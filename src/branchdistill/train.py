@@ -10,6 +10,11 @@ Three procedures are built on one deterministic mini-batch loop:
   built once, before the first epoch, as one (N, L) start table and one
   (N, L) end table over the kept samples; each batch takes its rows.
 
+A step's objective is ``lambda1 * nll + lambda2 * kd`` (``nll`` alone for
+a teacher); its logit gradient is combined the same way and passed to
+``model.backward``. A loss or pre-clip gradient norm that is not finite
+stops the run with ``InvalidParameter`` before the optimizer step.
+
 Both training procedures share one learning-rate rule (``learning_rate``):
 ``TrainConfig.lr`` is the peak, reached by a linear warmup over the first
 ``WARMUP_FRACTION`` of the run's steps, after which the rate decays linearly
@@ -29,7 +34,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import numerics as nm
 from .corpus import Sample
 from .distill import (
     LogitRecord,
@@ -42,12 +46,12 @@ from .distill import (
     write_logit_store,
     TeacherWeights,
 )
-from .errors import InvalidConfig, ShapeError
+from .errors import InvalidConfig, InvalidParameter, ShapeError
 from .model import (
     ModelConfig,
     SpanModel,
     Vocabulary,
-    collect_gradients,
+    backward,
     encode_dataset,
     forward_batch,
     init_model,
@@ -120,7 +124,8 @@ class AdamW:
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``."""
+    """Scale all gradients so their global L2 norm is at most ``max_norm``
+    (no scaling when ``max_norm`` <= 0); returns the norm before scaling."""
     total = 0.0
     for g in grads.values():
         total += float((g * g).sum())
@@ -275,26 +280,30 @@ def _run_training(
             gold_e = np.array([e.gold_end for e in batch_enc])
 
             result = forward_batch(model, batch_enc)
-            nll_t = batch_nll(result, gold_s, gold_e)
+            nll, dz_s, dz_e = batch_nll(result.z_s, result.z_e, gold_s, gold_e)
             if stores is not None:
-                kd_t = batch_kd(result, targets_s[batch_idx], targets_e[batch_idx], cfg.tau)
-                loss_t = nm.add(nm.mul(nll_t, cfg.lambda1), nm.mul(kd_t, cfg.lambda2))
-                kd_value = float(kd_t.data)
+                kd, kd_s, kd_e = batch_kd(result.z_s, result.z_e, targets_s[batch_idx],
+                                          targets_e[batch_idx], cfg.tau)
+                loss = cfg.lambda1 * nll + cfg.lambda2 * kd
+                dz_s = cfg.lambda1 * dz_s + cfg.lambda2 * kd_s
+                dz_e = cfg.lambda1 * dz_e + cfg.lambda2 * kd_e
             else:
                 # hard-label training: plain likelihood objective
-                loss_t = nll_t
-                kd_value = 0.0
+                kd = 0.0
+                loss = nll
 
-            nm.backward(loss_t, seed=1.0)
-            grads = collect_gradients(result)
-            if cfg.clip_norm is not None:
-                clip_gradients(grads, cfg.clip_norm)
+            grads = backward(model, result, dz_s, dz_e)
+            norm = clip_gradients(grads, cfg.clip_norm or 0.0)
+            if not (np.isfinite(loss) and np.isfinite(norm)):
+                raise InvalidParameter(f"run {run_name!r}, epoch {epoch}, step "
+                                       f"{optimizer.step_count + 1} of {total_steps}: loss "
+                                       f"{loss} and gradient norm {norm} must be finite")
             optimizer.lr = learning_rate(optimizer.step_count, total_steps, cfg.lr)
             optimizer.step(model.params, grads)
 
-            sums["nll"] += float(nll_t.data)
-            sums["kd"] += kd_value
-            sums["total"] += float(loss_t.data)
+            sums["nll"] += nll
+            sums["kd"] += kd
+            sums["total"] += loss
             n_batches += 1
 
         manifest.epoch_losses.append({

@@ -83,28 +83,25 @@ def test_c01_gradient_fidelity():
 
         def hard_label_loss():
             result = md.forward_batch(model, encoded)
-            return float(ds.batch_nll(result, gold_s, gold_e).data)
+            return ds.batch_nll(result.z_s, result.z_e, gold_s, gold_e)[0]
 
         def combined_loss():
             result = md.forward_batch(model, encoded)
-            nll = ds.batch_nll(result, gold_s, gold_e)
-            kd = ds.batch_kd(result, teacher_p_s, teacher_p_e, tau)
-            return float(nm.add(nm.mul(nll, lam1), nm.mul(kd, lam2)).data)
+            nll = ds.batch_nll(result.z_s, result.z_e, gold_s, gold_e)[0]
+            kd = ds.batch_kd(result.z_s, result.z_e, teacher_p_s, teacher_p_e, tau)[0]
+            return lam1 * nll + lam2 * kd
 
         result = md.forward_batch(model, encoded)
-        nll_t = ds.batch_nll(result, gold_s, gold_e)
-        nm.backward(nll_t)
-        hard_grads = md.collect_gradients(result)
+        _, dz_s, dz_e = ds.batch_nll(result.z_s, result.z_e, gold_s, gold_e)
+        hard_grads = md.backward(model, result, dz_s, dz_e)
         worst_hard = max_relative_error(hard_grads, central_difference(hard_label_loss, model.params))
         assert worst_hard <= 1e-3, worst_hard
 
         result = md.forward_batch(model, encoded)
-        total_t = nm.add(
-            nm.mul(ds.batch_nll(result, gold_s, gold_e), lam1),
-            nm.mul(ds.batch_kd(result, teacher_p_s, teacher_p_e, tau), lam2),
-        )
-        nm.backward(total_t)
-        total_grads = md.collect_gradients(result)
+        _, nll_s, nll_e = ds.batch_nll(result.z_s, result.z_e, gold_s, gold_e)
+        _, kd_s, kd_e = ds.batch_kd(result.z_s, result.z_e, teacher_p_s, teacher_p_e, tau)
+        total_grads = md.backward(model, result, lam1 * nll_s + lam2 * kd_s,
+                                  lam1 * nll_e + lam2 * kd_e)
         worst_total = max_relative_error(total_grads, central_difference(combined_loss, model.params))
         assert worst_total <= 1e-3, worst_total
 

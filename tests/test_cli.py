@@ -1,5 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +150,20 @@ class TestPipelineCommands:
         store = out / "logits" / "es.logits"
         store.write_bytes(store.read_bytes()[:-100])
         assert tiny("distill", out, "--run-name", "truncated") == 2
+
+    def test_non_finite_training_step_is_exit_2_under_optimized_python(self, tmp_path):
+        # python -O strips asserts; the finite-value check must still stop
+        # the run before a non-finite update (a peak rate of 1e200 overflows)
+        tiny("generate", tmp_path)
+        tiny("build", tmp_path)
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "branchdistill.cli", "train-teacher", "--seed", "3",
+             "--out-dir", str(tmp_path), *TINY, "--branch", "en", "--train.lr", "1e200"],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "must be finite" in proc.stderr
 
     def test_teacher_determinism_across_reruns(self, pipeline_dir, tmp_path):
         out = tmp_path / "again"

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -50,6 +49,31 @@ class TestNllLoss:
     def test_out_of_range_gold(self):
         with pytest.raises(InvalidLabel):
             ds.nll_loss(one_hot(3, 0), one_hot(3, 0), 0, 3)
+
+    def test_batch_gradient_is_softmax_minus_one_hot(self):
+        # d/dz of -log softmax(z)[a], averaged over B rows, is (softmax(z) - one_hot(a)) / B
+        rng = np.random.default_rng(0)
+        z_s = rng.normal(size=(3, 7))
+        z_e = rng.normal(size=(3, 7))
+        gold_s = np.array([2, 0, 5])
+        gold_e = np.array([6, 0, 5])
+
+        value, dz_s, dz_e = ds.batch_nll(z_s, z_e, gold_s, gold_e)
+        for z, gold, dz in ((z_s, gold_s, dz_s), (z_e, gold_e, dz_e)):
+            expected = nm.softmax_temperature(z, 1.0)
+            expected[np.arange(3), gold] -= 1.0
+            np.testing.assert_allclose(dz, expected / 3.0, atol=1e-12)
+        oracle = np.mean([
+            ds.nll_loss(nm.softmax_temperature(z_s[i], 1.0), nm.softmax_temperature(z_e[i], 1.0),
+                        gold_s[i], gold_e[i])
+            for i in range(3)
+        ])
+        assert abs(value - oracle) <= 1e-12
+
+        def loss():
+            return ds.batch_nll(z_s, z_e, gold_s, gold_e)[0]
+
+        check_gradients(loss, {"z_s": z_s, "z_e": z_e}, {"z_s": dz_s, "z_e": dz_e})
 
 
 class TestAggregateLogits:
@@ -141,40 +165,22 @@ class TestKdLoss:
         tau = 2.0
         teacher_p = nm.softmax_temperature(rng.normal(size=(2, 5)), tau)
         student_z = rng.normal(size=(2, 5))
+        other_z = np.zeros((2, 5))
+        other_p = np.full((2, 5), 0.2)
 
-        zt = nm.Tensor(student_z, requires_grad=True)
-        result = SimpleNamespace(z_s_t=zt, z_e_t=nm.Tensor(np.zeros((2, 5))))
-        loss = ds.batch_kd(result, teacher_p, np.full((2, 5), 0.2), tau)
-        nm.backward(loss)
+        value, dz_s, dz_e = ds.batch_kd(student_z, other_z, teacher_p, other_p, tau)
         expected = tau * (nm.softmax_temperature(student_z, tau) - teacher_p) / 2
-        np.testing.assert_allclose(zt.grad, expected, atol=1e-12)
+        np.testing.assert_allclose(dz_s, expected, atol=1e-12)
+        np.testing.assert_allclose(dz_e, 0.0, atol=1e-12)
+        # teacher logits tau * ln(p) soften back to p at temperature tau
+        oracle = np.mean([ds.kd_loss(tau * np.log(p_s), tau * np.log(p_e), z_s, z_e, tau)
+                          for p_s, p_e, z_s, z_e in zip(teacher_p, other_p, student_z, other_z)])
+        assert abs(value - oracle) <= 1e-12
 
-        def value():
-            fresh = SimpleNamespace(z_s_t=nm.Tensor(student_z), z_e_t=nm.Tensor(np.zeros((2, 5))))
-            return float(ds.batch_kd(fresh, teacher_p, np.full((2, 5), 0.2), tau).data)
+        def loss():
+            return ds.batch_kd(student_z, other_z, teacher_p, other_p, tau)[0]
 
-        check_gradients(value, {"z": student_z}, {"z": zt.grad})
-
-
-class TestTotalLoss:
-    def test_pure_hard_label(self):
-        breakdown = ds.total_loss(2.0, 1.0, lambda1=1.0, lambda2=0.0)
-        assert breakdown.total == 2.0
-
-    def test_default_halves(self):
-        breakdown = ds.total_loss(2.0, 1.0)
-        assert abs(breakdown.total - 1.5) <= 1e-12
-
-    def test_pure_distillation(self):
-        assert ds.total_loss(2.0, 1.0, lambda1=0.0, lambda2=1.0).total == 1.0
-
-    def test_breakdown_identity(self):
-        breakdown = ds.total_loss(0.731, 2.113, lambda1=0.3, lambda2=0.9)
-        assert abs(breakdown.total - (0.3 * 0.731 + 0.9 * 2.113)) <= 1e-12
-
-    def test_negative_weights_rejected(self):
-        with pytest.raises(InvalidParameter):
-            ds.total_loss(1.0, 1.0, lambda1=-0.1)
+        check_gradients(loss, {"z": student_z}, {"z": dz_s})
 
 
 class TestFixedWeights:

@@ -132,7 +132,8 @@ class TestForward:
         for name in ("start_vec", "start_bias", "end_vec", "end_bias"):
             model.params[name][:] = 0.0
         enc = md.tokenize_and_index(samples[0], vocab, model.config.max_len)
-        _, z_s, z_e, _ = md.forward(model, enc)
+        result = md.forward_batch(model, [enc])
+        z_s, z_e = result.z_s[0], result.z_e[0]
         np.testing.assert_array_equal(z_s[enc.passage_mask], 0.0)
         np.testing.assert_array_equal(z_e[enc.passage_mask], 0.0)
         assert np.all(z_s[~enc.passage_mask] == md.MASKED_LOGIT)
@@ -141,16 +142,16 @@ class TestForward:
         samples = task_samples()
         model, vocab = small_model(samples)
         enc = md.tokenize_and_index(samples[0], vocab, model.config.max_len)
-        _, z_s_a, z_e_a, _ = md.forward(model, enc)
-        _, z_s_b, z_e_b, _ = md.forward(model, enc)
-        np.testing.assert_array_equal(z_s_a, z_s_b)
-        np.testing.assert_array_equal(z_e_a, z_e_b)
+        a = md.forward_batch(model, [enc])
+        b = md.forward_batch(model, [enc])
+        np.testing.assert_array_equal(a.z_s, b.z_s)
+        np.testing.assert_array_equal(a.z_e, b.z_e)
 
     def test_zero_layers_is_embedding_plus_positions(self):
         samples = task_samples()
         model, vocab = small_model(samples, layers=0)
         enc = md.tokenize_and_index(samples[0], vocab, model.config.max_len)
-        H, _, _, _ = md.forward(model, enc)
+        H = md.forward_batch(model, [enc]).H[0]
         expected = model.params["embed"][enc.token_ids] + model.pos_table
         np.testing.assert_array_equal(H, expected)
 
@@ -158,7 +159,7 @@ class TestForward:
         samples = task_samples()
         model, vocab = small_model(samples)
         enc = md.tokenize_and_index(samples[0], vocab, model.config.max_len)
-        _, z_s, _, _ = md.forward(model, enc)
+        z_s = md.forward_batch(model, [enc]).z_s[0]
         p = nm.softmax_temperature(z_s, 1.0)
         assert p[~enc.passage_mask].max() <= 1e-6
 
@@ -172,13 +173,28 @@ class TestForward:
         np.testing.assert_array_equal(forward_result.z_e, permuted.z_e[::-1])
 
 
+def operating_point(layers, seed):
+    """A model at a representative operating point, not the tiny init scale,
+    a batch of three encoded samples, and logit probes that are zero at
+    masked positions."""
+    samples = task_samples(4, passage_min=5, passage_max=8)
+    model, vocab = small_model(samples, max_len=16, layers=layers)
+    rng = np.random.default_rng(seed)
+    for p in model.params.values():
+        p[:] = rng.normal(scale=0.3, size=p.shape)
+    encoded = [md.tokenize_and_index(s, vocab, 16) for s in samples[:3]]
+    passage = np.stack([e.passage_mask for e in encoded])
+    probes = (rng.normal(size=passage.shape) * passage, rng.normal(size=passage.shape) * passage)
+    return model, encoded, probes
+
+
 class TestBackward:
     def test_zero_grad_in_zero_grad_out(self):
         samples = task_samples()
         model, vocab = small_model(samples)
         enc = md.tokenize_and_index(samples[0], vocab, model.config.max_len)
-        _, z_s, z_e, cache = md.forward(model, enc)
-        grads = md.backward(model, cache, np.zeros_like(z_s), np.zeros_like(z_e))
+        cache = md.forward_batch(model, [enc])
+        grads = md.backward(model, cache, np.zeros_like(cache.z_s), np.zeros_like(cache.z_e))
         for g in grads.values():
             np.testing.assert_array_equal(g, 0.0)
 
@@ -186,23 +202,29 @@ class TestBackward:
         samples = task_samples()
         model, vocab = small_model(samples)
         enc = md.tokenize_and_index(samples[0], vocab, model.config.max_len)
-        _, z_s, z_e, cache = md.forward(model, enc)
+        cache = md.forward_batch(model, [enc])
         rng = np.random.default_rng(0)
-        g_s = rng.normal(size=z_s.shape)
-        grads = md.backward(model, cache, g_s, np.zeros_like(z_e))
-        np.testing.assert_array_equal(grads["start_bias"][enc.passage_mask], g_s[enc.passage_mask])
+        g_s = rng.normal(size=cache.z_s.shape)
+        grads = md.backward(model, cache, g_s, np.zeros_like(cache.z_e))
+        np.testing.assert_array_equal(grads["start_bias"][enc.passage_mask],
+                                      g_s[0][enc.passage_mask])
         np.testing.assert_array_equal(grads["start_bias"][~enc.passage_mask], 0.0)
 
-    def test_backward_requires_fresh_cache(self):
-        samples = task_samples()
-        model, vocab = small_model(samples)
-        enc = md.tokenize_and_index(samples[0], vocab, model.config.max_len)
-        _, z_s, z_e, cache = md.forward(model, enc)
-        md.backward(model, cache, np.ones_like(z_s), np.ones_like(z_e))
+    def test_backward_leaves_cache_and_parameters_unchanged(self):
+        model, encoded, (g_s, g_e) = operating_point(layers=2, seed=6)
+        before = {name: p.copy() for name, p in model.params.items()}
+        cache = md.forward_batch(model, encoded)
+        outputs = (cache.z_s.copy(), cache.z_e.copy(), cache.H.copy())
+        first = md.backward(model, cache, g_s, g_e)
+        second = md.backward(model, cache, g_s, g_e)
+        for kept, now in zip(outputs, (cache.z_s, cache.z_e, cache.H)):
+            np.testing.assert_array_equal(kept, now)
+        assert list(first) == [name for name, _ in md.parameter_layout(model.config)]
+        for name in first:
+            np.testing.assert_array_equal(first[name], second[name])
+            np.testing.assert_array_equal(model.params[name], before[name])
         with pytest.raises(StateError):
-            md.backward(model, cache, np.ones_like(z_s), np.ones_like(z_e))
-        with pytest.raises(StateError):
-            md.backward(model, None, z_s, z_e)
+            md.backward(model, None, g_s, g_e)
 
     def test_full_model_gradient_against_finite_differences(self):
         samples = task_samples(4, passage_min=5, passage_max=8)
@@ -216,15 +238,61 @@ class TestBackward:
         gold_e = np.array([e.gold_end for e in encoded])
 
         result = md.forward_batch(model, encoded)
-        loss = ds.batch_nll(result, gold_s, gold_e)
-        nm.backward(loss)
-        grads = md.collect_gradients(result)
+        _, dz_s, dz_e = ds.batch_nll(result.z_s, result.z_e, gold_s, gold_e)
+        grads = md.backward(model, result, dz_s, dz_e)
 
         def value():
             fresh = md.forward_batch(model, encoded)
-            return float(ds.batch_nll(fresh, gold_s, gold_e).data)
+            return ds.batch_nll(fresh.z_s, fresh.z_e, gold_s, gold_e)[0]
 
         check_gradients(value, model.params, grads)
+
+
+class TestBackwardPasses:
+    """The written-out backward passes against central finite differences."""
+
+    def test_layer_norm_pair(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(2, 3, 5))
+        gain = rng.normal(size=5)
+        offset = rng.normal(size=5)
+        probe = rng.normal(size=(2, 3, 5))
+
+        _, cache = md.layer_norm(x, gain, offset)
+        dx, d_gain, d_offset = md.layer_norm_backward(probe, gain, cache)
+
+        def value():
+            return float((md.layer_norm(x, gain, offset)[0] * probe).sum())
+
+        check_gradients(
+            value,
+            {"x": x, "gain": gain, "offset": offset},
+            {"x": dx, "gain": d_gain, "offset": d_offset},
+        )
+
+    @staticmethod
+    def _check_probed_gradients(model, encoded, probes):
+        g_s, g_e = probes
+        grads = md.backward(model, md.forward_batch(model, encoded), g_s, g_e)
+
+        def value():
+            fresh = md.forward_batch(model, encoded)
+            return float((g_s * fresh.z_s).sum() + (g_e * fresh.z_e).sum())
+
+        check_gradients(value, model.params, grads)
+
+    def test_encoder_block_with_two_layers(self):
+        # attention, FFN and both layer norms of each block, and the second
+        # block's input gradient flowing into the first
+        self._check_probed_gradients(*operating_point(layers=2, seed=4))
+
+    def test_heads_and_embedding_scatter(self):
+        # without blocks, every repeated token id adds its rows' head
+        # gradients into one embedding row
+        model, encoded, probes = operating_point(layers=0, seed=5)
+        ids = np.concatenate([e.token_ids for e in encoded])
+        assert len(np.unique(ids)) < len(ids)
+        self._check_probed_gradients(model, encoded, probes)
 
 
 class TestSerialization:
@@ -239,9 +307,8 @@ class TestSerialization:
         for name in model.params:
             np.testing.assert_array_equal(loaded.params[name], model.params[name])
         enc = md.tokenize_and_index(samples[0], vocab, model.config.max_len)
-        _, z_s_a, _, _ = md.forward(model, enc)
-        _, z_s_b, _, _ = md.forward(loaded, enc)
-        np.testing.assert_array_equal(z_s_a, z_s_b)
+        np.testing.assert_array_equal(md.forward_batch(model, [enc]).z_s,
+                                      md.forward_batch(loaded, [enc]).z_s)
 
     def test_save_twice_is_byte_identical(self, tmp_path):
         model, _ = small_model(task_samples())

@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from branchdistill import numerics as nm
 from branchdistill.errors import InvalidParameter, ShapeError
 
-from _gradcheck import check_gradients
-
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 logit_vectors = st.lists(finite_floats, min_size=2, max_size=8)
 
@@ -100,134 +98,3 @@ class TestCrossEntropy:
         p = nm.softmax_temperature(np.array(a[:length]), 1.0)
         q = nm.softmax_temperature(np.array(b[:length]), 1.0)
         assert nm.cross_entropy(p, q) >= nm.entropy(p) - 1e-9
-
-
-class TestBackwardPasses:
-    """Every analytic backward pass against central finite differences."""
-
-    def test_cross_entropy_softmax_gradient_identity(self):
-        # d/dz of -log softmax(z)[a] is softmax(z) - one_hot(a)
-        rng = np.random.default_rng(0)
-        z = rng.normal(size=(3, 7))
-        gold = np.array([2, 0, 5])
-        zt = nm.Tensor(z, requires_grad=True)
-        loss = nm.mul(nm.mean_all(nm.pick_last(nm.log_softmax_last(zt, 1.0), gold)), -1.0)
-        nm.backward(loss)
-        p = nm.softmax_temperature(z, 1.0)
-        expected = p.copy()
-        expected[np.arange(3), gold] -= 1.0
-        np.testing.assert_allclose(zt.grad, expected / 3.0, atol=1e-12)
-
-    def test_scaled_distillation_gradient(self):
-        # d/dz of tau^2 * ce(p_const, softmax(z / tau)) is tau * (softmax(z / tau) - p_const)
-        rng = np.random.default_rng(1)
-        tau = 2.0
-        z = rng.normal(size=6)
-        p_const = nm.softmax_temperature(rng.normal(size=6), 1.0)
-
-        zt = nm.Tensor(z.reshape(1, -1), requires_grad=True)
-        ce = nm.mul(nm.sum_last(nm.mul(nm.log_softmax_last(zt, tau), p_const.reshape(1, -1))), -1.0)
-        loss = nm.mul(nm.mean_all(ce), tau * tau)
-        nm.backward(loss)
-        expected = tau * (nm.softmax_temperature(z, tau) - p_const)
-        np.testing.assert_allclose(zt.grad.ravel(), expected, atol=1e-12)
-
-        def value():
-            t = nm.Tensor(z.reshape(1, -1))
-            c = nm.mul(nm.sum_last(nm.mul(nm.log_softmax_last(t, tau), p_const.reshape(1, -1))), -1.0)
-            return float(nm.mul(nm.mean_all(c), tau * tau).data)
-
-        check_gradients(value, {"z": z}, {"z": zt.grad.ravel()})
-
-    def test_matmul_gradient(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(4, 3))
-        b = rng.normal(size=(3, 2))
-        w = rng.normal(size=(4, 2))
-
-        at = nm.Tensor(a, requires_grad=True)
-        bt = nm.Tensor(b, requires_grad=True)
-        loss = nm.sum_all(nm.mul(nm.matmul(at, bt), w))
-        nm.backward(loss)
-
-        def value():
-            return float(nm.sum_all(nm.mul(nm.matmul(nm.Tensor(a), nm.Tensor(b)), w)).data)
-
-        check_gradients(value, {"a": a, "b": b}, {"a": at.grad, "b": bt.grad})
-
-    def test_layer_norm_gradient(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(2, 5))
-        gain = rng.normal(size=5)
-        offset = rng.normal(size=5)
-        w = rng.normal(size=(2, 5))
-
-        xt = nm.Tensor(x, requires_grad=True)
-        gt = nm.Tensor(gain, requires_grad=True)
-        ot = nm.Tensor(offset, requires_grad=True)
-        loss = nm.sum_all(nm.mul(nm.layer_norm(xt, gt, ot), w))
-        nm.backward(loss)
-
-        def value():
-            return float(nm.sum_all(nm.mul(nm.layer_norm(nm.Tensor(x), nm.Tensor(gain), nm.Tensor(offset)), w)).data)
-
-        check_gradients(
-            value,
-            {"x": x, "gain": gain, "offset": offset},
-            {"x": xt.grad, "gain": gt.grad, "offset": ot.grad},
-        )
-
-    def test_attention_style_composition_gradient(self):
-        # softmax over scores, matmul mixing, relu, broadcast add: the pieces
-        # the encoder composes.
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(3, 4))
-        w1 = rng.normal(size=(4, 4))
-        bias = rng.normal(size=4)
-        probe = rng.normal(size=(3, 4))
-
-        def graph(xv, w1v, bv):
-            xt = nm.Tensor(xv, requires_grad=True)
-            wt = nm.Tensor(w1v, requires_grad=True)
-            bt = nm.Tensor(bv, requires_grad=True)
-            scores = nm.matmul(xt, nm.swap_last_axes(xt))
-            attn = nm.softmax_last(scores)
-            mixed = nm.relu(nm.add(nm.matmul(nm.matmul(attn, xt), wt), bt))
-            return nm.sum_all(nm.mul(mixed, probe)), xt, wt, bt
-
-        loss, xt, wt, bt = graph(x, w1, bias)
-        nm.backward(loss)
-
-        def value():
-            return float(graph(x, w1, bias)[0].data)
-
-        check_gradients(
-            value,
-            {"x": x, "w1": w1, "bias": bias},
-            {"x": xt.grad, "w1": wt.grad, "bias": bt.grad},
-        )
-
-    def test_gather_and_masked_fill_gradient(self):
-        rng = np.random.default_rng(5)
-        table = rng.normal(size=(6, 3))
-        ids = np.array([[0, 2, 2, 5], [1, 1, 4, 3]])
-        keep = np.array([[True, False, True, True], [False, True, True, False]])
-        probe = rng.normal(size=(2, 4, 3))
-
-        tt = nm.Tensor(table, requires_grad=True)
-        rows = nm.gather_rows(tt, ids)
-        filled = nm.masked_fill(rows, keep[..., None], -7.5)
-        loss = nm.sum_all(nm.mul(filled, probe))
-        nm.backward(loss)
-
-        def value():
-            rows_v = nm.gather_rows(nm.Tensor(table), ids)
-            return float(nm.sum_all(nm.mul(nm.masked_fill(rows_v, keep[..., None], -7.5), probe)).data)
-
-        check_gradients(value, {"table": table}, {"table": tt.grad})
-
-    def test_zero_seed_gives_zero_gradients(self):
-        x = nm.Tensor(np.ones((2, 3)), requires_grad=True)
-        out = nm.mul(x, 3.0)
-        nm.backward(out, seed=np.zeros((2, 3)))
-        np.testing.assert_array_equal(x.grad, 0.0)

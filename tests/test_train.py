@@ -6,7 +6,7 @@ from branchdistill import distill as ds
 from branchdistill import model as md
 from branchdistill import numerics as nm
 from branchdistill import train as tr
-from branchdistill.errors import IncompleteLogits, InvalidConfig, ShapeError
+from branchdistill.errors import IncompleteLogits, InvalidConfig, InvalidParameter, ShapeError
 
 
 def small_task(n_records=12, seed=0, langs=("en", "es")):
@@ -115,6 +115,27 @@ class TestTrainTeacher:
         losses = [e["total"] for e in manifest.epoch_losses]
         assert abs(losses[-1] - losses[0]) <= 1e-12
 
+    @pytest.mark.parametrize("clip_norm", [5.0, None])
+    def test_non_finite_step_stops_the_run(self, monkeypatch, clip_norm):
+        # a peak rate of 1e200 overflows the forward pass within two epochs;
+        # without clipping the gradient norm is still measured and checked
+        stepped = []
+        original_step = tr.AdamW.step
+
+        def checked_step(self, params, grads):
+            stepped.append(all(np.isfinite(g).all() for g in grads.values()))
+            original_step(self, params, grads)
+
+        monkeypatch.setattr(tr.AdamW, "step", checked_step)
+        result, _, vocab, config = small_task()
+        cfg = tr.TrainConfig(epochs=2, seed=0, lr=1e200, clip_norm=clip_norm)
+        with np.errstate(all="ignore"), pytest.raises(
+            InvalidParameter, match=r"run 'diverging'.* epoch \d+, step \d+ of \d+"
+        ):
+            tr.train_teacher(result.branches["en"].samples, vocab, config, cfg,
+                             run_name="diverging")
+        assert stepped and all(stepped)
+
     def test_loss_decreases_over_ten_epochs(self):
         result, _, vocab, config = small_task(n_records=30)
         cfg = tr.TrainConfig(epochs=10, seed=2, lr=5e-3)
@@ -125,6 +146,13 @@ class TestTrainTeacher:
         _, _, vocab, config = small_task()
         with pytest.raises(InvalidConfig):
             tr.train_teacher([], vocab, config, tr.TrainConfig())
+
+    @pytest.mark.parametrize("weights", [{"lambda1": -0.1}, {"lambda2": -0.1}])
+    def test_negative_loss_weights_rejected(self, weights):
+        result, _, vocab, config = small_task()
+        with pytest.raises(InvalidConfig):
+            tr.train_teacher(result.branches["en"].samples, vocab, config,
+                             tr.TrainConfig(**weights))
 
     def test_checkpoint_per_epoch(self, tmp_path):
         result, _, vocab, config = small_task()
@@ -149,10 +177,10 @@ class TestDumpLogits:
         assert store.count == written
         sample = union[0]
         enc = md.tokenize_and_index(sample, vocab, config.max_len)
-        _, z_s, z_e, _ = md.forward(model, enc)
+        result = md.forward_batch(model, [enc])
         stored = store.get(sample.key())
-        np.testing.assert_array_equal(stored.z_s, z_s)
-        np.testing.assert_array_equal(stored.z_e, z_e)
+        np.testing.assert_array_equal(stored.z_s, result.z_s[0])
+        np.testing.assert_array_equal(stored.z_e, result.z_e[0])
 
     def test_union_of_three_noiseless_branches(self, tmp_path):
         records = cp.generate_synthetic_corpus(
