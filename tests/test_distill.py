@@ -13,6 +13,7 @@ from branchdistill.errors import (
     InvalidLabel,
     InvalidParameter,
 )
+from branchdistill.model import MASKED_LOGIT
 
 from _gradcheck import check_gradients
 
@@ -74,6 +75,20 @@ class TestNllLoss:
             return ds.batch_nll(z_s, z_e, gold_s, gold_e)[0]
 
         check_gradients(loss, {"z_s": z_s, "z_e": z_e}, {"z_s": dz_s, "z_e": dz_e})
+
+    def test_batch_gradient_vanishes_at_masked_logits(self):
+        # the encoder writes MASKED_LOGIT outside the passage; those columns
+        # carry no probability, so neither the value nor the gradient sees them
+        rng = np.random.default_rng(1)
+        z = rng.normal(size=(2, 6))
+        z[:, 4:] = MASKED_LOGIT
+        gold = np.array([1, 3])
+
+        value, dz_s, dz_e = ds.batch_nll(z, z, gold, gold)
+        assert np.all(dz_s[:, 4:] == 0.0) and np.all(dz_e[:, 4:] == 0.0)
+        short_value, short_s, _ = ds.batch_nll(z[:, :4], z[:, :4], gold, gold)
+        assert abs(value - short_value) <= 1e-12
+        np.testing.assert_allclose(dz_s[:, :4], short_s, atol=1e-15)
 
 
 class TestAggregateLogits:
@@ -181,6 +196,25 @@ class TestKdLoss:
             return ds.batch_kd(student_z, other_z, teacher_p, other_p, tau)[0]
 
         check_gradients(loss, {"z": student_z}, {"z": dz_s})
+
+    def test_batch_teacher_equal_to_student_gives_zero_gradient(self):
+        rng = np.random.default_rng(3)
+        tau = 2.0
+        z_s, z_e = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
+        p_s, p_e = nm.softmax_temperature(z_s, tau), nm.softmax_temperature(z_e, tau)
+
+        value, dz_s, dz_e = ds.batch_kd(z_s, z_e, p_s, p_e, tau)
+        np.testing.assert_allclose(dz_s, 0.0, atol=1e-15)
+        np.testing.assert_allclose(dz_e, 0.0, atol=1e-15)
+        expected = tau * tau * np.mean(nm.entropy(p_s) + nm.entropy(p_e))
+        assert abs(value - expected) <= 1e-12
+
+    def test_batch_non_positive_temperature(self):
+        z = np.zeros((2, 4))
+        p = np.full((2, 4), 0.25)
+        for tau in (0.0, -1.0):
+            with pytest.raises(InvalidParameter):
+                ds.batch_kd(z, z, p, p, tau)
 
 
 class TestFixedWeights:

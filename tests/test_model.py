@@ -226,6 +226,49 @@ class TestBackward:
         with pytest.raises(StateError):
             md.backward(model, None, g_s, g_e)
 
+    def test_gradients_at_masked_logits_are_ignored(self):
+        # masked positions hold the constant MASKED_LOGIT, so no parameter moves them
+        model, encoded, _ = operating_point(layers=2, seed=7)
+        cache = md.forward_batch(model, encoded)
+        outside = ~cache.passage
+        assert outside.any()
+        rng = np.random.default_rng(7)
+        grads = md.backward(model, cache, rng.normal(size=outside.shape) * outside,
+                            rng.normal(size=outside.shape) * outside)
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, 0.0, err_msg=name)
+
+    def test_batch_gradient_is_sum_of_per_sample_gradients(self):
+        model, encoded, (g_s, g_e) = operating_point(layers=2, seed=8)
+        batch = md.backward(model, md.forward_batch(model, encoded), g_s, g_e)
+        alone = [
+            md.backward(model, md.forward_batch(model, [enc]), g_s[i:i + 1], g_e[i:i + 1])
+            for i, enc in enumerate(encoded)
+        ]
+        for name in batch:
+            np.testing.assert_allclose(batch[name], sum(a[name] for a in alone),
+                                       rtol=1e-10, atol=1e-12, err_msg=name)
+
+    def test_backward_is_linear_in_logit_gradients(self):
+        # a training step combines lambda1 * d_nll + lambda2 * d_kd before one backward pass
+        model, encoded, (a_s, a_e) = operating_point(layers=1, seed=9)
+        rng = np.random.default_rng(9)
+        b_s, b_e = rng.normal(size=a_s.shape), rng.normal(size=a_e.shape)
+        cache = md.forward_batch(model, encoded)
+        grads_a = md.backward(model, cache, a_s, a_e)
+        grads_b = md.backward(model, cache, b_s, b_e)
+        for lambda1, lambda2 in ((0.5, 0.5), (0.3, 0.9), (1.0, 0.0)):
+            combined = md.backward(model, cache, lambda1 * a_s + lambda2 * b_s,
+                                   lambda1 * a_e + lambda2 * b_e)
+            for name in combined:
+                np.testing.assert_allclose(
+                    combined[name], lambda1 * grads_a[name] + lambda2 * grads_b[name],
+                    rtol=1e-10, atol=1e-12, err_msg=name,
+                )
+        # the hard-label-only weighting leaves the first gradient's bits alone
+        for name in combined:
+            np.testing.assert_array_equal(combined[name], grads_a[name])
+
     def test_full_model_gradient_against_finite_differences(self):
         samples = task_samples(4, passage_min=5, passage_max=8)
         model, vocab = small_model(samples, max_len=16)
@@ -269,6 +312,18 @@ class TestBackwardPasses:
             {"x": x, "gain": gain, "offset": offset},
             {"x": dx, "gain": d_gain, "offset": d_offset},
         )
+
+    def test_layer_norm_standardizes_each_row(self):
+        rng = np.random.default_rng(10)
+        x = rng.normal(loc=3.0, scale=2.0, size=(2, 3, 6))
+        gain = rng.normal(size=6)
+        offset = rng.normal(size=6)
+
+        plain, _ = md.layer_norm(x, np.ones(6), np.zeros(6))
+        np.testing.assert_allclose(plain.mean(axis=-1), 0.0, atol=1e-12)
+        np.testing.assert_allclose(plain.var(axis=-1), 1.0, atol=1e-5)
+        affine, _ = md.layer_norm(x, gain, offset)
+        np.testing.assert_array_equal(affine, plain * gain + offset)
 
     @staticmethod
     def _check_probed_gradients(model, encoded, probes):
