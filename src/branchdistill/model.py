@@ -9,17 +9,24 @@ adds a trainable per-position bias vector of length ``max_len``. Positions
 outside the passage window (start token, question, separator, padding) are
 forced to a large negative logit so they carry ~zero probability.
 
-``forward_batch`` keeps the activations of every block, and ``backward``
-runs the written-out reverse pass of that one architecture, returning the
-gradient of every trainable parameter. Checkpoints are a JSON header
-followed by little-endian float64 parameter blocks in declared order, and
-round-trip bit-exactly.
+``forward_batch`` trims each batch to its longest real input: with n that
+length, the embedding, every block and both heads run on n positions, and
+the logits are padded back to ``max_len`` with ``MASKED_LOGIT``. It keeps
+the activations of every block, and ``backward`` runs the written-out
+reverse pass of that one architecture, returning the gradient of every
+trainable parameter. Outputs depend on n only in their last bits, through
+the rounding of sums and matrix products over positions.
+
+Checkpoints are a JSON header followed by little-endian float64 parameter
+blocks in declared order, and round-trip bit-exactly; ``load_model`` maps a
+cut, garbled or overlong file to ``InvalidConfig``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -247,7 +254,9 @@ def init_model(config: ModelConfig, seed: int) -> SpanModel:
 @dataclass
 class Forward:
     """Outputs of ``forward_batch``: start/end logits (B, L) and the final
-    hidden states H (B, L, h), plus what ``backward`` needs besides them.
+    hidden states H (B, n, h), plus what ``backward`` needs besides them:
+    the token ids (B, n), the passage mask (B, L) and the block activations,
+    all over n positions, where n is the batch's longest real input.
 
     ``blocks`` holds one tuple per encoder block: its input x, the attention
     q, k, v and probabilities, their mix ``attn @ v``, the first layer-norm
@@ -286,7 +295,15 @@ def layer_norm_backward(g, gain, cache):
 
 
 def forward_batch(model: SpanModel, encoded) -> Forward:
-    """Run the encoder over a batch; per-sample outputs are independent."""
+    """Run the encoder over a batch, trimmed to its longest real input.
+
+    Attention masks are prefixes, so no position past n, the largest
+    ``passage_offset + passage_window`` in the batch, is attended to or lies
+    in a passage: the encoder and heads run on n positions, and the (B, L)
+    logits hold ``MASKED_LOGIT`` past n. Per-sample outputs are independent
+    of the rest of the batch up to the last bits: the rounding of sums and
+    matrix products depends on n.
+    """
     cfg = model.config
     ids = np.stack([e.token_ids for e in encoded])
     attention = np.stack([e.attention_mask for e in encoded])
@@ -295,13 +312,15 @@ def forward_batch(model: SpanModel, encoded) -> Forward:
         raise ShapeError(f"encoded length {ids.shape[1]} != model max_len {cfg.max_len}")
     if ids.max() >= cfg.vocab_size:
         raise ShapeError("token id outside the model vocabulary")
+    n = max(e.passage_offset + e.passage_window for e in encoded)
+    ids = ids[:, :n]
 
     p = model.params
     scale = 1.0 / np.sqrt(cfg.hidden)
     # keys at padded positions are unreachable for every query
-    attn_bias = np.where(attention, 0.0, MASKED_LOGIT)[:, None, :]
+    attn_bias = np.where(attention[:, :n], 0.0, MASKED_LOGIT)[:, None, :]
 
-    x = p["embed"][ids] + model.pos_table
+    x = p["embed"][ids] + model.pos_table[:n]
     blocks = []
     for i in range(cfg.layers):
         prefix = f"layer{i}."
@@ -321,11 +340,13 @@ def forward_batch(model: SpanModel, encoded) -> Forward:
         blocks.append((x, q, k, v, attn, mixed, ln1, y, hidden, ln2))
         x = out
 
-    shape = (ids.shape[0], cfg.max_len)
-    z_s = np.where(passage, (x @ p["start_vec"].reshape(-1, 1)).reshape(shape) + p["start_bias"],
-                   MASKED_LOGIT)
-    z_e = np.where(passage, (x @ p["end_vec"].reshape(-1, 1)).reshape(shape) + p["end_bias"],
-                   MASKED_LOGIT)
+    z_s = np.full(passage.shape, MASKED_LOGIT)
+    z_e = np.full(passage.shape, MASKED_LOGIT)
+    inside = passage[:, :n]
+    z_s[:, :n] = np.where(inside, (x @ p["start_vec"].reshape(-1, 1))[..., 0]
+                          + p["start_bias"][:n], MASKED_LOGIT)
+    z_e[:, :n] = np.where(inside, (x @ p["end_vec"].reshape(-1, 1))[..., 0]
+                          + p["end_bias"][:n], MASKED_LOGIT)
     return Forward(z_s=z_s, z_e=z_e, H=x, ids=ids, passage=passage, blocks=blocks)
 
 
@@ -342,10 +363,12 @@ def backward(model: SpanModel, cache: Forward, grad_z_s, grad_z_e) -> dict[str, 
     # gradients are .sum(0).sum(0), and a block input's gradient adds the
     # residual and q terms first, then k, then v. This fixes the summation
     # order, and with it the exact bits of every checkpoint a run writes.
+    n = cache.H.shape[1]
     dx = 0.0
     for head, grad_z in (("start", grad_z_s), ("end", grad_z_e)):
         g = np.asarray(grad_z, dtype=np.float64).reshape(cache.z_s.shape) * cache.passage
         grads[f"{head}_bias"] = g.sum(axis=0)
+        g = g[:, :n]
         grads[f"{head}_vec"] = (cache.H.swapaxes(-1, -2) @ g[..., None]).sum(axis=0).reshape(-1)
         dx = dx + g[..., None] @ p[f"{head}_vec"].reshape(1, -1)
 
@@ -408,19 +431,43 @@ def save_model(model: SpanModel, path) -> None:
 
 
 def load_model(path) -> SpanModel:
-    with Path(path).open("rb") as fh:
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        if header.get("format_version") != CHECKPOINT_VERSION:
-            raise InvalidConfig(f"unsupported checkpoint version in {path}")
+    """Read a checkpoint written by ``save_model``. A cut or garbled header,
+    a truncated parameter block or bytes after the last block raise
+    ``InvalidConfig``."""
+    data = Path(path).read_bytes()
+
+    def corrupt(what: str) -> InvalidConfig:
+        return InvalidConfig(f"checkpoint {path} is corrupt: {what}")
+
+    if len(data) < 4:
+        raise corrupt("shorter than its header length")
+    (header_len,) = struct.unpack_from("<I", data)
+    pos = 4 + header_len
+    if pos > len(data):
+        raise corrupt(f"header of {header_len} bytes is cut at {len(data) - 4}")
+    try:
+        header = json.loads(data[4:pos].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise corrupt(f"unreadable header ({exc})") from exc
+    if not isinstance(header, dict) or header.get("format_version") != CHECKPOINT_VERSION:
+        raise InvalidConfig(f"unsupported checkpoint version in {path}")
+    try:
         config = ModelConfig(**header["config"])
-        params = {}
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(8 * count)
-            params[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    expected = [name for name, _ in parameter_layout(config)]
-    if expected != [e["name"] for e in header["params"]]:
+        config.validate()
+        seed = int(header["seed"])
+        entries = [(e["name"], tuple(e["shape"])) for e in header["params"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise corrupt(f"bad header field ({exc})") from exc
+    if entries != parameter_layout(config):
         raise InvalidConfig(f"checkpoint {path} does not match the declared layout")
-    return SpanModel(config=config, seed=int(header["seed"]), params=params)
+    params = {}
+    for name, shape in entries:
+        count = math.prod(shape)
+        if pos + 8 * count > len(data):
+            raise corrupt(f"parameter block {name} is cut short")
+        block = np.frombuffer(data, dtype="<f8", count=count, offset=pos)
+        params[name] = block.reshape(shape).copy()
+        pos += 8 * count
+    if pos != len(data):
+        raise corrupt(f"{len(data) - pos} stray bytes after the last parameter block")
+    return SpanModel(config=config, seed=seed, params=params)

@@ -173,6 +173,12 @@ class TrainConfig:
 class RunManifest:
     """Record of one training run, written next to its checkpoints.
 
+    Each ``epoch_losses`` entry holds the epoch's mean ``nll``, ``kd`` and
+    ``total`` loss over its batches, ``grad_norm_max``, the largest pre-clip
+    global gradient norm of its steps, and ``clip_count``, the number of its
+    steps whose gradients ``clip_gradients`` scaled down to
+    ``TrainConfig.clip_norm``.
+
     ``format_version`` 2 marks runs trained under the warmup-plus-linear-decay
     rule of ``learning_rate``; version 1 runs used the constant rate
     ``TrainConfig.lr``.
@@ -269,10 +275,13 @@ def _run_training(
 
     n = len(kept)
     total_steps = cfg.epochs * -(-n // cfg.batch_size)
+    max_norm = cfg.clip_norm or 0.0
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n)
         sums = {"nll": 0.0, "kd": 0.0, "total": 0.0}
         n_batches = 0
+        grad_norm_max = 0.0
+        clip_count = 0
         for lo in range(0, n, cfg.batch_size):
             batch_idx = order[lo : lo + cfg.batch_size]
             batch_enc = [encoded[i] for i in batch_idx]
@@ -293,11 +302,13 @@ def _run_training(
                 loss = nll
 
             grads = backward(model, result, dz_s, dz_e)
-            norm = clip_gradients(grads, cfg.clip_norm or 0.0)
+            norm = clip_gradients(grads, max_norm)
             if not (np.isfinite(loss) and np.isfinite(norm)):
                 raise InvalidParameter(f"run {run_name!r}, epoch {epoch}, step "
                                        f"{optimizer.step_count + 1} of {total_steps}: loss "
                                        f"{loss} and gradient norm {norm} must be finite")
+            grad_norm_max = max(grad_norm_max, norm)
+            clip_count += norm > max_norm > 0.0
             optimizer.lr = learning_rate(optimizer.step_count, total_steps, cfg.lr)
             optimizer.step(model.params, grads)
 
@@ -311,6 +322,8 @@ def _run_training(
             "nll": sums["nll"] / n_batches,
             "kd": sums["kd"] / n_batches,
             "total": sums["total"] / n_batches,
+            "grad_norm_max": grad_norm_max,
+            "clip_count": clip_count,
         })
         if out_path is not None:
             name = f"epoch_{epoch:03d}.ckpt"

@@ -151,6 +151,20 @@ class TestPipelineCommands:
         store.write_bytes(store.read_bytes()[:-100])
         assert tiny("distill", out, "--run-name", "truncated") == 2
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda blob: blob[:-100],       # last parameter block cut short
+        lambda blob: blob[:10],         # header cut
+        lambda blob: blob + b"\0\0",    # bytes after the last block
+    ], ids=["truncated_block", "cut_header", "trailing_bytes"])
+    def test_dump_logits_from_corrupt_checkpoint_is_exit_2(self, pipeline_dir, tmp_path,
+                                                          corrupt, capsys):
+        out = tmp_path / "copy"
+        shutil.copytree(pipeline_dir, out)
+        ckpt = out / "teachers" / "en" / "final.ckpt"
+        ckpt.write_bytes(corrupt(ckpt.read_bytes()))
+        assert tiny("dump-logits", out, "--teacher", "en") == 2
+        assert "is corrupt" in capsys.readouterr().err
+
     def test_non_finite_training_step_is_exit_2_under_optimized_python(self, tmp_path):
         # python -O strips asserts; the finite-value check must still stop
         # the run before a non-finite update (a peak rate of 1e200 overflows)

@@ -152,8 +152,10 @@ class TestForward:
         model, vocab = small_model(samples, layers=0)
         enc = md.tokenize_and_index(samples[0], vocab, model.config.max_len)
         H = md.forward_batch(model, [enc]).H[0]
+        n = enc.passage_offset + enc.passage_window
+        assert H.shape[0] == n == enc.attention_mask.sum()
         expected = model.params["embed"][enc.token_ids] + model.pos_table
-        np.testing.assert_array_equal(H, expected)
+        np.testing.assert_array_equal(H, expected[:n])
 
     def test_masked_positions_carry_no_probability(self):
         samples = task_samples()
@@ -173,16 +175,16 @@ class TestForward:
         np.testing.assert_array_equal(forward_result.z_e, permuted.z_e[::-1])
 
 
-def operating_point(layers, seed):
+def operating_point(layers, seed, max_len=16):
     """A model at a representative operating point, not the tiny init scale,
     a batch of three encoded samples, and logit probes that are zero at
     masked positions."""
     samples = task_samples(4, passage_min=5, passage_max=8)
-    model, vocab = small_model(samples, max_len=16, layers=layers)
+    model, vocab = small_model(samples, max_len=max_len, layers=layers)
     rng = np.random.default_rng(seed)
     for p in model.params.values():
         p[:] = rng.normal(scale=0.3, size=p.shape)
-    encoded = [md.tokenize_and_index(s, vocab, 16) for s in samples[:3]]
+    encoded = [md.tokenize_and_index(s, vocab, max_len) for s in samples[:3]]
     passage = np.stack([e.passage_mask for e in encoded])
     probes = (rng.normal(size=passage.shape) * passage, rng.normal(size=passage.shape) * passage)
     return model, encoded, probes
@@ -350,6 +352,58 @@ class TestBackwardPasses:
         self._check_probed_gradients(model, encoded, probes)
 
 
+class TestTrimmedBatch:
+    """Each batch runs over its longest real input n, not the whole window."""
+
+    def test_mixed_lengths_match_single_sample_passes(self):
+        samples = task_samples(8)
+        model, vocab = small_model(samples, layers=2)
+        max_len = model.config.max_len
+        encoded = [md.tokenize_and_index(s, vocab, max_len) for s in samples]
+        lengths = [e.passage_offset + e.passage_window for e in encoded]
+        assert len(set(lengths)) > 1
+        batch = md.forward_batch(model, encoded)
+        assert batch.H.shape[1] == max(lengths) < max_len
+        for row, enc in enumerate(encoded):
+            alone = md.forward_batch(model, [enc])
+            assert alone.H.shape[1] == lengths[row]
+            for z, z_alone in ((batch.z_s, alone.z_s), (batch.z_e, alone.z_e)):
+                assert z[row].shape == (max_len,)
+                np.testing.assert_array_equal(z[row][~enc.passage_mask], md.MASKED_LOGIT)
+                # sums over positions round differently at another n, so not bitwise
+                np.testing.assert_allclose(z[row], z_alone[0], rtol=1e-12, atol=0)
+
+    def test_input_filling_the_window(self):
+        max_len = 16
+        samples = task_samples(4, passage_min=12, passage_max=14)
+        model, vocab = small_model(samples, max_len=max_len)
+        full = md.tokenize_and_index(samples[0], vocab, max_len)
+        assert full.passage_offset + full.passage_window == max_len
+        short = md.tokenize_and_index(simple_sample(), vocab, max_len)
+        fwd = md.forward_batch(model, [full, short])
+        assert fwd.H.shape == (2, max_len, model.config.hidden)
+        p = model.params
+        last = fwd.H[0, -1] @ p["start_vec"] + p["start_bias"][-1]
+        np.testing.assert_allclose(fwd.z_s[0, -1], last, rtol=1e-12)
+        np.testing.assert_array_equal(fwd.z_s[1][~short.passage_mask], md.MASKED_LOGIT)
+        g_s = np.zeros_like(fwd.z_s)
+        g_s[0, -1] = 1.0
+        grads = md.backward(model, fwd, g_s, np.zeros_like(fwd.z_e))
+        assert grads["start_bias"][-1] == 1.0
+
+    def test_gradients_of_a_trimmed_batch(self):
+        model, encoded, probes = operating_point(layers=2, seed=11, max_len=32)
+        n = max(e.passage_offset + e.passage_window for e in encoded)
+        assert n < model.config.max_len
+        fwd = md.forward_batch(model, encoded)
+        assert fwd.H.shape[1] == n
+        grads = md.backward(model, fwd, *probes)
+        for name in ("start_bias", "end_bias"):
+            assert grads[name].shape == (model.config.max_len,)
+            np.testing.assert_array_equal(grads[name][n:], 0.0)
+        TestBackwardPasses._check_probed_gradients(model, encoded, probes)
+
+
 class TestSerialization:
     def test_round_trip_is_bit_exact(self, tmp_path):
         samples = task_samples()
@@ -364,6 +418,24 @@ class TestSerialization:
         enc = md.tokenize_and_index(samples[0], vocab, model.config.max_len)
         np.testing.assert_array_equal(md.forward_batch(model, [enc]).z_s,
                                       md.forward_batch(loaded, [enc]).z_s)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda blob: blob[:3],
+        lambda blob: blob[:10],
+        lambda blob: blob[:4] + b"\xff" + blob[5:],
+        lambda blob: blob[:4] + b"[" + blob[5:],
+        lambda blob: blob[:-1],
+        lambda blob: blob[:-8],
+        lambda blob: blob + b"\0",
+    ], ids=["no_length", "cut_header", "not_utf8", "not_json", "cut_value", "cut_block",
+            "trailing_byte"])
+    def test_corrupt_checkpoint_is_invalid_config(self, tmp_path, corrupt):
+        model, _ = small_model(task_samples())
+        path = tmp_path / "model.ckpt"
+        md.save_model(model, path)
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(InvalidConfig, match="is corrupt"):
+            md.load_model(path)
 
     def test_save_twice_is_byte_identical(self, tmp_path):
         model, _ = small_model(task_samples())

@@ -136,6 +136,32 @@ class TestTrainTeacher:
                              run_name="diverging")
         assert stepped and all(stepped)
 
+    @pytest.mark.parametrize("clip_norm", [0.05, None])
+    def test_manifest_records_gradient_health(self, monkeypatch, tmp_path, clip_norm):
+        norms = []
+        original_clip = tr.clip_gradients
+
+        def observed_clip(grads, max_norm):
+            norms.append(original_clip(grads, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(tr, "clip_gradients", observed_clip)
+        result, _, vocab, config = small_task()
+        cfg = tr.TrainConfig(epochs=2, seed=4, lr=1e-3, clip_norm=clip_norm)
+        _, manifest = tr.train_teacher(result.branches["en"].samples, vocab, config, cfg,
+                                       out_dir=tmp_path)
+        steps = len(norms) // cfg.epochs
+        assert steps * cfg.epochs == len(norms)
+        for epoch, entry in enumerate(manifest.epoch_losses):
+            epoch_norms = norms[epoch * steps : (epoch + 1) * steps]
+            assert entry["grad_norm_max"] == max(epoch_norms) > 0.0
+            clipped = sum(norm > clip_norm for norm in epoch_norms) if clip_norm else 0
+            assert entry["clip_count"] == clipped
+        if clip_norm:
+            assert sum(e["clip_count"] for e in manifest.epoch_losses) > 0
+        saved = tr.RunManifest.load(tmp_path / "manifest.json")
+        assert saved.epoch_losses == manifest.epoch_losses
+
     def test_loss_decreases_over_ten_epochs(self):
         result, _, vocab, config = small_task(n_records=30)
         cfg = tr.TrainConfig(epochs=10, seed=2, lr=5e-3)
