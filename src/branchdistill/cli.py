@@ -32,6 +32,7 @@ from .errors import (
     MissingArtifact,
     ShapeError,
     Unrecoverable,
+    malformed_as_invalid,
 )
 from .model import ModelConfig, Vocabulary, load_model
 from .train import (
@@ -219,6 +220,13 @@ class PipelineConfig:
         return self.out_dir / "reports"
 
 
+def _parse_value(key: str, raw):
+    try:
+        return SCHEMA[key][0](raw)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"bad value {raw!r} for {key} ({exc})") from exc
+
+
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     values = {key: default for key, (_, default, _) in SCHEMA.items()}
     config_path = getattr(args, "config", None)
@@ -226,15 +234,16 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         path = Path(config_path)
         if not path.exists():
             raise MissingArtifact(str(path))
-        loaded = json.loads(path.read_text(encoding="utf-8"))
-        for key, raw in loaded.items():
+        with malformed_as_invalid(path, "config file"):
+            loaded = json.loads(path.read_text(encoding="utf-8")).items()
+        for key, raw in loaded:
             if key not in SCHEMA:
                 raise InvalidConfig(f"unknown config key {key!r}")
-            values[key] = SCHEMA[key][0](raw)
+            values[key] = _parse_value(key, raw)
     for key in SCHEMA:
         supplied = getattr(args, key, None)
         if supplied is not None:
-            values[key] = SCHEMA[key][0](supplied)
+            values[key] = _parse_value(key, supplied)
     seed = int(getattr(args, "seed", 0) or 0)
     if seed < 0:
         raise InvalidConfig("seed must be non-negative")
@@ -356,22 +365,26 @@ def op_build(cfg: PipelineConfig, mode: str, language: str | None = None) -> dic
     return meta
 
 
-def _check_resume(run_dir: Path, train_cfg: TrainConfig, dataset_digest: str) -> None:
-    """A rerun into an existing run directory must carry the same config."""
+def _check_resume(run_dir: Path, train_cfg: TrainConfig, model_cfg: ModelConfig,
+                  dataset_digest: str, vocab_digest: str) -> None:
+    """A rerun into an existing run directory must carry the same training
+    and model config, dataset and vocabulary."""
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         return
     previous = RunManifest.load(manifest_path)
-    current = asdict(train_cfg)
-    if previous.train_config != _jsonify(current) or previous.dataset_digest != dataset_digest:
+    current = json.loads(json.dumps({
+        "train_config": asdict(train_cfg),
+        "model_config": asdict(model_cfg),
+        "dataset_digest": dataset_digest,
+        "vocab_digest": vocab_digest,
+    }))
+    changed = [key for key, value in current.items() if getattr(previous, key) != value]
+    if changed:
         raise InvalidConfig(
-            f"run directory {run_dir} holds a manifest with a different config; "
-            "choose a fresh --out-dir or matching settings"
+            f"run directory {run_dir} holds a manifest with a different "
+            f"{', '.join(changed)}; choose a fresh --out-dir or matching settings"
         )
-
-
-def _jsonify(obj):
-    return json.loads(json.dumps(obj))
 
 
 def op_train_teacher(cfg: PipelineConfig, branch: str | None = None,
@@ -386,13 +399,15 @@ def op_train_teacher(cfg: PipelineConfig, branch: str | None = None,
     vocab = Vocabulary.load(_require(cfg.vocab_path, "vocabulary"))
     samples = cp.read_samples(dataset)
     train_cfg = cfg.train_config(seed=seed, lambda1=1.0, lambda2=0.0)
+    model_cfg = cfg.model_config(vocab.size)
     run_dir = cfg.teacher_dir(run_name)
     digest = cp.sha256_file(dataset)
-    _check_resume(run_dir, train_cfg, digest)
+    vocab_digest = cp.sha256_file(cfg.vocab_path)
+    _check_resume(run_dir, train_cfg, model_cfg, digest, vocab_digest)
     _, manifest = train_teacher(
-        samples, vocab, cfg.model_config(vocab.size), train_cfg,
+        samples, vocab, model_cfg, train_cfg,
         run_name=run_name, out_dir=run_dir,
-        dataset_digest=digest, vocab_digest=cp.sha256_file(cfg.vocab_path),
+        dataset_digest=digest, vocab_digest=vocab_digest,
     )
     first, last = manifest.epoch_losses[0], manifest.epoch_losses[-1]
     print(f"train-teacher {run_name}: {manifest.n_samples} samples "
@@ -433,13 +448,15 @@ def op_distill(cfg: PipelineConfig, run_name: str | None = None,
     train_cfg = cfg.train_config(
         seed=seed, strategy=strategy, impurity_sign=sign, teacher_ids=tuple(sorted(teachers))
     )
+    model_cfg = cfg.model_config(vocab.size)
     run_dir = cfg.student_dir(run_name)
     digest = cp.sha256_file(dataset)
-    _check_resume(run_dir, train_cfg, digest)
+    vocab_digest = cp.sha256_file(cfg.vocab_path)
+    _check_resume(run_dir, train_cfg, model_cfg, digest, vocab_digest)
     _, manifest = distill_student(
-        stores, samples, vocab, cfg.model_config(vocab.size), train_cfg,
+        stores, samples, vocab, model_cfg, train_cfg,
         run_name=run_name, out_dir=run_dir,
-        dataset_digest=digest, vocab_digest=cp.sha256_file(cfg.vocab_path),
+        dataset_digest=digest, vocab_digest=vocab_digest,
     )
     first, last = manifest.epoch_losses[0], manifest.epoch_losses[-1]
     print(f"distill {run_name}: teachers={sorted(teachers)} strategy={strategy} "

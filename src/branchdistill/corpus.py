@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidRecord, Unrecoverable
+from .errors import InvalidConfig, InvalidRecord, Unrecoverable, malformed_as_invalid
 
 ANSWER_OPEN = "⟦"   # reserved marker, cannot appear in generated text
 ANSWER_CLOSE = "⟧"
@@ -555,7 +555,7 @@ def write_corpus(records, path) -> None:
 def read_corpus(path) -> list[AlignedRecord]:
     path = Path(path)
     records = []
-    with path.open("r", encoding="utf-8") as fh:
+    with malformed_as_invalid(path, "corpus"), path.open("r", encoding="utf-8") as fh:
         for line in fh:
             raw = json.loads(line)
             renderings = {}
@@ -593,7 +593,7 @@ def write_samples(samples, path) -> None:
 def read_samples(path) -> list[Sample]:
     path = Path(path)
     samples = []
-    with path.open("r", encoding="utf-8") as fh:
+    with malformed_as_invalid(path, "dataset"), path.open("r", encoding="utf-8") as fh:
         for line in fh:
             raw = json.loads(line)
             sample = Sample(

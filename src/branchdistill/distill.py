@@ -16,18 +16,17 @@ Impurity weighting and aggregation both take a leading batch axis, so one
 call of each serves every instance of a run.
 
 Teacher logits are always consumed from a precomputed store, never
-recomputed during student training. The store is a binary container per
-teacher: a JSON header, length-prefixed records, and an appended
-sample-id -> offset index. ``LogitStore`` reads the file once when it is
-opened, checks its structure, every record's sample id and every value,
-and then serves records from memory.
+recomputed during student training. The store is one file per teacher: a
+length-prefixed JSON header naming the teacher, ``max_len`` and the sample
+ids in row order, then one (N, 2, L) little-endian float64 block of start
+and end logits. ``LogitStore`` reads the file once when it is opened,
+checks the header, the ids, the block's exact size and every value, and
+then serves rows from memory.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,9 +39,10 @@ from .errors import (
     InvalidParameter,
     ShapeError,
 )
+from .model import read_artifact, write_artifact
 from .numerics import LOG_FLOOR, cross_entropy, entropy, softmax_temperature
 
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -230,42 +230,28 @@ def batch_kd(z_s, z_e, teacher_p_s: np.ndarray, teacher_p_e: np.ndarray, tau: fl
 
 
 def write_logit_store(path, teacher_id: str, max_len: int, records) -> None:
-    """Write all records for one teacher, then append the random-access index."""
+    """Write one teacher's records: a length-prefixed JSON header with the
+    sample ids in record order, then their logits as one (N, 2, L) block."""
     records = list(records)
-    header = {
+    for record in records:
+        record.validate(max_len)
+    sample_ids = [record.sample_id for record in records]
+    if len(set(sample_ids)) != len(sample_ids):
+        raise InvalidConfig(f"duplicate sample ids in the store for {teacher_id!r}")
+    write_artifact(path, {
         "format_version": STORE_VERSION,
         "teacher_id": teacher_id,
         "max_len": max_len,
-        "count": len(records),
-    }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    index: dict[str, int] = {}
-    with Path(path).open("wb") as fh:
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for record in records:
-            record.validate(max_len)
-            if record.sample_id in index:
-                raise InvalidConfig(f"duplicate sample id {record.sample_id!r} in store")
-            index[record.sample_id] = fh.tell()
-            sid = record.sample_id.encode("utf-8")
-            fh.write(struct.pack("<I", len(sid)))
-            fh.write(sid)
-            fh.write(record.z_s.astype("<f8").tobytes())
-            fh.write(record.z_e.astype("<f8").tobytes())
-        index_pos = fh.tell()
-        index_blob = json.dumps(index, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        fh.write(struct.pack("<I", len(index_blob)))
-        fh.write(index_blob)
-        fh.write(struct.pack("<Q", index_pos))
+        "sample_ids": sample_ids,
+    }, np.array([(record.z_s, record.z_e) for record in records]))
 
 
 class LogitStore:
     """One teacher's precomputed logits, read and checked once when opened.
 
-    Opening reads the file in one pass and checks the header, the index,
-    every record's extent and sample id against the index, the absence of
-    trailing bytes and that every value is finite; a defect raises
+    Opening reads the file in one pass and checks the header, that its
+    sample ids are distinct, that the block holds exactly (count, 2, L)
+    values and that every value is finite; a defect raises
     ``InvalidConfig``. The logits are then held as (count, L) start and end
     arrays, ``get`` and ``take`` serve them from memory, and ``sha256`` is
     the digest of the bytes read.
@@ -273,52 +259,26 @@ class LogitStore:
 
     def __init__(self, path):
         self.path = Path(path)
-        data = self.path.read_bytes()
+        data, header, start = read_artifact(path, "logit store", STORE_VERSION)
         self.sha256 = hashlib.sha256(data).hexdigest()
-        trailer = len(data) - 8
-        if trailer < 4:
-            raise self._corrupt("shorter than its header and trailer")
-        header_blob, records_start = self._prefixed(data, 0, trailer)
-        (index_pos,) = struct.unpack_from("<Q", data, trailer)
-        if not records_start <= index_pos <= trailer:
-            raise self._corrupt(f"index offset {index_pos} out of range")
-        index_blob, index_end = self._prefixed(data, index_pos, trailer)
-        if index_end != trailer:
-            raise self._corrupt(f"{trailer - index_end} stray bytes after the index")
-        try:
-            header = json.loads(header_blob.decode("utf-8"))
-            index = json.loads(index_blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise self._corrupt(f"unreadable header or index ({exc})") from exc
-        if not isinstance(header, dict) or header.get("format_version") != STORE_VERSION:
-            raise InvalidConfig(f"unsupported logit store version in {path}")
         try:
             self.teacher_id: str = str(header["teacher_id"])
             self.max_len: int = int(header["max_len"])
-            self.count: int = int(header["count"])
+            sample_ids = header["sample_ids"]
         except (KeyError, TypeError, ValueError) as exc:
             raise self._corrupt(f"bad header field ({exc})") from exc
         if self.max_len < 1:
             raise self._corrupt(f"max_len {self.max_len}")
-        if not isinstance(index, dict) or len(index) != self.count:
-            raise InvalidConfig(f"logit store {path} index does not match its count")
-
-        width = 16 * self.max_len
-        self._rows: dict[str, int] = {}
-        chunks = []
-        pos = records_start
-        for row in range(self.count):
-            sid_blob, values_at = self._prefixed(data, pos, index_pos)
-            sid = sid_blob.decode("utf-8", errors="replace")
-            if index.get(sid) != pos:
-                raise self._corrupt(f"record at offset {pos} has sample id {sid!r}, "
-                                    "which the index does not map there")
-            self._rows[sid] = row
-            chunks.append(data[values_at : values_at + width])
-            pos = values_at + width
-        if pos != index_pos:
-            raise self._corrupt(f"records end at offset {pos}, the index starts at {index_pos}")
-        values = np.frombuffer(b"".join(chunks), dtype="<f8").reshape(self.count, 2, self.max_len)
+        if not isinstance(sample_ids, list) or not all(isinstance(s, str) for s in sample_ids):
+            raise self._corrupt("sample_ids is not a list of strings")
+        self._rows = {sid: row for row, sid in enumerate(sample_ids)}
+        if len(self._rows) != len(sample_ids):
+            raise self._corrupt("repeated sample ids")
+        self.count: int = len(sample_ids)
+        size = 16 * self.max_len * self.count
+        if len(data) - start != size:
+            raise self._corrupt(f"{len(data) - start} bytes of logits, expected {size}")
+        values = np.frombuffer(data, dtype="<f8", offset=start).reshape(self.count, 2, self.max_len)
         if not np.isfinite(values).all():
             raise self._corrupt("non-finite logits")
         self._z_s = values[:, 0]
@@ -326,16 +286,6 @@ class LogitStore:
 
     def _corrupt(self, what: str) -> InvalidConfig:
         return InvalidConfig(f"logit store {self.path} is corrupt: {what}")
-
-    def _prefixed(self, data: bytes, pos: int, end: int) -> tuple[bytes, int]:
-        """The length-prefixed bytes at ``pos`` and the offset after them,
-        which must not pass ``end``."""
-        if pos + 4 > end:
-            raise self._corrupt(f"truncated at offset {pos}")
-        (size,) = struct.unpack_from("<I", data, pos)
-        if pos + 4 + size > end:
-            raise self._corrupt(f"truncated at offset {pos}")
-        return data[pos + 4 : pos + 4 + size], pos + 4 + size
 
     def sample_ids(self) -> list[str]:
         return sorted(self._rows)

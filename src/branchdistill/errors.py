@@ -5,6 +5,8 @@ the CLI maps them onto process exit codes (configuration errors -> 2,
 missing upstream artifacts -> 3, everything else -> 1).
 """
 
+from contextlib import contextmanager
+
 
 class InvalidConfig(ValueError):
     """A configuration value is missing, malformed, or out of range."""
@@ -48,3 +50,17 @@ class NoValidSpan(ValueError):
 
 class MissingArtifact(FileNotFoundError):
     """An upstream pipeline artifact required by a command is missing."""
+
+
+@contextmanager
+def malformed_as_invalid(path, what: str):
+    """Raise ``InvalidConfig`` naming the JSON artifact ``path`` when the
+    ``with`` body cannot decode or parse it or finds a field missing or of
+    the wrong type; the body's own ``InvalidConfig`` and ``InvalidRecord``
+    pass through."""
+    try:
+        yield
+    except (InvalidConfig, InvalidRecord):
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise InvalidConfig(f"{what} {path} is malformed ({type(exc).__name__}: {exc})") from exc

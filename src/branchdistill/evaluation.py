@@ -20,14 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidParameter, NoValidSpan, SpanOutOfWindow
-from .model import SpanModel, Vocabulary, forward_batch, tokenize_and_index
+from .errors import InvalidConfig, InvalidParameter, NoValidSpan, malformed_as_invalid
+from .model import FORWARD_BATCH_SIZE, SpanModel, Vocabulary, encode_dataset, forward_batch
 
 
 @dataclass(frozen=True)
 class EvalConfig:
     max_answer_length: int = 30
-    batch_size: int = 32
 
 
 @dataclass(frozen=True)
@@ -147,7 +146,8 @@ class EvalReport:
 
     @classmethod
     def load(cls, path) -> "EvalReport":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        with malformed_as_invalid(path, "report"):
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def predict(model: SpanModel, samples, vocab: Vocabulary, config: EvalConfig):
@@ -155,15 +155,12 @@ def predict(model: SpanModel, samples, vocab: Vocabulary, config: EvalConfig):
 
     Returns (list of (sample, Prediction) pairs, skipped count).
     """
+    encoded, kept, skipped = encode_dataset(samples, vocab, model.config.max_len)
     pairs = []
-    skipped = 0
-    batch, batch_samples = [], []
-
-    def flush():
-        if not batch:
-            return
+    for lo in range(0, len(kept), FORWARD_BATCH_SIZE):
+        batch = encoded[lo : lo + FORWARD_BATCH_SIZE]
         result = forward_batch(model, batch)
-        for row, (sample, enc) in enumerate(zip(batch_samples, batch)):
+        for row, (sample, enc) in enumerate(zip(kept[lo : lo + FORWARD_BATCH_SIZE], batch)):
             start, end = decode_span(
                 result.z_s[row], result.z_e[row], enc.passage_mask, config.max_answer_length
             )
@@ -177,20 +174,6 @@ def predict(model: SpanModel, samples, vocab: Vocabulary, config: EvalConfig):
                 answer_tokens=tuple(sample.passage_tokens[p_start : p_end + 1]),
                 score=score,
             )))
-        batch.clear()
-        batch_samples.clear()
-
-    for sample in samples:
-        try:
-            enc = tokenize_and_index(sample, vocab, model.config.max_len)
-        except SpanOutOfWindow:
-            skipped += 1
-            continue
-        batch.append(enc)
-        batch_samples.append(sample)
-        if len(batch) >= config.batch_size:
-            flush()
-    flush()
     return pairs, skipped
 
 

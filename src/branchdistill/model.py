@@ -13,13 +13,15 @@ forced to a large negative logit so they carry ~zero probability.
 length, the embedding, every block and both heads run on n positions, and
 the logits are padded back to ``max_len`` with ``MASKED_LOGIT``. It keeps
 the activations of every block, and ``backward`` runs the written-out
-reverse pass of that one architecture, returning the gradient of every
-trainable parameter. Outputs depend on n only in their last bits, through
-the rounding of sums and matrix products over positions.
+reverse pass of that one architecture. Outputs depend on n only in their
+last bits, through the rounding of sums and matrix products over positions.
 
-Checkpoints are a JSON header followed by little-endian float64 parameter
-blocks in declared order, and round-trip bit-exactly; ``load_model`` maps a
-cut, garbled or overlong file to ``InvalidConfig``.
+All parameters live in one float64 vector, ``SpanModel.flat``, in declared
+order; ``param_views`` gives the per-name views that are
+``SpanModel.params``, and names the parts of the same-shaped flat gradient
+``backward`` returns. Checkpoints are a JSON header followed by that vector
+as one little-endian float64 block, and round-trip bit-exactly;
+``load_model`` maps a cut, garbled or overlong file to ``InvalidConfig``.
 """
 
 from __future__ import annotations
@@ -27,14 +29,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import struct
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import RESERVED_TOKENS, Sample
-from .errors import InvalidConfig, ShapeError, SpanOutOfWindow, StateError
+from .errors import InvalidConfig, ShapeError, SpanOutOfWindow, StateError, malformed_as_invalid
 
 MASKED_LOGIT = -1e9
 
@@ -46,6 +47,9 @@ OOV_BUCKETS = 100
 FIRST_TOKEN_ID = OOV_BASE_ID + OOV_BUCKETS
 
 CHECKPOINT_VERSION = 1
+
+# Batch size of the forward-only passes: logit dumps and evaluation.
+FORWARD_BATCH_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -103,10 +107,12 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        if raw.get("oov_buckets") != OOV_BUCKETS:
+        with malformed_as_invalid(path, "vocabulary"):
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            buckets, tokens = raw.get("oov_buckets"), raw["tokens"]
+        if buckets != OOV_BUCKETS:
             raise InvalidConfig("vocabulary file uses an incompatible bucket count")
-        return cls(raw["tokens"])
+        return cls(tokens)
 
 
 @dataclass
@@ -216,6 +222,24 @@ def parameter_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     return layout
 
 
+def param_views(config: ModelConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Reshaped views of the flat vector ``flat``, one per parameter in
+    declared order; writing through a view writes into ``flat``."""
+    views: dict[str, np.ndarray] = {}
+    pos = 0
+    for name, shape in parameter_layout(config):
+        size = math.prod(shape)
+        views[name] = flat[pos : pos + size].reshape(shape)
+        pos += size
+    if flat.shape != (pos,):
+        raise ShapeError(f"flat vector has shape {flat.shape}, the layout needs ({pos},)")
+    return views
+
+
+def parameter_count(config: ModelConfig) -> int:
+    return sum(math.prod(shape) for _, shape in parameter_layout(config))
+
+
 def positional_table(max_len: int, hidden: int) -> np.ndarray:
     """Fixed interleaved sin/cos table; row p is [sin(p w0), cos(p w0), ...]."""
     positions = np.arange(max_len, dtype=np.float64)[:, None]
@@ -230,9 +254,10 @@ def positional_table(max_len: int, hidden: int) -> np.ndarray:
 class SpanModel:
     config: ModelConfig
     seed: int
-    params: dict[str, np.ndarray]
+    flat: np.ndarray
 
     def __post_init__(self):
+        self.params = param_views(self.config, self.flat)
         self.pos_table = positional_table(self.config.max_len, self.config.hidden)
 
 
@@ -242,8 +267,9 @@ def init_model(config: ModelConfig, seed: int) -> SpanModel:
     if seed < 0:
         raise InvalidConfig("seed must be non-negative")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6D6F64]))
-    params = {name: rng.standard_normal(shape) * 0.01 for name, shape in parameter_layout(config)}
-    return SpanModel(config=config, seed=seed, params=params)
+    # one draw of the whole vector equals per-parameter draws in declared order
+    flat = rng.standard_normal(parameter_count(config)) * 0.01
+    return SpanModel(config=config, seed=seed, flat=flat)
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +376,17 @@ def forward_batch(model: SpanModel, encoded) -> Forward:
     return Forward(z_s=z_s, z_e=z_e, H=x, ids=ids, passage=passage, blocks=blocks)
 
 
-def backward(model: SpanModel, cache: Forward, grad_z_s, grad_z_e) -> dict[str, np.ndarray]:
-    """Gradients of sum(grad_z_s * z_s) + sum(grad_z_e * z_e) for every
-    parameter, in declared order. ``cache`` is left unchanged, so one
-    forward can serve several backward passes."""
+def backward(model: SpanModel, cache: Forward, grad_z_s, grad_z_e) -> np.ndarray:
+    """Gradient of sum(grad_z_s * z_s) + sum(grad_z_e * z_e) with respect to
+    ``model.flat``, as a new vector of the same layout; ``param_views``
+    names its parts. ``cache`` is left unchanged, so one forward can serve
+    several backward passes."""
     if cache is None:
         raise StateError("backward requires the forward cache")
     p = model.params
     scale = 1.0 / np.sqrt(model.config.hidden)
-    grads: dict[str, np.ndarray] = {}
+    grad = np.zeros_like(model.flat)
+    grads = param_views(model.config, grad)
     # Weight gradients are batched matmuls summed over the batch axis, bias
     # gradients are .sum(0).sum(0), and a block input's gradient adds the
     # residual and q terms first, then k, then v. This fixes the summation
@@ -367,26 +395,26 @@ def backward(model: SpanModel, cache: Forward, grad_z_s, grad_z_e) -> dict[str, 
     dx = 0.0
     for head, grad_z in (("start", grad_z_s), ("end", grad_z_e)):
         g = np.asarray(grad_z, dtype=np.float64).reshape(cache.z_s.shape) * cache.passage
-        grads[f"{head}_bias"] = g.sum(axis=0)
+        grads[f"{head}_bias"][...] = g.sum(axis=0)
         g = g[:, :n]
-        grads[f"{head}_vec"] = (cache.H.swapaxes(-1, -2) @ g[..., None]).sum(axis=0).reshape(-1)
+        grads[f"{head}_vec"][...] = (cache.H.swapaxes(-1, -2) @ g[..., None]).sum(axis=0)[:, 0]
         dx = dx + g[..., None] @ p[f"{head}_vec"].reshape(1, -1)
 
     for i in reversed(range(model.config.layers)):
         prefix = f"layer{i}."
         x, q, k, v, attn, mixed, ln1, y, hidden, ln2 = cache.blocks[i]
-        d_out, grads[prefix + "ln2_gain"], grads[prefix + "ln2_offset"] = layer_norm_backward(
-            dx, p[prefix + "ln2_gain"], ln2)
-        grads[prefix + "ffn_b2"] = d_out.sum(0).sum(0)
-        grads[prefix + "ffn_w2"] = (hidden.swapaxes(-1, -2) @ d_out).sum(axis=0)
+        d_out, grads[prefix + "ln2_gain"][...], grads[prefix + "ln2_offset"][...] = (
+            layer_norm_backward(dx, p[prefix + "ln2_gain"], ln2))
+        grads[prefix + "ffn_b2"][...] = d_out.sum(0).sum(0)
+        grads[prefix + "ffn_w2"][...] = (hidden.swapaxes(-1, -2) @ d_out).sum(axis=0)
         d_pre = (d_out @ p[prefix + "ffn_w2"].swapaxes(-1, -2)) * (hidden > 0.0)
-        grads[prefix + "ffn_b1"] = d_pre.sum(0).sum(0)
-        grads[prefix + "ffn_w1"] = (y.swapaxes(-1, -2) @ d_pre).sum(axis=0)
+        grads[prefix + "ffn_b1"][...] = d_pre.sum(0).sum(0)
+        grads[prefix + "ffn_w1"][...] = (y.swapaxes(-1, -2) @ d_pre).sum(axis=0)
         dy = d_out + d_pre @ p[prefix + "ffn_w1"].swapaxes(-1, -2)
 
-        d_sum, grads[prefix + "ln1_gain"], grads[prefix + "ln1_offset"] = layer_norm_backward(
-            dy, p[prefix + "ln1_gain"], ln1)
-        grads[prefix + "attn_wo"] = (mixed.swapaxes(-1, -2) @ d_sum).sum(axis=0)
+        d_sum, grads[prefix + "ln1_gain"][...], grads[prefix + "ln1_offset"][...] = (
+            layer_norm_backward(dy, p[prefix + "ln1_gain"], ln1))
+        grads[prefix + "attn_wo"][...] = (mixed.swapaxes(-1, -2) @ d_sum).sum(axis=0)
         d_mixed = d_sum @ p[prefix + "attn_wo"].swapaxes(-1, -2)
         d_attn = d_mixed @ v.swapaxes(-1, -2)
         d_v = attn.swapaxes(-1, -2) @ d_mixed
@@ -394,16 +422,15 @@ def backward(model: SpanModel, cache: Forward, grad_z_s, grad_z_e) -> dict[str, 
         d_q = d_scores @ k
         d_k = (q.swapaxes(-1, -2) @ d_scores).swapaxes(-1, -2)
         xt = x.swapaxes(-1, -2)
-        grads[prefix + "attn_wq"] = (xt @ d_q).sum(axis=0)
-        grads[prefix + "attn_wk"] = (xt @ d_k).sum(axis=0)
-        grads[prefix + "attn_wv"] = (xt @ d_v).sum(axis=0)
+        grads[prefix + "attn_wq"][...] = (xt @ d_q).sum(axis=0)
+        grads[prefix + "attn_wk"][...] = (xt @ d_k).sum(axis=0)
+        grads[prefix + "attn_wv"][...] = (xt @ d_v).sum(axis=0)
         dx = d_sum + d_q @ p[prefix + "attn_wq"].swapaxes(-1, -2)
         dx = dx + d_k @ p[prefix + "attn_wk"].swapaxes(-1, -2)
         dx = dx + d_v @ p[prefix + "attn_wv"].swapaxes(-1, -2)
 
-    grads["embed"] = np.zeros_like(p["embed"])
     np.add.at(grads["embed"], cache.ids, dx)
-    return {name: grads[name] for name in p}
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -411,46 +438,53 @@ def backward(model: SpanModel, cache: Forward, grad_z_s, grad_z_e) -> dict[str, 
 # ---------------------------------------------------------------------------
 
 
+def write_artifact(path, header: dict, values: np.ndarray) -> None:
+    """Write the layout of checkpoints and logit stores: a 4-byte
+    little-endian length, the JSON ``header``, then ``values`` as one
+    little-endian float64 block."""
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with Path(path).open("wb") as fh:
+        fh.write(len(blob).to_bytes(4, "little"))
+        fh.write(blob)
+        fh.write(values.astype("<f8").tobytes())
+
+
+def read_artifact(path, kind: str, version: int) -> tuple[bytes, dict, int]:
+    """The bytes of a file ``write_artifact`` wrote, its header, and the
+    offset of its block. A cut or garbled header raises ``InvalidConfig``
+    ("<kind> <path> is corrupt: ..."), and so does a ``format_version``
+    other than ``version``."""
+    data = Path(path).read_bytes()
+    start = 4 + int.from_bytes(data[:4], "little")
+    try:
+        if len(data) < 4 or start > len(data):
+            raise ValueError(f"the header needs {max(start, 4)} bytes, the file has {len(data)}")
+        header = json.loads(data[4:start].decode("utf-8"))
+    except ValueError as exc:
+        raise InvalidConfig(f"{kind} {path} is corrupt: unreadable header ({exc})") from exc
+    if not isinstance(header, dict) or header.get("format_version") != version:
+        raise InvalidConfig(f"unsupported {kind} version in {path}")
+    return data, header, start
+
+
 def save_model(model: SpanModel, path) -> None:
-    layout = parameter_layout(model.config)
-    header = {
+    write_artifact(path, {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
         "seed": model.seed,
-        "params": [{"name": name, "shape": list(shape)} for name, shape in layout],
-    }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with Path(path).open("wb") as fh:
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for name, shape in layout:
-            arr = model.params[name]
-            if arr.shape != shape:
-                raise ShapeError(f"parameter {name} has shape {arr.shape}, expected {shape}")
-            fh.write(arr.astype("<f8").tobytes())
+        "params": [{"name": name, "shape": list(shape)}
+                   for name, shape in parameter_layout(model.config)],
+    }, model.flat)
 
 
 def load_model(path) -> SpanModel:
     """Read a checkpoint written by ``save_model``. A cut or garbled header,
-    a truncated parameter block or bytes after the last block raise
-    ``InvalidConfig``."""
-    data = Path(path).read_bytes()
+    a truncated parameter block or bytes after it raise ``InvalidConfig``."""
+    data, header, pos = read_artifact(path, "checkpoint", CHECKPOINT_VERSION)
 
     def corrupt(what: str) -> InvalidConfig:
         return InvalidConfig(f"checkpoint {path} is corrupt: {what}")
 
-    if len(data) < 4:
-        raise corrupt("shorter than its header length")
-    (header_len,) = struct.unpack_from("<I", data)
-    pos = 4 + header_len
-    if pos > len(data):
-        raise corrupt(f"header of {header_len} bytes is cut at {len(data) - 4}")
-    try:
-        header = json.loads(data[4:pos].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise corrupt(f"unreadable header ({exc})") from exc
-    if not isinstance(header, dict) or header.get("format_version") != CHECKPOINT_VERSION:
-        raise InvalidConfig(f"unsupported checkpoint version in {path}")
     try:
         config = ModelConfig(**header["config"])
         config.validate()
@@ -460,14 +494,8 @@ def load_model(path) -> SpanModel:
         raise corrupt(f"bad header field ({exc})") from exc
     if entries != parameter_layout(config):
         raise InvalidConfig(f"checkpoint {path} does not match the declared layout")
-    params = {}
-    for name, shape in entries:
-        count = math.prod(shape)
-        if pos + 8 * count > len(data):
-            raise corrupt(f"parameter block {name} is cut short")
-        block = np.frombuffer(data, dtype="<f8", count=count, offset=pos)
-        params[name] = block.reshape(shape).copy()
-        pos += 8 * count
-    if pos != len(data):
-        raise corrupt(f"{len(data) - pos} stray bytes after the last parameter block")
-    return SpanModel(config=config, seed=seed, params=params)
+    size = 8 * parameter_count(config)
+    if len(data) - pos != size:
+        raise corrupt(f"{len(data) - pos} bytes of parameters, expected {size}")
+    flat = np.frombuffer(data, dtype="<f8", offset=pos).astype(np.float64)
+    return SpanModel(config=config, seed=seed, flat=flat)

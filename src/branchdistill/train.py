@@ -12,8 +12,11 @@ Three procedures are built on one deterministic mini-batch loop:
 
 A step's objective is ``lambda1 * nll + lambda2 * kd`` (``nll`` alone for
 a teacher); its logit gradient is combined the same way and passed to
-``model.backward``. A loss or pre-clip gradient norm that is not finite
-stops the run with ``InvalidParameter`` before the optimizer step.
+``model.backward``, which returns one flat gradient laid out like
+``SpanModel.flat``. ``AdamW`` keeps its two moments as flat vectors of the
+same layout and updates every parameter in one pass. A loss or pre-clip
+gradient norm that is not finite stops the run with ``InvalidParameter``
+before the optimizer step.
 
 Both training procedures share one learning-rate rule (``learning_rate``):
 ``TrainConfig.lr`` is the peak, reached by a linear warmup over the first
@@ -46,8 +49,9 @@ from .distill import (
     write_logit_store,
     TeacherWeights,
 )
-from .errors import InvalidConfig, InvalidParameter, ShapeError
+from .errors import InvalidConfig, InvalidParameter, ShapeError, malformed_as_invalid
 from .model import (
+    FORWARD_BATCH_SIZE,
     ModelConfig,
     SpanModel,
     Vocabulary,
@@ -55,6 +59,7 @@ from .model import (
     encode_dataset,
     forward_batch,
     init_model,
+    param_views,
     save_model,
 )
 from .numerics import softmax_temperature
@@ -81,14 +86,14 @@ def learning_rate(step: int, total_steps: int, base: float) -> float:
 class AdamW:
     """Adaptive-moment optimizer with decoupled weight decay.
 
-    Update per parameter: m and v track the first and second gradient
-    moments, are bias-corrected, and the step is
-    ``theta -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta)``.
+    Update of the flat parameter vector ``theta``: m and v track the first
+    and second gradient moments elementwise, are bias-corrected, and the
+    step is ``theta -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta)``.
     ``lr`` is read at every step; the training loop sets it from
     ``learning_rate`` before each update.
     """
 
-    def __init__(self, shapes: dict[str, tuple], lr: float = 1e-5,
+    def __init__(self, size: int, lr: float = 1e-5,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.005):
         if lr < 0.0 or eps <= 0.0 or weight_decay < 0.0:
@@ -100,32 +105,41 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = {name: np.zeros(shape) for name, shape in shapes.items()}
-        self.v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        # scratch: a step allocates no full-size temporary, each of which page-faults
+        self._a = np.empty(size)
+        self._b = np.empty(size)
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, theta: np.ndarray, g: np.ndarray) -> None:
+        if theta.shape != self.m.shape or g.shape != self.m.shape:
+            raise ShapeError(f"parameters {theta.shape} and gradient {g.shape} must both "
+                             f"have the optimizer's shape {self.m.shape}")
         self.step_count += 1
         b1, b2 = self.betas
         c1 = 1.0 - b1 ** self.step_count
         c2 = 1.0 - b2 ** self.step_count
-        for name, theta in params.items():
-            g = grads[name]
-            if g.shape != theta.shape:
-                raise ShapeError(f"gradient for {name} has shape {g.shape}, expected {theta.shape}")
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            m_hat = m / c1
-            v_hat = v / c2
-            theta -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * theta)
+        m, v, a, b = self.m, self.v, self._a, self._b
+        # the update above, one rounding at a time in its order: the same bits
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=a)
+        v *= b2
+        v += np.multiply(np.multiply(g, 1.0 - b2, out=a), g, out=a)
+        np.divide(m, c1, out=a)                     # m_hat
+        np.sqrt(np.divide(v, c2, out=b), out=b)     # sqrt(v_hat)
+        a /= np.add(b, self.eps, out=b)
+        a += np.multiply(theta, self.weight_decay, out=b)
+        theta -= np.multiply(a, self.lr, out=a)
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``
-    (no scaling when ``max_norm`` <= 0); returns the norm before scaling."""
+    (no scaling when ``max_norm`` <= 0); returns the norm before scaling.
+
+    The squares are summed per array, in the order of ``grads``: one sum
+    over a flat gradient rounds differently, and that would change every
+    checkpoint written after a clipped step.
+    """
     total = 0.0
     for g in grads.values():
         total += float((g * g).sum())
@@ -206,7 +220,8 @@ class RunManifest:
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        return cls(**json.loads(Path(path).read_text(encoding="utf-8")))
+        with malformed_as_invalid(path, "run manifest"):
+            return cls(**json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def _target_tables(samples: list[Sample], stores: dict[str, LogitStore],
@@ -253,10 +268,8 @@ def _run_training(
         targets_s, targets_e = _target_tables(kept, stores, cfg)
 
     model = init_model(model_config, cfg.seed)
-    optimizer = AdamW(
-        {name: arr.shape for name, arr in model.params.items()},
-        lr=cfg.lr, betas=cfg.betas, eps=cfg.eps, weight_decay=cfg.weight_decay,
-    )
+    optimizer = AdamW(model.flat.size, lr=cfg.lr, betas=cfg.betas, eps=cfg.eps,
+                      weight_decay=cfg.weight_decay)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x736866]))
 
     manifest = RunManifest(
@@ -301,8 +314,8 @@ def _run_training(
                 kd = 0.0
                 loss = nll
 
-            grads = backward(model, result, dz_s, dz_e)
-            norm = clip_gradients(grads, max_norm)
+            grad = backward(model, result, dz_s, dz_e)
+            norm = clip_gradients(param_views(model_config, grad), max_norm)
             if not (np.isfinite(loss) and np.isfinite(norm)):
                 raise InvalidParameter(f"run {run_name!r}, epoch {epoch}, step "
                                        f"{optimizer.step_count + 1} of {total_steps}: loss "
@@ -310,7 +323,7 @@ def _run_training(
             grad_norm_max = max(grad_norm_max, norm)
             clip_count += norm > max_norm > 0.0
             optimizer.lr = learning_rate(optimizer.step_count, total_steps, cfg.lr)
-            optimizer.step(model.params, grads)
+            optimizer.step(model.flat, grad)
 
             sums["nll"] += nll
             sums["kd"] += kd
@@ -390,7 +403,6 @@ def dump_teacher_logits(
     vocab: Vocabulary,
     path,
     teacher_id: str,
-    batch_size: int = 32,
 ) -> tuple[int, int]:
     """Forward every encodable sample and write its logits to a store.
 
@@ -398,11 +410,9 @@ def dump_teacher_logits(
     """
     encoded, kept, skipped = encode_dataset(samples, vocab, model.config.max_len)
     records = []
-    for lo in range(0, len(kept), batch_size):
-        batch_enc = encoded[lo : lo + batch_size]
-        batch_samples = kept[lo : lo + batch_size]
-        result = forward_batch(model, batch_enc)
-        for row, sample in enumerate(batch_samples):
+    for lo in range(0, len(kept), FORWARD_BATCH_SIZE):
+        result = forward_batch(model, encoded[lo : lo + FORWARD_BATCH_SIZE])
+        for row, sample in enumerate(kept[lo : lo + FORWARD_BATCH_SIZE]):
             records.append(LogitRecord(
                 sample_id=sample.key(),
                 teacher_id=teacher_id,

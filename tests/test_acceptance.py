@@ -6,6 +6,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 from branchdistill import cli
 from branchdistill import corpus as cp
@@ -93,15 +94,15 @@ def test_c01_gradient_fidelity():
 
         result = md.forward_batch(model, encoded)
         _, dz_s, dz_e = ds.batch_nll(result.z_s, result.z_e, gold_s, gold_e)
-        hard_grads = md.backward(model, result, dz_s, dz_e)
+        hard_grads = md.param_views(config, md.backward(model, result, dz_s, dz_e))
         worst_hard = max_relative_error(hard_grads, central_difference(hard_label_loss, model.params))
         assert worst_hard <= 1e-3, worst_hard
 
         result = md.forward_batch(model, encoded)
         _, nll_s, nll_e = ds.batch_nll(result.z_s, result.z_e, gold_s, gold_e)
         _, kd_s, kd_e = ds.batch_kd(result.z_s, result.z_e, teacher_p_s, teacher_p_e, tau)
-        total_grads = md.backward(model, result, lam1 * nll_s + lam2 * kd_s,
-                                  lam1 * nll_e + lam2 * kd_e)
+        total_grads = md.param_views(config, md.backward(model, result, lam1 * nll_s + lam2 * kd_s,
+                                                         lam1 * nll_e + lam2 * kd_e))
         worst_total = max_relative_error(total_grads, central_difference(combined_loss, model.params))
         assert worst_total <= 1e-3, worst_total
 
@@ -340,6 +341,7 @@ def test_c07_metric_oracle():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_c08_end_to_end_regression(tmp_path):
     with criterion(8, "teachers >= 0.9 EM, student >= 0.88, zero-shot >= 0.85"):
         start = time.monotonic()
@@ -373,6 +375,7 @@ def test_c08_end_to_end_regression(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_c09_noise_robustness_direction(tmp_path):
     with criterion(9, "noisy-data student beats translate-train on macro-EM"):
         student_macros = []

@@ -9,6 +9,7 @@ import pytest
 
 from branchdistill import cli
 from branchdistill import corpus as cp
+from branchdistill import evaluation as ev
 
 TINY = [
     "--corpus.records", "20",
@@ -21,6 +22,20 @@ TINY = [
     "--train.epochs", "2",
     "--train.lr", "0.002",
 ]
+
+
+# A version-1 logit store (teacher "en", max_len 4, one record "s0") as the
+# previous format wrote it: header, length-prefixed record, offset index and
+# the index's position.
+V1_STORE = (
+    b'<\x00\x00\x00{"count":1,"format_version":1,"max_len":4,"teacher_id":"en"}'
+    b"\x02\x00\x00\x00s0"
+    b"\x00\x00\x00\x00\x00\x00\xe0?\x00\x00\x00\x00\x00\x00\xf0\xbf"
+    b"\x00\x00\x00\x00\x00\x00\x00@\x00\x00\x00\x00\x00\x00\x00\x00"
+    b"\x00\x00\x00\x00\x00\x00\xf0?\x00\x00\x00\x00\x00\x00\xd0?"
+    b"\x00\x00\x00\x00\x00\x00\xe0\xbf\x00\x00\x00\x00\x00\x00\x08@"
+    b'\t\x00\x00\x00{"s0":64}\x86\x00\x00\x00\x00\x00\x00\x00'
+)
 
 
 def run(args, *extra):
@@ -151,6 +166,41 @@ class TestPipelineCommands:
         store.write_bytes(store.read_bytes()[:-100])
         assert tiny("distill", out, "--run-name", "truncated") == 2
 
+    def test_distill_on_version_1_store_is_exit_2(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "copy"
+        shutil.copytree(pipeline_dir, out)
+        (out / "logits" / "es.logits").write_bytes(V1_STORE)
+        assert tiny("distill", out, "--run-name", "old_store") == 2
+        assert "unsupported logit store version" in capsys.readouterr().err
+        assert not (out / "students" / "old_store").exists()
+        assert tiny("dump-logits", out, "--teacher", "es") == 0
+        assert tiny("distill", out, "--run-name", "old_store") == 0
+
+    @pytest.mark.parametrize("name, corrupt, command", [
+        ("teachers/en/manifest.json", lambda blob: blob[:100], ["train-teacher", "--branch", "en"]),
+        ("vocab.json", lambda blob: blob[: len(blob) // 2], ["dump-logits", "--teacher", "en"]),
+        ("vocab.json", lambda blob: b'{"oov_buckets":100}', ["dump-logits", "--teacher", "en"]),
+        ("datasets/union.jsonl", lambda blob: blob[: len(blob) // 2], ["distill"]),
+        ("datasets/union.jsonl", lambda blob: blob.replace(b'"gold_start":', b'"gold_start":"x",'
+                                                           b'"was":', 1), ["distill"]),
+        ("report.json", lambda blob: blob[: len(blob) // 2], ["compare", "--reports", "{}"]),
+        ("corpus.jsonl", lambda blob: blob[: len(blob) // 2], ["build"]),
+        ("config.json", lambda blob: blob[: len(blob) // 2], ["generate", "--config", "{}"]),
+    ], ids=["manifest", "vocab", "vocab_without_tokens", "dataset", "dataset_field_type",
+            "report", "corpus", "config"])
+    def test_malformed_json_artifact_is_exit_2(self, pipeline_dir, tmp_path, name, corrupt,
+                                               command, capsys):
+        out = tmp_path / "copy"
+        shutil.copytree(pipeline_dir, out)
+        path = out / name
+        if name == "report.json":
+            ev.EvalReport().save(path)
+        elif name == "config.json":
+            path.write_text(json.dumps({"corpus.records": 9}))
+        path.write_bytes(corrupt(path.read_bytes()))
+        assert tiny(command[0], out, *[arg.format(path) for arg in command[1:]]) == 2
+        assert f"{path} is malformed" in capsys.readouterr().err
+
     @pytest.mark.parametrize("corrupt", [
         lambda blob: blob[:-100],       # last parameter block cut short
         lambda blob: blob[:10],         # header cut
@@ -188,9 +238,12 @@ class TestPipelineCommands:
         b = (out / "teachers" / "en" / "final.ckpt").read_bytes()
         assert a == b
 
-    def test_resume_with_different_config_is_config_error(self, pipeline_dir):
-        assert tiny("train-teacher", pipeline_dir, "--branch", "en",
-                    "--train.lr", "0.009") == 2
+    @pytest.mark.parametrize("flag, value", [("--train.lr", "0.009"), ("--model.ffn", "16")])
+    def test_resume_with_different_config_is_config_error(self, pipeline_dir, flag, value):
+        final = pipeline_dir / "teachers" / "en" / "final.ckpt"
+        before = final.read_bytes()
+        assert tiny("train-teacher", pipeline_dir, "--branch", "en", flag, value) == 2
+        assert final.read_bytes() == before
 
     def test_compare_runs(self, pipeline_dir, capsys):
         report = pipeline_dir / "reports" / "teacher_en.json"
@@ -240,6 +293,16 @@ class TestConfigHandling:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"nonsense.key": 1}))
         assert run(["generate", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("via_file", [False, True], ids=["flag", "config_file"])
+    def test_non_numeric_value_is_config_error(self, tmp_path, via_file, capsys):
+        args = ["--corpus.records", "many"]
+        if via_file:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"corpus.records": "many"}))
+            args = ["--config", str(path)]
+        assert run(["generate", "--out-dir", str(tmp_path), *args]) == 2
+        assert "corpus.records" in capsys.readouterr().err
 
     def test_unknown_mode_is_usage_error(self, tmp_path):
         assert run(["build", "--mode", "bogus", "--out-dir", str(tmp_path)]) == 2

@@ -369,6 +369,15 @@ class TestLogitStore:
         with pytest.raises(InvalidConfig):
             ds.LogitStore(path)
 
+    @pytest.mark.parametrize("values", [-1, 1], ids=["one_short", "one_too_many"])
+    def test_block_size_must_match_the_ids(self, tmp_path, values):
+        path = self._written(tmp_path)
+        data = path.read_bytes()
+        data = data[:-8] if values < 0 else data + np.array([0.5], dtype="<f8").tobytes()
+        path.write_bytes(data)
+        with pytest.raises(InvalidConfig, match="bytes of logits"):
+            ds.LogitStore(path)
+
     def test_trailing_bytes(self, tmp_path):
         path = self._written(tmp_path)
         path.write_bytes(path.read_bytes() + b"\0" * 8)
@@ -376,22 +385,22 @@ class TestLogitStore:
             ds.LogitStore(path)
 
     def test_flipped_sample_id_byte(self, tmp_path):
-        # "s1" -> "s2": the record the index files under s1 now claims to be s2
+        # "s1" -> "s2" in the header's id list: two rows now claim to be s2
         path = self._written(tmp_path)
         data = bytearray(path.read_bytes())
-        at = data.index(b"s1", 4 + int.from_bytes(data[:4], "little"))
-        data[at + 1] = ord("2")
+        at = data.index(b'"s1"', 4, 4 + int.from_bytes(data[:4], "little"))
+        data[at + 2] = ord("2")
         path.write_bytes(bytes(data))
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig, match="repeated sample ids"):
             ds.LogitStore(path)
 
     def test_non_finite_value(self, tmp_path):
         path = self._written(tmp_path)
         data = bytearray(path.read_bytes())
-        at = data.index(b"s0", 4 + int.from_bytes(data[:4], "little")) + 2
+        at = 4 + int.from_bytes(data[:4], "little")  # the block's first value
         data[at : at + 8] = np.array([np.nan], dtype="<f8").tobytes()
         path.write_bytes(bytes(data))
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig, match="non-finite"):
             ds.LogitStore(path)
 
     def test_write_is_deterministic(self, tmp_path):

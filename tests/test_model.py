@@ -175,6 +175,11 @@ class TestForward:
         np.testing.assert_array_equal(forward_result.z_e, permuted.z_e[::-1])
 
 
+def named_grads(model, cache, grad_z_s, grad_z_e):
+    """``md.backward``'s flat gradient, as one view per parameter name."""
+    return md.param_views(model.config, md.backward(model, cache, grad_z_s, grad_z_e))
+
+
 def operating_point(layers, seed, max_len=16):
     """A model at a representative operating point, not the tiny init scale,
     a batch of three encoded samples, and logit probes that are zero at
@@ -196,7 +201,7 @@ class TestBackward:
         model, vocab = small_model(samples)
         enc = md.tokenize_and_index(samples[0], vocab, model.config.max_len)
         cache = md.forward_batch(model, [enc])
-        grads = md.backward(model, cache, np.zeros_like(cache.z_s), np.zeros_like(cache.z_e))
+        grads = named_grads(model, cache, np.zeros_like(cache.z_s), np.zeros_like(cache.z_e))
         for g in grads.values():
             np.testing.assert_array_equal(g, 0.0)
 
@@ -207,7 +212,7 @@ class TestBackward:
         cache = md.forward_batch(model, [enc])
         rng = np.random.default_rng(0)
         g_s = rng.normal(size=cache.z_s.shape)
-        grads = md.backward(model, cache, g_s, np.zeros_like(cache.z_e))
+        grads = named_grads(model, cache, g_s, np.zeros_like(cache.z_e))
         np.testing.assert_array_equal(grads["start_bias"][enc.passage_mask],
                                       g_s[0][enc.passage_mask])
         np.testing.assert_array_equal(grads["start_bias"][~enc.passage_mask], 0.0)
@@ -217,8 +222,8 @@ class TestBackward:
         before = {name: p.copy() for name, p in model.params.items()}
         cache = md.forward_batch(model, encoded)
         outputs = (cache.z_s.copy(), cache.z_e.copy(), cache.H.copy())
-        first = md.backward(model, cache, g_s, g_e)
-        second = md.backward(model, cache, g_s, g_e)
+        first = named_grads(model, cache, g_s, g_e)
+        second = named_grads(model, cache, g_s, g_e)
         for kept, now in zip(outputs, (cache.z_s, cache.z_e, cache.H)):
             np.testing.assert_array_equal(kept, now)
         assert list(first) == [name for name, _ in md.parameter_layout(model.config)]
@@ -235,16 +240,16 @@ class TestBackward:
         outside = ~cache.passage
         assert outside.any()
         rng = np.random.default_rng(7)
-        grads = md.backward(model, cache, rng.normal(size=outside.shape) * outside,
+        grads = named_grads(model, cache, rng.normal(size=outside.shape) * outside,
                             rng.normal(size=outside.shape) * outside)
         for name, g in grads.items():
             np.testing.assert_array_equal(g, 0.0, err_msg=name)
 
     def test_batch_gradient_is_sum_of_per_sample_gradients(self):
         model, encoded, (g_s, g_e) = operating_point(layers=2, seed=8)
-        batch = md.backward(model, md.forward_batch(model, encoded), g_s, g_e)
+        batch = named_grads(model, md.forward_batch(model, encoded), g_s, g_e)
         alone = [
-            md.backward(model, md.forward_batch(model, [enc]), g_s[i:i + 1], g_e[i:i + 1])
+            named_grads(model, md.forward_batch(model, [enc]), g_s[i:i + 1], g_e[i:i + 1])
             for i, enc in enumerate(encoded)
         ]
         for name in batch:
@@ -257,10 +262,10 @@ class TestBackward:
         rng = np.random.default_rng(9)
         b_s, b_e = rng.normal(size=a_s.shape), rng.normal(size=a_e.shape)
         cache = md.forward_batch(model, encoded)
-        grads_a = md.backward(model, cache, a_s, a_e)
-        grads_b = md.backward(model, cache, b_s, b_e)
+        grads_a = named_grads(model, cache, a_s, a_e)
+        grads_b = named_grads(model, cache, b_s, b_e)
         for lambda1, lambda2 in ((0.5, 0.5), (0.3, 0.9), (1.0, 0.0)):
-            combined = md.backward(model, cache, lambda1 * a_s + lambda2 * b_s,
+            combined = named_grads(model, cache, lambda1 * a_s + lambda2 * b_s,
                                    lambda1 * a_e + lambda2 * b_e)
             for name in combined:
                 np.testing.assert_allclose(
@@ -284,7 +289,7 @@ class TestBackward:
 
         result = md.forward_batch(model, encoded)
         _, dz_s, dz_e = ds.batch_nll(result.z_s, result.z_e, gold_s, gold_e)
-        grads = md.backward(model, result, dz_s, dz_e)
+        grads = named_grads(model, result, dz_s, dz_e)
 
         def value():
             fresh = md.forward_batch(model, encoded)
@@ -330,7 +335,7 @@ class TestBackwardPasses:
     @staticmethod
     def _check_probed_gradients(model, encoded, probes):
         g_s, g_e = probes
-        grads = md.backward(model, md.forward_batch(model, encoded), g_s, g_e)
+        grads = named_grads(model, md.forward_batch(model, encoded), g_s, g_e)
 
         def value():
             fresh = md.forward_batch(model, encoded)
@@ -388,7 +393,7 @@ class TestTrimmedBatch:
         np.testing.assert_array_equal(fwd.z_s[1][~short.passage_mask], md.MASKED_LOGIT)
         g_s = np.zeros_like(fwd.z_s)
         g_s[0, -1] = 1.0
-        grads = md.backward(model, fwd, g_s, np.zeros_like(fwd.z_e))
+        grads = named_grads(model, fwd, g_s, np.zeros_like(fwd.z_e))
         assert grads["start_bias"][-1] == 1.0
 
     def test_gradients_of_a_trimmed_batch(self):
@@ -397,7 +402,7 @@ class TestTrimmedBatch:
         assert n < model.config.max_len
         fwd = md.forward_batch(model, encoded)
         assert fwd.H.shape[1] == n
-        grads = md.backward(model, fwd, *probes)
+        grads = named_grads(model, fwd, *probes)
         for name in ("start_bias", "end_bias"):
             assert grads[name].shape == (model.config.max_len,)
             np.testing.assert_array_equal(grads[name][n:], 0.0)
@@ -436,6 +441,14 @@ class TestSerialization:
         path.write_bytes(corrupt(path.read_bytes()))
         with pytest.raises(InvalidConfig, match="is corrupt"):
             md.load_model(path)
+
+    def test_body_is_the_flat_vector(self, tmp_path):
+        model, _ = small_model(task_samples(), layers=2)
+        path = tmp_path / "model.ckpt"
+        md.save_model(model, path)
+        data = path.read_bytes()
+        body = data[4 + int.from_bytes(data[:4], "little"):]
+        assert body == model.flat.astype("<f8").tobytes()
 
     def test_save_twice_is_byte_identical(self, tmp_path):
         model, _ = small_model(task_samples())

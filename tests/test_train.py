@@ -23,32 +23,50 @@ def small_task(n_records=12, seed=0, langs=("en", "es")):
 
 class TestAdamW:
     def test_null_update(self):
-        params = {"w": np.array([1.0, -2.0, 3.0])}
-        opt = tr.AdamW({"w": (3,)}, lr=0.1, weight_decay=0.0)
-        opt.step(params, {"w": np.zeros(3)})
-        np.testing.assert_array_equal(params["w"], [1.0, -2.0, 3.0])
+        theta = np.array([1.0, -2.0, 3.0])
+        opt = tr.AdamW(3, lr=0.1, weight_decay=0.0)
+        opt.step(theta, np.zeros(3))
+        np.testing.assert_array_equal(theta, [1.0, -2.0, 3.0])
 
     def test_decoupled_decay_hand_evaluation(self):
         # theta = 1, g = 0, wd = 0.005, lr = 0.1 -> theta = 1 - 0.1 * 0.005
-        params = {"w": np.array([1.0])}
-        opt = tr.AdamW({"w": (1,)}, lr=0.1, weight_decay=0.005)
-        opt.step(params, {"w": np.zeros(1)})
-        np.testing.assert_allclose(params["w"], [0.9995], atol=1e-15)
+        theta = np.array([1.0])
+        opt = tr.AdamW(1, lr=0.1, weight_decay=0.005)
+        opt.step(theta, np.zeros(1))
+        np.testing.assert_allclose(theta, [0.9995], atol=1e-15)
 
     def test_constant_gradient_update_approaches_lr(self):
-        params = {"w": np.array([0.0])}
+        theta = np.array([0.0])
         lr = 0.001
-        opt = tr.AdamW({"w": (1,)}, lr=lr, weight_decay=0.0)
-        previous = params["w"].copy()
+        opt = tr.AdamW(1, lr=lr, weight_decay=0.0)
+        previous = theta.copy()
         for _ in range(2000):
-            previous = params["w"].copy()
-            opt.step(params, {"w": np.ones(1)})
-        assert abs(abs(params["w"][0] - previous[0]) - lr) <= 0.02 * lr
+            previous = theta.copy()
+            opt.step(theta, np.ones(1))
+        assert abs(abs(theta[0] - previous[0]) - lr) <= 0.02 * lr
+
+    def test_update_is_bitwise_the_documented_expression(self):
+        rng = np.random.default_rng(3)
+        b1, b2, lr, eps, wd = 0.9, 0.999, 5e-3, 1e-8, 0.005
+        theta = rng.normal(size=500)
+        expected, m, v = theta.copy(), np.zeros(500), np.zeros(500)
+        opt = tr.AdamW(500, lr=lr, betas=(b1, b2), eps=eps, weight_decay=wd)
+        for t in range(1, 6):
+            g = rng.normal(size=500) * 10.0 ** rng.integers(-8, 3, size=500)
+            opt.step(theta, g)
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1 ** t)
+            v_hat = v / (1.0 - b2 ** t)
+            expected -= lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * expected)
+            np.testing.assert_array_equal(theta, expected)
 
     def test_shape_mismatch(self):
-        opt = tr.AdamW({"w": (2,)})
+        opt = tr.AdamW(2)
         with pytest.raises(ShapeError):
-            opt.step({"w": np.zeros(2)}, {"w": np.zeros(3)})
+            opt.step(np.zeros(2), np.zeros(3))
 
     def test_clip_gradients(self):
         grads = {"a": np.array([3.0]), "b": np.array([4.0])}
@@ -59,6 +77,33 @@ class TestAdamW:
         untouched = {"a": np.array([0.3])}
         tr.clip_gradients(untouched, 1.0)
         np.testing.assert_array_equal(untouched["a"], [0.3])
+
+
+class TestFlatParameters:
+    @pytest.mark.parametrize("source", ["init", "load", "train"])
+    def test_views_write_through_to_flat_and_checkpoint(self, tmp_path, source):
+        result, _, vocab, config = small_task()
+        if source == "train":
+            model, _ = tr.train_teacher(result.branches["en"].samples, vocab, config,
+                                        tr.TrainConfig(epochs=1, seed=3, lr=1e-3))
+        else:
+            model = md.init_model(config, seed=3)
+        if source == "load":
+            md.save_model(model, tmp_path / "saved.ckpt")
+            model = md.load_model(tmp_path / "saved.ckpt")
+        assert list(model.params) == [name for name, _ in md.parameter_layout(config)]
+        for name, view in model.params.items():
+            assert np.shares_memory(view, model.flat), name
+        model.params["end_bias"][2] = 7.5
+        model.params["embed"][md.FIRST_TOKEN_ID] = -1.25
+        at = model.flat.size - config.max_len + 2
+        assert model.flat[at] == 7.5
+        row = md.FIRST_TOKEN_ID * config.hidden
+        np.testing.assert_array_equal(model.flat[row : row + config.hidden], -1.25)
+        md.save_model(model, tmp_path / "written.ckpt")
+        loaded = md.load_model(tmp_path / "written.ckpt")
+        np.testing.assert_array_equal(loaded.flat, model.flat)
+        assert loaded.params["end_bias"][2] == 7.5
 
 
 class TestLearningRate:
@@ -122,9 +167,9 @@ class TestTrainTeacher:
         stepped = []
         original_step = tr.AdamW.step
 
-        def checked_step(self, params, grads):
-            stepped.append(all(np.isfinite(g).all() for g in grads.values()))
-            original_step(self, params, grads)
+        def checked_step(self, theta, grad):
+            stepped.append(np.isfinite(grad).all())
+            original_step(self, theta, grad)
 
         monkeypatch.setattr(tr.AdamW, "step", checked_step)
         result, _, vocab, config = small_task()
