@@ -25,6 +25,7 @@ from . import corpus as cp
 from . import evaluation as ev
 from .distill import LogitStore
 from .errors import (
+    IncompleteLogits,
     InvalidConfig,
     InvalidLabel,
     InvalidParameter,
@@ -101,9 +102,6 @@ class PipelineConfig:
     values: dict
     seed: int
     out_dir: Path
-
-    def __getitem__(self, key: str):
-        return self.values[key]
 
     @property
     def languages(self) -> list[str]:
@@ -432,8 +430,7 @@ def op_dump_logits(cfg: PipelineConfig, teacher: str, model_path: Path | None = 
 
 def op_distill(cfg: PipelineConfig, run_name: str | None = None,
                strategy: str | None = None, impurity_sign: int | None = None,
-               teachers: list[str] | None = None, dataset: Path | None = None,
-               seed: int | None = None) -> Path:
+               teachers: list[str] | None = None, dataset: Path | None = None) -> Path:
     teachers = teachers or cfg.languages
     strategy = strategy or cfg.values["train.strategy"]
     sign = cfg.values["train.impurity_sign"] if impurity_sign is None else impurity_sign
@@ -446,7 +443,7 @@ def op_distill(cfg: PipelineConfig, run_name: str | None = None,
         for t in teachers
     }
     train_cfg = cfg.train_config(
-        seed=seed, strategy=strategy, impurity_sign=sign, teacher_ids=tuple(sorted(teachers))
+        strategy=strategy, impurity_sign=sign, teacher_ids=tuple(sorted(teachers))
     )
     model_cfg = cfg.model_config(vocab.size)
     run_dir = cfg.student_dir(run_name)
@@ -791,7 +788,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InvalidConfig, InvalidParameter, InvalidRecord, InvalidLabel,
-            Unrecoverable, ShapeError) as exc:
+            Unrecoverable, ShapeError, IncompleteLogits) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MissingArtifact, FileNotFoundError) as exc:

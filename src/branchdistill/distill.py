@@ -19,9 +19,11 @@ Teacher logits are always consumed from a precomputed store, never
 recomputed during student training. The store is one file per teacher: a
 length-prefixed JSON header naming the teacher, ``max_len`` and the sample
 ids in row order, then one (N, 2, L) little-endian float64 block of start
-and end logits. ``LogitStore`` reads the file once when it is opened,
-checks the header, the ids, the block's exact size and every value, and
-then serves rows from memory.
+and end logits. ``write_logit_store`` takes the block as
+``model.forward_logits`` returns it and checks it once, as a whole.
+``LogitStore`` reads the file once when it is opened, checks the header,
+the ids, the block's exact size and every value, and then serves rows
+from memory.
 """
 
 from __future__ import annotations
@@ -67,17 +69,12 @@ class TeacherWeights:
 
 @dataclass(frozen=True)
 class LogitRecord:
+    """One teacher's start and end logits (L,) for one sample."""
+
     sample_id: str
     teacher_id: str
     z_s: np.ndarray
     z_e: np.ndarray
-
-    def validate(self, max_len: int) -> None:
-        for name, z in (("z_s", self.z_s), ("z_e", self.z_e)):
-            if z.shape != (max_len,):
-                raise ShapeError(f"{name} has shape {z.shape}, expected ({max_len},)")
-            if not np.all(np.isfinite(z)):
-                raise InvalidParameter(f"{name} contains non-finite values")
 
 
 @dataclass(frozen=True)
@@ -229,21 +226,24 @@ def batch_kd(z_s, z_e, teacher_p_s: np.ndarray, teacher_p_e: np.ndarray, tau: fl
 # ---------------------------------------------------------------------------
 
 
-def write_logit_store(path, teacher_id: str, max_len: int, records) -> None:
-    """Write one teacher's records: a length-prefixed JSON header with the
-    sample ids in record order, then their logits as one (N, 2, L) block."""
-    records = list(records)
-    for record in records:
-        record.validate(max_len)
-    sample_ids = [record.sample_id for record in records]
+def write_logit_store(path, teacher_id: str, sample_ids, logits: np.ndarray) -> None:
+    """Write one teacher's (N, 2, L) block of start and end logits, row i
+    belonging to ``sample_ids[i]``: a length-prefixed JSON header with the
+    ids and L, then the block."""
+    sample_ids = list(sample_ids)
+    if logits.ndim != 3 or logits.shape[:2] != (len(sample_ids), 2):
+        raise ShapeError(f"logits have shape {logits.shape}, expected "
+                         f"({len(sample_ids)}, 2, max_len)")
+    if not np.isfinite(logits).all():
+        raise InvalidParameter(f"logits for {teacher_id!r} contain non-finite values")
     if len(set(sample_ids)) != len(sample_ids):
         raise InvalidConfig(f"duplicate sample ids in the store for {teacher_id!r}")
     write_artifact(path, {
         "format_version": STORE_VERSION,
         "teacher_id": teacher_id,
-        "max_len": max_len,
+        "max_len": logits.shape[2],
         "sample_ids": sample_ids,
-    }, np.array([(record.z_s, record.z_e) for record in records]))
+    }, logits)
 
 
 class LogitStore:

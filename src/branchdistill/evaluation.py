@@ -1,5 +1,7 @@
 """Span decoding, exact-match / F1 scoring, and evaluation reports.
 
+``predict`` runs the model once over a dataset's ``Encoded`` rows, takes
+the (N, 2, L) logit block, and decodes each row inside its passage.
 Predictions are decoded by maximizing ``z_s[s] + z_e[e]`` over pairs with
 ``s <= e < s + max_answer_length`` and both positions inside the passage;
 ties break toward the smaller start, then the smaller end. Metrics follow
@@ -21,21 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidConfig, InvalidParameter, NoValidSpan, malformed_as_invalid
-from .model import FORWARD_BATCH_SIZE, SpanModel, Vocabulary, encode_dataset, forward_batch
+from .model import SpanModel, Vocabulary, encode_dataset, forward_logits
 
 
 @dataclass(frozen=True)
 class EvalConfig:
     max_answer_length: int = 30
-
-
-@dataclass(frozen=True)
-class Prediction:
-    sample_id: str
-    start: int                      # passage coordinates, inclusive
-    end: int
-    answer_tokens: tuple[str, ...]
-    score: float
 
 
 def decode_span(z_s, z_e, valid_mask, max_answer_length: int) -> tuple[int, int]:
@@ -151,29 +144,17 @@ class EvalReport:
 
 
 def predict(model: SpanModel, samples, vocab: Vocabulary, config: EvalConfig):
-    """Decode a prediction for every encodable sample.
+    """Decode an answer for every encodable sample from the model's logit block.
 
-    Returns (list of (sample, Prediction) pairs, skipped count).
+    Returns (list of (sample, answer tokens) pairs, skipped count).
     """
     encoded, kept, skipped = encode_dataset(samples, vocab, model.config.max_len)
+    logits = forward_logits(model, encoded)
     pairs = []
-    for lo in range(0, len(kept), FORWARD_BATCH_SIZE):
-        batch = encoded[lo : lo + FORWARD_BATCH_SIZE]
-        result = forward_batch(model, batch)
-        for row, (sample, enc) in enumerate(zip(kept[lo : lo + FORWARD_BATCH_SIZE], batch)):
-            start, end = decode_span(
-                result.z_s[row], result.z_e[row], enc.passage_mask, config.max_answer_length
-            )
-            score = float(result.z_s[row][start] + result.z_e[row][end])
-            p_start = start - enc.passage_offset
-            p_end = end - enc.passage_offset
-            pairs.append((sample, Prediction(
-                sample_id=sample.key(),
-                start=p_start,
-                end=p_end,
-                answer_tokens=tuple(sample.passage_tokens[p_start : p_end + 1]),
-                score=score,
-            )))
+    for sample, (z_s, z_e), valid, offset in zip(kept, logits, encoded.passage_mask(),
+                                                 encoded.offset):
+        start, end = decode_span(z_s, z_e, valid, config.max_answer_length)
+        pairs.append((sample, tuple(sample.passage_tokens[start - offset : end - offset + 1])))
     return pairs, skipped
 
 
@@ -186,10 +167,10 @@ def evaluate(model: SpanModel, samples, vocab: Vocabulary,
     """
     pairs, skipped = predict(model, samples, vocab, config)
     by_cell: dict[tuple[str, str], list[tuple[str, int, float]]] = {}
-    for sample, prediction in pairs:
+    for sample, answer in pairs:
         gold = tuple(sample.passage_tokens[sample.gold_start : sample.gold_end + 1])
-        em = exact_match(prediction.answer_tokens, gold)
-        f1 = f1_score(prediction.answer_tokens, gold)
+        em = exact_match(answer, gold)
+        f1 = f1_score(answer, gold)
         by_cell.setdefault((sample.passage_lang, sample.question_lang), []).append(
             (sample.key(), em, f1)
         )

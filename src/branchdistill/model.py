@@ -9,6 +9,13 @@ adds a trainable per-position bias vector of length ``max_len``. Positions
 outside the passage window (start token, question, separator, padding) are
 forced to a large negative logit so they carry ~zero probability.
 
+A dataset enters the model as one ``Encoded`` record of row arrays: the
+packed token ids (N, max_len) and, per row, the passage's first position
+``offset``, the row's real length ``end`` and the gold span. Only this
+module turns ``offset`` and ``end`` into the passage mask and the attention
+bias. ``forward_logits`` returns every row's start and end logits as one
+(N, 2, max_len) block, the form a logit store and decoding both take.
+
 ``forward_batch`` trims each batch to its longest real input: with n that
 length, the embedding, every block and both heads run on n positions, and
 the logits are padded back to ``max_len`` with ``MASKED_LOGIT``. It keeps
@@ -21,7 +28,8 @@ order; ``param_views`` gives the per-name views that are
 ``SpanModel.params``, and names the parts of the same-shaped flat gradient
 ``backward`` returns. Checkpoints are a JSON header followed by that vector
 as one little-endian float64 block, and round-trip bit-exactly;
-``load_model`` maps a cut, garbled or overlong file to ``InvalidConfig``.
+``load_model`` maps a cut, garbled or overlong file, or one holding a
+non-finite parameter, to ``InvalidConfig``.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +56,8 @@ FIRST_TOKEN_ID = OOV_BASE_ID + OOV_BUCKETS
 
 CHECKPOINT_VERSION = 1
 
-# Batch size of the forward-only passes: logit dumps and evaluation.
+# Rows per encoder pass in ``forward_logits``, the forward-only pass of logit
+# dumps and evaluation.
 FORWARD_BATCH_SIZE = 32
 
 
@@ -110,80 +119,84 @@ class Vocabulary:
         with malformed_as_invalid(path, "vocabulary"):
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
             buckets, tokens = raw.get("oov_buckets"), raw["tokens"]
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise InvalidConfig(f"vocabulary {path} is malformed: tokens is not a list of strings")
         if buckets != OOV_BUCKETS:
             raise InvalidConfig("vocabulary file uses an incompatible bucket count")
         return cls(tokens)
 
 
-@dataclass
-class EncodedInput:
-    """Packed model input: [START] question [SEP] passage, padded to max_len."""
+@dataclass(frozen=True)
+class Encoded:
+    """Packed inputs of N samples as row arrays.
 
-    token_ids: np.ndarray          # (max_len,) int64
-    separator_position: int
-    passage_offset: int
-    attention_mask: np.ndarray     # (max_len,) bool, True at real tokens
-    passage_mask: np.ndarray       # (max_len,) bool, True at passage positions
-    passage_window: int            # passage tokens that fit in the window
-    gold_start: int                # gold span in packed coordinates
-    gold_end: int
+    Row i of ``ids`` (N, max_len) is [START] question [SEP] passage, padded
+    with ``PAD_ID``. The passage fills positions ``offset[i]`` up to
+    ``end[i]`` (exclusive), which is also the row's real length, and the
+    gold span ``gold_start[i]``..``gold_end[i]`` lies inside it, in packed
+    coordinates. Indexing selects rows.
+    """
+
+    ids: np.ndarray
+    offset: np.ndarray
+    end: np.ndarray
+    gold_start: np.ndarray
+    gold_end: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, rows) -> "Encoded":
+        return Encoded(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def passage_mask(self) -> np.ndarray:
+        """(N, max_len) bool, True at the passage positions of each row."""
+        positions = np.arange(self.ids.shape[1])
+        return (positions >= self.offset[:, None]) & (positions < self.end[:, None])
 
 
-def tokenize_and_index(sample: Sample, vocab: Vocabulary, max_len: int) -> EncodedInput:
-    """Pack a sample into model coordinates; raises SpanOutOfWindow when the
-    gold span does not survive truncation."""
+def tokenize_and_index(sample: Sample, vocab: Vocabulary, max_len: int) -> Encoded:
+    """Pack one sample as a one-row ``Encoded``; raises SpanOutOfWindow when
+    the gold span does not survive truncation."""
     q_ids = [vocab.token_id(t) for t in sample.question_tokens]
     p_ids = [vocab.token_id(t) for t in sample.passage_tokens]
 
-    separator_position = 1 + len(q_ids)
-    passage_offset = separator_position + 1
-    if passage_offset >= max_len:
+    offset = len(q_ids) + 2
+    if offset >= max_len:
         raise SpanOutOfWindow(
             f"sample {sample.id}: question fills the whole window of {max_len}"
         )
-    window = min(len(p_ids), max_len - passage_offset)
-    gold_start = sample.gold_start + passage_offset
-    gold_end = sample.gold_end + passage_offset
-    if gold_end >= passage_offset + window:
+    end = min(offset + len(p_ids), max_len)
+    gold_start = sample.gold_start + offset
+    gold_end = sample.gold_end + offset
+    if gold_end >= end:
         raise SpanOutOfWindow(
-            f"sample {sample.id}: gold span ends at {gold_end}, window ends at "
-            f"{passage_offset + window}"
+            f"sample {sample.id}: gold span ends at {gold_end}, window ends at {end}"
         )
 
-    ids = np.full(max_len, PAD_ID, dtype=np.int64)
-    ids[0] = START_ID
-    ids[1:separator_position] = q_ids
-    ids[separator_position] = SEP_ID
-    ids[passage_offset : passage_offset + window] = p_ids[:window]
-
-    attention_mask = np.zeros(max_len, dtype=bool)
-    attention_mask[: passage_offset + window] = True
-    passage_mask = np.zeros(max_len, dtype=bool)
-    passage_mask[passage_offset : passage_offset + window] = True
-
-    return EncodedInput(
-        token_ids=ids,
-        separator_position=separator_position,
-        passage_offset=passage_offset,
-        attention_mask=attention_mask,
-        passage_mask=passage_mask,
-        passage_window=window,
-        gold_start=gold_start,
-        gold_end=gold_end,
-    )
+    ids = np.full((1, max_len), PAD_ID, dtype=np.int64)
+    ids[0, :end] = [START_ID, *q_ids, SEP_ID, *p_ids[: end - offset]]
+    return Encoded(ids, *(np.array([v]) for v in (offset, end, gold_start, gold_end)))
 
 
 def encode_dataset(samples, vocab: Vocabulary, max_len: int):
-    """Encode every sample, dropping and counting the out-of-window ones."""
-    encoded: list[EncodedInput] = []
+    """Encode every sample, dropping and counting the out-of-window ones.
+
+    Returns (``Encoded`` rows of the kept samples, kept samples, skipped count).
+    """
+    rows = [Encoded(np.zeros((0, max_len), dtype=np.int64),
+                    *(np.zeros(0, dtype=np.int64) for _ in range(4)))]
     kept: list[Sample] = []
     skipped = 0
     for sample in samples:
         try:
-            encoded.append(tokenize_and_index(sample, vocab, max_len))
-            kept.append(sample)
+            rows.append(tokenize_and_index(sample, vocab, max_len))
         except SpanOutOfWindow:
             skipped += 1
+        else:
+            kept.append(sample)
+    encoded = Encoded(*(np.concatenate([getattr(r, f.name) for r in rows])
+                        for f in fields(Encoded)))
     return encoded, kept, skipped
 
 
@@ -320,31 +333,28 @@ def layer_norm_backward(g, gain, cache):
     return inv * (gx - m1 - xhat * m2), (g * xhat).sum(0).sum(0), g.sum(0).sum(0)
 
 
-def forward_batch(model: SpanModel, encoded) -> Forward:
+def forward_batch(model: SpanModel, encoded: Encoded) -> Forward:
     """Run the encoder over a batch, trimmed to its longest real input.
 
-    Attention masks are prefixes, so no position past n, the largest
-    ``passage_offset + passage_window`` in the batch, is attended to or lies
-    in a passage: the encoder and heads run on n positions, and the (B, L)
-    logits hold ``MASKED_LOGIT`` past n. Per-sample outputs are independent
-    of the rest of the batch up to the last bits: the rounding of sums and
-    matrix products depends on n.
+    No position at or past n, the largest ``end`` in the batch, is attended
+    to or lies in a passage: the encoder and heads run on n positions, and
+    the (B, L) logits hold ``MASKED_LOGIT`` past n. Per-sample outputs are
+    independent of the rest of the batch up to the last bits: the rounding
+    of sums and matrix products depends on n.
     """
     cfg = model.config
-    ids = np.stack([e.token_ids for e in encoded])
-    attention = np.stack([e.attention_mask for e in encoded])
-    passage = np.stack([e.passage_mask for e in encoded])
-    if ids.shape[1] != cfg.max_len:
-        raise ShapeError(f"encoded length {ids.shape[1]} != model max_len {cfg.max_len}")
-    if ids.max() >= cfg.vocab_size:
+    if encoded.ids.shape[1] != cfg.max_len:
+        raise ShapeError(f"encoded length {encoded.ids.shape[1]} != model max_len {cfg.max_len}")
+    if encoded.ids.max() >= cfg.vocab_size:
         raise ShapeError("token id outside the model vocabulary")
-    n = max(e.passage_offset + e.passage_window for e in encoded)
-    ids = ids[:, :n]
+    n = int(encoded.end.max())
+    ids = encoded.ids[:, :n]
+    passage = encoded.passage_mask()
 
     p = model.params
     scale = 1.0 / np.sqrt(cfg.hidden)
     # keys at padded positions are unreachable for every query
-    attn_bias = np.where(attention[:, :n], 0.0, MASKED_LOGIT)[:, None, :]
+    attn_bias = np.where(np.arange(n) < encoded.end[:, None], 0.0, MASKED_LOGIT)[:, None, :]
 
     x = p["embed"][ids] + model.pos_table[:n]
     blocks = []
@@ -374,6 +384,17 @@ def forward_batch(model: SpanModel, encoded) -> Forward:
     z_e[:, :n] = np.where(inside, (x @ p["end_vec"].reshape(-1, 1))[..., 0]
                           + p["end_bias"][:n], MASKED_LOGIT)
     return Forward(z_s=z_s, z_e=z_e, H=x, ids=ids, passage=passage, blocks=blocks)
+
+
+def forward_logits(model: SpanModel, encoded: Encoded) -> np.ndarray:
+    """Start and end logits of every row of ``encoded`` as one
+    (N, 2, max_len) block, computed ``FORWARD_BATCH_SIZE`` rows at a time."""
+    logits = np.empty((len(encoded), 2, model.config.max_len))
+    for lo in range(0, len(encoded), FORWARD_BATCH_SIZE):
+        fwd = forward_batch(model, encoded[lo : lo + FORWARD_BATCH_SIZE])
+        logits[lo : lo + FORWARD_BATCH_SIZE, 0] = fwd.z_s
+        logits[lo : lo + FORWARD_BATCH_SIZE, 1] = fwd.z_e
+    return logits
 
 
 def backward(model: SpanModel, cache: Forward, grad_z_s, grad_z_e) -> np.ndarray:
@@ -479,7 +500,8 @@ def save_model(model: SpanModel, path) -> None:
 
 def load_model(path) -> SpanModel:
     """Read a checkpoint written by ``save_model``. A cut or garbled header,
-    a truncated parameter block or bytes after it raise ``InvalidConfig``."""
+    a truncated parameter block, bytes after it or a non-finite parameter
+    raise ``InvalidConfig``."""
     data, header, pos = read_artifact(path, "checkpoint", CHECKPOINT_VERSION)
 
     def corrupt(what: str) -> InvalidConfig:
@@ -498,4 +520,6 @@ def load_model(path) -> SpanModel:
     if len(data) - pos != size:
         raise corrupt(f"{len(data) - pos} bytes of parameters, expected {size}")
     flat = np.frombuffer(data, dtype="<f8", offset=pos).astype(np.float64)
+    if not np.isfinite(flat).all():
+        raise corrupt("non-finite parameters")
     return SpanModel(config=config, seed=seed, flat=flat)

@@ -1,9 +1,13 @@
 """Optimizers and the training procedures.
 
-Three procedures are built on one deterministic mini-batch loop:
+The dataset is encoded once, as one ``Encoded`` record of row arrays.
+Two procedures share one deterministic mini-batch loop over it, each step
+taking the rows ``encoded[batch_idx]`` and their gold arrays, and a third
+only runs the model forward:
 
 * ``train_teacher``: hard-label training of one branch model,
-* ``dump_teacher_logits``: forward-only pass writing a logit store,
+* ``dump_teacher_logits``: one (N, 2, L) block of logits from
+  ``forward_logits``, written to a logit store in one call,
 * ``distill_student``: trains the multilingual student against precomputed
   teacher stores with the combined hard-label + distillation objective.
   The softened teacher targets never change during a run, so they are
@@ -39,7 +43,6 @@ import numpy as np
 
 from .corpus import Sample
 from .distill import (
-    LogitRecord,
     LogitStore,
     aggregate_logits,
     batch_kd,
@@ -51,13 +54,13 @@ from .distill import (
 )
 from .errors import InvalidConfig, InvalidParameter, ShapeError, malformed_as_invalid
 from .model import (
-    FORWARD_BATCH_SIZE,
     ModelConfig,
     SpanModel,
     Vocabulary,
     backward,
     encode_dataset,
     forward_batch,
+    forward_logits,
     init_model,
     param_views,
     save_model,
@@ -181,6 +184,8 @@ class TrainConfig:
             raise InvalidConfig(f"unknown selective strategy {self.strategy!r}")
         if self.impurity_sign not in (1, -1):
             raise InvalidConfig("impurity_sign must be +1 or -1")
+        if len(set(self.teacher_ids)) != len(self.teacher_ids):
+            raise InvalidConfig(f"teacher ids {list(self.teacher_ids)} repeat a teacher")
 
 
 @dataclass
@@ -297,12 +302,9 @@ def _run_training(
         clip_count = 0
         for lo in range(0, n, cfg.batch_size):
             batch_idx = order[lo : lo + cfg.batch_size]
-            batch_enc = [encoded[i] for i in batch_idx]
-            gold_s = np.array([e.gold_start for e in batch_enc])
-            gold_e = np.array([e.gold_end for e in batch_enc])
-
-            result = forward_batch(model, batch_enc)
-            nll, dz_s, dz_e = batch_nll(result.z_s, result.z_e, gold_s, gold_e)
+            batch = encoded[batch_idx]
+            result = forward_batch(model, batch)
+            nll, dz_s, dz_e = batch_nll(result.z_s, result.z_e, batch.gold_start, batch.gold_end)
             if stores is not None:
                 kd, kd_s, kd_e = batch_kd(result.z_s, result.z_e, targets_s[batch_idx],
                                           targets_e[batch_idx], cfg.tau)
@@ -409,15 +411,5 @@ def dump_teacher_logits(
     Returns (records written, samples skipped as out-of-window).
     """
     encoded, kept, skipped = encode_dataset(samples, vocab, model.config.max_len)
-    records = []
-    for lo in range(0, len(kept), FORWARD_BATCH_SIZE):
-        result = forward_batch(model, encoded[lo : lo + FORWARD_BATCH_SIZE])
-        for row, sample in enumerate(kept[lo : lo + FORWARD_BATCH_SIZE]):
-            records.append(LogitRecord(
-                sample_id=sample.key(),
-                teacher_id=teacher_id,
-                z_s=result.z_s[row].copy(),
-                z_e=result.z_e[row].copy(),
-            ))
-    write_logit_store(path, teacher_id, model.config.max_len, records)
-    return len(records), skipped
+    write_logit_store(path, teacher_id, [s.key() for s in kept], forward_logits(model, encoded))
+    return len(kept), skipped

@@ -42,27 +42,19 @@ def pipeline_config(out_dir, seed, **overrides):
 
 
 def random_encoded_batch(rng, vocab_size, max_len, batch=4):
-    encoded = []
-    for _ in range(batch):
-        offset = 3
-        window = max_len - offset - 2
-        ids = np.zeros(max_len, dtype=np.int64)
-        ids[0] = 1
-        ids[1] = int(rng.integers(3, vocab_size))
-        ids[2] = 2
-        ids[offset : offset + window] = rng.integers(3, vocab_size, size=window)
-        attention = np.zeros(max_len, dtype=bool)
-        attention[: offset + window] = True
-        passage = np.zeros(max_len, dtype=bool)
-        passage[offset : offset + window] = True
+    offset = 3
+    window = max_len - offset - 2
+    ids = np.zeros((batch, max_len), dtype=np.int64)
+    gold = np.zeros((2, batch), dtype=np.int64)
+    for row in range(batch):
+        ids[row, 0] = 1
+        ids[row, 1] = int(rng.integers(3, vocab_size))
+        ids[row, 2] = 2
+        ids[row, offset : offset + window] = rng.integers(3, vocab_size, size=window)
         gold_start = int(rng.integers(offset, offset + window))
         gold_end = int(rng.integers(gold_start, min(offset + window, gold_start + 3)))
-        encoded.append(md.EncodedInput(
-            token_ids=ids, separator_position=2, passage_offset=offset,
-            attention_mask=attention, passage_mask=passage, passage_window=window,
-            gold_start=gold_start, gold_end=gold_end,
-        ))
-    return encoded
+        gold[:, row] = gold_start, gold_end
+    return md.Encoded(ids, np.full(batch, offset), np.full(batch, offset + window), *gold)
 
 
 def test_c01_gradient_fidelity():
@@ -75,9 +67,8 @@ def test_c01_gradient_fidelity():
             p[:] = rng.normal(scale=0.5, size=p.shape)
 
         encoded = random_encoded_batch(rng, config.vocab_size, config.max_len)
-        gold_s = np.array([e.gold_start for e in encoded])
-        gold_e = np.array([e.gold_end for e in encoded])
-        passage = np.stack([e.passage_mask for e in encoded])
+        gold_s, gold_e = encoded.gold_start, encoded.gold_end
+        passage = encoded.passage_mask()
         tau, lam1, lam2 = 2.0, 0.5, 0.5
         teacher_p_s = nm.softmax_temperature(np.where(passage, rng.normal(size=passage.shape), -1e9), tau)
         teacher_p_e = nm.softmax_temperature(np.where(passage, rng.normal(size=passage.shape), -1e9), tau)

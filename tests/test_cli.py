@@ -10,6 +10,7 @@ import pytest
 from branchdistill import cli
 from branchdistill import corpus as cp
 from branchdistill import evaluation as ev
+from branchdistill import model as md
 
 TINY = [
     "--corpus.records", "20",
@@ -180,14 +181,19 @@ class TestPipelineCommands:
         ("teachers/en/manifest.json", lambda blob: blob[:100], ["train-teacher", "--branch", "en"]),
         ("vocab.json", lambda blob: blob[: len(blob) // 2], ["dump-logits", "--teacher", "en"]),
         ("vocab.json", lambda blob: b'{"oov_buckets":100}', ["dump-logits", "--teacher", "en"]),
+        ("vocab.json", lambda blob: b'{"oov_buckets":100,"tokens":[1,"a"]}',
+         ["dump-logits", "--teacher", "en"]),
+        ("vocab.json", lambda blob: b'{"oov_buckets":100,"tokens":"abc"}',
+         ["dump-logits", "--teacher", "en"]),
         ("datasets/union.jsonl", lambda blob: blob[: len(blob) // 2], ["distill"]),
         ("datasets/union.jsonl", lambda blob: blob.replace(b'"gold_start":', b'"gold_start":"x",'
                                                            b'"was":', 1), ["distill"]),
         ("report.json", lambda blob: blob[: len(blob) // 2], ["compare", "--reports", "{}"]),
         ("corpus.jsonl", lambda blob: blob[: len(blob) // 2], ["build"]),
         ("config.json", lambda blob: blob[: len(blob) // 2], ["generate", "--config", "{}"]),
-    ], ids=["manifest", "vocab", "vocab_without_tokens", "dataset", "dataset_field_type",
-            "report", "corpus", "config"])
+    ], ids=["manifest", "vocab", "vocab_without_tokens", "vocab_non_string_token",
+            "vocab_tokens_not_a_list", "dataset", "dataset_field_type", "report", "corpus",
+            "config"])
     def test_malformed_json_artifact_is_exit_2(self, pipeline_dir, tmp_path, name, corrupt,
                                                command, capsys):
         out = tmp_path / "copy"
@@ -214,6 +220,29 @@ class TestPipelineCommands:
         ckpt.write_bytes(corrupt(ckpt.read_bytes()))
         assert tiny("dump-logits", out, "--teacher", "en") == 2
         assert "is corrupt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_evaluate_non_finite_checkpoint_is_exit_2(self, pipeline_dir, tmp_path, value,
+                                                      capsys):
+        ckpt = tmp_path / "final.ckpt"
+        model = md.load_model(pipeline_dir / "teachers" / "en" / "final.ckpt")
+        model.params["start_vec"][0] = value
+        md.save_model(model, ckpt)
+        assert tiny("evaluate", pipeline_dir, "--model", str(ckpt)) == 2
+        assert "is corrupt" in capsys.readouterr().err
+
+    def test_distill_on_uncovered_dataset_is_exit_2(self, pipeline_dir, capsys):
+        # the eval grid's samples are not in the union the stores cover
+        assert tiny("distill", pipeline_dir, "--run-name", "uncovered",
+                    "--dataset", str(pipeline_dir / "datasets" / "eval_grid.jsonl")) == 2
+        assert "samples lack teacher logits" in capsys.readouterr().err
+        assert not (pipeline_dir / "students" / "uncovered").exists()
+
+    def test_distill_with_repeated_teacher_is_exit_2(self, pipeline_dir, capsys):
+        assert tiny("distill", pipeline_dir, "--run-name", "repeated",
+                    "--teachers", "en,en,es") == 2
+        assert "repeat a teacher" in capsys.readouterr().err
+        assert not (pipeline_dir / "students" / "repeated").exists()
 
     def test_non_finite_training_step_is_exit_2_under_optimized_python(self, tmp_path):
         # python -O strips asserts; the finite-value check must still stop

@@ -12,6 +12,7 @@ from branchdistill.errors import (
     InvalidConfig,
     InvalidLabel,
     InvalidParameter,
+    ShapeError,
 )
 from branchdistill.model import MASKED_LOGIT
 
@@ -312,10 +313,15 @@ class TestLogitStore:
             for i in range(n)
         ]
 
+    @staticmethod
+    def _write(path, records):
+        ds.write_logit_store(path, "en", [r.sample_id for r in records],
+                             np.array([(r.z_s, r.z_e) for r in records]))
+
     def test_round_trip(self, tmp_path):
         records = self._records(5)
         path = tmp_path / "en.logits"
-        ds.write_logit_store(path, "en", 6, records)
+        self._write(path, records)
         store = ds.LogitStore(path)
         assert store.teacher_id == "en"
         assert store.count == 5
@@ -326,7 +332,7 @@ class TestLogitStore:
 
     def test_missing_sample(self, tmp_path):
         path = tmp_path / "en.logits"
-        ds.write_logit_store(path, "en", 6, self._records(2))
+        self._write(path, self._records(2))
         with pytest.raises(IncompleteLogits):
             ds.LogitStore(path).get("absent")
 
@@ -334,11 +340,29 @@ class TestLogitStore:
         records = self._records(2)
         records[1] = record(records[1].z_s, records[1].z_e, sample_id=records[0].sample_id)
         with pytest.raises(InvalidConfig):
-            ds.write_logit_store(tmp_path / "dup.logits", "en", 6, records)
+            self._write(tmp_path / "dup.logits", records)
+
+    def test_header_max_len_is_the_block_length(self, tmp_path):
+        path = tmp_path / "en.logits"
+        ds.write_logit_store(path, "en", ["s0", "s1"], np.zeros((2, 2, 9)))
+        assert ds.LogitStore(path).max_len == 9
+
+    @pytest.mark.parametrize("shape", [(3, 2, 6), (2, 6), (2, 3, 6)])
+    def test_block_shape_must_match_the_ids(self, tmp_path, shape):
+        with pytest.raises(ShapeError):
+            ds.write_logit_store(tmp_path / "en.logits", "en", ["s0", "s1"], np.zeros(shape))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_block_rejected(self, tmp_path, value):
+        logits = np.zeros((2, 2, 6))
+        logits[1, 1, 3] = value
+        with pytest.raises(InvalidParameter):
+            ds.write_logit_store(tmp_path / "en.logits", "en", ["s0", "s1"], logits)
+        assert not (tmp_path / "en.logits").exists()
 
     def _written(self, tmp_path, records=None):
         path = tmp_path / "en.logits"
-        ds.write_logit_store(path, "en", 6, records or self._records(3))
+        self._write(path, records or self._records(3))
         return path
 
     def test_digest_is_sha256_of_the_file(self, tmp_path):
@@ -405,6 +429,6 @@ class TestLogitStore:
 
     def test_write_is_deterministic(self, tmp_path):
         records = self._records(4)
-        ds.write_logit_store(tmp_path / "a.logits", "en", 6, records)
-        ds.write_logit_store(tmp_path / "b.logits", "en", 6, records)
+        self._write(tmp_path / "a.logits", records)
+        self._write(tmp_path / "b.logits", records)
         assert (tmp_path / "a.logits").read_bytes() == (tmp_path / "b.logits").read_bytes()

@@ -71,12 +71,12 @@ class TestTokenizeAndIndex:
             vocab.token_id("a"), vocab.token_id("b"),
             md.PAD_ID, md.PAD_ID, md.PAD_ID,
         ]
-        assert enc.token_ids.tolist() == expected
-        assert enc.separator_position == 2
-        assert enc.passage_offset == 3
-        assert enc.attention_mask.tolist() == [True] * 5 + [False] * 3
-        assert enc.passage_mask.tolist() == [False] * 3 + [True] * 2 + [False] * 3
-        assert (enc.gold_start, enc.gold_end) == (3, 3)
+        assert enc.ids.tolist() == [expected]
+        assert enc.ids[0, enc.offset[0] - 1] == md.SEP_ID
+        assert enc.offset.tolist() == [3]
+        assert enc.end.tolist() == [5]
+        assert enc.passage_mask().tolist() == [[False] * 3 + [True] * 2 + [False] * 3]
+        assert (enc.gold_start.tolist(), enc.gold_end.tolist()) == ([3], [3])
 
     def test_gold_span_beyond_window(self):
         sample = simple_sample(passage=tuple("abcdefgh"), gold=(7, 7))
@@ -132,18 +132,19 @@ class TestForward:
         for name in ("start_vec", "start_bias", "end_vec", "end_bias"):
             model.params[name][:] = 0.0
         enc = md.tokenize_and_index(samples[0], vocab, model.config.max_len)
-        result = md.forward_batch(model, [enc])
+        result = md.forward_batch(model, enc)
         z_s, z_e = result.z_s[0], result.z_e[0]
-        np.testing.assert_array_equal(z_s[enc.passage_mask], 0.0)
-        np.testing.assert_array_equal(z_e[enc.passage_mask], 0.0)
-        assert np.all(z_s[~enc.passage_mask] == md.MASKED_LOGIT)
+        passage = enc.passage_mask()[0]
+        np.testing.assert_array_equal(z_s[passage], 0.0)
+        np.testing.assert_array_equal(z_e[passage], 0.0)
+        assert np.all(z_s[~passage] == md.MASKED_LOGIT)
 
     def test_deterministic(self):
         samples = task_samples()
         model, vocab = small_model(samples)
         enc = md.tokenize_and_index(samples[0], vocab, model.config.max_len)
-        a = md.forward_batch(model, [enc])
-        b = md.forward_batch(model, [enc])
+        a = md.forward_batch(model, enc)
+        b = md.forward_batch(model, enc)
         np.testing.assert_array_equal(a.z_s, b.z_s)
         np.testing.assert_array_equal(a.z_e, b.z_e)
 
@@ -151,24 +152,25 @@ class TestForward:
         samples = task_samples()
         model, vocab = small_model(samples, layers=0)
         enc = md.tokenize_and_index(samples[0], vocab, model.config.max_len)
-        H = md.forward_batch(model, [enc]).H[0]
-        n = enc.passage_offset + enc.passage_window
-        assert H.shape[0] == n == enc.attention_mask.sum()
-        expected = model.params["embed"][enc.token_ids] + model.pos_table
+        H = md.forward_batch(model, enc).H[0]
+        n = enc.end[0]
+        assert H.shape[0] == n == np.count_nonzero(enc.ids[0])
+        expected = model.params["embed"][enc.ids[0]] + model.pos_table
         np.testing.assert_array_equal(H, expected[:n])
 
     def test_masked_positions_carry_no_probability(self):
         samples = task_samples()
         model, vocab = small_model(samples)
         enc = md.tokenize_and_index(samples[0], vocab, model.config.max_len)
-        z_s = md.forward_batch(model, [enc]).z_s[0]
+        z_s = md.forward_batch(model, enc).z_s[0]
         p = nm.softmax_temperature(z_s, 1.0)
-        assert p[~enc.passage_mask].max() <= 1e-6
+        assert p[~enc.passage_mask()[0]].max() <= 1e-6
 
     def test_batch_permutation_covariance(self):
         samples = task_samples(8)
         model, vocab = small_model(samples)
-        encoded = [md.tokenize_and_index(s, vocab, model.config.max_len) for s in samples[:4]]
+        encoded, _, _ = md.encode_dataset(samples[:4], vocab, model.config.max_len)
+        assert len(encoded) == 4
         forward_result = md.forward_batch(model, encoded)
         permuted = md.forward_batch(model, encoded[::-1])
         np.testing.assert_array_equal(forward_result.z_s, permuted.z_s[::-1])
@@ -189,8 +191,9 @@ def operating_point(layers, seed, max_len=16):
     rng = np.random.default_rng(seed)
     for p in model.params.values():
         p[:] = rng.normal(scale=0.3, size=p.shape)
-    encoded = [md.tokenize_and_index(s, vocab, max_len) for s in samples[:3]]
-    passage = np.stack([e.passage_mask for e in encoded])
+    encoded, _, _ = md.encode_dataset(samples[:3], vocab, max_len)
+    assert len(encoded) == 3
+    passage = encoded.passage_mask()
     probes = (rng.normal(size=passage.shape) * passage, rng.normal(size=passage.shape) * passage)
     return model, encoded, probes
 
@@ -200,7 +203,7 @@ class TestBackward:
         samples = task_samples()
         model, vocab = small_model(samples)
         enc = md.tokenize_and_index(samples[0], vocab, model.config.max_len)
-        cache = md.forward_batch(model, [enc])
+        cache = md.forward_batch(model, enc)
         grads = named_grads(model, cache, np.zeros_like(cache.z_s), np.zeros_like(cache.z_e))
         for g in grads.values():
             np.testing.assert_array_equal(g, 0.0)
@@ -209,13 +212,13 @@ class TestBackward:
         samples = task_samples()
         model, vocab = small_model(samples)
         enc = md.tokenize_and_index(samples[0], vocab, model.config.max_len)
-        cache = md.forward_batch(model, [enc])
+        cache = md.forward_batch(model, enc)
         rng = np.random.default_rng(0)
         g_s = rng.normal(size=cache.z_s.shape)
         grads = named_grads(model, cache, g_s, np.zeros_like(cache.z_e))
-        np.testing.assert_array_equal(grads["start_bias"][enc.passage_mask],
-                                      g_s[0][enc.passage_mask])
-        np.testing.assert_array_equal(grads["start_bias"][~enc.passage_mask], 0.0)
+        passage = enc.passage_mask()[0]
+        np.testing.assert_array_equal(grads["start_bias"][passage], g_s[0][passage])
+        np.testing.assert_array_equal(grads["start_bias"][~passage], 0.0)
 
     def test_backward_leaves_cache_and_parameters_unchanged(self):
         model, encoded, (g_s, g_e) = operating_point(layers=2, seed=6)
@@ -249,8 +252,9 @@ class TestBackward:
         model, encoded, (g_s, g_e) = operating_point(layers=2, seed=8)
         batch = named_grads(model, md.forward_batch(model, encoded), g_s, g_e)
         alone = [
-            named_grads(model, md.forward_batch(model, [enc]), g_s[i:i + 1], g_e[i:i + 1])
-            for i, enc in enumerate(encoded)
+            named_grads(model, md.forward_batch(model, encoded[i:i + 1]),
+                        g_s[i:i + 1], g_e[i:i + 1])
+            for i in range(len(encoded))
         ]
         for name in batch:
             np.testing.assert_allclose(batch[name], sum(a[name] for a in alone),
@@ -283,9 +287,9 @@ class TestBackward:
         rng = np.random.default_rng(5)
         for p in model.params.values():
             p[:] = rng.normal(scale=0.3, size=p.shape)
-        encoded = [md.tokenize_and_index(s, vocab, 16) for s in samples[:3]]
-        gold_s = np.array([e.gold_start for e in encoded])
-        gold_e = np.array([e.gold_end for e in encoded])
+        encoded, _, _ = md.encode_dataset(samples[:3], vocab, 16)
+        assert len(encoded) == 3
+        gold_s, gold_e = encoded.gold_start, encoded.gold_end
 
         result = md.forward_batch(model, encoded)
         _, dz_s, dz_e = ds.batch_nll(result.z_s, result.z_e, gold_s, gold_e)
@@ -352,7 +356,7 @@ class TestBackwardPasses:
         # without blocks, every repeated token id adds its rows' head
         # gradients into one embedding row
         model, encoded, probes = operating_point(layers=0, seed=5)
-        ids = np.concatenate([e.token_ids for e in encoded])
+        ids = encoded.ids.ravel()
         assert len(np.unique(ids)) < len(ids)
         self._check_probed_gradients(model, encoded, probes)
 
@@ -364,17 +368,18 @@ class TestTrimmedBatch:
         samples = task_samples(8)
         model, vocab = small_model(samples, layers=2)
         max_len = model.config.max_len
-        encoded = [md.tokenize_and_index(s, vocab, max_len) for s in samples]
-        lengths = [e.passage_offset + e.passage_window for e in encoded]
+        encoded, _, _ = md.encode_dataset(samples, vocab, max_len)
+        assert len(encoded) == len(samples)
+        lengths = encoded.end.tolist()
         assert len(set(lengths)) > 1
         batch = md.forward_batch(model, encoded)
         assert batch.H.shape[1] == max(lengths) < max_len
-        for row, enc in enumerate(encoded):
-            alone = md.forward_batch(model, [enc])
+        for row, passage in enumerate(encoded.passage_mask()):
+            alone = md.forward_batch(model, encoded[row:row + 1])
             assert alone.H.shape[1] == lengths[row]
             for z, z_alone in ((batch.z_s, alone.z_s), (batch.z_e, alone.z_e)):
                 assert z[row].shape == (max_len,)
-                np.testing.assert_array_equal(z[row][~enc.passage_mask], md.MASKED_LOGIT)
+                np.testing.assert_array_equal(z[row][~passage], md.MASKED_LOGIT)
                 # sums over positions round differently at another n, so not bitwise
                 np.testing.assert_allclose(z[row], z_alone[0], rtol=1e-12, atol=0)
 
@@ -382,15 +387,15 @@ class TestTrimmedBatch:
         max_len = 16
         samples = task_samples(4, passage_min=12, passage_max=14)
         model, vocab = small_model(samples, max_len=max_len)
-        full = md.tokenize_and_index(samples[0], vocab, max_len)
-        assert full.passage_offset + full.passage_window == max_len
-        short = md.tokenize_and_index(simple_sample(), vocab, max_len)
-        fwd = md.forward_batch(model, [full, short])
+        encoded, _, _ = md.encode_dataset([samples[0], simple_sample()], vocab, max_len)
+        full, short = encoded[:1], encoded[1:]
+        assert full.end[0] == max_len
+        fwd = md.forward_batch(model, encoded)
         assert fwd.H.shape == (2, max_len, model.config.hidden)
         p = model.params
         last = fwd.H[0, -1] @ p["start_vec"] + p["start_bias"][-1]
         np.testing.assert_allclose(fwd.z_s[0, -1], last, rtol=1e-12)
-        np.testing.assert_array_equal(fwd.z_s[1][~short.passage_mask], md.MASKED_LOGIT)
+        np.testing.assert_array_equal(fwd.z_s[1][~short.passage_mask()[0]], md.MASKED_LOGIT)
         g_s = np.zeros_like(fwd.z_s)
         g_s[0, -1] = 1.0
         grads = named_grads(model, fwd, g_s, np.zeros_like(fwd.z_e))
@@ -398,7 +403,7 @@ class TestTrimmedBatch:
 
     def test_gradients_of_a_trimmed_batch(self):
         model, encoded, probes = operating_point(layers=2, seed=11, max_len=32)
-        n = max(e.passage_offset + e.passage_window for e in encoded)
+        n = encoded.end.max()
         assert n < model.config.max_len
         fwd = md.forward_batch(model, encoded)
         assert fwd.H.shape[1] == n
@@ -421,8 +426,8 @@ class TestSerialization:
         for name in model.params:
             np.testing.assert_array_equal(loaded.params[name], model.params[name])
         enc = md.tokenize_and_index(samples[0], vocab, model.config.max_len)
-        np.testing.assert_array_equal(md.forward_batch(model, [enc]).z_s,
-                                      md.forward_batch(loaded, [enc]).z_s)
+        np.testing.assert_array_equal(md.forward_batch(model, enc).z_s,
+                                      md.forward_batch(loaded, enc).z_s)
 
     @pytest.mark.parametrize("corrupt", [
         lambda blob: blob[:3],
@@ -432,8 +437,10 @@ class TestSerialization:
         lambda blob: blob[:-1],
         lambda blob: blob[:-8],
         lambda blob: blob + b"\0",
+        lambda blob: blob[:-8] + np.array([np.nan], dtype="<f8").tobytes(),
+        lambda blob: blob[:-8] + np.array([np.inf], dtype="<f8").tobytes(),
     ], ids=["no_length", "cut_header", "not_utf8", "not_json", "cut_value", "cut_block",
-            "trailing_byte"])
+            "trailing_byte", "nan_value", "inf_value"])
     def test_corrupt_checkpoint_is_invalid_config(self, tmp_path, corrupt):
         model, _ = small_model(task_samples())
         path = tmp_path / "model.ckpt"

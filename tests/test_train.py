@@ -213,6 +213,11 @@ class TestTrainTeacher:
         _, manifest = tr.train_teacher(result.branches["en"].samples, vocab, config, cfg)
         assert manifest.epoch_losses[-1]["total"] < manifest.epoch_losses[0]["total"]
 
+    def test_repeated_teacher_ids_rejected(self):
+        tr.TrainConfig(teacher_ids=("en", "es")).validate()
+        with pytest.raises(InvalidConfig, match="repeat a teacher"):
+            tr.TrainConfig(teacher_ids=("en", "en", "es")).validate()
+
     def test_empty_dataset_rejected(self):
         _, _, vocab, config = small_task()
         with pytest.raises(InvalidConfig):
@@ -248,7 +253,7 @@ class TestDumpLogits:
         assert store.count == written
         sample = union[0]
         enc = md.tokenize_and_index(sample, vocab, config.max_len)
-        result = md.forward_batch(model, [enc])
+        result = md.forward_batch(model, enc)
         stored = store.get(sample.key())
         np.testing.assert_array_equal(stored.z_s, result.z_s[0])
         np.testing.assert_array_equal(stored.z_e, result.z_e[0])
@@ -285,14 +290,9 @@ class TestTargetTables:
         rng = np.random.default_rng(len(langs) * 100 + max_len)
         stores = {}
         for lang in langs:
-            records = [
-                ds.LogitRecord(sample_id=f"s{i}", teacher_id=lang,
-                               z_s=rng.normal(scale=4.0, size=max_len),
-                               z_e=rng.normal(scale=4.0, size=max_len))
-                for i in range(n)
-            ]
             path = tmp_path / f"{lang}.logits"
-            ds.write_logit_store(path, lang, max_len, records)
+            ds.write_logit_store(path, lang, [f"s{i}" for i in range(n)],
+                                 rng.normal(scale=4.0, size=(n, 2, max_len)))
             stores[lang] = ds.LogitStore(path)
         return stores
 
@@ -353,8 +353,9 @@ class TestDistillStudent:
         result, union, vocab, config = small_task()
         stores = self._stores(tmp_path, result, union, vocab, config)
         path = tmp_path / "partial.logits"
-        partial = [stores["en"].get(s.key()) for s in union[:5]]
-        ds.write_logit_store(path, "en", config.max_len, partial)
+        keys = [s.key() for s in union[:5]]
+        partial = stores["en"].take(keys)
+        ds.write_logit_store(path, "en", keys, np.stack([partial.z_s, partial.z_e], axis=1))
         stores["en"] = ds.LogitStore(path)
         with pytest.raises(IncompleteLogits):
             tr.distill_student(stores, union, vocab, config, tr.TrainConfig(epochs=1))
