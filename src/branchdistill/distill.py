@@ -195,9 +195,10 @@ def batch_nll(z_s, z_e, gold_start: np.ndarray, gold_end: np.ndarray):
     for z, gold in ((z_s, gold_start), (z_e, gold_end)):
         logp, p = _log_softmax(z, 1.0)
         value = value + logp[rows, gold]
-        g = np.zeros_like(logp)
-        g[rows, gold] = c
-        grads.append(g - p * c)
+        # (one_hot * c) - p * c, to the bit: 0 - p * c is p * -c, and c - p * c is c + p * -c
+        g = p * -c
+        g[rows, gold] += c
+        grads.append(g)
     return -float(value.mean()), grads[0], grads[1]
 
 

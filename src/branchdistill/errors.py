@@ -35,6 +35,9 @@ class ShapeError(ValueError):
 class IncompleteLogits(KeyError):
     """A required teacher logit record is absent from the store."""
 
+    # KeyError's own __str__ quotes the message, as the repr of a key
+    __str__ = Exception.__str__
+
 
 class SpanOutOfWindow(ValueError):
     """The gold answer span falls outside the packed input window."""

@@ -1,7 +1,8 @@
 """Span decoding, exact-match / F1 scoring, and evaluation reports.
 
 ``predict`` runs the model once over a dataset's ``Encoded`` rows, takes
-the (N, 2, L) logit block, and decodes each row inside its passage.
+the (N, 2, L) logit block, and decodes every row inside its passage with
+one ``decode_span`` call over the whole block: one decode per report.
 Predictions are decoded by maximizing ``z_s[s] + z_e[e]`` over pairs with
 ``s <= e < s + max_answer_length`` and both positions inside the passage;
 ties break toward the smaller start, then the smaller end. Metrics follow
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidConfig, InvalidParameter, NoValidSpan, malformed_as_invalid
 from .model import SpanModel, Vocabulary, encode_dataset, forward_logits
@@ -31,8 +33,15 @@ class EvalConfig:
     max_answer_length: int = 30
 
 
-def decode_span(z_s, z_e, valid_mask, max_answer_length: int) -> tuple[int, int]:
-    """Best-scoring valid (start, end) pair under the length constraint."""
+def decode_span(z_s, z_e, valid_mask, max_answer_length: int) -> np.ndarray:
+    """Best-scoring valid (start, end) pair of every row, under the length
+    constraint, as a (..., 2) int array for (..., L) inputs.
+
+    The best end of each start is the first maximum of its window of the
+    passage-masked ``z_e``; the best start is the first maximum of
+    ``z_s + that maximum``, over the finite scores of valid starts. Raises
+    ``NoValidSpan`` if any row has no valid pair.
+    """
     if max_answer_length < 1:
         raise InvalidParameter(f"max_answer_length must be >= 1, got {max_answer_length}")
     z_s = np.asarray(z_s, dtype=np.float64)
@@ -40,20 +49,27 @@ def decode_span(z_s, z_e, valid_mask, max_answer_length: int) -> tuple[int, int]
     valid = np.asarray(valid_mask, dtype=bool)
     if z_s.shape != z_e.shape or z_s.shape != valid.shape:
         raise InvalidParameter("decode inputs must share one length")
-    z_e_valid = np.where(valid, z_e, -np.inf)
-
-    best: tuple[int, int] | None = None
-    best_score = -np.inf
-    for s in np.flatnonzero(valid):
-        window = z_e_valid[s : s + max_answer_length]
-        offset = int(np.argmax(window))          # first maximum -> smallest end
-        score = z_s[s] + window[offset]
-        if np.isfinite(score) and score > best_score:
-            best = (int(s), int(s) + offset)
-            best_score = score
-    if best is None:
+    *rows, length = z_s.shape
+    if length == 0:
+        # argmax cannot reduce an empty axis; no row has a pair
+        if math.prod(rows):
+            raise NoValidSpan("no valid (start, end) pair")
+        return np.zeros((*rows, 2), dtype=np.intp)
+    # the window of start s is z_e[s : s + width]; padding with -inf lets
+    # every start have a full window without changing its first maximum
+    width = min(max_answer_length, length)
+    padded = np.full((*rows, length + width - 1), -np.inf)
+    np.copyto(padded[..., :length], z_e, where=valid)
+    windows = sliding_window_view(padded, width, axis=-1)
+    offsets = windows.argmax(axis=-1)
+    scores = z_s + np.take_along_axis(windows, offsets[..., None], axis=-1)[..., 0]
+    finite = valid & np.isfinite(scores)
+    if not finite.any(axis=-1).all():
         raise NoValidSpan("no valid (start, end) pair")
-    return best
+    scores[~finite] = -np.inf
+    starts = scores.argmax(axis=-1)
+    ends = starts + np.take_along_axis(offsets, starts[..., None], axis=-1)[..., 0]
+    return np.stack([starts, ends], axis=-1)
 
 
 def exact_match(prediction_tokens, gold_tokens) -> int:
@@ -150,11 +166,11 @@ def predict(model: SpanModel, samples, vocab: Vocabulary, config: EvalConfig):
     """
     encoded, kept, skipped = encode_dataset(samples, vocab, model.config.max_len)
     logits = forward_logits(model, encoded)
-    pairs = []
-    for sample, (z_s, z_e), valid, offset in zip(kept, logits, encoded.passage_mask(),
-                                                 encoded.offset):
-        start, end = decode_span(z_s, z_e, valid, config.max_answer_length)
-        pairs.append((sample, tuple(sample.passage_tokens[start - offset : end - offset + 1])))
+    spans = decode_span(logits[:, 0], logits[:, 1], encoded.passage_mask(),
+                        config.max_answer_length)
+    spans -= encoded.offset[:, None]
+    pairs = [(sample, tuple(sample.passage_tokens[start : end + 1]))
+             for sample, (start, end) in zip(kept, spans.tolist())]
     return pairs, skipped
 
 

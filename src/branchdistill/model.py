@@ -23,13 +23,24 @@ the activations of every block, and ``backward`` runs the written-out
 reverse pass of that one architecture. Outputs depend on n only in their
 last bits, through the rounding of sums and matrix products over positions.
 
+Both passes update a temporary in place whenever the next operation
+consumes it (``attn *= scale``, ``t += x``, ``gx -= m1``) and allocate
+only the arrays they keep or return. Each in-place line does the same
+IEEE operations on the same operands in the same order as the plain
+expression it replaces (``a + b`` and ``b + a`` round alike, and numpy's
+``mean`` and ``var`` are a sum over h divided by h), so every output bit
+is unchanged. A whole-batch temporary that is freed at once returns its
+pages, and the next one faults them in again. ``layer_norm`` leaves its
+input unchanged.
+
 All parameters live in one float64 vector, ``SpanModel.flat``, in declared
 order; ``param_views`` gives the per-name views that are
 ``SpanModel.params``, and names the parts of the same-shaped flat gradient
-``backward`` returns. Checkpoints are a JSON header followed by that vector
-as one little-endian float64 block, and round-trip bit-exactly;
-``load_model`` maps a cut, garbled or overlong file, or one holding a
-non-finite parameter, to ``InvalidConfig``.
+``backward`` returns, or writes into a buffer the caller reuses.
+Checkpoints are a JSON header followed by that vector as one little-endian
+float64 block, and round-trip bit-exactly; ``load_model`` maps a cut,
+garbled or overlong file, or one holding a non-finite parameter, to
+``InvalidConfig``.
 """
 
 from __future__ import annotations
@@ -155,28 +166,51 @@ class Encoded:
         return (positions >= self.offset[:, None]) & (positions < self.end[:, None])
 
 
+def _pack(samples, vocab: Vocabulary, max_len: int):
+    """Pack the samples that fit the window into one ``Encoded``.
+
+    Each token is looked up once, and only the passage tokens that fit are
+    looked up. Returns (``Encoded`` rows of the kept samples, kept samples,
+    one ``SpanOutOfWindow`` per sample that does not fit).
+    """
+    index, token_id = vocab._index, vocab.token_id
+    tokens: list[int] = []
+    columns: list[int] = []
+    kept: list[Sample] = []
+    errors: list[SpanOutOfWindow] = []
+    for sample in samples:
+        # every known id is >= FIRST_TOKEN_ID, so ``or`` only falls through on a miss
+        row = [START_ID, *(index.get(t) or token_id(t) for t in sample.question_tokens), SEP_ID]
+        offset = len(row)
+        if offset >= max_len:
+            errors.append(SpanOutOfWindow(
+                f"sample {sample.id}: question fills the whole window of {max_len}"))
+            continue
+        end = min(offset + len(sample.passage_tokens), max_len)
+        gold_end = sample.gold_end + offset
+        if gold_end >= end:
+            errors.append(SpanOutOfWindow(
+                f"sample {sample.id}: gold span ends at {gold_end}, window ends at {end}"))
+            continue
+        row += [index.get(t) or token_id(t) for t in sample.passage_tokens[: end - offset]]
+        tokens += row
+        columns += (offset, end, sample.gold_start + offset, gold_end)
+        kept.append(sample)
+
+    offset, end, gold_start, gold_end = np.array(columns, dtype=np.int64).reshape(-1, 4).T.copy()
+    ids = np.full((len(kept), max_len), PAD_ID, dtype=np.int64)
+    # row-major order of the mask is the order the rows were appended in
+    ids[np.arange(max_len) < end[:, None]] = tokens
+    return Encoded(ids, offset, end, gold_start, gold_end), kept, errors
+
+
 def tokenize_and_index(sample: Sample, vocab: Vocabulary, max_len: int) -> Encoded:
     """Pack one sample as a one-row ``Encoded``; raises SpanOutOfWindow when
     the gold span does not survive truncation."""
-    q_ids = [vocab.token_id(t) for t in sample.question_tokens]
-    p_ids = [vocab.token_id(t) for t in sample.passage_tokens]
-
-    offset = len(q_ids) + 2
-    if offset >= max_len:
-        raise SpanOutOfWindow(
-            f"sample {sample.id}: question fills the whole window of {max_len}"
-        )
-    end = min(offset + len(p_ids), max_len)
-    gold_start = sample.gold_start + offset
-    gold_end = sample.gold_end + offset
-    if gold_end >= end:
-        raise SpanOutOfWindow(
-            f"sample {sample.id}: gold span ends at {gold_end}, window ends at {end}"
-        )
-
-    ids = np.full((1, max_len), PAD_ID, dtype=np.int64)
-    ids[0, :end] = [START_ID, *q_ids, SEP_ID, *p_ids[: end - offset]]
-    return Encoded(ids, *(np.array([v]) for v in (offset, end, gold_start, gold_end)))
+    encoded, _, errors = _pack([sample], vocab, max_len)
+    if errors:
+        raise errors[0]
+    return encoded
 
 
 def encode_dataset(samples, vocab: Vocabulary, max_len: int):
@@ -184,20 +218,8 @@ def encode_dataset(samples, vocab: Vocabulary, max_len: int):
 
     Returns (``Encoded`` rows of the kept samples, kept samples, skipped count).
     """
-    rows = [Encoded(np.zeros((0, max_len), dtype=np.int64),
-                    *(np.zeros(0, dtype=np.int64) for _ in range(4)))]
-    kept: list[Sample] = []
-    skipped = 0
-    for sample in samples:
-        try:
-            rows.append(tokenize_and_index(sample, vocab, max_len))
-        except SpanOutOfWindow:
-            skipped += 1
-        else:
-            kept.append(sample)
-    encoded = Encoded(*(np.concatenate([getattr(r, f.name) for r in rows])
-                        for f in fields(Encoded)))
-    return encoded, kept, skipped
+    encoded, kept, errors = _pack(samples, vocab, max_len)
+    return encoded, kept, len(errors)
 
 
 # ---------------------------------------------------------------------------
@@ -314,23 +336,31 @@ class Forward:
 def layer_norm(x, gain, offset, eps: float = 1e-6):
     """Normalize over the last axis, then apply elementwise gain and offset.
 
-    Returns the output and the cache ``layer_norm_backward`` takes.
+    Returns the output and the cache ``layer_norm_backward`` takes; ``x``
+    is left unchanged.
     """
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv
-    return xhat * gain + offset, (xhat, inv)
+    h = x.shape[-1]
+    # x.mean and x.var are these sums divided by h
+    xhat = x - x.sum(axis=-1, keepdims=True) / h
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / h + eps)
+    xhat *= inv
+    out = xhat * gain
+    out += offset
+    return out, (xhat, inv)
 
 
 def layer_norm_backward(g, gain, cache):
     """Gradients of ``sum(g * layer_norm(x, gain, offset))`` with respect to
     x, gain and offset, for a (B, L, h) input."""
     xhat, inv = cache
+    h = g.shape[-1]
     gx = g * gain
-    m1 = gx.mean(axis=-1, keepdims=True)
-    m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-    return inv * (gx - m1 - xhat * m2), (g * xhat).sum(0).sum(0), g.sum(0).sum(0)
+    m1 = gx.sum(axis=-1, keepdims=True) / h
+    m2 = (gx * xhat).sum(axis=-1, keepdims=True) / h
+    gx -= m1
+    gx -= xhat * m2
+    gx *= inv
+    return gx, (g * xhat).sum(0).sum(0), g.sum(0).sum(0)
 
 
 def forward_batch(model: SpanModel, encoded: Encoded) -> Forward:
@@ -356,23 +386,32 @@ def forward_batch(model: SpanModel, encoded: Encoded) -> Forward:
     # keys at padded positions are unreachable for every query
     attn_bias = np.where(np.arange(n) < encoded.end[:, None], 0.0, MASKED_LOGIT)[:, None, :]
 
-    x = p["embed"][ids] + model.pos_table[:n]
+    x = p["embed"][ids]
+    x += model.pos_table[:n]
     blocks = []
     for i in range(cfg.layers):
         prefix = f"layer{i}."
         q = x @ p[prefix + "attn_wq"]
         k = x @ p[prefix + "attn_wk"]
         v = x @ p[prefix + "attn_wv"]
-        scores = (q @ k.swapaxes(-1, -2)) * scale + attn_bias
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        attn = e / e.sum(axis=-1, keepdims=True)
+        attn = q @ k.swapaxes(-1, -2)
+        attn *= scale
+        attn += attn_bias
+        attn -= attn.max(axis=-1, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=-1, keepdims=True)
         mixed = attn @ v
-        y, ln1 = layer_norm(x + mixed @ p[prefix + "attn_wo"],
-                            p[prefix + "ln1_gain"], p[prefix + "ln1_offset"])
-        pre = y @ p[prefix + "ffn_w1"] + p[prefix + "ffn_b1"]
+        t = mixed @ p[prefix + "attn_wo"]
+        t += x
+        y, ln1 = layer_norm(t, p[prefix + "ln1_gain"], p[prefix + "ln1_offset"])
+        pre = y @ p[prefix + "ffn_w1"]
+        pre += p[prefix + "ffn_b1"]
+        # not np.maximum, which keeps -0.0
         hidden = np.where(pre > 0.0, pre, 0.0)
-        out, ln2 = layer_norm(y + (hidden @ p[prefix + "ffn_w2"] + p[prefix + "ffn_b2"]),
-                              p[prefix + "ln2_gain"], p[prefix + "ln2_offset"])
+        t = hidden @ p[prefix + "ffn_w2"]
+        t += p[prefix + "ffn_b2"]
+        t += y
+        out, ln2 = layer_norm(t, p[prefix + "ln2_gain"], p[prefix + "ln2_offset"])
         blocks.append((x, q, k, v, attn, mixed, ln1, y, hidden, ln2))
         x = out
 
@@ -397,29 +436,33 @@ def forward_logits(model: SpanModel, encoded: Encoded) -> np.ndarray:
     return logits
 
 
-def backward(model: SpanModel, cache: Forward, grad_z_s, grad_z_e) -> np.ndarray:
+def backward(model: SpanModel, cache: Forward, grad_z_s, grad_z_e, out=None) -> np.ndarray:
     """Gradient of sum(grad_z_s * z_s) + sum(grad_z_e * z_e) with respect to
-    ``model.flat``, as a new vector of the same layout; ``param_views``
-    names its parts. ``cache`` is left unchanged, so one forward can serve
-    several backward passes."""
+    ``model.flat``, laid out like it; ``param_views`` names its parts.
+
+    The gradient is written into ``out`` when it is given, else into a new
+    vector, and returned. Only the embedding block of ``out`` is cleared
+    first: every other block is overwritten whole. ``cache`` is left
+    unchanged, so one forward can serve several backward passes.
+    """
     if cache is None:
         raise StateError("backward requires the forward cache")
     p = model.params
     scale = 1.0 / np.sqrt(model.config.hidden)
-    grad = np.zeros_like(model.flat)
+    grad = np.empty_like(model.flat) if out is None else out
     grads = param_views(model.config, grad)
     # Weight gradients are batched matmuls summed over the batch axis, bias
     # gradients are .sum(0).sum(0), and a block input's gradient adds the
     # residual and q terms first, then k, then v. This fixes the summation
     # order, and with it the exact bits of every checkpoint a run writes.
     n = cache.H.shape[1]
-    dx = 0.0
+    dx = np.zeros_like(cache.H)
     for head, grad_z in (("start", grad_z_s), ("end", grad_z_e)):
         g = np.asarray(grad_z, dtype=np.float64).reshape(cache.z_s.shape) * cache.passage
         grads[f"{head}_bias"][...] = g.sum(axis=0)
         g = g[:, :n]
         grads[f"{head}_vec"][...] = (cache.H.swapaxes(-1, -2) @ g[..., None]).sum(axis=0)[:, 0]
-        dx = dx + g[..., None] @ p[f"{head}_vec"].reshape(1, -1)
+        dx += g[..., None] @ p[f"{head}_vec"].reshape(1, -1)
 
     for i in reversed(range(model.config.layers)):
         prefix = f"layer{i}."
@@ -428,28 +471,34 @@ def backward(model: SpanModel, cache: Forward, grad_z_s, grad_z_e) -> np.ndarray
             layer_norm_backward(dx, p[prefix + "ln2_gain"], ln2))
         grads[prefix + "ffn_b2"][...] = d_out.sum(0).sum(0)
         grads[prefix + "ffn_w2"][...] = (hidden.swapaxes(-1, -2) @ d_out).sum(axis=0)
-        d_pre = (d_out @ p[prefix + "ffn_w2"].swapaxes(-1, -2)) * (hidden > 0.0)
+        d_pre = d_out @ p[prefix + "ffn_w2"].swapaxes(-1, -2)
+        d_pre *= hidden > 0.0
         grads[prefix + "ffn_b1"][...] = d_pre.sum(0).sum(0)
         grads[prefix + "ffn_w1"][...] = (y.swapaxes(-1, -2) @ d_pre).sum(axis=0)
-        dy = d_out + d_pre @ p[prefix + "ffn_w1"].swapaxes(-1, -2)
+        dy = d_pre @ p[prefix + "ffn_w1"].swapaxes(-1, -2)
+        dy += d_out
 
         d_sum, grads[prefix + "ln1_gain"][...], grads[prefix + "ln1_offset"][...] = (
             layer_norm_backward(dy, p[prefix + "ln1_gain"], ln1))
         grads[prefix + "attn_wo"][...] = (mixed.swapaxes(-1, -2) @ d_sum).sum(axis=0)
         d_mixed = d_sum @ p[prefix + "attn_wo"].swapaxes(-1, -2)
-        d_attn = d_mixed @ v.swapaxes(-1, -2)
         d_v = attn.swapaxes(-1, -2) @ d_mixed
-        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True)) * scale
+        d_scores = d_mixed @ v.swapaxes(-1, -2)
+        d_scores -= (d_scores * attn).sum(axis=-1, keepdims=True)
+        d_scores *= attn
+        d_scores *= scale
         d_q = d_scores @ k
         d_k = (q.swapaxes(-1, -2) @ d_scores).swapaxes(-1, -2)
         xt = x.swapaxes(-1, -2)
         grads[prefix + "attn_wq"][...] = (xt @ d_q).sum(axis=0)
         grads[prefix + "attn_wk"][...] = (xt @ d_k).sum(axis=0)
         grads[prefix + "attn_wv"][...] = (xt @ d_v).sum(axis=0)
-        dx = d_sum + d_q @ p[prefix + "attn_wq"].swapaxes(-1, -2)
-        dx = dx + d_k @ p[prefix + "attn_wk"].swapaxes(-1, -2)
-        dx = dx + d_v @ p[prefix + "attn_wv"].swapaxes(-1, -2)
+        dx = d_q @ p[prefix + "attn_wq"].swapaxes(-1, -2)
+        dx += d_sum
+        dx += d_k @ p[prefix + "attn_wk"].swapaxes(-1, -2)
+        dx += d_v @ p[prefix + "attn_wv"].swapaxes(-1, -2)
 
+    grads["embed"][...] = 0.0
     np.add.at(grads["embed"], cache.ids, dx)
     return grad
 

@@ -16,11 +16,11 @@ only runs the model forward:
 
 A step's objective is ``lambda1 * nll + lambda2 * kd`` (``nll`` alone for
 a teacher); its logit gradient is combined the same way and passed to
-``model.backward``, which returns one flat gradient laid out like
-``SpanModel.flat``. ``AdamW`` keeps its two moments as flat vectors of the
-same layout and updates every parameter in one pass. A loss or pre-clip
-gradient norm that is not finite stops the run with ``InvalidParameter``
-before the optimizer step.
+``model.backward``, which writes one flat gradient laid out like
+``SpanModel.flat`` into a buffer the run allocates once. ``AdamW`` keeps
+its two moments as flat vectors of the same layout and updates every
+parameter in one pass. A loss or pre-clip gradient norm that is not
+finite stops the run with ``InvalidParameter`` before the optimizer step.
 
 Both training procedures share one learning-rate rule (``learning_rate``):
 ``TrainConfig.lr`` is the peak, reached by a linear warmup over the first
@@ -294,6 +294,9 @@ def _run_training(
     n = len(kept)
     total_steps = cfg.epochs * -(-n // cfg.batch_size)
     max_norm = cfg.clip_norm or 0.0
+    # one gradient buffer per run: a fresh vector per step faults its pages in again
+    grad = np.empty_like(model.flat)
+    grad_views = param_views(model_config, grad)
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n)
         sums = {"nll": 0.0, "kd": 0.0, "total": 0.0}
@@ -316,8 +319,8 @@ def _run_training(
                 kd = 0.0
                 loss = nll
 
-            grad = backward(model, result, dz_s, dz_e)
-            norm = clip_gradients(param_views(model_config, grad), max_norm)
+            backward(model, result, dz_s, dz_e, out=grad)
+            norm = clip_gradients(grad_views, max_norm)
             if not (np.isfinite(loss) and np.isfinite(norm)):
                 raise InvalidParameter(f"run {run_name!r}, epoch {epoch}, step "
                                        f"{optimizer.step_count + 1} of {total_steps}: loss "

@@ -268,7 +268,7 @@ def test_c06_decoding_oracle():
             if not valid.any():
                 valid[int(rng.integers(length))] = True
             maxlen = int(rng.integers(1, length + 2))
-            assert ev.decode_span(z_s, z_e, valid, maxlen) == exhaustive_pair_argmax(
+            assert tuple(ev.decode_span(z_s, z_e, valid, maxlen)) == exhaustive_pair_argmax(
                 z_s, z_e, valid, maxlen
             )
 

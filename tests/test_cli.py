@@ -235,7 +235,10 @@ class TestPipelineCommands:
         # the eval grid's samples are not in the union the stores cover
         assert tiny("distill", pipeline_dir, "--run-name", "uncovered",
                     "--dataset", str(pipeline_dir / "datasets" / "eval_grid.jsonl")) == 2
-        assert "samples lack teacher logits" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "samples lack teacher logits" in err
+        # printed as a message, not quoted as a KeyError's key
+        assert err.startswith("error: 36 samples lack teacher logits (first: ")
         assert not (pipeline_dir / "students" / "uncovered").exists()
 
     def test_distill_with_repeated_teacher_is_exit_2(self, pipeline_dir, capsys):

@@ -77,6 +77,21 @@ class TestNllLoss:
 
         check_gradients(loss, {"z_s": z_s, "z_e": z_e}, {"z_s": dz_s, "z_e": dz_e})
 
+    def test_batch_gradient_bits_match_one_hot_form(self):
+        # the gradient is built as p * -c with the gold column apart; the
+        # one-hot form 0 - p * c rounds alike, signed zeros included
+        rng = np.random.default_rng(4)
+        z = rng.normal(size=(2, 5, 9)) * 30.0
+        z[:, :, 6:] = MASKED_LOGIT
+        gold = rng.integers(0, 6, size=(2, 5))
+        _, dz_s, dz_e = ds.batch_nll(z[0], z[1], gold[0], gold[1])
+        for dz, zz, g in ((dz_s, z[0], gold[0]), (dz_e, z[1], gold[1])):
+            c = -1.0 / len(g)
+            one_hot_c = np.zeros_like(zz)
+            one_hot_c[np.arange(len(g)), g] = c
+            expected = one_hot_c - ds._log_softmax(zz, 1.0)[1] * c
+            assert dz.tobytes() == expected.tobytes()
+
     def test_batch_gradient_vanishes_at_masked_logits(self):
         # the encoder writes MASKED_LOGIT outside the passage; those columns
         # carry no probability, so neither the value nor the gradient sees them

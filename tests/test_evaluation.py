@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from branchdistill import corpus as cp
 from branchdistill import evaluation as ev
 from branchdistill import model as md
-from branchdistill.errors import InvalidConfig, NoValidSpan
+from branchdistill.errors import InvalidConfig, InvalidParameter, NoValidSpan
 
 
 def brute_force_decode(z_s, z_e, valid, max_answer_length):
@@ -29,17 +29,17 @@ def brute_force_decode(z_s, z_e, valid, max_answer_length):
 
 class TestDecodeSpan:
     def test_unconstrained_argmax(self):
-        assert ev.decode_span([5.0, 0.0, 0.0], [0.0, 0.0, 5.0], [True] * 3, 3) == (0, 2)
+        assert tuple(ev.decode_span([5.0, 0.0, 0.0], [0.0, 0.0, 5.0], [True] * 3, 3)) == (0, 2)
 
     def test_length_one_constraint(self):
         z_s = np.array([1.0, 4.0, 0.0])
         z_e = np.array([2.0, 1.0, 3.0])
-        assert ev.decode_span(z_s, z_e, [True] * 3, 1) == (1, 1)
+        assert tuple(ev.decode_span(z_s, z_e, [True] * 3, 1)) == (1, 1)
 
     def test_ties_prefer_smaller_start_then_end(self):
         zeros = np.zeros(4)
-        assert ev.decode_span(zeros, zeros, [True] * 4, 2) == (0, 0)
-        assert ev.decode_span(zeros, zeros, [False, True, True, True], 2) == (1, 1)
+        assert tuple(ev.decode_span(zeros, zeros, [True] * 4, 2)) == (0, 0)
+        assert tuple(ev.decode_span(zeros, zeros, [False, True, True, True], 2)) == (1, 1)
 
     def test_no_valid_position(self):
         with pytest.raises(NoValidSpan):
@@ -51,9 +51,9 @@ class TestDecodeSpan:
         z_e = rng.normal(size=10)
         valid = rng.random(10) > 0.3
         valid[4] = True
-        base = ev.decode_span(z_s, z_e, valid, 5)
-        assert ev.decode_span(z_s + 17.5, z_e, valid, 5) == base
-        assert ev.decode_span(z_s, z_e - 3.25, valid, 5) == base
+        base = tuple(ev.decode_span(z_s, z_e, valid, 5))
+        assert tuple(ev.decode_span(z_s + 17.5, z_e, valid, 5)) == base
+        assert tuple(ev.decode_span(z_s, z_e - 3.25, valid, 5)) == base
 
     @given(st.data())
     @settings(deadline=None, max_examples=200)
@@ -66,7 +66,40 @@ class TestDecodeSpan:
         if not valid.any():
             valid[data.draw(st.integers(0, length - 1))] = True
         maxlen = data.draw(st.integers(1, length + 2))
-        assert ev.decode_span(z_s, z_e, valid, maxlen) == brute_force_decode(z_s, z_e, valid, maxlen)
+        assert tuple(ev.decode_span(z_s, z_e, valid, maxlen)) == brute_force_decode(z_s, z_e, valid, maxlen)
+
+    def test_rows_at_once_match_brute_force(self):
+        # integer ties, MASKED_LOGIT columns and windows longer than L, all
+        # rows of a batch decoded in one call
+        rng = np.random.default_rng(12)
+        for trial in range(300):
+            rows, length = int(rng.integers(1, 9)), int(rng.integers(1, 20))
+            z_s, z_e = (rng.integers(-2, 3, size=(2, rows, length)).astype(float) if trial % 2
+                        else rng.normal(size=(2, rows, length)))
+            z_s[rng.random(z_s.shape) < 0.15] = md.MASKED_LOGIT
+            z_e[rng.random(z_e.shape) < 0.15] = md.MASKED_LOGIT
+            valid = rng.random((rows, length)) > 0.3
+            valid[np.arange(rows), rng.integers(length, size=rows)] = True
+            maxlen = int(rng.integers(1, length + 6))
+            spans = ev.decode_span(z_s, z_e, valid, maxlen)
+            assert spans.shape == (rows, 2)
+            assert [tuple(s) for s in spans] == [
+                brute_force_decode(*row, maxlen) for row in zip(z_s, z_e, valid)]
+
+    def test_no_rows(self):
+        empty = np.zeros((0, 5))
+        assert ev.decode_span(empty, empty, empty > 0, 3).shape == (0, 2)
+
+    def test_one_row_without_a_pair_fails_the_batch(self):
+        valid = np.array([[True, True, False], [False, False, False]])
+        with pytest.raises(NoValidSpan):
+            ev.decode_span(np.zeros((2, 3)), np.zeros((2, 3)), valid, 2)
+        with pytest.raises(NoValidSpan):
+            ev.decode_span([], [], [], 2)
+
+    def test_max_answer_length_must_be_positive(self):
+        with pytest.raises(InvalidParameter):
+            ev.decode_span([1.0], [1.0], [True], 0)
 
 
 class TestMetrics:
