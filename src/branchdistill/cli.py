@@ -330,8 +330,8 @@ def op_build(cfg: PipelineConfig, mode: str, language: str | None = None) -> dic
             train_records, cfg.languages, augment_with_source=cfg.values["train.augment_source"]
         )
         for lang, branch in result.branches.items():
-            cp.write_samples(branch.samples, cfg.branch_path(lang))
-            meta["sizes"][f"branch_{lang}"] = len(branch.samples)
+            cp.write_samples(branch, cfg.branch_path(lang))
+            meta["sizes"][f"branch_{lang}"] = len(branch)
         union = cp.union_of_branches(result.branches)
         cp.write_samples(union, cfg.union_path)
         meta["sizes"]["union"] = len(union)
@@ -351,7 +351,9 @@ def op_build(cfg: PipelineConfig, mode: str, language: str | None = None) -> dic
     meta["missing"] = dict(result.missing)
     meta["unrecoverable"] = dict(result.unrecoverable)
     meta.update(_write_eval_sets(cfg, eval_records))
-    meta_path = cfg.datasets_dir / f"build_meta_{mode.replace('-', '_')}.json"
+    # one meta per dataset, so each translate-train language keeps its own
+    dataset = f"tt_{language}" if mode == "translate-train" else mode
+    meta_path = cfg.datasets_dir / f"build_meta_{dataset}.json"
     meta_path.write_text(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n",
                          encoding="utf-8")
     for name, size in sorted(meta["sizes"].items()):
@@ -509,7 +511,6 @@ class PipelineArtifacts:
     teacher_reports: dict[str, ev.EvalReport] = field(default_factory=dict)
     student_reports: dict[str, ev.EvalReport] = field(default_factory=dict)
     zero_shot_reports: dict[str, ev.EvalReport] = field(default_factory=dict)
-    student_dirs: dict[str, Path] = field(default_factory=dict)
 
 
 def run_pipeline(cfg: PipelineConfig, strategies: tuple[str, ...] = ("hyper", "imp"),
@@ -533,7 +534,6 @@ def run_pipeline(cfg: PipelineConfig, strategies: tuple[str, ...] = ("hyper", "i
         strategy = "impurity" if strategy_name == "imp" else "fixed"
         run_name = f"student_{strategy_name}"
         run_dir = op_distill(cfg, run_name=run_name, strategy=strategy)
-        artifacts.student_dirs[run_name] = run_dir
         artifacts.student_reports[run_name] = op_evaluate(
             cfg, run_dir / "final.ckpt",
             report_path=cfg.reports_dir / f"{run_name}.json", name=run_name,

@@ -106,12 +106,6 @@ class Sample:
         return f"{self.id}|{self.passage_lang}|{self.question_lang}"
 
 
-@dataclass
-class LanguageBranch:
-    passage_lang: str
-    samples: list[Sample] = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     """Corruption applied to non-source renderings.
@@ -215,7 +209,7 @@ def strip_markers(tokens) -> list[str]:
 class BuildResult:
     """Builder output plus the skip accounting needed to audit the discard rule."""
 
-    branches: dict[str, LanguageBranch] = field(default_factory=dict)
+    branches: dict[str, list[Sample]] = field(default_factory=dict)
     samples: list[Sample] = field(default_factory=list)
     missing: Counter = field(default_factory=Counter)
     unrecoverable: Counter = field(default_factory=Counter)
@@ -286,14 +280,14 @@ def build_language_branches(records, languages, augment_with_source: bool = Fals
     _count_skips(status, languages, result)
 
     for lang in languages:
-        branch = LanguageBranch(passage_lang=lang)
+        branch: list[Sample] = []
         for record, row in zip(records, status):
             if row[lang] != "ok":
                 continue
             for question_lang in languages:
                 if row[question_lang] == "missing":
                     continue
-                branch.samples.append(_make_sample(record, lang, question_lang))
+                branch.append(_make_sample(record, lang, question_lang))
         result.branches[lang] = branch
 
     if augment_with_source:
@@ -303,10 +297,10 @@ def build_language_branches(records, languages, augment_with_source: bool = Fals
         source = sources.pop() if sources else None
         if source not in result.branches:
             raise InvalidConfig(f"source language {source!r} is not among the built branches")
-        source_samples = list(result.branches[source].samples)
+        source_samples = list(result.branches[source])
         for lang, branch in result.branches.items():
             if lang != source:
-                branch.samples.extend(source_samples)
+                branch.extend(source_samples)
     return result
 
 
@@ -351,7 +345,7 @@ def build_translate_train(records, language: str) -> BuildResult:
     return result
 
 
-def union_of_branches(branches: dict[str, LanguageBranch]) -> list[Sample]:
+def union_of_branches(branches: dict[str, list[Sample]]) -> list[Sample]:
     """Multiset union of branches, deduplicated by (id, passage, question) key.
 
     Augmented branches contain copies of the source branch; without
@@ -361,7 +355,7 @@ def union_of_branches(branches: dict[str, LanguageBranch]) -> list[Sample]:
     seen: set[str] = set()
     union: list[Sample] = []
     for lang in sorted(branches):
-        for sample in branches[lang].samples:
+        for sample in branches[lang]:
             key = sample.key()
             if key not in seen:
                 seen.add(key)

@@ -5,15 +5,20 @@ temperature 1. The distillation term softens aggregated teacher logits and
 student logits with the same temperature, takes the start and end
 cross-entropies, averages over the batch, and scales by temperature^2 so
 its gradient magnitude stays comparable across temperatures. The batch
-forms, ``batch_nll`` and ``batch_kd``, return each loss together with its
-written-out gradient with respect to the student's start and end logits,
-which ``model.backward`` carries through the encoder. Teachers are
-combined by a per-teacher weighted sum of their raw logits; weights are
+forms, ``batch_nll`` and ``batch_kd``, each make one pass over the
+student's logits and return the loss together with its written-out
+gradient, which ``model.backward`` carries through the encoder. Teachers
+are combined by a per-teacher weighted sum of their raw logits; weights are
 either fixed at 1/K or derived per instance from the entropy (impurity) of
 each teacher's predicted distribution.
 
+Logits, their gradients, teacher targets and store rows are all
+(..., 2, L) blocks, start head first, as ``model`` defines them, and gold
+spans are (..., 2) arrays of (start, end). Fixed weights are one (K,)
+vector; impurity weights, computed one head at a time, are (..., 2, K).
 Impurity weighting and aggregation both take a leading batch axis, so one
-call of each serves every instance of a run.
+call of each serves every instance of a run. The per-instance references
+``nll_loss`` and ``kd_loss`` take a head's (L,) vectors one at a time.
 
 Teacher logits are always consumed from a precomputed store, never
 recomputed during student training. The store is one file per teacher: a
@@ -48,26 +53,6 @@ STORE_VERSION = 2
 
 
 @dataclass(frozen=True)
-class TeacherWeights:
-    """Per-teacher mixing weights for the start and end heads.
-
-    Each head is (K,), shared by every instance, or (..., K), one row of
-    weights per instance.
-    """
-
-    start: np.ndarray
-    end: np.ndarray
-
-    def validate(self) -> None:
-        for head in (self.start, self.end):
-            w = np.asarray(head, dtype=np.float64)
-            if np.any(w < 0.0):
-                raise InvalidParameter("teacher weights must be non-negative")
-            if np.any(np.abs(w.sum(axis=-1) - 1.0) > 1e-9):
-                raise InvalidParameter("teacher weights must sum to 1")
-
-
-@dataclass(frozen=True)
 class LogitRecord:
     """One teacher's start and end logits (L,) for one sample."""
 
@@ -77,21 +62,11 @@ class LogitRecord:
     z_e: np.ndarray
 
 
-@dataclass(frozen=True)
-class LogitRows:
-    """One teacher's logits for many samples, as (N, L) start and end arrays."""
-
-    teacher_id: str
-    z_s: np.ndarray
-    z_e: np.ndarray
-
-
-def fixed_weights(k: int) -> TeacherWeights:
-    """Uniform 1/K weights for both heads."""
+def fixed_weights(k: int) -> np.ndarray:
+    """Uniform 1/K weights, shared by both heads and every instance."""
     if k < 1:
         raise InvalidConfig(f"need at least one teacher, got {k}")
-    w = np.full(k, 1.0 / k)
-    return TeacherWeights(start=w, end=w.copy())
+    return np.full(k, 1.0 / k)
 
 
 def impurity_weights(per_teacher_logits, sign: int = 1) -> np.ndarray:
@@ -117,33 +92,31 @@ def impurity_weights(per_teacher_logits, sign: int = 1) -> np.ndarray:
     return softmax_temperature(sign * impurities, 1.0)
 
 
-def aggregate_logits(records, weights: TeacherWeights) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted sum of per-teacher start/end logits, in record order.
+def aggregate_logits(blocks, weights) -> np.ndarray:
+    """Weighted sum of per-teacher logit blocks, in teacher order.
 
-    ``records`` holds one entry per teacher whose ``z_s`` and ``z_e`` share
-    one shape (..., L): a ``LogitRecord`` for one instance or ``LogitRows``
-    for many. Weights broadcast over the leading axes.
+    ``blocks`` holds one (..., 2, L) block per teacher, all of one shape.
+    ``weights`` is (K,), shared by both heads and every instance, or
+    (..., 2, K), one row of K weights per instance and head; every row must
+    be non-negative and sum to 1.
     """
-    records = list(records)
-    if not records:
-        raise IncompleteLogits("no teacher records to aggregate")
-    weights.validate()
-    ws = np.asarray(weights.start, dtype=np.float64)
-    we = np.asarray(weights.end, dtype=np.float64)
-    if len(records) != ws.shape[-1] or len(records) != we.shape[-1]:
-        raise IncompleteLogits(
-            f"{len(records)} teacher records for {ws.shape[-1]} weights"
-        )
-    length = records[0].z_s.shape
-    for r in records:
-        if r.z_s.shape != length or r.z_e.shape != length:
-            raise ShapeError("teacher logit lengths differ")
-    z_s = np.zeros(length)
-    z_e = np.zeros(length)
-    for k, record in enumerate(records):
-        z_s += ws[..., k, None] * record.z_s
-        z_e += we[..., k, None] * record.z_e
-    return z_s, z_e
+    blocks = list(blocks)
+    if not blocks:
+        raise IncompleteLogits("no teacher logits to aggregate")
+    weights = np.asarray(weights, dtype=np.float64)
+    if np.any(weights < 0.0):
+        raise InvalidParameter("teacher weights must be non-negative")
+    if np.any(np.abs(weights.sum(axis=-1) - 1.0) > 1e-9):
+        raise InvalidParameter("teacher weights must sum to 1")
+    if len(blocks) != weights.shape[-1]:
+        raise IncompleteLogits(f"{len(blocks)} teacher blocks for {weights.shape[-1]} weights")
+    shape = np.shape(blocks[0])
+    if any(np.shape(block) != shape for block in blocks):
+        raise ShapeError("teacher logit shapes differ")
+    z = np.zeros(shape)
+    for k, block in enumerate(blocks):
+        z += weights[..., k, None] * block
+    return z
 
 
 def nll_loss(p_s, p_e, gold_start: int, gold_end: int) -> float:
@@ -182,44 +155,41 @@ def _log_softmax(z, tau: float) -> tuple[np.ndarray, np.ndarray]:
     return logp, np.exp(logp)
 
 
-def batch_nll(z_s, z_e, gold_start: np.ndarray, gold_end: np.ndarray):
-    """Mean hard-label loss over a batch of (B, L) student logits, at
-    temperature 1, and its gradients with respect to ``z_s`` and ``z_e``.
+def batch_nll(z, gold: np.ndarray):
+    """Mean hard-label loss over a (B, 2, L) block of student logits, at
+    temperature 1, with (B, 2) gold (start, end) positions, and its gradient
+    with respect to ``z``.
 
-    Returns ``(value, dz_s, dz_e)``; each gradient row is
+    Returns ``(value, dz)``; each gradient row is
     ``(softmax(z) - one_hot(gold)) / B``.
     """
-    rows = np.arange(len(gold_start))
-    c = -1.0 / len(rows)
-    value, grads = 0.0, []
-    for z, gold in ((z_s, gold_start), (z_e, gold_end)):
-        logp, p = _log_softmax(z, 1.0)
-        value = value + logp[rows, gold]
-        # (one_hot * c) - p * c, to the bit: 0 - p * c is p * -c, and c - p * c is c + p * -c
-        g = p * -c
-        g[rows, gold] += c
-        grads.append(g)
-    return -float(value.mean()), grads[0], grads[1]
+    at_gold = (np.arange(len(gold))[:, None], (0, 1), gold)
+    c = -1.0 / len(gold)
+    logp, p = _log_softmax(z, 1.0)
+    value = logp[at_gold]
+    # (one_hot * c) - p * c, to the bit: 0 - p * c is p * -c, and c - p * c is c + p * -c
+    dz = p * -c
+    dz[at_gold] += c
+    return -float((value[:, 0] + value[:, 1]).mean()), dz
 
 
-def batch_kd(z_s, z_e, teacher_p_s: np.ndarray, teacher_p_e: np.ndarray, tau: float):
-    """Mean distillation loss over a batch of (B, L) student logits, scaled
-    by tau^2 after averaging, and its gradients with respect to ``z_s`` and
-    ``z_e``.
+def batch_kd(z, teacher_p: np.ndarray, tau: float):
+    """Mean distillation loss over a (B, 2, L) block of student logits
+    against the (B, 2, L) softened teacher targets ``teacher_p``, scaled by
+    tau^2 after averaging, and its gradient with respect to ``z``.
 
-    Returns ``(value, dz_s, dz_e)``; each gradient row is
+    Returns ``(value, dz)``; each gradient row is
     ``tau * (softmax(z / tau) - teacher_p) / B``.
     """
     if not tau > 0.0:
         raise InvalidParameter(f"temperature must be positive, got {tau}")
-    c = tau * tau / len(z_s)
-    value, grads = 0.0, []
-    for z, target in ((z_s, teacher_p_s), (z_e, teacher_p_e)):
-        logq, q = _log_softmax(z, tau)
-        value = value - (logq * target).sum(axis=-1)
-        g = -c * target
-        grads.append((g - q * g.sum(axis=-1, keepdims=True)) / tau)
-    return float(value.mean() * (tau * tau)), grads[0], grads[1]
+    c = tau * tau / len(z)
+    logq, q = _log_softmax(z, tau)
+    value = (logq * teacher_p).sum(axis=-1)
+    g = -c * teacher_p
+    dz = (g - q * g.sum(axis=-1, keepdims=True)) / tau
+    # 0.0 - a - b rather than -(a + b): they differ only in the sign of a zero loss
+    return float((0.0 - value[:, 0] - value[:, 1]).mean() * (tau * tau)), dz
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +223,9 @@ class LogitStore:
     Opening reads the file in one pass and checks the header, that its
     sample ids are distinct, that the block holds exactly (count, 2, L)
     values and that every value is finite; a defect raises
-    ``InvalidConfig``. The logits are then held as (count, L) start and end
-    arrays, ``get`` and ``take`` serve them from memory, and ``sha256`` is
-    the digest of the bytes read.
+    ``InvalidConfig``. The (count, 2, L) block is then held in memory,
+    ``get`` and ``take`` serve rows of it, and ``sha256`` is the digest of
+    the bytes read.
     """
 
     def __init__(self, path):
@@ -282,8 +252,7 @@ class LogitStore:
         values = np.frombuffer(data, dtype="<f8", offset=start).reshape(self.count, 2, self.max_len)
         if not np.isfinite(values).all():
             raise self._corrupt("non-finite logits")
-        self._z_s = values[:, 0]
-        self._z_e = values[:, 1]
+        self._values = values
 
     def _corrupt(self, what: str) -> InvalidConfig:
         return InvalidConfig(f"logit store {self.path} is corrupt: {what}")
@@ -298,10 +267,10 @@ class LogitStore:
                 f"teacher {self.teacher_id!r} has no logits for sample {sample_id!r}"
             )
         return LogitRecord(sample_id=sample_id, teacher_id=self.teacher_id,
-                           z_s=self._z_s[row].copy(), z_e=self._z_e[row].copy())
+                           z_s=self._values[row, 0].copy(), z_e=self._values[row, 1].copy())
 
-    def take(self, sample_ids) -> LogitRows:
-        """The logits of ``sample_ids``, in that order."""
+    def take(self, sample_ids) -> np.ndarray:
+        """The (N, 2, L) logit rows of ``sample_ids``, in that order."""
         sample_ids = list(sample_ids)
         missing = [sid for sid in sample_ids if sid not in self._rows]
         if missing:
@@ -309,5 +278,4 @@ class LogitStore:
                 f"{len(missing)} samples lack teacher logits (first: {missing[0]!r} "
                 f"from teacher {self.teacher_id!r})"
             )
-        rows = [self._rows[sid] for sid in sample_ids]
-        return LogitRows(teacher_id=self.teacher_id, z_s=self._z_s[rows], z_e=self._z_e[rows])
+        return self._values[[self._rows[sid] for sid in sample_ids]]

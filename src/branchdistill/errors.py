@@ -39,10 +39,6 @@ class IncompleteLogits(KeyError):
     __str__ = Exception.__str__
 
 
-class SpanOutOfWindow(ValueError):
-    """The gold answer span falls outside the packed input window."""
-
-
 class StateError(RuntimeError):
     """An operation was called without its required cached state."""
 

@@ -11,9 +11,14 @@ forced to a large negative logit so they carry ~zero probability.
 
 A dataset enters the model as one ``Encoded`` record of row arrays: the
 packed token ids (N, max_len) and, per row, the passage's first position
-``offset``, the row's real length ``end`` and the gold span. Only this
-module turns ``offset`` and ``end`` into the passage mask and the attention
-bias. ``forward_logits`` returns every row's start and end logits as one
+``offset``, the row's real length ``end`` and the gold span, an (N, 2)
+array of (start, end). Only this module turns ``offset`` and ``end`` into
+the passage mask and the attention bias.
+
+Start and end logits are one (..., 2, max_len) block everywhere, the start
+head at index 0 of axis 1 and the end head at index 1: ``forward_batch``
+returns the batch's (B, 2, max_len) block, ``backward`` takes the logit
+gradient in the same form, and ``forward_logits`` returns every row's
 (N, 2, max_len) block, the form a logit store and decoding both take.
 
 ``forward_batch`` trims each batch to its longest real input: with n that
@@ -54,7 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import RESERVED_TOKENS, Sample
-from .errors import InvalidConfig, ShapeError, SpanOutOfWindow, StateError, malformed_as_invalid
+from .errors import InvalidConfig, ShapeError, StateError, malformed_as_invalid
 
 MASKED_LOGIT = -1e9
 
@@ -144,15 +149,14 @@ class Encoded:
     Row i of ``ids`` (N, max_len) is [START] question [SEP] passage, padded
     with ``PAD_ID``. The passage fills positions ``offset[i]`` up to
     ``end[i]`` (exclusive), which is also the row's real length, and the
-    gold span ``gold_start[i]``..``gold_end[i]`` lies inside it, in packed
-    coordinates. Indexing selects rows.
+    gold span, row i of ``gold`` (N, 2) as (start, end), lies inside it, in
+    packed coordinates. Indexing selects rows.
     """
 
     ids: np.ndarray
     offset: np.ndarray
     end: np.ndarray
-    gold_start: np.ndarray
-    gold_end: np.ndarray
+    gold: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -166,60 +170,40 @@ class Encoded:
         return (positions >= self.offset[:, None]) & (positions < self.end[:, None])
 
 
-def _pack(samples, vocab: Vocabulary, max_len: int):
-    """Pack the samples that fit the window into one ``Encoded``.
+def encode_dataset(samples, vocab: Vocabulary, max_len: int):
+    """Pack every sample that fits the window into one ``Encoded``, and
+    count the rest.
 
-    Each token is looked up once, and only the passage tokens that fit are
-    looked up. Returns (``Encoded`` rows of the kept samples, kept samples,
-    one ``SpanOutOfWindow`` per sample that does not fit).
+    A sample is skipped when its question fills the window or its gold span
+    ends at or past the window's end. Each token is looked up once, and
+    only the passage tokens that fit are looked up. Returns (``Encoded``
+    rows of the kept samples, kept samples, skipped count).
     """
     index, token_id = vocab._index, vocab.token_id
     tokens: list[int] = []
     columns: list[int] = []
     kept: list[Sample] = []
-    errors: list[SpanOutOfWindow] = []
+    skipped = 0
     for sample in samples:
         # every known id is >= FIRST_TOKEN_ID, so ``or`` only falls through on a miss
         row = [START_ID, *(index.get(t) or token_id(t) for t in sample.question_tokens), SEP_ID]
         offset = len(row)
-        if offset >= max_len:
-            errors.append(SpanOutOfWindow(
-                f"sample {sample.id}: question fills the whole window of {max_len}"))
-            continue
         end = min(offset + len(sample.passage_tokens), max_len)
-        gold_end = sample.gold_end + offset
-        if gold_end >= end:
-            errors.append(SpanOutOfWindow(
-                f"sample {sample.id}: gold span ends at {gold_end}, window ends at {end}"))
+        # a question that fills the window leaves end <= offset, so this skips it too
+        if sample.gold_end + offset >= end:
+            skipped += 1
             continue
         row += [index.get(t) or token_id(t) for t in sample.passage_tokens[: end - offset]]
         tokens += row
-        columns += (offset, end, sample.gold_start + offset, gold_end)
+        columns += (offset, end, sample.gold_start + offset, sample.gold_end + offset)
         kept.append(sample)
 
-    offset, end, gold_start, gold_end = np.array(columns, dtype=np.int64).reshape(-1, 4).T.copy()
+    table = np.array(columns, dtype=np.int64).reshape(-1, 4)
+    offset, end = table[:, 0].copy(), table[:, 1].copy()
     ids = np.full((len(kept), max_len), PAD_ID, dtype=np.int64)
     # row-major order of the mask is the order the rows were appended in
     ids[np.arange(max_len) < end[:, None]] = tokens
-    return Encoded(ids, offset, end, gold_start, gold_end), kept, errors
-
-
-def tokenize_and_index(sample: Sample, vocab: Vocabulary, max_len: int) -> Encoded:
-    """Pack one sample as a one-row ``Encoded``; raises SpanOutOfWindow when
-    the gold span does not survive truncation."""
-    encoded, _, errors = _pack([sample], vocab, max_len)
-    if errors:
-        raise errors[0]
-    return encoded
-
-
-def encode_dataset(samples, vocab: Vocabulary, max_len: int):
-    """Encode every sample, dropping and counting the out-of-window ones.
-
-    Returns (``Encoded`` rows of the kept samples, kept samples, skipped count).
-    """
-    encoded, kept, errors = _pack(samples, vocab, max_len)
-    return encoded, kept, len(errors)
+    return Encoded(ids, offset, end, table[:, 2:].copy()), kept, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +298,11 @@ def init_model(config: ModelConfig, seed: int) -> SpanModel:
 
 @dataclass
 class Forward:
-    """Outputs of ``forward_batch``: start/end logits (B, L) and the final
-    hidden states H (B, n, h), plus what ``backward`` needs besides them:
-    the token ids (B, n), the passage mask (B, L) and the block activations,
-    all over n positions, where n is the batch's longest real input.
+    """Outputs of ``forward_batch``: the (B, 2, L) start/end logit block z
+    and the final hidden states H (B, n, h), plus what ``backward`` needs
+    besides them: the token ids (B, n), the passage mask (B, L) and the
+    block activations, all over n positions, where n is the batch's longest
+    real input.
 
     ``blocks`` holds one tuple per encoder block: its input x, the attention
     q, k, v and probabilities, their mix ``attn @ v``, the first layer-norm
@@ -325,8 +310,7 @@ class Forward:
     layer-norm cache.
     """
 
-    z_s: np.ndarray
-    z_e: np.ndarray
+    z: np.ndarray
     H: np.ndarray
     ids: np.ndarray
     passage: np.ndarray
@@ -368,7 +352,7 @@ def forward_batch(model: SpanModel, encoded: Encoded) -> Forward:
 
     No position at or past n, the largest ``end`` in the batch, is attended
     to or lies in a passage: the encoder and heads run on n positions, and
-    the (B, L) logits hold ``MASKED_LOGIT`` past n. Per-sample outputs are
+    the (B, 2, L) logits hold ``MASKED_LOGIT`` past n. Per-sample outputs are
     independent of the rest of the batch up to the last bits: the rounding
     of sums and matrix products depends on n.
     """
@@ -415,14 +399,12 @@ def forward_batch(model: SpanModel, encoded: Encoded) -> Forward:
         blocks.append((x, q, k, v, attn, mixed, ln1, y, hidden, ln2))
         x = out
 
-    z_s = np.full(passage.shape, MASKED_LOGIT)
-    z_e = np.full(passage.shape, MASKED_LOGIT)
+    z = np.full((len(passage), 2, cfg.max_len), MASKED_LOGIT)
     inside = passage[:, :n]
-    z_s[:, :n] = np.where(inside, (x @ p["start_vec"].reshape(-1, 1))[..., 0]
-                          + p["start_bias"][:n], MASKED_LOGIT)
-    z_e[:, :n] = np.where(inside, (x @ p["end_vec"].reshape(-1, 1))[..., 0]
-                          + p["end_bias"][:n], MASKED_LOGIT)
-    return Forward(z_s=z_s, z_e=z_e, H=x, ids=ids, passage=passage, blocks=blocks)
+    for i, head in enumerate(("start", "end")):
+        z[:, i, :n] = np.where(inside, (x @ p[f"{head}_vec"].reshape(-1, 1))[..., 0]
+                               + p[f"{head}_bias"][:n], MASKED_LOGIT)
+    return Forward(z=z, H=x, ids=ids, passage=passage, blocks=blocks)
 
 
 def forward_logits(model: SpanModel, encoded: Encoded) -> np.ndarray:
@@ -430,15 +412,15 @@ def forward_logits(model: SpanModel, encoded: Encoded) -> np.ndarray:
     (N, 2, max_len) block, computed ``FORWARD_BATCH_SIZE`` rows at a time."""
     logits = np.empty((len(encoded), 2, model.config.max_len))
     for lo in range(0, len(encoded), FORWARD_BATCH_SIZE):
-        fwd = forward_batch(model, encoded[lo : lo + FORWARD_BATCH_SIZE])
-        logits[lo : lo + FORWARD_BATCH_SIZE, 0] = fwd.z_s
-        logits[lo : lo + FORWARD_BATCH_SIZE, 1] = fwd.z_e
+        logits[lo : lo + FORWARD_BATCH_SIZE] = forward_batch(
+            model, encoded[lo : lo + FORWARD_BATCH_SIZE]).z
     return logits
 
 
-def backward(model: SpanModel, cache: Forward, grad_z_s, grad_z_e, out=None) -> np.ndarray:
-    """Gradient of sum(grad_z_s * z_s) + sum(grad_z_e * z_e) with respect to
-    ``model.flat``, laid out like it; ``param_views`` names its parts.
+def backward(model: SpanModel, cache: Forward, dz, out=None) -> np.ndarray:
+    """Gradient of sum(dz * cache.z) with respect to ``model.flat``, laid
+    out like it, for a logit gradient ``dz`` shaped like the (B, 2, L)
+    block ``cache.z``; ``param_views`` names its parts.
 
     The gradient is written into ``out`` when it is given, else into a new
     vector, and returned. Only the embedding block of ``out`` is cleared
@@ -457,8 +439,9 @@ def backward(model: SpanModel, cache: Forward, grad_z_s, grad_z_e, out=None) -> 
     # order, and with it the exact bits of every checkpoint a run writes.
     n = cache.H.shape[1]
     dx = np.zeros_like(cache.H)
-    for head, grad_z in (("start", grad_z_s), ("end", grad_z_e)):
-        g = np.asarray(grad_z, dtype=np.float64).reshape(cache.z_s.shape) * cache.passage
+    dz = np.asarray(dz, dtype=np.float64).reshape(cache.z.shape) * cache.passage[:, None]
+    for i, head in enumerate(("start", "end")):
+        g = dz[:, i]
         grads[f"{head}_bias"][...] = g.sum(axis=0)
         g = g[:, :n]
         grads[f"{head}_vec"][...] = (cache.H.swapaxes(-1, -2) @ g[..., None]).sum(axis=0)[:, 0]

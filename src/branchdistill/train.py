@@ -2,8 +2,8 @@
 
 The dataset is encoded once, as one ``Encoded`` record of row arrays.
 Two procedures share one deterministic mini-batch loop over it, each step
-taking the rows ``encoded[batch_idx]`` and their gold arrays, and a third
-only runs the model forward:
+taking the rows ``encoded[batch_idx]`` and their (B, 2) gold spans, and a
+third only runs the model forward:
 
 * ``train_teacher``: hard-label training of one branch model,
 * ``dump_teacher_logits``: one (N, 2, L) block of logits from
@@ -11,11 +11,13 @@ only runs the model forward:
 * ``distill_student``: trains the multilingual student against precomputed
   teacher stores with the combined hard-label + distillation objective.
   The softened teacher targets never change during a run, so they are
-  built once, before the first epoch, as one (N, L) start table and one
-  (N, L) end table over the kept samples; each batch takes its rows.
+  built once, before the first epoch, as one (N, 2, L) block over the kept
+  samples; each batch takes its rows.
 
-A step's objective is ``lambda1 * nll + lambda2 * kd`` (``nll`` alone for
-a teacher); its logit gradient is combined the same way and passed to
+Logits, teacher targets and logit gradients are all (..., 2, L) blocks,
+start head first, as ``model`` defines them. A step's objective is
+``lambda1 * nll + lambda2 * kd`` (``nll`` alone for a teacher); its
+(B, 2, L) logit gradient is combined the same way and passed to
 ``model.backward``, which writes one flat gradient laid out like
 ``SpanModel.flat`` into a buffer the run allocates once. ``AdamW`` keeps
 its two moments as flat vectors of the same layout and updates every
@@ -50,7 +52,6 @@ from .distill import (
     fixed_weights,
     impurity_weights,
     write_logit_store,
-    TeacherWeights,
 )
 from .errors import InvalidConfig, InvalidParameter, ShapeError, malformed_as_invalid
 from .model import (
@@ -230,20 +231,18 @@ class RunManifest:
 
 
 def _target_tables(samples: list[Sample], stores: dict[str, LogitStore],
-                   cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+                   cfg: TrainConfig) -> np.ndarray:
     """Softened aggregated teacher targets for ``samples``, in that order,
-    as (N, L) start and end tables."""
+    as one (N, 2, L) block."""
     keys = [s.key() for s in samples]
-    rows = [stores[tid].take(keys) for tid in cfg.teacher_ids or sorted(stores)]
+    blocks = [stores[tid].take(keys) for tid in cfg.teacher_ids or sorted(stores)]
     if cfg.strategy == "fixed":
-        weights = fixed_weights(len(rows))
+        weights = fixed_weights(len(blocks))
     else:
-        weights = TeacherWeights(
-            start=impurity_weights([r.z_s for r in rows], cfg.impurity_sign),
-            end=impurity_weights([r.z_e for r in rows], cfg.impurity_sign),
-        )
-    z_s, z_e = aggregate_logits(rows, weights)
-    return softmax_temperature(z_s, cfg.tau), softmax_temperature(z_e, cfg.tau)
+        # one head at a time: over the whole block the temporaries double in size
+        weights = np.stack([impurity_weights([b[:, i] for b in blocks], cfg.impurity_sign)
+                            for i in range(2)], axis=1)
+    return softmax_temperature(aggregate_logits(blocks, weights), cfg.tau)
 
 
 def _run_training(
@@ -270,7 +269,7 @@ def _run_training(
                     f"store for {tid!r} has max_len {store.max_len}, model expects "
                     f"{model_config.max_len}"
                 )
-        targets_s, targets_e = _target_tables(kept, stores, cfg)
+        targets = _target_tables(kept, stores, cfg)
 
     model = init_model(model_config, cfg.seed)
     optimizer = AdamW(model.flat.size, lr=cfg.lr, betas=cfg.betas, eps=cfg.eps,
@@ -307,19 +306,17 @@ def _run_training(
             batch_idx = order[lo : lo + cfg.batch_size]
             batch = encoded[batch_idx]
             result = forward_batch(model, batch)
-            nll, dz_s, dz_e = batch_nll(result.z_s, result.z_e, batch.gold_start, batch.gold_end)
+            nll, dz = batch_nll(result.z, batch.gold)
             if stores is not None:
-                kd, kd_s, kd_e = batch_kd(result.z_s, result.z_e, targets_s[batch_idx],
-                                          targets_e[batch_idx], cfg.tau)
+                kd, kd_dz = batch_kd(result.z, targets[batch_idx], cfg.tau)
                 loss = cfg.lambda1 * nll + cfg.lambda2 * kd
-                dz_s = cfg.lambda1 * dz_s + cfg.lambda2 * kd_s
-                dz_e = cfg.lambda1 * dz_e + cfg.lambda2 * kd_e
+                dz = cfg.lambda1 * dz + cfg.lambda2 * kd_dz
             else:
                 # hard-label training: plain likelihood objective
                 kd = 0.0
                 loss = nll
 
-            backward(model, result, dz_s, dz_e, out=grad)
+            backward(model, result, dz, out=grad)
             norm = clip_gradients(grad_views, max_norm)
             if not (np.isfinite(loss) and np.isfinite(norm)):
                 raise InvalidParameter(f"run {run_name!r}, epoch {epoch}, step "

@@ -45,7 +45,7 @@ def random_encoded_batch(rng, vocab_size, max_len, batch=4):
     offset = 3
     window = max_len - offset - 2
     ids = np.zeros((batch, max_len), dtype=np.int64)
-    gold = np.zeros((2, batch), dtype=np.int64)
+    gold = np.zeros((batch, 2), dtype=np.int64)
     for row in range(batch):
         ids[row, 0] = 1
         ids[row, 1] = int(rng.integers(3, vocab_size))
@@ -53,8 +53,8 @@ def random_encoded_batch(rng, vocab_size, max_len, batch=4):
         ids[row, offset : offset + window] = rng.integers(3, vocab_size, size=window)
         gold_start = int(rng.integers(offset, offset + window))
         gold_end = int(rng.integers(gold_start, min(offset + window, gold_start + 3)))
-        gold[:, row] = gold_start, gold_end
-    return md.Encoded(ids, np.full(batch, offset), np.full(batch, offset + window), *gold)
+        gold[row] = gold_start, gold_end
+    return md.Encoded(ids, np.full(batch, offset), np.full(batch, offset + window), gold)
 
 
 def test_c01_gradient_fidelity():
@@ -67,33 +67,34 @@ def test_c01_gradient_fidelity():
             p[:] = rng.normal(scale=0.5, size=p.shape)
 
         encoded = random_encoded_batch(rng, config.vocab_size, config.max_len)
-        gold_s, gold_e = encoded.gold_start, encoded.gold_end
+        gold = encoded.gold
         passage = encoded.passage_mask()
         tau, lam1, lam2 = 2.0, 0.5, 0.5
-        teacher_p_s = nm.softmax_temperature(np.where(passage, rng.normal(size=passage.shape), -1e9), tau)
-        teacher_p_e = nm.softmax_temperature(np.where(passage, rng.normal(size=passage.shape), -1e9), tau)
+        teacher_p = np.stack([
+            nm.softmax_temperature(np.where(passage, rng.normal(size=passage.shape), -1e9), tau)
+            for _ in range(2)], axis=1)
 
         def hard_label_loss():
             result = md.forward_batch(model, encoded)
-            return ds.batch_nll(result.z_s, result.z_e, gold_s, gold_e)[0]
+            return ds.batch_nll(result.z, gold)[0]
 
         def combined_loss():
             result = md.forward_batch(model, encoded)
-            nll = ds.batch_nll(result.z_s, result.z_e, gold_s, gold_e)[0]
-            kd = ds.batch_kd(result.z_s, result.z_e, teacher_p_s, teacher_p_e, tau)[0]
+            nll = ds.batch_nll(result.z, gold)[0]
+            kd = ds.batch_kd(result.z, teacher_p, tau)[0]
             return lam1 * nll + lam2 * kd
 
         result = md.forward_batch(model, encoded)
-        _, dz_s, dz_e = ds.batch_nll(result.z_s, result.z_e, gold_s, gold_e)
-        hard_grads = md.param_views(config, md.backward(model, result, dz_s, dz_e))
+        _, dz = ds.batch_nll(result.z, gold)
+        hard_grads = md.param_views(config, md.backward(model, result, dz))
         worst_hard = max_relative_error(hard_grads, central_difference(hard_label_loss, model.params))
         assert worst_hard <= 1e-3, worst_hard
 
         result = md.forward_batch(model, encoded)
-        _, nll_s, nll_e = ds.batch_nll(result.z_s, result.z_e, gold_s, gold_e)
-        _, kd_s, kd_e = ds.batch_kd(result.z_s, result.z_e, teacher_p_s, teacher_p_e, tau)
-        total_grads = md.param_views(config, md.backward(model, result, lam1 * nll_s + lam2 * kd_s,
-                                                         lam1 * nll_e + lam2 * kd_e))
+        _, nll_dz = ds.batch_nll(result.z, gold)
+        _, kd_dz = ds.batch_kd(result.z, teacher_p, tau)
+        total_grads = md.param_views(config,
+                                     md.backward(model, result, lam1 * nll_dz + lam2 * kd_dz))
         worst_total = max_relative_error(total_grads, central_difference(combined_loss, model.params))
         assert worst_total <= 1e-3, worst_total
 
@@ -185,8 +186,7 @@ def test_c04_aggregation_properties():
         rng = np.random.default_rng(13)
 
         def rec(z):
-            return ds.LogitRecord(sample_id="s", teacher_id="t",
-                                  z_s=z, z_e=np.zeros_like(z))
+            return np.stack([z, np.zeros_like(z)])
 
         for _ in range(1000):
             length = int(rng.integers(2, 16))
@@ -194,14 +194,14 @@ def test_c04_aggregation_properties():
             z2 = rng.normal(scale=5.0, size=length)
             alpha = float(rng.uniform(-2.0, 2.0))
 
-            single, _ = ds.aggregate_logits([rec(z1)], ds.fixed_weights(1))
+            single = ds.aggregate_logits([rec(z1)], ds.fixed_weights(1))[0]
             assert np.max(np.abs(single - z1)) <= 1e-12
 
-            ab, _ = ds.aggregate_logits([rec(z1), rec(z2)], ds.fixed_weights(2))
-            ba, _ = ds.aggregate_logits([rec(z2), rec(z1)], ds.fixed_weights(2))
+            ab = ds.aggregate_logits([rec(z1), rec(z2)], ds.fixed_weights(2))[0]
+            ba = ds.aggregate_logits([rec(z2), rec(z1)], ds.fixed_weights(2))[0]
             assert np.max(np.abs(ab - ba)) <= 1e-12
 
-            scaled, _ = ds.aggregate_logits([rec(alpha * z1), rec(alpha * z2)], ds.fixed_weights(2))
+            scaled = ds.aggregate_logits([rec(alpha * z1), rec(alpha * z2)], ds.fixed_weights(2))[0]
             assert np.max(np.abs(scaled - alpha * ab)) <= 1e-12
 
 

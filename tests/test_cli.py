@@ -95,6 +95,16 @@ class TestBuild:
         assert len(samples) == 16
         assert all(s.passage_lang == s.question_lang == "de" for s in samples)
 
+    def test_translate_train_builds_keep_one_meta_each(self, tmp_path):
+        # the baseline builds every language in turn into one datasets directory
+        tiny("generate", tmp_path)
+        for lang in ("en", "de"):
+            assert tiny("build", tmp_path, "--mode", "translate-train", "--language", lang) == 0
+        for lang in ("en", "de"):
+            meta = json.loads((tmp_path / "datasets" / f"build_meta_tt_{lang}.json").read_text())
+            samples = cp.read_samples(tmp_path / "datasets" / f"tt_{lang}.jsonl")
+            assert meta["sizes"] == {f"tt_{lang}": len(samples)}
+
     def test_translate_train_requires_language(self, tmp_path):
         tiny("generate", tmp_path)
         assert tiny("build", tmp_path, "--mode", "translate-train") == 2

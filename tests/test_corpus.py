@@ -80,14 +80,14 @@ class TestRecoverAnswer:
 class TestBranchBuilder:
     def test_counts_without_augmentation(self):
         result = cp.build_language_branches(noiseless_records(10), LANGS)
-        assert {k: len(b.samples) for k, b in result.branches.items()} == {
+        assert {k: len(b) for k, b in result.branches.items()} == {
             "en": 30, "es": 30, "de": 30,
         }
         assert result.skipped == 0
 
     def test_counts_with_source_augmentation(self):
         result = cp.build_language_branches(noiseless_records(10), LANGS, augment_with_source=True)
-        sizes = {k: len(b.samples) for k, b in result.branches.items()}
+        sizes = {k: len(b) for k, b in result.branches.items()}
         assert sizes == {"en": 30, "es": 60, "de": 60}
 
     def test_unrecoverable_rendering_discarded_per_language(self):
@@ -103,7 +103,7 @@ class TestBranchBuilder:
             },
         )
         result = cp.build_language_branches(records, LANGS)
-        sizes = {k: len(b.samples) for k, b in result.branches.items()}
+        sizes = {k: len(b) for k, b in result.branches.items()}
         # es loses its 3 samples; other branches keep es questions
         assert sizes == {"en": 30, "es": 27, "de": 30}
         assert result.unrecoverable == {"es": 1}
@@ -111,7 +111,7 @@ class TestBranchBuilder:
     def test_every_sample_satisfies_invariants(self):
         result = cp.build_language_branches(noiseless_records(6), LANGS, augment_with_source=True)
         for lang, branch in result.branches.items():
-            for sample in branch.samples:
+            for sample in branch:
                 assert sample.passage_lang == lang or sample.passage_lang == "en"
                 sample.validate()
 
@@ -121,7 +121,7 @@ class TestBranchBuilder:
 
     def test_question_languages_cover_all(self):
         result = cp.build_language_branches(noiseless_records(4), LANGS)
-        qlangs = {s.question_lang for s in result.branches["de"].samples}
+        qlangs = {s.question_lang for s in result.branches["de"]}
         assert qlangs == set(LANGS)
 
 
@@ -134,7 +134,7 @@ class TestMixBuilder:
         records = noiseless_records(8)
         mix = cp.build_mix_dataset(records, ["en"], seed=1)
         branch = cp.build_language_branches(records, ["en"]).branches["en"]
-        assert sorted(s.key() for s in mix.samples) == sorted(s.key() for s in branch.samples)
+        assert sorted(s.key() for s in mix.samples) == sorted(s.key() for s in branch)
 
     def test_seed_reproducibility(self):
         records = noiseless_records(10)

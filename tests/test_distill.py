@@ -55,16 +55,16 @@ class TestNllLoss:
     def test_batch_gradient_is_softmax_minus_one_hot(self):
         # d/dz of -log softmax(z)[a], averaged over B rows, is (softmax(z) - one_hot(a)) / B
         rng = np.random.default_rng(0)
-        z_s = rng.normal(size=(3, 7))
-        z_e = rng.normal(size=(3, 7))
-        gold_s = np.array([2, 0, 5])
-        gold_e = np.array([6, 0, 5])
+        z = np.stack([rng.normal(size=(3, 7)), rng.normal(size=(3, 7))], axis=1)
+        z_s, z_e = z[:, 0], z[:, 1]
+        gold = np.array([[2, 6], [0, 0], [5, 5]])
+        gold_s, gold_e = gold[:, 0], gold[:, 1]
 
-        value, dz_s, dz_e = ds.batch_nll(z_s, z_e, gold_s, gold_e)
-        for z, gold, dz in ((z_s, gold_s, dz_s), (z_e, gold_e, dz_e)):
-            expected = nm.softmax_temperature(z, 1.0)
-            expected[np.arange(3), gold] -= 1.0
-            np.testing.assert_allclose(dz, expected / 3.0, atol=1e-12)
+        value, dz = ds.batch_nll(z, gold)
+        for head in range(2):
+            expected = nm.softmax_temperature(z[:, head], 1.0)
+            expected[np.arange(3), gold[:, head]] -= 1.0
+            np.testing.assert_allclose(dz[:, head], expected / 3.0, atol=1e-12)
         oracle = np.mean([
             ds.nll_loss(nm.softmax_temperature(z_s[i], 1.0), nm.softmax_temperature(z_e[i], 1.0),
                         gold_s[i], gold_e[i])
@@ -73,24 +73,27 @@ class TestNllLoss:
         assert abs(value - oracle) <= 1e-12
 
         def loss():
-            return ds.batch_nll(z_s, z_e, gold_s, gold_e)[0]
+            return ds.batch_nll(z, gold)[0]
 
-        check_gradients(loss, {"z_s": z_s, "z_e": z_e}, {"z_s": dz_s, "z_e": dz_e})
+        check_gradients(loss, {"z": z}, {"z": dz})
 
     def test_batch_gradient_bits_match_one_hot_form(self):
         # the gradient is built as p * -c with the gold column apart; the
-        # one-hot form 0 - p * c rounds alike, signed zeros included
+        # one-hot form 0 - p * c, taken one head at a time, rounds alike,
+        # signed zeros included, for a strided and a contiguous block
         rng = np.random.default_rng(4)
         z = rng.normal(size=(2, 5, 9)) * 30.0
         z[:, :, 6:] = MASKED_LOGIT
         gold = rng.integers(0, 6, size=(2, 5))
-        _, dz_s, dz_e = ds.batch_nll(z[0], z[1], gold[0], gold[1])
-        for dz, zz, g in ((dz_s, z[0], gold[0]), (dz_e, z[1], gold[1])):
-            c = -1.0 / len(g)
-            one_hot_c = np.zeros_like(zz)
-            one_hot_c[np.arange(len(g)), g] = c
-            expected = one_hot_c - ds._log_softmax(zz, 1.0)[1] * c
-            assert dz.tobytes() == expected.tobytes()
+        for block in (z.swapaxes(0, 1), np.ascontiguousarray(z.swapaxes(0, 1))):
+            _, dz = ds.batch_nll(block, gold.T)
+            for head in range(2):
+                zz, g = z[head], gold[head]
+                c = -1.0 / len(g)
+                one_hot_c = np.zeros_like(zz)
+                one_hot_c[np.arange(len(g)), g] = c
+                expected = one_hot_c - ds._log_softmax(zz, 1.0)[1] * c
+                assert np.ascontiguousarray(dz[:, head]).tobytes() == expected.tobytes()
 
     def test_batch_gradient_vanishes_at_masked_logits(self):
         # the encoder writes MASKED_LOGIT outside the passage; those columns
@@ -100,51 +103,50 @@ class TestNllLoss:
         z[:, 4:] = MASKED_LOGIT
         gold = np.array([1, 3])
 
-        value, dz_s, dz_e = ds.batch_nll(z, z, gold, gold)
-        assert np.all(dz_s[:, 4:] == 0.0) and np.all(dz_e[:, 4:] == 0.0)
-        short_value, short_s, _ = ds.batch_nll(z[:, :4], z[:, :4], gold, gold)
+        value, dz = ds.batch_nll(np.stack([z, z], axis=1), np.stack([gold, gold], axis=1))
+        assert np.all(dz[..., 4:] == 0.0)
+        short_value, short = ds.batch_nll(np.stack([z[:, :4], z[:, :4]], axis=1),
+                                          np.stack([gold, gold], axis=1))
         assert abs(value - short_value) <= 1e-12
-        np.testing.assert_allclose(dz_s[:, :4], short_s, atol=1e-15)
+        np.testing.assert_allclose(dz[..., :4], short, atol=1e-15)
 
 
 class TestAggregateLogits:
     def test_single_teacher_identity(self):
-        r = record([1.0, -2.0, 3.0], [0.0, 4.0, -1.0])
-        z_s, z_e = ds.aggregate_logits([r], ds.fixed_weights(1))
-        np.testing.assert_array_equal(z_s, r.z_s)
-        np.testing.assert_array_equal(z_e, r.z_e)
+        r = np.array([[1.0, -2.0, 3.0], [0.0, 4.0, -1.0]])
+        np.testing.assert_array_equal(ds.aggregate_logits([r], ds.fixed_weights(1)), r)
 
     def test_symmetric_pair(self):
-        a = record([1.0, 3.0], [1.0, 3.0])
-        b = record([3.0, 1.0], [3.0, 1.0])
-        z_s, _ = ds.aggregate_logits([a, b], ds.fixed_weights(2))
+        a = np.array([[1.0, 3.0], [1.0, 3.0]])
+        b = np.array([[3.0, 1.0], [3.0, 1.0]])
+        z_s = ds.aggregate_logits([a, b], ds.fixed_weights(2))[0]
         np.testing.assert_allclose(z_s, [2.0, 2.0], atol=1e-12)
 
     def test_hand_computed_weighting(self):
-        a = record([0.0, 3.0], [0.0, 0.0])
-        b = record([3.0, 0.0], [0.0, 0.0])
-        weights = ds.TeacherWeights(start=np.array([2 / 3, 1 / 3]), end=np.array([0.5, 0.5]))
-        z_s, _ = ds.aggregate_logits([a, b], weights)
+        a = np.array([[0.0, 3.0], [0.0, 0.0]])
+        b = np.array([[3.0, 0.0], [0.0, 0.0]])
+        weights = np.array([[2 / 3, 1 / 3], [0.5, 0.5]])
+        z_s = ds.aggregate_logits([a, b], weights)[0]
         np.testing.assert_allclose(z_s, [1.0, 2.0], atol=1e-12)
 
     def test_missing_teacher(self):
         with pytest.raises(IncompleteLogits):
-            ds.aggregate_logits([record([1.0], [1.0])], ds.fixed_weights(2))
+            ds.aggregate_logits([np.ones((2, 1))], ds.fixed_weights(2))
 
     def test_invalid_weights(self):
-        bad = ds.TeacherWeights(start=np.array([0.7, 0.7]), end=np.array([0.5, 0.5]))
+        bad = np.array([[0.7, 0.7], [0.5, 0.5]])
         with pytest.raises(InvalidParameter):
-            ds.aggregate_logits([record([1.0], [1.0]), record([2.0], [2.0])], bad)
+            ds.aggregate_logits([np.ones((2, 1)), np.full((2, 1), 2.0)], bad)
 
     @given(st.lists(st.lists(finite_floats, min_size=3, max_size=3), min_size=2, max_size=4),
            st.floats(min_value=-3.0, max_value=3.0))
     @settings(deadline=None)
     def test_linearity(self, teacher_rows, alpha):
-        records = [record(row, row) for row in teacher_rows]
-        scaled = [record(alpha * np.array(row), alpha * np.array(row)) for row in teacher_rows]
+        records = [np.array([row, row]) for row in teacher_rows]
+        scaled = [alpha * np.array([row, row]) for row in teacher_rows]
         weights = ds.fixed_weights(len(records))
-        z_s, _ = ds.aggregate_logits(records, weights)
-        z_s_scaled, _ = ds.aggregate_logits(scaled, weights)
+        z_s = ds.aggregate_logits(records, weights)[0]
+        z_s_scaled = ds.aggregate_logits(scaled, weights)[0]
         np.testing.assert_allclose(z_s_scaled, alpha * z_s, atol=1e-9)
 
 
@@ -199,19 +201,20 @@ class TestKdLoss:
         other_z = np.zeros((2, 5))
         other_p = np.full((2, 5), 0.2)
 
-        value, dz_s, dz_e = ds.batch_kd(student_z, other_z, teacher_p, other_p, tau)
+        z = np.stack([student_z, other_z], axis=1)
+        value, dz = ds.batch_kd(z, np.stack([teacher_p, other_p], axis=1), tau)
         expected = tau * (nm.softmax_temperature(student_z, tau) - teacher_p) / 2
-        np.testing.assert_allclose(dz_s, expected, atol=1e-12)
-        np.testing.assert_allclose(dz_e, 0.0, atol=1e-12)
+        np.testing.assert_allclose(dz[:, 0], expected, atol=1e-12)
+        np.testing.assert_allclose(dz[:, 1], 0.0, atol=1e-12)
         # teacher logits tau * ln(p) soften back to p at temperature tau
         oracle = np.mean([ds.kd_loss(tau * np.log(p_s), tau * np.log(p_e), z_s, z_e, tau)
                           for p_s, p_e, z_s, z_e in zip(teacher_p, other_p, student_z, other_z)])
         assert abs(value - oracle) <= 1e-12
 
         def loss():
-            return ds.batch_kd(student_z, other_z, teacher_p, other_p, tau)[0]
+            return ds.batch_kd(z, np.stack([teacher_p, other_p], axis=1), tau)[0]
 
-        check_gradients(loss, {"z": student_z}, {"z": dz_s})
+        check_gradients(loss, {"z": z}, {"z": dz})
 
     def test_batch_teacher_equal_to_student_gives_zero_gradient(self):
         rng = np.random.default_rng(3)
@@ -219,26 +222,25 @@ class TestKdLoss:
         z_s, z_e = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
         p_s, p_e = nm.softmax_temperature(z_s, tau), nm.softmax_temperature(z_e, tau)
 
-        value, dz_s, dz_e = ds.batch_kd(z_s, z_e, p_s, p_e, tau)
-        np.testing.assert_allclose(dz_s, 0.0, atol=1e-15)
-        np.testing.assert_allclose(dz_e, 0.0, atol=1e-15)
+        value, dz = ds.batch_kd(np.stack([z_s, z_e], axis=1), np.stack([p_s, p_e], axis=1), tau)
+        np.testing.assert_allclose(dz, 0.0, atol=1e-15)
         expected = tau * tau * np.mean(nm.entropy(p_s) + nm.entropy(p_e))
         assert abs(value - expected) <= 1e-12
 
     def test_batch_non_positive_temperature(self):
-        z = np.zeros((2, 4))
-        p = np.full((2, 4), 0.25)
+        z = np.zeros((2, 2, 4))
+        p = np.full((2, 2, 4), 0.25)
         for tau in (0.0, -1.0):
             with pytest.raises(InvalidParameter):
-                ds.batch_kd(z, z, p, p, tau)
+                ds.batch_kd(z, p, tau)
 
 
 class TestFixedWeights:
     @pytest.mark.parametrize("k,expected", [(3, 1 / 3), (1, 1.0), (4, 0.25)])
     def test_uniform(self, k, expected):
         weights = ds.fixed_weights(k)
-        np.testing.assert_allclose(weights.start, expected, atol=1e-15)
-        np.testing.assert_allclose(weights.end, expected, atol=1e-15)
+        assert weights.shape == (k,)
+        np.testing.assert_allclose(weights, expected, atol=1e-15)
 
     def test_zero_teachers(self):
         with pytest.raises(InvalidConfig):
@@ -246,21 +248,19 @@ class TestFixedWeights:
 
     def test_batch_rows_equal_one_instance_at_a_time(self):
         rng = np.random.default_rng(7)
-        rows = [ds.LogitRows(teacher_id=t, z_s=rng.normal(size=(6, 9)),
-                             z_e=rng.normal(size=(6, 9))) for t in "abc"]
+        blocks = [np.stack([rng.normal(size=(6, 9)), rng.normal(size=(6, 9))], axis=1)
+                  for _ in "abc"]
         per_instance = rng.dirichlet(np.ones(3), size=6)
         for weights in (ds.fixed_weights(3),
-                        ds.TeacherWeights(start=per_instance, end=per_instance[::-1].copy())):
-            z_s, z_e = ds.aggregate_logits(rows, weights)
+                        np.stack([per_instance, per_instance[::-1]], axis=1)):
+            z = ds.aggregate_logits(blocks, weights)
             for i in range(6):
-                ws = np.broadcast_to(weights.start, (6, 3))[i]
-                we = np.broadcast_to(weights.end, (6, 3))[i]
-                ref_s, ref_e = np.zeros(9), np.zeros(9)
-                for k, r in enumerate(rows):
-                    ref_s += ws[k] * r.z_s[i]
-                    ref_e += we[k] * r.z_e[i]
-                np.testing.assert_array_equal(z_s[i], ref_s)
-                np.testing.assert_array_equal(z_e[i], ref_e)
+                for head in range(2):
+                    w = np.broadcast_to(weights, (6, 2, 3))[i, head]
+                    ref = np.zeros(9)
+                    for k, block in enumerate(blocks):
+                        ref += w[k] * block[i, head]
+                    np.testing.assert_array_equal(z[i, head], ref)
 
 
 class TestImpurityWeights:
@@ -394,8 +394,8 @@ class TestLogitStore:
     def test_take_keeps_the_requested_order(self, tmp_path):
         records = self._records(4)
         rows = ds.LogitStore(self._written(tmp_path, records)).take(["s3", "s0", "s3"])
-        np.testing.assert_array_equal(rows.z_s, [records[3].z_s, records[0].z_s, records[3].z_s])
-        np.testing.assert_array_equal(rows.z_e, [records[3].z_e, records[0].z_e, records[3].z_e])
+        np.testing.assert_array_equal(rows[:, 0], [records[3].z_s, records[0].z_s, records[3].z_s])
+        np.testing.assert_array_equal(rows[:, 1], [records[3].z_e, records[0].z_e, records[3].z_e])
 
     def test_take_missing_sample(self, tmp_path):
         with pytest.raises(IncompleteLogits):

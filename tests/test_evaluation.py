@@ -166,9 +166,9 @@ class TestEvaluate:
         vocab = md.Vocabulary.from_samples(samples)
         model = self._zero_model(vocab)
         # every sample's gold sits at the same packed position
-        enc = md.tokenize_and_index(samples[0], vocab, model.config.max_len)
-        model.params["start_bias"][enc.gold_start] = 10.0
-        model.params["end_bias"][enc.gold_end] = 10.0
+        enc = md.encode_dataset(samples[:1], vocab, model.config.max_len)[0]
+        model.params["start_bias"][enc.gold[:, 0]] = 10.0
+        model.params["end_bias"][enc.gold[:, 1]] = 10.0
         report = ev.evaluate(model, samples, vocab)
         assert report.overall_em == 1.0
         assert report.overall_f1 == 1.0

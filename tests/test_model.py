@@ -5,7 +5,7 @@ from branchdistill import corpus as cp
 from branchdistill import distill as ds
 from branchdistill import model as md
 from branchdistill import numerics as nm
-from branchdistill.errors import InvalidConfig, SpanOutOfWindow, StateError
+from branchdistill.errors import InvalidConfig, StateError
 
 from _gradcheck import check_gradients
 
@@ -26,7 +26,7 @@ def task_samples(n=6, seed=0, **task_kwargs):
     records = cp.generate_synthetic_corpus(
         n, ["en", "es"], cp.NoiseSpec(seed=seed), cp.TaskSpec(seed=seed, **task_kwargs)
     )
-    return cp.build_language_branches(records, ["en", "es"]).branches["en"].samples
+    return cp.build_language_branches(records, ["en", "es"]).branches["en"]
 
 
 def small_model(samples, hidden=8, ffn=12, max_len=32, layers=1, seed=0):
@@ -61,11 +61,11 @@ class TestVocabulary:
         assert loaded.tokens == vocab.tokens
 
 
-class TestTokenizeAndIndex:
+class TestEncodeDataset:
     def test_packed_layout(self):
         sample = simple_sample()
         vocab = md.Vocabulary(["q1", "a", "b"])
-        enc = md.tokenize_and_index(sample, vocab, max_len=8)
+        enc, _, _ = md.encode_dataset([sample], vocab, max_len=8)
         expected = [
             md.START_ID, vocab.token_id("q1"), md.SEP_ID,
             vocab.token_id("a"), vocab.token_id("b"),
@@ -76,26 +76,18 @@ class TestTokenizeAndIndex:
         assert enc.offset.tolist() == [3]
         assert enc.end.tolist() == [5]
         assert enc.passage_mask().tolist() == [[False] * 3 + [True] * 2 + [False] * 3]
-        assert (enc.gold_start.tolist(), enc.gold_end.tolist()) == ([3], [3])
-
-    def test_gold_span_beyond_window(self):
-        sample = simple_sample(passage=tuple("abcdefgh"), gold=(7, 7))
-        vocab = md.Vocabulary(list("abcdefgh") + ["q1"])
-        with pytest.raises(SpanOutOfWindow):
-            md.tokenize_and_index(sample, vocab, max_len=8)
-
-    def test_question_fills_window(self):
-        sample = simple_sample(question=tuple(f"q{i}" for i in range(10)))
-        vocab = md.Vocabulary([f"q{i}" for i in range(10)] + ["a", "b"])
-        with pytest.raises(SpanOutOfWindow):
-            md.tokenize_and_index(sample, vocab, max_len=8)
+        assert enc.gold.tolist() == [[3, 3]]
 
     def test_encode_dataset_counts_skips(self):
-        samples = [simple_sample(), simple_sample(passage=tuple("abcdefgh"), gold=(7, 7))]
-        vocab = md.Vocabulary(list("abcdefgh") + ["q1"])
+        # skipped: a gold span that ends past the window, and a question that fills it
+        samples = [simple_sample(), simple_sample(passage=tuple("abcdefgh"), gold=(7, 7)),
+                   simple_sample(question=tuple(f"q{i}" for i in range(10)))]
+        vocab = md.Vocabulary(list("abcdefgh") + [f"q{i}" for i in range(10)])
         encoded, kept, skipped = md.encode_dataset(samples, vocab, max_len=8)
-        assert len(encoded) == len(kept) == 1
-        assert skipped == 1
+        assert len(encoded) == len(kept) == 1 and kept[0] is samples[0]
+        assert skipped == 2
+        for sample in samples[1:]:
+            assert md.encode_dataset([sample], vocab, max_len=8)[1:] == ([], 1)
 
 
 class TestInit:
@@ -131,9 +123,9 @@ class TestForward:
         model, vocab = small_model(samples)
         for name in ("start_vec", "start_bias", "end_vec", "end_bias"):
             model.params[name][:] = 0.0
-        enc = md.tokenize_and_index(samples[0], vocab, model.config.max_len)
+        enc = md.encode_dataset(samples[:1], vocab, model.config.max_len)[0]
         result = md.forward_batch(model, enc)
-        z_s, z_e = result.z_s[0], result.z_e[0]
+        z_s, z_e = result.z[0]
         passage = enc.passage_mask()[0]
         np.testing.assert_array_equal(z_s[passage], 0.0)
         np.testing.assert_array_equal(z_e[passage], 0.0)
@@ -142,16 +134,15 @@ class TestForward:
     def test_deterministic(self):
         samples = task_samples()
         model, vocab = small_model(samples)
-        enc = md.tokenize_and_index(samples[0], vocab, model.config.max_len)
+        enc = md.encode_dataset(samples[:1], vocab, model.config.max_len)[0]
         a = md.forward_batch(model, enc)
         b = md.forward_batch(model, enc)
-        np.testing.assert_array_equal(a.z_s, b.z_s)
-        np.testing.assert_array_equal(a.z_e, b.z_e)
+        np.testing.assert_array_equal(a.z, b.z)
 
     def test_zero_layers_is_embedding_plus_positions(self):
         samples = task_samples()
         model, vocab = small_model(samples, layers=0)
-        enc = md.tokenize_and_index(samples[0], vocab, model.config.max_len)
+        enc = md.encode_dataset(samples[:1], vocab, model.config.max_len)[0]
         H = md.forward_batch(model, enc).H[0]
         n = enc.end[0]
         assert H.shape[0] == n == np.count_nonzero(enc.ids[0])
@@ -161,8 +152,8 @@ class TestForward:
     def test_masked_positions_carry_no_probability(self):
         samples = task_samples()
         model, vocab = small_model(samples)
-        enc = md.tokenize_and_index(samples[0], vocab, model.config.max_len)
-        z_s = md.forward_batch(model, enc).z_s[0]
+        enc = md.encode_dataset(samples[:1], vocab, model.config.max_len)[0]
+        z_s = md.forward_batch(model, enc).z[0, 0]
         p = nm.softmax_temperature(z_s, 1.0)
         assert p[~enc.passage_mask()[0]].max() <= 1e-6
 
@@ -173,19 +164,18 @@ class TestForward:
         assert len(encoded) == 4
         forward_result = md.forward_batch(model, encoded)
         permuted = md.forward_batch(model, encoded[::-1])
-        np.testing.assert_array_equal(forward_result.z_s, permuted.z_s[::-1])
-        np.testing.assert_array_equal(forward_result.z_e, permuted.z_e[::-1])
+        np.testing.assert_array_equal(forward_result.z, permuted.z[::-1])
 
 
-def named_grads(model, cache, grad_z_s, grad_z_e):
+def named_grads(model, cache, dz):
     """``md.backward``'s flat gradient, as one view per parameter name."""
-    return md.param_views(model.config, md.backward(model, cache, grad_z_s, grad_z_e))
+    return md.param_views(model.config, md.backward(model, cache, dz))
 
 
 def operating_point(layers, seed, max_len=16):
     """A model at a representative operating point, not the tiny init scale,
-    a batch of three encoded samples, and logit probes that are zero at
-    masked positions."""
+    a batch of three encoded samples, and a (3, 2, L) block of logit probes
+    that are zero at masked positions."""
     samples = task_samples(4, passage_min=5, passage_max=8)
     model, vocab = small_model(samples, max_len=max_len, layers=layers)
     rng = np.random.default_rng(seed)
@@ -194,7 +184,7 @@ def operating_point(layers, seed, max_len=16):
     encoded, _, _ = md.encode_dataset(samples[:3], vocab, max_len)
     assert len(encoded) == 3
     passage = encoded.passage_mask()
-    probes = (rng.normal(size=passage.shape) * passage, rng.normal(size=passage.shape) * passage)
+    probes = np.stack([rng.normal(size=passage.shape) * passage for _ in range(2)], axis=1)
     return model, encoded, probes
 
 
@@ -202,39 +192,40 @@ class TestBackward:
     def test_zero_grad_in_zero_grad_out(self):
         samples = task_samples()
         model, vocab = small_model(samples)
-        enc = md.tokenize_and_index(samples[0], vocab, model.config.max_len)
+        enc = md.encode_dataset(samples[:1], vocab, model.config.max_len)[0]
         cache = md.forward_batch(model, enc)
-        grads = named_grads(model, cache, np.zeros_like(cache.z_s), np.zeros_like(cache.z_e))
+        grads = named_grads(model, cache, np.zeros_like(cache.z))
         for g in grads.values():
             np.testing.assert_array_equal(g, 0.0)
 
     def test_position_bias_gradient_is_passthrough(self):
         samples = task_samples()
         model, vocab = small_model(samples)
-        enc = md.tokenize_and_index(samples[0], vocab, model.config.max_len)
+        enc = md.encode_dataset(samples[:1], vocab, model.config.max_len)[0]
         cache = md.forward_batch(model, enc)
         rng = np.random.default_rng(0)
-        g_s = rng.normal(size=cache.z_s.shape)
-        grads = named_grads(model, cache, g_s, np.zeros_like(cache.z_e))
+        dz = np.zeros_like(cache.z)
+        dz[:, 0] = rng.normal(size=dz[:, 0].shape)
+        grads = named_grads(model, cache, dz)
         passage = enc.passage_mask()[0]
-        np.testing.assert_array_equal(grads["start_bias"][passage], g_s[0][passage])
+        np.testing.assert_array_equal(grads["start_bias"][passage], dz[0, 0][passage])
         np.testing.assert_array_equal(grads["start_bias"][~passage], 0.0)
 
     def test_backward_leaves_cache_and_parameters_unchanged(self):
-        model, encoded, (g_s, g_e) = operating_point(layers=2, seed=6)
+        model, encoded, dz = operating_point(layers=2, seed=6)
         before = {name: p.copy() for name, p in model.params.items()}
         cache = md.forward_batch(model, encoded)
-        outputs = (cache.z_s.copy(), cache.z_e.copy(), cache.H.copy())
-        first = named_grads(model, cache, g_s, g_e)
-        second = named_grads(model, cache, g_s, g_e)
-        for kept, now in zip(outputs, (cache.z_s, cache.z_e, cache.H)):
+        outputs = (cache.z.copy(), cache.H.copy())
+        first = named_grads(model, cache, dz)
+        second = named_grads(model, cache, dz)
+        for kept, now in zip(outputs, (cache.z, cache.H)):
             np.testing.assert_array_equal(kept, now)
         assert list(first) == [name for name, _ in md.parameter_layout(model.config)]
         for name in first:
             np.testing.assert_array_equal(first[name], second[name])
             np.testing.assert_array_equal(model.params[name], before[name])
         with pytest.raises(StateError):
-            md.backward(model, None, g_s, g_e)
+            md.backward(model, None, dz)
 
     def test_gradients_at_masked_logits_are_ignored(self):
         # masked positions hold the constant MASKED_LOGIT, so no parameter moves them
@@ -243,17 +234,16 @@ class TestBackward:
         outside = ~cache.passage
         assert outside.any()
         rng = np.random.default_rng(7)
-        grads = named_grads(model, cache, rng.normal(size=outside.shape) * outside,
-                            rng.normal(size=outside.shape) * outside)
+        grads = named_grads(model, cache, np.stack(
+            [rng.normal(size=outside.shape) * outside for _ in range(2)], axis=1))
         for name, g in grads.items():
             np.testing.assert_array_equal(g, 0.0, err_msg=name)
 
     def test_batch_gradient_is_sum_of_per_sample_gradients(self):
-        model, encoded, (g_s, g_e) = operating_point(layers=2, seed=8)
-        batch = named_grads(model, md.forward_batch(model, encoded), g_s, g_e)
+        model, encoded, dz = operating_point(layers=2, seed=8)
+        batch = named_grads(model, md.forward_batch(model, encoded), dz)
         alone = [
-            named_grads(model, md.forward_batch(model, encoded[i:i + 1]),
-                        g_s[i:i + 1], g_e[i:i + 1])
+            named_grads(model, md.forward_batch(model, encoded[i:i + 1]), dz[i:i + 1])
             for i in range(len(encoded))
         ]
         for name in batch:
@@ -262,15 +252,14 @@ class TestBackward:
 
     def test_backward_is_linear_in_logit_gradients(self):
         # a training step combines lambda1 * d_nll + lambda2 * d_kd before one backward pass
-        model, encoded, (a_s, a_e) = operating_point(layers=1, seed=9)
+        model, encoded, a = operating_point(layers=1, seed=9)
         rng = np.random.default_rng(9)
-        b_s, b_e = rng.normal(size=a_s.shape), rng.normal(size=a_e.shape)
+        b = np.stack([rng.normal(size=a[:, 0].shape) for _ in range(2)], axis=1)
         cache = md.forward_batch(model, encoded)
-        grads_a = named_grads(model, cache, a_s, a_e)
-        grads_b = named_grads(model, cache, b_s, b_e)
+        grads_a = named_grads(model, cache, a)
+        grads_b = named_grads(model, cache, b)
         for lambda1, lambda2 in ((0.5, 0.5), (0.3, 0.9), (1.0, 0.0)):
-            combined = named_grads(model, cache, lambda1 * a_s + lambda2 * b_s,
-                                   lambda1 * a_e + lambda2 * b_e)
+            combined = named_grads(model, cache, lambda1 * a + lambda2 * b)
             for name in combined:
                 np.testing.assert_allclose(
                     combined[name], lambda1 * grads_a[name] + lambda2 * grads_b[name],
@@ -289,15 +278,13 @@ class TestBackward:
             p[:] = rng.normal(scale=0.3, size=p.shape)
         encoded, _, _ = md.encode_dataset(samples[:3], vocab, 16)
         assert len(encoded) == 3
-        gold_s, gold_e = encoded.gold_start, encoded.gold_end
-
         result = md.forward_batch(model, encoded)
-        _, dz_s, dz_e = ds.batch_nll(result.z_s, result.z_e, gold_s, gold_e)
-        grads = named_grads(model, result, dz_s, dz_e)
+        _, dz = ds.batch_nll(result.z, encoded.gold)
+        grads = named_grads(model, result, dz)
 
         def value():
             fresh = md.forward_batch(model, encoded)
-            return ds.batch_nll(fresh.z_s, fresh.z_e, gold_s, gold_e)[0]
+            return ds.batch_nll(fresh.z, encoded.gold)[0]
 
         check_gradients(value, model.params, grads)
 
@@ -338,12 +325,11 @@ class TestBackwardPasses:
 
     @staticmethod
     def _check_probed_gradients(model, encoded, probes):
-        g_s, g_e = probes
-        grads = named_grads(model, md.forward_batch(model, encoded), g_s, g_e)
+        grads = named_grads(model, md.forward_batch(model, encoded), probes)
 
         def value():
             fresh = md.forward_batch(model, encoded)
-            return float((g_s * fresh.z_s).sum() + (g_e * fresh.z_e).sum())
+            return float((probes * fresh.z).sum())
 
         check_gradients(value, model.params, grads)
 
@@ -377,11 +363,10 @@ class TestTrimmedBatch:
         for row, passage in enumerate(encoded.passage_mask()):
             alone = md.forward_batch(model, encoded[row:row + 1])
             assert alone.H.shape[1] == lengths[row]
-            for z, z_alone in ((batch.z_s, alone.z_s), (batch.z_e, alone.z_e)):
-                assert z[row].shape == (max_len,)
-                np.testing.assert_array_equal(z[row][~passage], md.MASKED_LOGIT)
-                # sums over positions round differently at another n, so not bitwise
-                np.testing.assert_allclose(z[row], z_alone[0], rtol=1e-12, atol=0)
+            assert batch.z[row].shape == (2, max_len)
+            np.testing.assert_array_equal(batch.z[row][:, ~passage], md.MASKED_LOGIT)
+            # sums over positions round differently at another n, so not bitwise
+            np.testing.assert_allclose(batch.z[row], alone.z[0], rtol=1e-12, atol=0)
 
     def test_input_filling_the_window(self):
         max_len = 16
@@ -394,11 +379,11 @@ class TestTrimmedBatch:
         assert fwd.H.shape == (2, max_len, model.config.hidden)
         p = model.params
         last = fwd.H[0, -1] @ p["start_vec"] + p["start_bias"][-1]
-        np.testing.assert_allclose(fwd.z_s[0, -1], last, rtol=1e-12)
-        np.testing.assert_array_equal(fwd.z_s[1][~short.passage_mask()[0]], md.MASKED_LOGIT)
-        g_s = np.zeros_like(fwd.z_s)
-        g_s[0, -1] = 1.0
-        grads = named_grads(model, fwd, g_s, np.zeros_like(fwd.z_e))
+        np.testing.assert_allclose(fwd.z[0, 0, -1], last, rtol=1e-12)
+        np.testing.assert_array_equal(fwd.z[1, 0][~short.passage_mask()[0]], md.MASKED_LOGIT)
+        dz = np.zeros_like(fwd.z)
+        dz[0, 0, -1] = 1.0
+        grads = named_grads(model, fwd, dz)
         assert grads["start_bias"][-1] == 1.0
 
     def test_gradients_of_a_trimmed_batch(self):
@@ -407,7 +392,7 @@ class TestTrimmedBatch:
         assert n < model.config.max_len
         fwd = md.forward_batch(model, encoded)
         assert fwd.H.shape[1] == n
-        grads = named_grads(model, fwd, *probes)
+        grads = named_grads(model, fwd, probes)
         for name in ("start_bias", "end_bias"):
             assert grads[name].shape == (model.config.max_len,)
             np.testing.assert_array_equal(grads[name][n:], 0.0)
@@ -425,9 +410,9 @@ class TestSerialization:
         assert loaded.seed == model.seed
         for name in model.params:
             np.testing.assert_array_equal(loaded.params[name], model.params[name])
-        enc = md.tokenize_and_index(samples[0], vocab, model.config.max_len)
-        np.testing.assert_array_equal(md.forward_batch(model, enc).z_s,
-                                      md.forward_batch(loaded, enc).z_s)
+        enc = md.encode_dataset(samples[:1], vocab, model.config.max_len)[0]
+        np.testing.assert_array_equal(md.forward_batch(model, enc).z,
+                                      md.forward_batch(loaded, enc).z)
 
     @pytest.mark.parametrize("corrupt", [
         lambda blob: blob[:3],

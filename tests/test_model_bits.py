@@ -1,7 +1,8 @@
 """Bit-identity of the encoder passes and of encoding against out-of-place oracles.
 
-The oracles below are the plain expressions ``model.py`` computes in place:
-each of its passes must give the same bits, signed zeros included.
+The oracles below are the plain expressions ``model.py`` computes in place,
+one head at a time: each of its passes, which take and give the (B, 2, L)
+start/end block, must give the same bits, signed zeros included.
 """
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 
 from branchdistill import corpus as cp
 from branchdistill import model as md
-from branchdistill.errors import SpanOutOfWindow
 
 
 def assert_same_bits(actual, expected):
@@ -65,7 +65,7 @@ def oracle_forward(model, encoded):
         logits[:, :n] = np.where(passage[:, :n], (x @ p[f"{head}_vec"].reshape(-1, 1))[..., 0]
                                  + p[f"{head}_bias"][:n], md.MASKED_LOGIT)
         z.append(logits)
-    return md.Forward(z_s=z[0], z_e=z[1], H=x, ids=ids, passage=passage, blocks=blocks)
+    return md.Forward(z=np.stack(z, axis=1), H=x, ids=ids, passage=passage, blocks=blocks)
 
 
 def oracle_backward(model, cache, grad_z_s, grad_z_e):
@@ -76,7 +76,7 @@ def oracle_backward(model, cache, grad_z_s, grad_z_e):
     n = cache.H.shape[1]
     dx = 0.0
     for head, grad_z in (("start", grad_z_s), ("end", grad_z_e)):
-        g = np.asarray(grad_z, dtype=np.float64).reshape(cache.z_s.shape) * cache.passage
+        g = np.asarray(grad_z, dtype=np.float64).reshape(cache.passage.shape) * cache.passage
         grads[f"{head}_bias"][...] = g.sum(axis=0)
         g = g[:, :n]
         grads[f"{head}_vec"][...] = (cache.H.swapaxes(-1, -2) @ g[..., None]).sum(axis=0)[:, 0]
@@ -123,7 +123,7 @@ def random_batch(rng, batch, hidden, layers, max_len=24, vocab_size=md.FIRST_TOK
     end = rng.integers(offset + 2, max_len + 1)
     ids = rng.integers(md.OOV_BASE_ID, vocab_size, size=(batch, max_len))
     ids[np.arange(max_len) >= end[:, None]] = md.PAD_ID
-    return model, md.Encoded(ids, offset, end, offset, offset + 1)
+    return model, md.Encoded(ids, offset, end, np.stack([offset, offset + 1], axis=1))
 
 
 def flatten(block):
@@ -139,7 +139,7 @@ def test_passes_match_out_of_place_oracles(layers, batch, hidden):
     model, encoded = random_batch(rng, batch, hidden, layers)
     fwd = md.forward_batch(model, encoded)
     ref = oracle_forward(model, encoded)
-    for name in ("z_s", "z_e", "H", "ids", "passage"):
+    for name in ("z", "H", "ids", "passage"):
         assert_same_bits(getattr(fwd, name), getattr(ref, name))
     assert len(fwd.blocks) == len(ref.blocks) == layers
     for block, ref_block in zip(fwd.blocks, ref.blocks):
@@ -147,13 +147,13 @@ def test_passes_match_out_of_place_oracles(layers, batch, hidden):
         assert len(pairs) == 12
         for a, b in pairs:
             assert_same_bits(a, b)
-    np.testing.assert_array_equal(md.forward_logits(model, encoded),
-                                  np.stack([ref.z_s, ref.z_e], axis=1))
+    np.testing.assert_array_equal(md.forward_logits(model, encoded), ref.z)
 
-    g_s, g_e = rng.normal(size=fwd.z_s.shape), rng.normal(size=fwd.z_e.shape)
+    g_s, g_e = rng.normal(size=fwd.passage.shape), rng.normal(size=fwd.passage.shape)
     g_s[:, ::3] = 0.0   # zero probes give signed zeros downstream
     for probes in ((g_s, g_e), (np.zeros_like(g_s), np.zeros_like(g_e))):
-        assert_same_bits(md.backward(model, fwd, *probes), oracle_backward(model, ref, *probes))
+        assert_same_bits(md.backward(model, fwd, np.stack(probes, axis=1)),
+                         oracle_backward(model, ref, *probes))
 
 
 def test_layer_norm_pair_matches_oracles_and_keeps_its_input():
@@ -182,11 +182,11 @@ def test_reused_gradient_buffer_equals_a_fresh_backward():
     buffer = np.full_like(model.flat, 7.0)
     for encoded in (first, second):
         fwd = md.forward_batch(model, encoded)
-        probes = rng.normal(size=fwd.z_s.shape), rng.normal(size=fwd.z_e.shape)
-        fresh = md.backward(model, fwd, *probes)
-        assert md.backward(model, fwd, *probes, out=buffer) is buffer
+        dz = np.stack([rng.normal(size=fwd.passage.shape) for _ in range(2)], axis=1)
+        fresh = md.backward(model, fwd, dz)
+        assert md.backward(model, fwd, dz, out=buffer) is buffer
         assert_same_bits(buffer, fresh)
-        assert fresh is not md.backward(model, fwd, *probes)
+        assert fresh is not md.backward(model, fwd, dz)
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +195,17 @@ def test_reused_gradient_buffer_equals_a_fresh_backward():
 
 
 def oracle_encode_row(sample, vocab, max_len):
-    """The packed row of one sample, by plain per-token lookups, or the
-    ``SpanOutOfWindow`` message."""
+    """The packed row of one sample, by plain per-token lookups, or None
+    when its question fills the window or its gold span ends past it."""
     q_ids = [vocab.token_id(t) for t in sample.question_tokens]
     p_ids = [vocab.token_id(t) for t in sample.passage_tokens]
     offset = len(q_ids) + 2
     if offset >= max_len:
-        return f"sample {sample.id}: question fills the whole window of {max_len}"
+        return None
     end = min(offset + len(p_ids), max_len)
     gold_end = sample.gold_end + offset
     if gold_end >= end:
-        return f"sample {sample.id}: gold span ends at {gold_end}, window ends at {end}"
+        return None
     ids = np.full(max_len, md.PAD_ID, dtype=np.int64)
     ids[:end] = [md.START_ID, *q_ids, md.SEP_ID, *p_ids[: end - offset]]
     return ids, (offset, end, sample.gold_start + offset, gold_end)
@@ -220,27 +220,21 @@ def test_encode_dataset_matches_per_sample_oracle(max_len):
     vocab = md.Vocabulary.from_samples(samples[: len(samples) // 3])
     encoded, kept, skipped = md.encode_dataset(samples, vocab, max_len)
 
-    rows, expected_kept, messages = [], [], []
+    rows, expected_kept, skips = [], [], 0
     for sample in samples:
         row = oracle_encode_row(sample, vocab, max_len)
-        if isinstance(row, str):
-            messages.append(row)
-            with pytest.raises(SpanOutOfWindow) as caught:
-                md.tokenize_and_index(sample, vocab, max_len)
-            assert str(caught.value) == row
+        if row is None:
+            skips += 1
             continue
         rows.append(row)
         expected_kept.append(sample)
-        single = md.tokenize_and_index(sample, vocab, max_len)
-        assert_same_bits(single.ids, row[0][None])
-        assert [int(single.offset[0]), int(single.end[0]), int(single.gold_start[0]),
-                int(single.gold_end[0])] == list(row[1])
 
-    assert kept == expected_kept and skipped == len(messages)
+    assert kept == expected_kept and skipped == skips
     assert_same_bits(encoded.ids, np.array([r[0] for r in rows]).reshape(-1, max_len))
-    columns = np.array([r[1] for r in rows], dtype=np.int64).reshape(-1, 4).T
-    for name, column in zip(("offset", "end", "gold_start", "gold_end"), columns):
-        assert_same_bits(getattr(encoded, name), column)
+    table = np.array([r[1] for r in rows], dtype=np.int64).reshape(-1, 4)
+    assert_same_bits(encoded.offset, table[:, 0])
+    assert_same_bits(encoded.end, table[:, 1])
+    assert_same_bits(encoded.gold, table[:, 2:])
     # the corpus exercises what it should at each window
     truncated = sum(o + len(s.passage_tokens) > max_len for o, s in zip(encoded.offset, kept))
     oov = (encoded.ids >= md.OOV_BASE_ID) & (encoded.ids < md.FIRST_TOKEN_ID)
@@ -250,4 +244,5 @@ def test_encode_dataset_matches_per_sample_oracle(max_len):
 
 def test_encode_empty_dataset():
     encoded, kept, skipped = md.encode_dataset([], md.Vocabulary(["a"]), 8)
-    assert (encoded.ids.shape, encoded.offset.shape, kept, skipped) == ((0, 8), (0,), [], 0)
+    assert (encoded.ids.shape, encoded.offset.shape, encoded.gold.shape, kept, skipped) == (
+        (0, 8), (0,), (0, 2), [], 0)

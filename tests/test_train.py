@@ -84,7 +84,7 @@ class TestFlatParameters:
     def test_views_write_through_to_flat_and_checkpoint(self, tmp_path, source):
         result, _, vocab, config = small_task()
         if source == "train":
-            model, _ = tr.train_teacher(result.branches["en"].samples, vocab, config,
+            model, _ = tr.train_teacher(result.branches["en"], vocab, config,
                                         tr.TrainConfig(epochs=1, seed=3, lr=1e-3))
         else:
             model = md.init_model(config, seed=3)
@@ -141,10 +141,10 @@ class TestTrainTeacher:
         result, _, vocab, config = small_task()
         cfg = tr.TrainConfig(epochs=2, seed=5, lr=1e-3)
         model_a, manifest_a = tr.train_teacher(
-            result.branches["en"].samples, vocab, config, cfg, out_dir=tmp_path / "a"
+            result.branches["en"], vocab, config, cfg, out_dir=tmp_path / "a"
         )
         model_b, manifest_b = tr.train_teacher(
-            result.branches["en"].samples, vocab, config, cfg, out_dir=tmp_path / "b"
+            result.branches["en"], vocab, config, cfg, out_dir=tmp_path / "b"
         )
         for name in model_a.params:
             np.testing.assert_array_equal(model_a.params[name], model_b.params[name])
@@ -156,7 +156,7 @@ class TestTrainTeacher:
     def test_zero_learning_rate_freezes_the_model(self):
         result, _, vocab, config = small_task()
         cfg = tr.TrainConfig(epochs=3, seed=1, lr=0.0)
-        _, manifest = tr.train_teacher(result.branches["en"].samples, vocab, config, cfg)
+        _, manifest = tr.train_teacher(result.branches["en"], vocab, config, cfg)
         losses = [e["total"] for e in manifest.epoch_losses]
         assert abs(losses[-1] - losses[0]) <= 1e-12
 
@@ -177,7 +177,7 @@ class TestTrainTeacher:
         with np.errstate(all="ignore"), pytest.raises(
             InvalidParameter, match=r"run 'diverging'.* epoch \d+, step \d+ of \d+"
         ):
-            tr.train_teacher(result.branches["en"].samples, vocab, config, cfg,
+            tr.train_teacher(result.branches["en"], vocab, config, cfg,
                              run_name="diverging")
         assert stepped and all(stepped)
 
@@ -193,7 +193,7 @@ class TestTrainTeacher:
         monkeypatch.setattr(tr, "clip_gradients", observed_clip)
         result, _, vocab, config = small_task()
         cfg = tr.TrainConfig(epochs=2, seed=4, lr=1e-3, clip_norm=clip_norm)
-        _, manifest = tr.train_teacher(result.branches["en"].samples, vocab, config, cfg,
+        _, manifest = tr.train_teacher(result.branches["en"], vocab, config, cfg,
                                        out_dir=tmp_path)
         steps = len(norms) // cfg.epochs
         assert steps * cfg.epochs == len(norms)
@@ -210,7 +210,7 @@ class TestTrainTeacher:
     def test_loss_decreases_over_ten_epochs(self):
         result, _, vocab, config = small_task(n_records=30)
         cfg = tr.TrainConfig(epochs=10, seed=2, lr=5e-3)
-        _, manifest = tr.train_teacher(result.branches["en"].samples, vocab, config, cfg)
+        _, manifest = tr.train_teacher(result.branches["en"], vocab, config, cfg)
         assert manifest.epoch_losses[-1]["total"] < manifest.epoch_losses[0]["total"]
 
     def test_repeated_teacher_ids_rejected(self):
@@ -227,14 +227,14 @@ class TestTrainTeacher:
     def test_negative_loss_weights_rejected(self, weights):
         result, _, vocab, config = small_task()
         with pytest.raises(InvalidConfig):
-            tr.train_teacher(result.branches["en"].samples, vocab, config,
+            tr.train_teacher(result.branches["en"], vocab, config,
                              tr.TrainConfig(**weights))
 
     def test_checkpoint_per_epoch(self, tmp_path):
         result, _, vocab, config = small_task()
         cfg = tr.TrainConfig(epochs=3, seed=0, lr=1e-3)
         _, manifest = tr.train_teacher(
-            result.branches["en"].samples, vocab, config, cfg, out_dir=tmp_path
+            result.branches["en"], vocab, config, cfg, out_dir=tmp_path
         )
         assert manifest.checkpoints == ["epoch_001.ckpt", "epoch_002.ckpt", "epoch_003.ckpt"]
         for name in manifest.checkpoints + ["final.ckpt"]:
@@ -245,18 +245,18 @@ class TestDumpLogits:
     def test_record_count_and_round_trip(self, tmp_path):
         result, union, vocab, config = small_task()
         cfg = tr.TrainConfig(epochs=1, seed=3, lr=1e-3)
-        model, _ = tr.train_teacher(result.branches["en"].samples, vocab, config, cfg)
+        model, _ = tr.train_teacher(result.branches["en"], vocab, config, cfg)
         path = tmp_path / "en.logits"
         written, skipped = tr.dump_teacher_logits(model, union, vocab, path, "en")
         assert written == len(union) - skipped
         store = ds.LogitStore(path)
         assert store.count == written
         sample = union[0]
-        enc = md.tokenize_and_index(sample, vocab, config.max_len)
+        enc = md.encode_dataset([sample], vocab, config.max_len)[0]
         result = md.forward_batch(model, enc)
         stored = store.get(sample.key())
-        np.testing.assert_array_equal(stored.z_s, result.z_s[0])
-        np.testing.assert_array_equal(stored.z_e, result.z_e[0])
+        np.testing.assert_array_equal(stored.z_s, result.z[0, 0])
+        np.testing.assert_array_equal(stored.z_e, result.z[0, 1])
 
     def test_union_of_three_noiseless_branches(self, tmp_path):
         records = cp.generate_synthetic_corpus(
@@ -283,16 +283,24 @@ class _Keyed:
 
 
 class TestTargetTables:
-    """The run's target table equals, bit for bit, targets built one row at a time."""
+    """The run's target block equals, bit for bit, targets built one row at a
+    time and targets built one head at a time."""
 
     @staticmethod
-    def _stores(tmp_path, langs, n, max_len):
+    def _stores(tmp_path, langs, n, max_len, masked=False):
         rng = np.random.default_rng(len(langs) * 100 + max_len)
         stores = {}
         for lang in langs:
             path = tmp_path / f"{lang}.logits"
-            ds.write_logit_store(path, lang, [f"s{i}" for i in range(n)],
-                                 rng.normal(scale=4.0, size=(n, 2, max_len)))
+            logits = rng.normal(scale=4.0, size=(n, 2, max_len))
+            if masked:
+                # each row's passage window, as the encoder masks it
+                offset = rng.integers(1, max_len // 2, size=n)
+                end = rng.integers(offset + 1, max_len + 1)
+                positions = np.arange(max_len)
+                outside = (positions < offset[:, None]) | (positions >= end[:, None])
+                logits = np.where(outside[:, None], md.MASKED_LOGIT, logits)
+            ds.write_logit_store(path, lang, [f"s{i}" for i in range(n)], logits)
             stores[lang] = ds.LogitStore(path)
         return stores
 
@@ -302,12 +310,43 @@ class TestTargetTables:
         if cfg.strategy == "fixed":
             weights = ds.fixed_weights(len(records))
         else:
-            weights = ds.TeacherWeights(
-                start=ds.impurity_weights([r.z_s for r in records], cfg.impurity_sign),
-                end=ds.impurity_weights([r.z_e for r in records], cfg.impurity_sign),
-            )
-        z_s, z_e = ds.aggregate_logits(records, weights)
-        return nm.softmax_temperature(z_s, cfg.tau), nm.softmax_temperature(z_e, cfg.tau)
+            weights = np.stack([
+                ds.impurity_weights([r.z_s for r in records], cfg.impurity_sign),
+                ds.impurity_weights([r.z_e for r in records], cfg.impurity_sign),
+            ])
+        z = ds.aggregate_logits([np.stack([r.z_s, r.z_e]) for r in records], weights)
+        return nm.softmax_temperature(z, cfg.tau)
+
+    @staticmethod
+    def _per_head_oracle(samples, stores, cfg):
+        """The targets as separate start and end tables, each weighted,
+        aggregated and softened on its own."""
+        keys = [s.key() for s in samples]
+        blocks = [stores[tid].take(keys) for tid in cfg.teacher_ids or sorted(stores)]
+        tables = []
+        for head in range(2):
+            per_teacher = [np.ascontiguousarray(b[:, head]) for b in blocks]
+            if cfg.strategy == "fixed":
+                weights = np.full(len(per_teacher), 1.0 / len(per_teacher))
+            else:
+                weights = ds.impurity_weights(per_teacher, cfg.impurity_sign)
+            z = np.zeros(per_teacher[0].shape)
+            for k, table in enumerate(per_teacher):
+                z += weights[..., k, None] * table
+            tables.append(nm.softmax_temperature(z, cfg.tau))
+        return np.stack(tables, axis=1)
+
+    @pytest.mark.parametrize("teacher_ids", [("en",), ("es", "en"), ("es", "de", "en")])
+    @pytest.mark.parametrize("strategy,sign", [("fixed", 1), ("impurity", 1), ("impurity", -1)])
+    def test_block_bits_equal_per_head_oracle(self, tmp_path, teacher_ids, strategy, sign):
+        stores = self._stores(tmp_path, ("de", "en", "es"), 40, 24, masked=True)
+        cfg = tr.TrainConfig(tau=1.7, strategy=strategy, impurity_sign=sign,
+                             teacher_ids=teacher_ids)
+        samples = [_Keyed(f"s{i}") for i in np.random.default_rng(2).permutation(40)]
+        block = tr._target_tables(samples, stores, cfg)
+        expected = self._per_head_oracle(samples, stores, cfg)
+        assert block.shape == expected.shape == (40, 2, 24)
+        assert block.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("teacher_ids", [("en",), ("es", "en"), ("es", "de", "en"), ()])
     @pytest.mark.parametrize("strategy,sign", [("fixed", 1), ("impurity", 1), ("impurity", -1)])
@@ -318,12 +357,11 @@ class TestTargetTables:
         cfg = tr.TrainConfig(tau=1.7, strategy=strategy, impurity_sign=sign,
                              teacher_ids=teacher_ids)
         keys = [f"s{i}" for i in np.random.default_rng(1).permutation(30)]
-        p_s, p_e = tr._target_tables([_Keyed(k) for k in keys], stores, cfg)
-        assert p_s.shape == p_e.shape == (30, max_len)
+        p = tr._target_tables([_Keyed(k) for k in keys], stores, cfg)
+        assert p.shape == (30, 2, max_len)
         for row, key in enumerate(keys):
-            ref_s, ref_e = self._reference_row(stores, teacher_ids or ("de", "en", "es"), key, cfg)
-            np.testing.assert_array_equal(p_s[row], ref_s)
-            np.testing.assert_array_equal(p_e[row], ref_e)
+            ref = self._reference_row(stores, teacher_ids or ("de", "en", "es"), key, cfg)
+            np.testing.assert_array_equal(p[row], ref)
 
 
 class TestDistillStudent:
@@ -331,7 +369,7 @@ class TestDistillStudent:
         stores = {}
         for lang in langs:
             cfg = tr.TrainConfig(epochs=1, seed=4, lr=1e-3)
-            model, _ = tr.train_teacher(result.branches[lang].samples, vocab, config, cfg)
+            model, _ = tr.train_teacher(result.branches[lang], vocab, config, cfg)
             path = tmp_path / f"{lang}.logits"
             tr.dump_teacher_logits(model, union, vocab, path, lang)
             stores[lang] = ds.LogitStore(path)
@@ -354,8 +392,7 @@ class TestDistillStudent:
         stores = self._stores(tmp_path, result, union, vocab, config)
         path = tmp_path / "partial.logits"
         keys = [s.key() for s in union[:5]]
-        partial = stores["en"].take(keys)
-        ds.write_logit_store(path, "en", keys, np.stack([partial.z_s, partial.z_e], axis=1))
+        ds.write_logit_store(path, "en", keys, stores["en"].take(keys))
         stores["en"] = ds.LogitStore(path)
         with pytest.raises(IncompleteLogits):
             tr.distill_student(stores, union, vocab, config, tr.TrainConfig(epochs=1))
