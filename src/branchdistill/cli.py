@@ -36,13 +36,7 @@ from .errors import (
     malformed_as_invalid,
 )
 from .model import ModelConfig, Vocabulary, load_model
-from .train import (
-    RunManifest,
-    TrainConfig,
-    distill_student,
-    dump_teacher_logits,
-    train_teacher,
-)
+from .train import RunManifest, TrainConfig, dump_teacher_logits, train
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +143,6 @@ class PipelineConfig:
         )
 
     def train_config(self, seed: int | None = None, **overrides) -> TrainConfig:
-        clip = self.values["train.clip_norm"]
         base = dict(
             epochs=self.values["train.epochs"],
             batch_size=self.values["train.batch_size"],
@@ -161,7 +154,7 @@ class PipelineConfig:
             impurity_sign=self.values["train.impurity_sign"],
             lr=self.values["train.lr"],
             weight_decay=self.values["train.weight_decay"],
-            clip_norm=None if clip is not None and clip <= 0 else clip,
+            clip_norm=self.values["train.clip_norm"],
         )
         base.update(overrides)
         return TrainConfig(**base)
@@ -387,6 +380,22 @@ def _check_resume(run_dir: Path, train_cfg: TrainConfig, model_cfg: ModelConfig,
         )
 
 
+def _train_stage(cfg: PipelineConfig, run_name: str, run_dir: Path, dataset: Path,
+                 train_cfg: TrainConfig, stores: dict[str, LogitStore] | None = None
+                 ) -> RunManifest:
+    """Train one run on ``dataset`` into ``run_dir``: a teacher when
+    ``stores`` is None, else a student distilled from them."""
+    vocab = Vocabulary.load(_require(cfg.vocab_path, "vocabulary"))
+    samples = cp.read_samples(dataset)
+    model_cfg = cfg.model_config(vocab.size)
+    digest = cp.sha256_file(dataset)
+    vocab_digest = cp.sha256_file(cfg.vocab_path)
+    _check_resume(run_dir, train_cfg, model_cfg, digest, vocab_digest)
+    _, manifest = train(samples, vocab, model_cfg, train_cfg, run_name, out_dir=run_dir,
+                        stores=stores, dataset_digest=digest, vocab_digest=vocab_digest)
+    return manifest
+
+
 def op_train_teacher(cfg: PipelineConfig, branch: str | None = None,
                      dataset: Path | None = None, run_name: str | None = None,
                      seed: int | None = None) -> Path:
@@ -395,20 +404,10 @@ def op_train_teacher(cfg: PipelineConfig, branch: str | None = None,
             raise InvalidConfig("train-teacher needs --branch or --dataset")
         dataset = cfg.branch_path(branch)
     run_name = run_name or branch or Path(dataset).stem
-    dataset = _require(Path(dataset), "training dataset")
-    vocab = Vocabulary.load(_require(cfg.vocab_path, "vocabulary"))
-    samples = cp.read_samples(dataset)
-    train_cfg = cfg.train_config(seed=seed, lambda1=1.0, lambda2=0.0)
-    model_cfg = cfg.model_config(vocab.size)
     run_dir = cfg.teacher_dir(run_name)
-    digest = cp.sha256_file(dataset)
-    vocab_digest = cp.sha256_file(cfg.vocab_path)
-    _check_resume(run_dir, train_cfg, model_cfg, digest, vocab_digest)
-    _, manifest = train_teacher(
-        samples, vocab, model_cfg, train_cfg,
-        run_name=run_name, out_dir=run_dir,
-        dataset_digest=digest, vocab_digest=vocab_digest,
-    )
+    dataset = _require(Path(dataset), "training dataset")
+    train_cfg = cfg.train_config(seed=seed, lambda1=1.0, lambda2=0.0)
+    manifest = _train_stage(cfg, run_name, run_dir, dataset, train_cfg)
     first, last = manifest.epoch_losses[0], manifest.epoch_losses[-1]
     print(f"train-teacher {run_name}: {manifest.n_samples} samples "
           f"({manifest.skipped_samples} skipped), "
@@ -437,9 +436,8 @@ def op_distill(cfg: PipelineConfig, run_name: str | None = None,
     strategy = strategy or cfg.values["train.strategy"]
     sign = cfg.values["train.impurity_sign"] if impurity_sign is None else impurity_sign
     run_name = run_name or ("student_imp" if strategy == "impurity" else "student_hyper")
-    dataset = dataset or cfg.union_path
-    vocab = Vocabulary.load(_require(cfg.vocab_path, "vocabulary"))
-    samples = cp.read_samples(_require(Path(dataset), "distillation dataset"))
+    run_dir = cfg.student_dir(run_name)
+    dataset = _require(Path(dataset or cfg.union_path), "distillation dataset")
     stores = {
         t: LogitStore(_require(cfg.store_path(t), f"logit store for {t!r}"))
         for t in teachers
@@ -447,16 +445,7 @@ def op_distill(cfg: PipelineConfig, run_name: str | None = None,
     train_cfg = cfg.train_config(
         strategy=strategy, impurity_sign=sign, teacher_ids=tuple(sorted(teachers))
     )
-    model_cfg = cfg.model_config(vocab.size)
-    run_dir = cfg.student_dir(run_name)
-    digest = cp.sha256_file(dataset)
-    vocab_digest = cp.sha256_file(cfg.vocab_path)
-    _check_resume(run_dir, train_cfg, model_cfg, digest, vocab_digest)
-    _, manifest = distill_student(
-        stores, samples, vocab, model_cfg, train_cfg,
-        run_name=run_name, out_dir=run_dir,
-        dataset_digest=digest, vocab_digest=vocab_digest,
-    )
+    manifest = _train_stage(cfg, run_name, run_dir, dataset, train_cfg, stores)
     first, last = manifest.epoch_losses[0], manifest.epoch_losses[-1]
     print(f"distill {run_name}: teachers={sorted(teachers)} strategy={strategy} "
           f"loss {first['total']:.4f} -> {last['total']:.4f}")
@@ -575,8 +564,7 @@ def op_ablate(cfg: PipelineConfig) -> dict:
     for lang in cfg.languages:
         if not (cfg.teacher_dir(lang) / "final.ckpt").exists():
             op_train_teacher(cfg, branch=lang)
-        if not cfg.store_path(lang).exists():
-            op_dump_logits(cfg, lang)
+        op_dump_logits(cfg, lang)
 
     # teachers trained on the mixed dataset, one per branch slot
     op_build(cfg, "mixmrc")
@@ -585,8 +573,7 @@ def op_ablate(cfg: PipelineConfig) -> dict:
         name = f"mix_{i}"
         if not (cfg.teacher_dir(name) / "final.ckpt").exists():
             op_train_teacher(cfg, dataset=cfg.mix_path, run_name=name, seed=cfg.seed + 1 + i)
-        if not cfg.store_path(name).exists():
-            op_dump_logits(cfg, name)
+        op_dump_logits(cfg, name)
         mix_ids.append(name)
 
     cfg.reports_dir.mkdir(parents=True, exist_ok=True)

@@ -39,10 +39,6 @@ class IncompleteLogits(KeyError):
     __str__ = Exception.__str__
 
 
-class StateError(RuntimeError):
-    """An operation was called without its required cached state."""
-
-
 class NoValidSpan(ValueError):
     """No (start, end) pair satisfies the decoding constraints."""
 

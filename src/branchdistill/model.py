@@ -59,7 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import RESERVED_TOKENS, Sample
-from .errors import InvalidConfig, ShapeError, StateError, malformed_as_invalid
+from .errors import InvalidConfig, ShapeError, malformed_as_invalid
 
 MASKED_LOGIT = -1e9
 
@@ -427,8 +427,6 @@ def backward(model: SpanModel, cache: Forward, dz, out=None) -> np.ndarray:
     first: every other block is overwritten whole. ``cache`` is left
     unchanged, so one forward can serve several backward passes.
     """
-    if cache is None:
-        raise StateError("backward requires the forward cache")
     p = model.params
     scale = 1.0 / np.sqrt(model.config.hidden)
     grad = np.empty_like(model.flat) if out is None else out

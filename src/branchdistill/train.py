@@ -1,18 +1,17 @@
 """Optimizers and the training procedures.
 
 The dataset is encoded once, as one ``Encoded`` record of row arrays.
-Two procedures share one deterministic mini-batch loop over it, each step
-taking the rows ``encoded[batch_idx]`` and their (B, 2) gold spans, and a
-third only runs the model forward:
+Two procedures work over it:
 
-* ``train_teacher``: hard-label training of one branch model,
+* ``train``: one deterministic mini-batch loop, each step taking the rows
+  ``encoded[batch_idx]`` and their (B, 2) gold spans. Without logit stores
+  it is the hard-label training of one branch teacher; with them it trains
+  the multilingual student with the combined hard-label + distillation
+  objective. The softened teacher targets never change during a run, so
+  they are built once, before the first epoch, as one (N, 2, L) block over
+  the kept samples; each batch takes its rows.
 * ``dump_teacher_logits``: one (N, 2, L) block of logits from
-  ``forward_logits``, written to a logit store in one call,
-* ``distill_student``: trains the multilingual student against precomputed
-  teacher stores with the combined hard-label + distillation objective.
-  The softened teacher targets never change during a run, so they are
-  built once, before the first epoch, as one (N, 2, L) block over the kept
-  samples; each batch takes its rows.
+  ``forward_logits``, written to a logit store in one call.
 
 Logits, teacher targets and logit gradients are all (..., 2, L) blocks,
 start head first, as ``model`` defines them. A step's objective is
@@ -24,7 +23,7 @@ its two moments as flat vectors of the same layout and updates every
 parameter in one pass. A loss or pre-clip gradient norm that is not
 finite stops the run with ``InvalidParameter`` before the optimizer step.
 
-Both training procedures share one learning-rate rule (``learning_rate``):
+Teachers and students share one learning-rate rule (``learning_rate``):
 ``TrainConfig.lr`` is the peak, reached by a linear warmup over the first
 ``WARMUP_FRACTION`` of the run's steps, after which the rate decays linearly
 to zero at the end of the last epoch.
@@ -170,7 +169,7 @@ class TrainConfig:
     weight_decay: float = 0.005
     betas: tuple[float, float] = (0.9, 0.999)
     eps: float = 1e-8
-    clip_norm: float | None = 5.0
+    clip_norm: float = 5.0            # <= 0 disables clipping
 
     def validate(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
@@ -245,7 +244,7 @@ def _target_tables(samples: list[Sample], stores: dict[str, LogitStore],
     return softmax_temperature(aggregate_logits(blocks, weights), cfg.tau)
 
 
-def _run_training(
+def train(
     samples: list[Sample],
     vocab: Vocabulary,
     model_config: ModelConfig,
@@ -256,19 +255,28 @@ def _run_training(
     dataset_digest: str = "",
     vocab_digest: str | None = None,
 ) -> tuple[SpanModel, RunManifest]:
+    """Train one model on ``samples``: a branch teacher when ``stores`` is
+    None, else the student, distilled from the teachers' logit stores."""
     cfg.validate()
     if not samples:
         raise InvalidConfig("training dataset is empty")
-    encoded, kept, skipped = encode_dataset(samples, vocab, model_config.max_len)
-    if not kept:
-        raise InvalidConfig("every training sample fell outside the input window")
     if stores is not None:
+        if not stores:
+            raise InvalidConfig("distillation requires at least one teacher store")
+        teacher_ids = cfg.teacher_ids or tuple(sorted(stores))
+        unknown = [tid for tid in teacher_ids if tid not in stores]
+        if unknown:
+            raise InvalidConfig(f"teacher ids {unknown} have no store")
         for tid, store in stores.items():
             if store.max_len != model_config.max_len:
                 raise ShapeError(
                     f"store for {tid!r} has max_len {store.max_len}, model expects "
                     f"{model_config.max_len}"
                 )
+    encoded, kept, skipped = encode_dataset(samples, vocab, model_config.max_len)
+    if not kept:
+        raise InvalidConfig("every training sample fell outside the input window")
+    if stores is not None:
         targets = _target_tables(kept, stores, cfg)
 
     model = init_model(model_config, cfg.seed)
@@ -285,6 +293,8 @@ def _run_training(
         skipped_samples=skipped,
         n_samples=len(kept),
     )
+    if stores is not None:
+        manifest.teacher_store_digests = {tid: stores[tid].sha256 for tid in teacher_ids}
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -292,7 +302,6 @@ def _run_training(
 
     n = len(kept)
     total_steps = cfg.epochs * -(-n // cfg.batch_size)
-    max_norm = cfg.clip_norm or 0.0
     # one gradient buffer per run: a fresh vector per step faults its pages in again
     grad = np.empty_like(model.flat)
     grad_views = param_views(model_config, grad)
@@ -317,13 +326,13 @@ def _run_training(
                 loss = nll
 
             backward(model, result, dz, out=grad)
-            norm = clip_gradients(grad_views, max_norm)
+            norm = clip_gradients(grad_views, cfg.clip_norm)
             if not (np.isfinite(loss) and np.isfinite(norm)):
                 raise InvalidParameter(f"run {run_name!r}, epoch {epoch}, step "
                                        f"{optimizer.step_count + 1} of {total_steps}: loss "
                                        f"{loss} and gradient norm {norm} must be finite")
             grad_norm_max = max(grad_norm_max, norm)
-            clip_count += norm > max_norm > 0.0
+            clip_count += norm > cfg.clip_norm > 0.0
             optimizer.lr = learning_rate(optimizer.step_count, total_steps, cfg.lr)
             optimizer.step(model.flat, grad)
 
@@ -351,52 +360,6 @@ def _run_training(
         manifest.save(out_path / "manifest.json")
     return model, manifest
 
-
-def train_teacher(
-    samples: list[Sample],
-    vocab: Vocabulary,
-    model_config: ModelConfig,
-    cfg: TrainConfig,
-    run_name: str = "teacher",
-    out_dir=None,
-    dataset_digest: str = "",
-    vocab_digest: str | None = None,
-) -> tuple[SpanModel, RunManifest]:
-    """Hard-label training of one branch model."""
-    return _run_training(
-        samples, vocab, model_config, cfg, run_name,
-        out_dir=out_dir, stores=None,
-        dataset_digest=dataset_digest, vocab_digest=vocab_digest,
-    )
-
-
-def distill_student(
-    stores: dict[str, LogitStore],
-    samples: list[Sample],
-    vocab: Vocabulary,
-    model_config: ModelConfig,
-    cfg: TrainConfig,
-    run_name: str = "student",
-    out_dir=None,
-    dataset_digest: str = "",
-    vocab_digest: str | None = None,
-) -> tuple[SpanModel, RunManifest]:
-    """Train the multilingual student against precomputed teacher logits."""
-    if not stores:
-        raise InvalidConfig("distillation requires at least one teacher store")
-    teacher_ids = cfg.teacher_ids or tuple(sorted(stores))
-    unknown = [tid for tid in teacher_ids if tid not in stores]
-    if unknown:
-        raise InvalidConfig(f"teacher ids {unknown} have no store")
-    model, manifest = _run_training(
-        samples, vocab, model_config, cfg, run_name,
-        out_dir=out_dir, stores=stores,
-        dataset_digest=dataset_digest, vocab_digest=vocab_digest,
-    )
-    manifest.teacher_store_digests = {tid: stores[tid].sha256 for tid in teacher_ids}
-    if out_dir is not None:
-        manifest.save(Path(out_dir) / "manifest.json")
-    return model, manifest
 
 
 def dump_teacher_logits(

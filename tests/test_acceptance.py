@@ -131,17 +131,18 @@ def test_c02_loss_identities(tmp_path):
         vocab = md.Vocabulary.from_samples(dataset)
         config = md.ModelConfig(vocab_size=vocab.size, hidden=8, ffn=12, max_len=24)
 
-        helper, _ = tr.train_teacher(dataset, vocab, config,
-                                     tr.TrainConfig(epochs=1, seed=1, lr=1e-3))
+        helper, _ = tr.train(dataset, vocab, config,
+                             tr.TrainConfig(epochs=1, seed=1, lr=1e-3), "teacher")
         store_path = tmp_path / "en.logits"
         tr.dump_teacher_logits(helper, dataset, vocab, store_path, "en")
         stores = {"en": ds.LogitStore(store_path)}
 
         shared = dict(epochs=2, seed=17, lr=1e-3, lambda1=1.0, lambda2=0.0)
-        student, student_manifest = tr.distill_student(
-            stores, dataset, vocab, config, tr.TrainConfig(**shared)
+        student, student_manifest = tr.train(
+            dataset, vocab, config, tr.TrainConfig(**shared), "student", stores=stores
         )
-        plain, plain_manifest = tr.train_teacher(dataset, vocab, config, tr.TrainConfig(**shared))
+        plain, plain_manifest = tr.train(dataset, vocab, config, tr.TrainConfig(**shared),
+                                         "teacher")
         for name in student.params:
             assert np.array_equal(student.params[name], plain.params[name]), name
         assert [e["total"] for e in student_manifest.epoch_losses] == [

@@ -304,6 +304,9 @@ class TestPipelineCommands:
 class TestAblate:
     def test_matrix_rows_and_baseline(self, tmp_path, capsys):
         tiny("generate", tmp_path)
+        # a store left by an older format is redumped, not reused
+        (tmp_path / "logits").mkdir()
+        (tmp_path / "logits" / "es.logits").write_bytes(V1_STORE)
         assert tiny("ablate", tmp_path) == 0
         comparison = json.loads((tmp_path / "reports" / "ablation.json").read_text())
         names = [row["name"] for row in comparison["rows"]]

@@ -84,8 +84,8 @@ class TestFlatParameters:
     def test_views_write_through_to_flat_and_checkpoint(self, tmp_path, source):
         result, _, vocab, config = small_task()
         if source == "train":
-            model, _ = tr.train_teacher(result.branches["en"], vocab, config,
-                                        tr.TrainConfig(epochs=1, seed=3, lr=1e-3))
+            model, _ = tr.train(result.branches["en"], vocab, config,
+                                tr.TrainConfig(epochs=1, seed=3, lr=1e-3), "teacher")
         else:
             model = md.init_model(config, seed=3)
         if source == "load":
@@ -140,11 +140,11 @@ class TestTrainTeacher:
     def test_two_runs_are_bit_identical(self, tmp_path):
         result, _, vocab, config = small_task()
         cfg = tr.TrainConfig(epochs=2, seed=5, lr=1e-3)
-        model_a, manifest_a = tr.train_teacher(
-            result.branches["en"], vocab, config, cfg, out_dir=tmp_path / "a"
+        model_a, manifest_a = tr.train(
+            result.branches["en"], vocab, config, cfg, "teacher", out_dir=tmp_path / "a"
         )
-        model_b, manifest_b = tr.train_teacher(
-            result.branches["en"], vocab, config, cfg, out_dir=tmp_path / "b"
+        model_b, manifest_b = tr.train(
+            result.branches["en"], vocab, config, cfg, "teacher", out_dir=tmp_path / "b"
         )
         for name in model_a.params:
             np.testing.assert_array_equal(model_a.params[name], model_b.params[name])
@@ -156,11 +156,11 @@ class TestTrainTeacher:
     def test_zero_learning_rate_freezes_the_model(self):
         result, _, vocab, config = small_task()
         cfg = tr.TrainConfig(epochs=3, seed=1, lr=0.0)
-        _, manifest = tr.train_teacher(result.branches["en"], vocab, config, cfg)
+        _, manifest = tr.train(result.branches["en"], vocab, config, cfg, "teacher")
         losses = [e["total"] for e in manifest.epoch_losses]
         assert abs(losses[-1] - losses[0]) <= 1e-12
 
-    @pytest.mark.parametrize("clip_norm", [5.0, None])
+    @pytest.mark.parametrize("clip_norm", [5.0, 0.0])
     def test_non_finite_step_stops_the_run(self, monkeypatch, clip_norm):
         # a peak rate of 1e200 overflows the forward pass within two epochs;
         # without clipping the gradient norm is still measured and checked
@@ -177,11 +177,10 @@ class TestTrainTeacher:
         with np.errstate(all="ignore"), pytest.raises(
             InvalidParameter, match=r"run 'diverging'.* epoch \d+, step \d+ of \d+"
         ):
-            tr.train_teacher(result.branches["en"], vocab, config, cfg,
-                             run_name="diverging")
+            tr.train(result.branches["en"], vocab, config, cfg, "diverging")
         assert stepped and all(stepped)
 
-    @pytest.mark.parametrize("clip_norm", [0.05, None])
+    @pytest.mark.parametrize("clip_norm", [0.05, 0.0])
     def test_manifest_records_gradient_health(self, monkeypatch, tmp_path, clip_norm):
         norms = []
         original_clip = tr.clip_gradients
@@ -193,8 +192,8 @@ class TestTrainTeacher:
         monkeypatch.setattr(tr, "clip_gradients", observed_clip)
         result, _, vocab, config = small_task()
         cfg = tr.TrainConfig(epochs=2, seed=4, lr=1e-3, clip_norm=clip_norm)
-        _, manifest = tr.train_teacher(result.branches["en"], vocab, config, cfg,
-                                       out_dir=tmp_path)
+        _, manifest = tr.train(result.branches["en"], vocab, config, cfg, "teacher",
+                               out_dir=tmp_path)
         steps = len(norms) // cfg.epochs
         assert steps * cfg.epochs == len(norms)
         for epoch, entry in enumerate(manifest.epoch_losses):
@@ -210,7 +209,7 @@ class TestTrainTeacher:
     def test_loss_decreases_over_ten_epochs(self):
         result, _, vocab, config = small_task(n_records=30)
         cfg = tr.TrainConfig(epochs=10, seed=2, lr=5e-3)
-        _, manifest = tr.train_teacher(result.branches["en"], vocab, config, cfg)
+        _, manifest = tr.train(result.branches["en"], vocab, config, cfg, "teacher")
         assert manifest.epoch_losses[-1]["total"] < manifest.epoch_losses[0]["total"]
 
     def test_repeated_teacher_ids_rejected(self):
@@ -221,20 +220,19 @@ class TestTrainTeacher:
     def test_empty_dataset_rejected(self):
         _, _, vocab, config = small_task()
         with pytest.raises(InvalidConfig):
-            tr.train_teacher([], vocab, config, tr.TrainConfig())
+            tr.train([], vocab, config, tr.TrainConfig(), "teacher")
 
     @pytest.mark.parametrize("weights", [{"lambda1": -0.1}, {"lambda2": -0.1}])
     def test_negative_loss_weights_rejected(self, weights):
         result, _, vocab, config = small_task()
         with pytest.raises(InvalidConfig):
-            tr.train_teacher(result.branches["en"], vocab, config,
-                             tr.TrainConfig(**weights))
+            tr.train(result.branches["en"], vocab, config, tr.TrainConfig(**weights), "teacher")
 
     def test_checkpoint_per_epoch(self, tmp_path):
         result, _, vocab, config = small_task()
         cfg = tr.TrainConfig(epochs=3, seed=0, lr=1e-3)
-        _, manifest = tr.train_teacher(
-            result.branches["en"], vocab, config, cfg, out_dir=tmp_path
+        _, manifest = tr.train(
+            result.branches["en"], vocab, config, cfg, "teacher", out_dir=tmp_path
         )
         assert manifest.checkpoints == ["epoch_001.ckpt", "epoch_002.ckpt", "epoch_003.ckpt"]
         for name in manifest.checkpoints + ["final.ckpt"]:
@@ -245,7 +243,7 @@ class TestDumpLogits:
     def test_record_count_and_round_trip(self, tmp_path):
         result, union, vocab, config = small_task()
         cfg = tr.TrainConfig(epochs=1, seed=3, lr=1e-3)
-        model, _ = tr.train_teacher(result.branches["en"], vocab, config, cfg)
+        model, _ = tr.train(result.branches["en"], vocab, config, cfg, "teacher")
         path = tmp_path / "en.logits"
         written, skipped = tr.dump_teacher_logits(model, union, vocab, path, "en")
         assert written == len(union) - skipped
@@ -369,7 +367,7 @@ class TestDistillStudent:
         stores = {}
         for lang in langs:
             cfg = tr.TrainConfig(epochs=1, seed=4, lr=1e-3)
-            model, _ = tr.train_teacher(result.branches[lang], vocab, config, cfg)
+            model, _ = tr.train(result.branches[lang], vocab, config, cfg, "teacher")
             path = tmp_path / f"{lang}.logits"
             tr.dump_teacher_logits(model, union, vocab, path, lang)
             stores[lang] = ds.LogitStore(path)
@@ -379,8 +377,8 @@ class TestDistillStudent:
         result, union, vocab, config = small_task()
         stores = self._stores(tmp_path, result, union, vocab, config)
         cfg = tr.TrainConfig(epochs=2, seed=9, lr=1e-3, lambda1=1.0, lambda2=0.0)
-        student, student_manifest = tr.distill_student(stores, union, vocab, config, cfg)
-        teacher, teacher_manifest = tr.train_teacher(union, vocab, config, cfg)
+        student, student_manifest = tr.train(union, vocab, config, cfg, "student", stores=stores)
+        teacher, teacher_manifest = tr.train(union, vocab, config, cfg, "teacher")
         for name in student.params:
             np.testing.assert_array_equal(student.params[name], teacher.params[name])
         assert [e["total"] for e in student_manifest.epoch_losses] == [
@@ -395,20 +393,20 @@ class TestDistillStudent:
         ds.write_logit_store(path, "en", keys, stores["en"].take(keys))
         stores["en"] = ds.LogitStore(path)
         with pytest.raises(IncompleteLogits):
-            tr.distill_student(stores, union, vocab, config, tr.TrainConfig(epochs=1))
+            tr.train(union, vocab, config, tr.TrainConfig(epochs=1), "student", stores=stores)
 
     def test_store_length_mismatch(self, tmp_path):
         result, union, vocab, config = small_task()
         stores = self._stores(tmp_path, result, union, vocab, config)
         other = md.ModelConfig(vocab_size=vocab.size, hidden=8, ffn=12, max_len=32)
         with pytest.raises(ShapeError):
-            tr.distill_student(stores, union, vocab, other, tr.TrainConfig(epochs=1))
+            tr.train(union, vocab, other, tr.TrainConfig(epochs=1), "student", stores=stores)
 
     def test_single_teacher_distillation_runs(self, tmp_path):
         result, union, vocab, config = small_task()
         stores = self._stores(tmp_path, result, union, vocab, config, langs=("en",))
         cfg = tr.TrainConfig(epochs=1, seed=2, lr=1e-3, teacher_ids=("en",), strategy="impurity")
-        _, manifest = tr.distill_student(stores, union, vocab, config, cfg)
+        _, manifest = tr.train(union, vocab, config, cfg, "student", stores=stores)
         assert manifest.epoch_losses[0]["kd"] > 0.0
         assert manifest.teacher_store_digests.keys() == {"en"}
 
@@ -416,16 +414,16 @@ class TestDistillStudent:
         result, union, vocab, config = small_task()
         stores = self._stores(tmp_path, result, union, vocab, config)
         cfg = tr.TrainConfig(epochs=2, seed=2, lr=1e-3, strategy="impurity")
-        _, present = tr.distill_student(stores, union, vocab, config, cfg,
-                                        out_dir=tmp_path / "present")
+        _, present = tr.train(union, vocab, config, cfg, "student", stores=stores,
+                              out_dir=tmp_path / "present")
         assert present.teacher_store_digests == {
             lang: cp.sha256_file(store.path) for lang, store in stores.items()
         }
         reopened = {lang: ds.LogitStore(store.path) for lang, store in stores.items()}
         for store in reopened.values():
             store.path.unlink()
-        _, deleted = tr.distill_student(reopened, union, vocab, config, cfg,
-                                        out_dir=tmp_path / "deleted")
+        _, deleted = tr.train(union, vocab, config, cfg, "student", stores=reopened,
+                              out_dir=tmp_path / "deleted")
         assert ((tmp_path / "deleted" / "final.ckpt").read_bytes()
                 == (tmp_path / "present" / "final.ckpt").read_bytes())
         assert deleted.teacher_store_digests == present.teacher_store_digests
@@ -434,8 +432,8 @@ class TestDistillStudent:
         result, union, vocab, config = small_task()
         stores = self._stores(tmp_path, result, union, vocab, config)
         cfg = tr.TrainConfig(epochs=1, seed=2, lr=1e-3)
-        _, manifest = tr.distill_student(
-            stores, union, vocab, config, cfg, out_dir=tmp_path / "run",
+        _, manifest = tr.train(
+            union, vocab, config, cfg, "student", out_dir=tmp_path / "run", stores=stores,
             dataset_digest="d" * 64, vocab_digest="v" * 64,
         )
         loaded = tr.RunManifest.load(tmp_path / "run" / "manifest.json")
