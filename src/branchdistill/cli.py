@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 import traceback
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import corpus as cp
@@ -33,7 +33,6 @@ from .errors import (
     MissingArtifact,
     ShapeError,
     Unrecoverable,
-    malformed_as_invalid,
 )
 from .model import ModelConfig, Vocabulary, load_model
 from .train import RunManifest, TrainConfig, dump_teacher_logits, train
@@ -114,53 +113,28 @@ class PipelineConfig:
     def zero_shot_language(self) -> str | None:
         return self.values["zero_shot_language"] or None
 
+    def _settings(self, cls, prefix: str, **extras):
+        """A ``cls`` filled from the ``<prefix>.<field>`` value of each of its
+        fields that ``SCHEMA`` names, then from ``extras``, which win."""
+        values = {f.name: self.values[f"{prefix}.{f.name}"] for f in fields(cls)
+                  if f"{prefix}.{f.name}" in SCHEMA}
+        return cls(**{**values, **extras})
+
     def task_spec(self) -> cp.TaskSpec:
-        return cp.TaskSpec(
-            content_vocab_size=self.values["corpus.content_vocab"],
-            cue_count=self.values["corpus.cue_count"],
-            question_word_count=self.values["corpus.question_words"],
-            passage_min=self.values["corpus.passage_min"],
-            passage_max=self.values["corpus.passage_max"],
-            answer_max_len=self.values["corpus.answer_max_len"],
-            seed=self.seed,
-        )
+        return self._settings(cp.TaskSpec, "corpus", seed=self.seed)
 
     def noise_spec(self) -> cp.NoiseSpec:
-        return cp.NoiseSpec(
-            token_drop_prob=self.values["noise.token_drop_prob"],
-            token_swap_prob=self.values["noise.token_swap_prob"],
-            marker_destroy_prob=self.values["noise.marker_destroy_prob"],
-            seed=self.seed,
-        )
+        return self._settings(cp.NoiseSpec, "noise", seed=self.seed)
 
     def model_config(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(
-            vocab_size=vocab_size,
-            hidden=self.values["model.hidden"],
-            ffn=self.values["model.ffn"],
-            max_len=self.values["model.max_len"],
-            layers=self.values["model.layers"],
-        )
+        return self._settings(ModelConfig, "model", vocab_size=vocab_size)
 
     def train_config(self, seed: int | None = None, **overrides) -> TrainConfig:
-        base = dict(
-            epochs=self.values["train.epochs"],
-            batch_size=self.values["train.batch_size"],
-            seed=self.seed if seed is None else seed,
-            tau=self.values["train.tau"],
-            lambda1=self.values["train.lambda1"],
-            lambda2=self.values["train.lambda2"],
-            strategy=self.values["train.strategy"],
-            impurity_sign=self.values["train.impurity_sign"],
-            lr=self.values["train.lr"],
-            weight_decay=self.values["train.weight_decay"],
-            clip_norm=self.values["train.clip_norm"],
-        )
-        base.update(overrides)
-        return TrainConfig(**base)
+        return self._settings(TrainConfig, "train", seed=self.seed if seed is None else seed,
+                              **overrides)
 
     def eval_config(self) -> ev.EvalConfig:
-        return ev.EvalConfig(max_answer_length=self.values["eval.max_answer_length"])
+        return self._settings(ev.EvalConfig, "eval")
 
     # --- layout ---
 
@@ -225,9 +199,7 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         path = Path(config_path)
         if not path.exists():
             raise MissingArtifact(str(path))
-        with malformed_as_invalid(path, "config file"):
-            loaded = json.loads(path.read_text(encoding="utf-8")).items()
-        for key, raw in loaded:
+        for key, raw in cp.read_json(path, "config file", dict.items):
             if key not in SCHEMA:
                 raise InvalidConfig(f"unknown config key {key!r}")
             values[key] = _parse_value(key, raw)
@@ -246,6 +218,19 @@ def _require(path: Path, what: str) -> Path:
     if not Path(path).exists():
         raise MissingArtifact(f"{what}: {path}")
     return Path(path)
+
+
+def _load_vocab(cfg: PipelineConfig) -> Vocabulary:
+    return cp.read_json(_require(cfg.vocab_path, "vocabulary"), "vocabulary",
+                        Vocabulary.from_dict)
+
+
+def _write_with_text(path: Path, obj, text: str) -> None:
+    """``obj`` as JSON at ``path``, and ``text`` beside it as ``.txt``."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    cp.write_json(path, obj)
+    cp.write_file(Path(str(path).removesuffix(".json") + ".txt"), text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +253,11 @@ def op_generate(cfg: PipelineConfig) -> Path:
     )
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     cp.write_corpus(records, cfg.corpus_path)
-    digest_path = cp.write_digest(cfg.corpus_path)
+    digest = cp.sha256_file(cfg.corpus_path)
+    cp.write_file(f"{cfg.corpus_path}.sha256", digest + "\n")
     print(f"generate: {len(records)} records, languages {','.join(corpus_languages(cfg))} "
           f"-> {cfg.corpus_path}")
-    print(f"generate: digest {digest_path.read_text().strip()}")
+    print(f"generate: digest {digest}")
     return cfg.corpus_path
 
 
@@ -289,7 +275,7 @@ def _write_vocab(cfg: PipelineConfig, train_records) -> Vocabulary:
                 tokens.update(rendering.passage_tokens)
                 tokens.update(rendering.question_tokens)
     vocab = Vocabulary(tokens)
-    vocab.save(cfg.vocab_path)
+    cp.write_json(cfg.vocab_path, vocab.to_dict())
     return vocab
 
 
@@ -346,9 +332,7 @@ def op_build(cfg: PipelineConfig, mode: str, language: str | None = None) -> dic
     meta.update(_write_eval_sets(cfg, eval_records))
     # one meta per dataset, so each translate-train language keeps its own
     dataset = f"tt_{language}" if mode == "translate-train" else mode
-    meta_path = cfg.datasets_dir / f"build_meta_{dataset}.json"
-    meta_path.write_text(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n",
-                         encoding="utf-8")
+    cp.write_json(cfg.datasets_dir / f"build_meta_{dataset}.json", meta)
     for name, size in sorted(meta["sizes"].items()):
         print(f"build: {name} -> {size} samples")
     skipped = sum(meta["missing"].values()) + sum(meta["unrecoverable"].values())
@@ -359,13 +343,14 @@ def op_build(cfg: PipelineConfig, mode: str, language: str | None = None) -> dic
 
 
 def _check_resume(run_dir: Path, train_cfg: TrainConfig, model_cfg: ModelConfig,
-                  dataset_digest: str, vocab_digest: str) -> None:
+                  dataset_digest: str, vocab_digest: str) -> RunManifest | None:
     """A rerun into an existing run directory must carry the same training
-    and model config, dataset and vocabulary."""
+    and model config, dataset and vocabulary. Returns the directory's
+    manifest, or None when it has none."""
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
-        return
-    previous = RunManifest.load(manifest_path)
+        return None
+    previous = cp.read_json(manifest_path, "run manifest", lambda raw: RunManifest(**raw))
     current = json.loads(json.dumps({
         "train_config": asdict(train_cfg),
         "model_config": asdict(model_cfg),
@@ -378,19 +363,23 @@ def _check_resume(run_dir: Path, train_cfg: TrainConfig, model_cfg: ModelConfig,
             f"run directory {run_dir} holds a manifest with a different "
             f"{', '.join(changed)}; choose a fresh --out-dir or matching settings"
         )
+    return previous
 
 
 def _train_stage(cfg: PipelineConfig, run_name: str, run_dir: Path, dataset: Path,
-                 train_cfg: TrainConfig, stores: dict[str, LogitStore] | None = None
-                 ) -> RunManifest:
+                 train_cfg: TrainConfig, stores: dict[str, LogitStore] | None = None,
+                 reuse: bool = False) -> RunManifest:
     """Train one run on ``dataset`` into ``run_dir``: a teacher when
-    ``stores`` is None, else a student distilled from them."""
-    vocab = Vocabulary.load(_require(cfg.vocab_path, "vocabulary"))
+    ``stores`` is None, else a student distilled from them. With ``reuse``,
+    a finished run whose manifest ``_check_resume`` accepts is kept."""
+    vocab = _load_vocab(cfg)
     samples = cp.read_samples(dataset)
     model_cfg = cfg.model_config(vocab.size)
     digest = cp.sha256_file(dataset)
     vocab_digest = cp.sha256_file(cfg.vocab_path)
-    _check_resume(run_dir, train_cfg, model_cfg, digest, vocab_digest)
+    previous = _check_resume(run_dir, train_cfg, model_cfg, digest, vocab_digest)
+    if reuse and previous is not None and (run_dir / "final.ckpt").exists():
+        return previous
     _, manifest = train(samples, vocab, model_cfg, train_cfg, run_name, out_dir=run_dir,
                         stores=stores, dataset_digest=digest, vocab_digest=vocab_digest)
     return manifest
@@ -398,7 +387,7 @@ def _train_stage(cfg: PipelineConfig, run_name: str, run_dir: Path, dataset: Pat
 
 def op_train_teacher(cfg: PipelineConfig, branch: str | None = None,
                      dataset: Path | None = None, run_name: str | None = None,
-                     seed: int | None = None) -> Path:
+                     seed: int | None = None, reuse: bool = False) -> Path:
     if dataset is None:
         if branch is None:
             raise InvalidConfig("train-teacher needs --branch or --dataset")
@@ -407,7 +396,7 @@ def op_train_teacher(cfg: PipelineConfig, branch: str | None = None,
     run_dir = cfg.teacher_dir(run_name)
     dataset = _require(Path(dataset), "training dataset")
     train_cfg = cfg.train_config(seed=seed, lambda1=1.0, lambda2=0.0)
-    manifest = _train_stage(cfg, run_name, run_dir, dataset, train_cfg)
+    manifest = _train_stage(cfg, run_name, run_dir, dataset, train_cfg, reuse=reuse)
     first, last = manifest.epoch_losses[0], manifest.epoch_losses[-1]
     print(f"train-teacher {run_name}: {manifest.n_samples} samples "
           f"({manifest.skipped_samples} skipped), "
@@ -421,7 +410,7 @@ def op_dump_logits(cfg: PipelineConfig, teacher: str, model_path: Path | None = 
     dataset = dataset or cfg.union_path
     store_path = store_path or cfg.store_path(teacher)
     model = load_model(_require(Path(model_path), "teacher checkpoint"))
-    vocab = Vocabulary.load(_require(cfg.vocab_path, "vocabulary"))
+    vocab = _load_vocab(cfg)
     samples = cp.read_samples(_require(Path(dataset), "distillation dataset"))
     store_path.parent.mkdir(parents=True, exist_ok=True)
     written, skipped = dump_teacher_logits(model, samples, vocab, store_path, teacher)
@@ -460,16 +449,11 @@ def op_evaluate(cfg: PipelineConfig, model_path: Path, dataset: Path | None = No
     if dataset is None:
         dataset = cfg.eval_grid_path
     model = load_model(_require(Path(model_path), "model checkpoint"))
-    vocab = Vocabulary.load(_require(cfg.vocab_path, "vocabulary"))
+    vocab = _load_vocab(cfg)
     samples = cp.read_samples(_require(Path(dataset), "evaluation dataset"))
     report = ev.evaluate(model, samples, vocab, cfg.eval_config())
     if report_path is not None:
-        report_path = Path(report_path)
-        report_path.parent.mkdir(parents=True, exist_ok=True)
-        report.save(report_path)
-        Path(str(report_path).removesuffix(".json") + ".txt").write_text(
-            ev.render_report(report, name) + "\n", encoding="utf-8"
-        )
+        _write_with_text(report_path, report.to_dict(), ev.render_report(report, name))
     print(f"evaluate {name}: em={report.overall_em:.4f} f1={report.overall_f1:.4f} "
           f"n={report.n} skips={report.skips}")
     return report
@@ -480,12 +464,7 @@ def op_compare(reports: list[ev.EvalReport], names: list[str], baseline: int = 0
     comparison = ev.compare_runs(reports, names, baseline)
     text = ev.render_comparison(comparison)
     if out_path is not None:
-        out_path = Path(out_path)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(json.dumps(comparison, sort_keys=True, separators=(",", ":")) + "\n",
-                            encoding="utf-8")
-        Path(str(out_path).removesuffix(".json") + ".txt").write_text(text + "\n",
-                                                                      encoding="utf-8")
+        _write_with_text(out_path, comparison, text)
     print(text)
     return comparison
 
@@ -543,7 +522,7 @@ def run_translate_train_baseline(cfg: PipelineConfig) -> ev.EvalReport:
     Each grid cell (p, q) is scored by the model trained on language p, the
     most favorable reading for this baseline.
     """
-    vocab = Vocabulary.load(_require(cfg.vocab_path, "vocabulary"))
+    vocab = _load_vocab(cfg)
     grid_samples = cp.read_samples(_require(cfg.eval_grid_path, "evaluation grid"))
     partial_reports = []
     for lang in cfg.languages:
@@ -558,12 +537,15 @@ def run_translate_train_baseline(cfg: PipelineConfig) -> ev.EvalReport:
 
 
 def op_ablate(cfg: PipelineConfig) -> dict:
-    """Teacher-set and strategy ablations over one prepared output directory."""
+    """Teacher-set and strategy ablations over one prepared output directory.
+
+    A teacher already trained there is reused only when ``_check_resume``
+    accepts its run directory; one with other settings stops the ablation
+    with that function's ``InvalidConfig``."""
     _require(cfg.corpus_path, "corpus (run generate first)")
     op_build(cfg, "lbmrc")
     for lang in cfg.languages:
-        if not (cfg.teacher_dir(lang) / "final.ckpt").exists():
-            op_train_teacher(cfg, branch=lang)
+        op_train_teacher(cfg, branch=lang, reuse=True)
         op_dump_logits(cfg, lang)
 
     # teachers trained on the mixed dataset, one per branch slot
@@ -571,8 +553,8 @@ def op_ablate(cfg: PipelineConfig) -> dict:
     mix_ids = []
     for i in range(len(cfg.languages)):
         name = f"mix_{i}"
-        if not (cfg.teacher_dir(name) / "final.ckpt").exists():
-            op_train_teacher(cfg, dataset=cfg.mix_path, run_name=name, seed=cfg.seed + 1 + i)
+        op_train_teacher(cfg, dataset=cfg.mix_path, run_name=name, seed=cfg.seed + 1 + i,
+                         reuse=True)
         op_dump_logits(cfg, name)
         mix_ids.append(name)
 

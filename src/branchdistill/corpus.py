@@ -21,8 +21,11 @@ unusable exactly as in the real construction process.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
+import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -137,19 +140,19 @@ class TaskSpec:
     content and question words go through the per-language bijection.
     """
 
-    content_vocab_size: int = 50
+    content_vocab: int = 50
     rare_vocab_size: int = 2000
     rare_prob: float = 0.5
     answer_vocab_size: int = 20
     cue_count: int = 8
-    question_word_count: int = 5
+    question_words: int = 5
     passage_min: int = 10
     passage_max: int = 20
     answer_max_len: int = 3
     seed: int = 0
 
     def validate(self) -> None:
-        if self.content_vocab_size < 1 or self.cue_count < 1 or self.answer_vocab_size < 1:
+        if self.content_vocab < 1 or self.cue_count < 1 or self.answer_vocab_size < 1:
             raise InvalidConfig("content, answer, and cue vocabularies must be non-empty")
         if self.rare_vocab_size < 0 or not (0.0 <= self.rare_prob <= 1.0):
             raise InvalidConfig("bad rare-token tail configuration")
@@ -369,7 +372,7 @@ def union_of_branches(branches: dict[str, list[Sample]]) -> list[Sample]:
 
 
 def _content_vocab(task: TaskSpec) -> list[str]:
-    return [f"w{i:03d}" for i in range(task.content_vocab_size)]
+    return [f"w{i:03d}" for i in range(task.content_vocab)]
 
 
 def _rare_vocab(task: TaskSpec) -> list[str]:
@@ -386,9 +389,9 @@ def _answer_vocab(task: TaskSpec) -> list[str]:
 
 def _question_words(task: TaskSpec) -> list[str]:
     base = ["what", "which", "where", "find", "locate", "name", "give", "show"]
-    if task.question_word_count > len(base):
-        base = base + [f"qw{i}" for i in range(task.question_word_count - len(base))]
-    return base[: task.question_word_count]
+    if task.question_words > len(base):
+        base = base + [f"qw{i}" for i in range(task.question_words - len(base))]
+    return base[: task.question_words]
 
 
 ANSWER_TERMINATOR = "eoa"
@@ -522,28 +525,76 @@ def split_records(records, eval_fraction: float) -> tuple[list[AlignedRecord], l
 # ---------------------------------------------------------------------------
 
 
-def _dump_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def dumps(obj) -> str:
+    """The one JSON encoding of every artifact: sorted keys, no spaces, and
+    no ``NaN`` or ``Infinity``, which raise ``ValueError`` instead."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+# ``mkstemp`` makes owner-only files; artifacts get the mode ``open`` gives
+# a new file under the process umask, read here once
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
+def write_file(path, data: str | bytes) -> None:
+    """Replace ``path`` with ``data`` (text as UTF-8) in one step, unless it
+    already holds exactly these bytes, in which case it is left alone.
+
+    The bytes go to a uniquely named temporary file in the same directory,
+    which ``os.replace`` then moves over ``path``, so a reader, or another
+    writer running beside this one, sees the old file or the new one, never
+    a part of either. On any failure the temporary file is removed and
+    ``path`` keeps its old bytes. Nothing is fsynced: the failure guarded
+    against is an interrupted process, not a power loss, and a disk flush
+    per artifact would cost more than the write.
+    """
+    path = Path(path)
+    data = data.encode("utf-8") if isinstance(data, str) else data
+    with contextlib.suppress(FileNotFoundError):
+        if path.stat().st_size == len(data) and path.read_bytes() == data:
+            return
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_json(path, obj) -> None:
+    write_file(path, dumps(obj) + "\n")
+
+
+def read_json(path, what: str, parse):
+    """``parse`` of the JSON value in ``path``. A file that does not decode,
+    or in which ``parse`` finds a field missing or of the wrong type, raises
+    ``InvalidConfig`` naming ``what``."""
+    with malformed_as_invalid(path, what):
+        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def write_corpus(records, path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for record in records:
-            renderings = {}
-            for lang, r in record.renderings.items():
-                span = r.answer_span
-                renderings[lang] = {
-                    "passage_tokens": list(r.passage_tokens),
-                    "question_tokens": list(r.question_tokens),
-                    "answer_start": None if span is None else span[0],
-                    "answer_end": None if span is None else span[1],
-                }
-            fh.write(_dump_line({
-                "id": record.id,
-                "source_language": record.source_language,
-                "renderings": renderings,
-            }) + "\n")
+    lines = []
+    for record in records:
+        renderings = {}
+        for lang, r in record.renderings.items():
+            span = r.answer_span
+            renderings[lang] = {
+                "passage_tokens": list(r.passage_tokens),
+                "question_tokens": list(r.question_tokens),
+                "answer_start": None if span is None else span[0],
+                "answer_end": None if span is None else span[1],
+            }
+        lines.append(dumps({
+            "id": record.id,
+            "source_language": record.source_language,
+            "renderings": renderings,
+        }) + "\n")
+    write_file(path, "".join(lines))
 
 
 def read_corpus(path) -> list[AlignedRecord]:
@@ -570,18 +621,15 @@ def read_corpus(path) -> list[AlignedRecord]:
 
 
 def write_samples(samples, path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for s in samples:
-            fh.write(_dump_line({
-                "id": s.id,
-                "question_tokens": list(s.question_tokens),
-                "passage_tokens": list(s.passage_tokens),
-                "gold_start": s.gold_start,
-                "gold_end": s.gold_end,
-                "passage_lang": s.passage_lang,
-                "question_lang": s.question_lang,
-            }) + "\n")
+    write_file(path, "".join(dumps({
+        "id": s.id,
+        "question_tokens": list(s.question_tokens),
+        "passage_tokens": list(s.passage_tokens),
+        "gold_start": s.gold_start,
+        "gold_end": s.gold_end,
+        "passage_lang": s.passage_lang,
+        "question_lang": s.question_lang,
+    }) + "\n" for s in samples))
 
 
 def read_samples(path) -> list[Sample]:
@@ -610,9 +658,3 @@ def sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def write_digest(path) -> Path:
-    digest_path = Path(str(path) + ".sha256")
-    digest_path.write_text(sha256_file(path) + "\n", encoding="utf-8")
-    return digest_path

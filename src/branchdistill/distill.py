@@ -46,7 +46,8 @@ from .errors import (
     InvalidParameter,
     ShapeError,
 )
-from .model import read_artifact, write_artifact
+from .corpus import write_file
+from .model import pack_artifact, read_artifact
 from .numerics import LOG_FLOOR, cross_entropy, entropy, softmax_temperature
 
 STORE_VERSION = 2
@@ -209,12 +210,12 @@ def write_logit_store(path, teacher_id: str, sample_ids, logits: np.ndarray) -> 
         raise InvalidParameter(f"logits for {teacher_id!r} contain non-finite values")
     if len(set(sample_ids)) != len(sample_ids):
         raise InvalidConfig(f"duplicate sample ids in the store for {teacher_id!r}")
-    write_artifact(path, {
+    write_file(path, pack_artifact({
         "format_version": STORE_VERSION,
         "teacher_id": teacher_id,
         "max_len": logits.shape[2],
         "sample_ids": sample_ids,
-    }, logits)
+    }, logits))
 
 
 class LogitStore:

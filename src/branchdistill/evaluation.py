@@ -15,16 +15,15 @@ same operation run on a language absent from training.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidConfig, InvalidParameter, NoValidSpan, malformed_as_invalid
+from .corpus import read_json
+from .errors import InvalidConfig, InvalidParameter, NoValidSpan
 from .model import SpanModel, Vocabulary, encode_dataset, forward_logits
 
 
@@ -135,15 +134,9 @@ class EvalReport:
             "skips": self.skips,
         }
 
-    def save(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n",
-            encoding="utf-8",
-        )
-
     @classmethod
     def from_dict(cls, raw: dict) -> "EvalReport":
-        report = cls(
+        return cls(
             cells=[CellMetrics(c["passage_lang"], c["question_lang"], c["em"], c["f1"], c["n"])
                    for c in raw["grid"]],
             overall_em=raw["overall"]["em"],
@@ -151,12 +144,10 @@ class EvalReport:
             n=raw["overall"]["n"],
             skips=raw["skips"],
         )
-        return report
 
     @classmethod
     def load(cls, path) -> "EvalReport":
-        with malformed_as_invalid(path, "report"):
-            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return read_json(path, "report", cls.from_dict)
 
 
 def predict(model: SpanModel, samples, vocab: Vocabulary, config: EvalConfig):

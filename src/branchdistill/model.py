@@ -58,8 +58,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import RESERVED_TOKENS, Sample
-from .errors import InvalidConfig, ShapeError, malformed_as_invalid
+from .corpus import RESERVED_TOKENS, Sample, dumps, write_file
+from .errors import InvalidConfig, ShapeError
 
 MASKED_LOGIT = -1e9
 
@@ -123,20 +123,14 @@ class Vocabulary:
         bucket = int(hashlib.sha1(token.encode("utf-8")).hexdigest(), 16) % OOV_BUCKETS
         return OOV_BASE_ID + bucket
 
-    def save(self, path) -> None:
-        Path(path).write_text(
-            json.dumps({"oov_buckets": OOV_BUCKETS, "tokens": self.tokens},
-                       sort_keys=True, separators=(",", ":")) + "\n",
-            encoding="utf-8",
-        )
+    def to_dict(self) -> dict:
+        return {"oov_buckets": OOV_BUCKETS, "tokens": self.tokens}
 
     @classmethod
-    def load(cls, path) -> "Vocabulary":
-        with malformed_as_invalid(path, "vocabulary"):
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-            buckets, tokens = raw.get("oov_buckets"), raw["tokens"]
+    def from_dict(cls, raw: dict) -> "Vocabulary":
+        buckets, tokens = raw.get("oov_buckets"), raw["tokens"]
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-            raise InvalidConfig(f"vocabulary {path} is malformed: tokens is not a list of strings")
+            raise TypeError("tokens is not a list of strings")
         if buckets != OOV_BUCKETS:
             raise InvalidConfig("vocabulary file uses an incompatible bucket count")
         return cls(tokens)
@@ -489,20 +483,18 @@ def backward(model: SpanModel, cache: Forward, dz, out=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def write_artifact(path, header: dict, values: np.ndarray) -> None:
-    """Write the layout of checkpoints and logit stores: a 4-byte
-    little-endian length, the JSON ``header``, then ``values`` as one
-    little-endian float64 block."""
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with Path(path).open("wb") as fh:
-        fh.write(len(blob).to_bytes(4, "little"))
-        fh.write(blob)
-        fh.write(values.astype("<f8").tobytes())
+def pack_artifact(header: dict, values: np.ndarray) -> bytes:
+    """The layout of checkpoints and logit stores: a 4-byte little-endian
+    length, the JSON ``header``, then ``values`` as one little-endian
+    float64 block."""
+    blob = dumps(header).encode("utf-8")
+    block = values.astype("<f8", copy=False).tobytes()
+    return b"".join((len(blob).to_bytes(4, "little"), blob, block))
 
 
 def read_artifact(path, kind: str, version: int) -> tuple[bytes, dict, int]:
-    """The bytes of a file ``write_artifact`` wrote, its header, and the
-    offset of its block. A cut or garbled header raises ``InvalidConfig``
+    """The bytes of a file in the ``pack_artifact`` layout, its header and
+    the offset of its block. A cut or garbled header raises ``InvalidConfig``
     ("<kind> <path> is corrupt: ..."), and so does a ``format_version``
     other than ``version``."""
     data = Path(path).read_bytes()
@@ -519,13 +511,13 @@ def read_artifact(path, kind: str, version: int) -> tuple[bytes, dict, int]:
 
 
 def save_model(model: SpanModel, path) -> None:
-    write_artifact(path, {
+    write_file(path, pack_artifact({
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
         "seed": model.seed,
         "params": [{"name": name, "shape": list(shape)}
                    for name, shape in parameter_layout(model.config)],
-    }, model.flat)
+    }, model.flat))
 
 
 def load_model(path) -> SpanModel:

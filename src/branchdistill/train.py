@@ -36,13 +36,12 @@ config snapshot, input digests, per-epoch loss curve, and skip counts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Sample
+from .corpus import Sample, write_json
 from .distill import (
     LogitStore,
     aggregate_logits,
@@ -52,7 +51,7 @@ from .distill import (
     impurity_weights,
     write_logit_store,
 )
-from .errors import InvalidConfig, InvalidParameter, ShapeError, malformed_as_invalid
+from .errors import InvalidConfig, InvalidParameter, ShapeError
 from .model import (
     ModelConfig,
     SpanModel,
@@ -216,18 +215,6 @@ class RunManifest:
     final_checkpoint: str = ""
     format_version: int = MANIFEST_VERSION
 
-    def save(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(asdict(self), sort_keys=True, separators=(",", ":"), allow_nan=False)
-            + "\n",
-            encoding="utf-8",
-        )
-
-    @classmethod
-    def load(cls, path) -> "RunManifest":
-        with malformed_as_invalid(path, "run manifest"):
-            return cls(**json.loads(Path(path).read_text(encoding="utf-8")))
-
 
 def _target_tables(samples: list[Sample], stores: dict[str, LogitStore],
                    cfg: TrainConfig) -> np.ndarray:
@@ -357,7 +344,7 @@ def train(
     if out_path is not None:
         save_model(model, out_path / "final.ckpt")
         manifest.final_checkpoint = "final.ckpt"
-        manifest.save(out_path / "manifest.json")
+        write_json(out_path / "manifest.json", asdict(manifest))
     return model, manifest
 
 

@@ -120,6 +120,17 @@ class TestBuild:
         second = {p.name: p.read_bytes() for p in (tmp_path / "datasets").iterdir()}
         assert first == second
 
+    def test_rebuild_leaves_unchanged_shared_files_alone(self, tmp_path):
+        tiny("generate", tmp_path)
+        build = ["--mode", "translate-train", "--language", "de"]
+        assert tiny("build", tmp_path, *build) == 0
+        shared = [tmp_path / "vocab.json", tmp_path / "datasets" / "eval_grid.jsonl",
+                  tmp_path / "datasets" / "eval_zero_shot_zz.jsonl"]
+        for path in shared:
+            os.utime(path, ns=(0, 0))
+        assert tiny("build", tmp_path, *build) == 0
+        assert [path.stat().st_mtime_ns for path in shared] == [0, 0, 0]
+
     def test_zero_shot_eval_set_written(self, tmp_path):
         tiny("generate", tmp_path)
         tiny("build", tmp_path)
@@ -210,7 +221,7 @@ class TestPipelineCommands:
         shutil.copytree(pipeline_dir, out)
         path = out / name
         if name == "report.json":
-            ev.EvalReport().save(path)
+            cp.write_json(path, ev.EvalReport().to_dict())
         elif name == "config.json":
             path.write_text(json.dumps({"corpus.records": 9}))
         path.write_bytes(corrupt(path.read_bytes()))
@@ -300,6 +311,12 @@ class TestPipelineCommands:
         text = capsys.readouterr().out
         assert "overall" in text
 
+    def test_compare_refuses_nan_before_writing(self, tmp_path):
+        report = ev.EvalReport(overall_em=float("nan"))
+        with pytest.raises(ValueError):
+            cli.op_compare([report, report], ["a", "b"], out_path=tmp_path / "cmp.json")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestAblate:
     def test_matrix_rows_and_baseline(self, tmp_path, capsys):
@@ -317,6 +334,15 @@ class TestAblate:
         assert comparison["baseline"] == "ours_imp"
         text = capsys.readouterr().out
         assert "ours_imp" in text and "teacher_en" in text
+
+    def test_stale_teacher_is_refused(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "copy"
+        shutil.copytree(pipeline_dir, out)
+        final = out / "teachers" / "en" / "final.ckpt"
+        before = final.read_bytes()
+        assert tiny("ablate", out, "--model.ffn", "16") == 2
+        assert "different model_config" in capsys.readouterr().err
+        assert final.read_bytes() == before
 
     def test_ablate_without_corpus_is_exit_3(self, tmp_path):
         assert tiny("ablate", tmp_path / "empty") == 3

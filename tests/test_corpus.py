@@ -1,3 +1,8 @@
+import ast
+import os
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -268,11 +273,50 @@ class TestFileFormats:
         cp.write_samples(samples, path)
         assert cp.read_samples(path) == samples
 
-    def test_digest_file(self, tmp_path):
-        path = tmp_path / "corpus.jsonl"
-        cp.write_corpus(noiseless_records(3), path)
-        digest_path = cp.write_digest(path)
-        assert digest_path.read_text().strip() == cp.sha256_file(path)
+    def test_interrupted_write_keeps_previous_file(self, tmp_path):
+        samples = cp.build_mix_dataset(noiseless_records(6), LANGS, seed=0).samples
+        path = tmp_path / "samples.jsonl"
+        cp.write_samples(samples, path)
+        before = path.read_bytes()
+
+        def interrupted():
+            yield samples[0]
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError):
+            cp.write_samples(interrupted(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["samples.jsonl"]
+
+    def test_failed_replace_removes_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.json"
+        cp.write_json(path, {"v": 1})
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(cp.os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            cp.write_json(path, {"v": 2})
+        assert path.read_text() == '{"v":1}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+
+    def test_unchanged_file_is_left_alone(self, tmp_path):
+        path = tmp_path / "a.json"
+        cp.write_json(path, {"b": [1, 2], "a": "x"})
+        assert path.read_bytes() == b'{"a":"x","b":[1,2]}\n'
+        os.utime(path, ns=(0, 0))
+        cp.write_json(path, {"a": "x", "b": [1, 2]})
+        assert path.stat().st_mtime_ns == 0
+        cp.write_json(path, {"a": "y", "b": [1, 2]})
+        assert path.stat().st_mtime_ns != 0
+        assert path.read_bytes() == b'{"a":"y","b":[1,2]}\n'
+
+    def test_written_file_has_the_mode_open_gives(self, tmp_path):
+        cp.write_file(tmp_path / "new.txt", "x")
+        with open(tmp_path / "old.txt", "w"):
+            pass
+        assert (tmp_path / "new.txt").stat().st_mode == (tmp_path / "old.txt").stat().st_mode
 
     def test_invalid_span_rejected_on_read(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -282,3 +326,24 @@ class TestFileFormats:
         )
         with pytest.raises(InvalidRecord):
             cp.read_corpus(path)
+
+
+# a write-mode open: a mode literal holding w, a, x or +
+WRITES = re.compile(r"\.write_text\(|\.write_bytes\(|open\(.*[\"'][rbt]*[wax+][rwxabt+]*[\"']")
+ENCODING = re.compile(r"sort_keys=True")
+
+
+def test_one_write_path_and_one_encoding_in_source():
+    """Only ``corpus.write_file`` opens a file for writing, and only
+    ``corpus.dumps`` spells the artifact encoding."""
+    offences = []
+    for path in sorted(Path(cp.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        spans = {node.name: range(node.lineno, node.end_lineno + 1)
+                 for node in ast.parse(text).body if isinstance(node, ast.FunctionDef)}
+        for number, line in enumerate(text.splitlines(), 1):
+            for pattern, home in ((WRITES, "write_file"), (ENCODING, "dumps")):
+                if pattern.search(line) and not (
+                        path.name == "corpus.py" and number in spans.get(home, ())):
+                    offences.append(f"{path.name}:{number}: {line.strip()}")
+    assert offences == []

@@ -213,9 +213,15 @@ class TestEvaluate:
         samples = fixed_layout_samples(5)
         vocab = md.Vocabulary.from_samples(samples)
         report = ev.evaluate(self._zero_model(vocab), samples, vocab)
-        report.save(tmp_path / "report.json")
+        cp.write_json(tmp_path / "report.json", report.to_dict())
         loaded = ev.EvalReport.load(tmp_path / "report.json")
         assert loaded.to_dict() == report.to_dict()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_report_is_refused_before_any_file(self, tmp_path, value):
+        with pytest.raises(ValueError):
+            cp.write_json(tmp_path / "report.json", ev.EvalReport(overall_em=value).to_dict())
+        assert list(tmp_path.iterdir()) == []
 
 
 def report_from_cells(cells):

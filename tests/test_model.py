@@ -56,8 +56,8 @@ class TestVocabulary:
 
     def test_save_load_round_trip(self, tmp_path):
         vocab = md.Vocabulary(["x", "y", "z"])
-        vocab.save(tmp_path / "vocab.json")
-        loaded = md.Vocabulary.load(tmp_path / "vocab.json")
+        cp.write_json(tmp_path / "vocab.json", vocab.to_dict())
+        loaded = cp.read_json(tmp_path / "vocab.json", "vocabulary", md.Vocabulary.from_dict)
         assert loaded.tokens == vocab.tokens
 
 
