@@ -367,18 +367,20 @@ def _check_resume(run_dir: Path, train_cfg: TrainConfig, model_cfg: ModelConfig,
 
 
 def _train_stage(cfg: PipelineConfig, run_name: str, run_dir: Path, dataset: Path,
-                 train_cfg: TrainConfig, stores: dict[str, LogitStore] | None = None,
-                 reuse: bool = False) -> RunManifest:
+                 train_cfg: TrainConfig, stores: dict[str, LogitStore] | None = None
+                 ) -> RunManifest:
     """Train one run on ``dataset`` into ``run_dir``: a teacher when
-    ``stores`` is None, else a student distilled from them. With ``reuse``,
-    a finished run whose manifest ``_check_resume`` accepts is kept."""
+    ``stores`` is None, else a student distilled from them. A finished
+    teacher whose manifest ``_check_resume`` accepts is kept, since training
+    it again would give the same bytes; a student is always trained, since
+    its manifest check does not cover the stores it reads."""
     vocab = _load_vocab(cfg)
     samples = cp.read_samples(dataset)
     model_cfg = cfg.model_config(vocab.size)
     digest = cp.sha256_file(dataset)
     vocab_digest = cp.sha256_file(cfg.vocab_path)
     previous = _check_resume(run_dir, train_cfg, model_cfg, digest, vocab_digest)
-    if reuse and previous is not None and (run_dir / "final.ckpt").exists():
+    if stores is None and previous is not None and (run_dir / "final.ckpt").exists():
         return previous
     _, manifest = train(samples, vocab, model_cfg, train_cfg, run_name, out_dir=run_dir,
                         stores=stores, dataset_digest=digest, vocab_digest=vocab_digest)
@@ -387,7 +389,7 @@ def _train_stage(cfg: PipelineConfig, run_name: str, run_dir: Path, dataset: Pat
 
 def op_train_teacher(cfg: PipelineConfig, branch: str | None = None,
                      dataset: Path | None = None, run_name: str | None = None,
-                     seed: int | None = None, reuse: bool = False) -> Path:
+                     seed: int | None = None) -> Path:
     if dataset is None:
         if branch is None:
             raise InvalidConfig("train-teacher needs --branch or --dataset")
@@ -396,7 +398,7 @@ def op_train_teacher(cfg: PipelineConfig, branch: str | None = None,
     run_dir = cfg.teacher_dir(run_name)
     dataset = _require(Path(dataset), "training dataset")
     train_cfg = cfg.train_config(seed=seed, lambda1=1.0, lambda2=0.0)
-    manifest = _train_stage(cfg, run_name, run_dir, dataset, train_cfg, reuse=reuse)
+    manifest = _train_stage(cfg, run_name, run_dir, dataset, train_cfg)
     first, last = manifest.epoch_losses[0], manifest.epoch_losses[-1]
     print(f"train-teacher {run_name}: {manifest.n_samples} samples "
           f"({manifest.skipped_samples} skipped), "
@@ -545,7 +547,7 @@ def op_ablate(cfg: PipelineConfig) -> dict:
     _require(cfg.corpus_path, "corpus (run generate first)")
     op_build(cfg, "lbmrc")
     for lang in cfg.languages:
-        op_train_teacher(cfg, branch=lang, reuse=True)
+        op_train_teacher(cfg, branch=lang)
         op_dump_logits(cfg, lang)
 
     # teachers trained on the mixed dataset, one per branch slot
@@ -553,8 +555,7 @@ def op_ablate(cfg: PipelineConfig) -> dict:
     mix_ids = []
     for i in range(len(cfg.languages)):
         name = f"mix_{i}"
-        op_train_teacher(cfg, dataset=cfg.mix_path, run_name=name, seed=cfg.seed + 1 + i,
-                         reuse=True)
+        op_train_teacher(cfg, dataset=cfg.mix_path, run_name=name, seed=cfg.seed + 1 + i)
         op_dump_logits(cfg, name)
         mix_ids.append(name)
 

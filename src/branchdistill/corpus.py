@@ -25,7 +25,6 @@ import contextlib
 import hashlib
 import json
 import os
-import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -531,12 +530,6 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-# ``mkstemp`` makes owner-only files; artifacts get the mode ``open`` gives
-# a new file under the process umask, read here once
-_UMASK = os.umask(0o022)
-os.umask(_UMASK)
-
-
 def write_file(path, data: str | bytes) -> None:
     """Replace ``path`` with ``data`` (text as UTF-8) in one step, unless it
     already holds exactly these bytes, in which case it is left alone.
@@ -554,10 +547,10 @@ def write_file(path, data: str | bytes) -> None:
     with contextlib.suppress(FileNotFoundError):
         if path.stat().st_size == len(data) and path.read_bytes() == data:
             return
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -291,6 +291,15 @@ class TestPipelineCommands:
         b = (out / "teachers" / "en" / "final.ckpt").read_bytes()
         assert a == b
 
+    def test_finished_teacher_with_same_config_is_kept(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "copy"
+        shutil.copytree(pipeline_dir, out)
+        final = out / "teachers" / "en" / "final.ckpt"
+        os.utime(final, ns=(0, 0))
+        assert tiny("train-teacher", out, "--branch", "en") == 0
+        assert final.stat().st_mtime_ns == 0
+        assert "train-teacher en:" in capsys.readouterr().out
+
     @pytest.mark.parametrize("flag, value", [("--train.lr", "0.009"), ("--model.ffn", "16")])
     def test_resume_with_different_config_is_config_error(self, pipeline_dir, flag, value):
         final = pipeline_dir / "teachers" / "en" / "final.ckpt"

@@ -328,8 +328,9 @@ class TestFileFormats:
             cp.read_corpus(path)
 
 
-# a write-mode open: a mode literal holding w, a, x or +
-WRITES = re.compile(r"\.write_text\(|\.write_bytes\(|open\(.*[\"'][rbt]*[wax+][rwxabt+]*[\"']")
+# a write-mode open: a mode literal holding w, a, x or +, or a writing flag
+WRITES = re.compile(
+    r"\.write_text\(|\.write_bytes\(|open\(.*[\"'][rbt]*[wax+][rwxabt+]*[\"']|O_WRONLY|O_RDWR")
 ENCODING = re.compile(r"sort_keys=True")
 
 
