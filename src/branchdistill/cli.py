@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from dataclasses import asdict, dataclass, field, fields
@@ -27,7 +28,6 @@ from .distill import LogitStore
 from .errors import (
     IncompleteLogits,
     InvalidConfig,
-    InvalidLabel,
     InvalidParameter,
     InvalidRecord,
     MissingArtifact,
@@ -150,26 +150,21 @@ class PipelineConfig:
     def vocab_path(self) -> Path:
         return self.out_dir / "vocab.json"
 
-    def branch_path(self, lang: str) -> Path:
-        return self.datasets_dir / f"branch_{lang}.jsonl"
+    def dataset_path(self, name: str) -> Path:
+        """Where ``build`` writes the dataset it names ``name``: ``branch_<lang>``,
+        ``union``, ``mix``, ``tt_<lang>``, ``eval_grid`` or ``eval_zero_shot_<lang>``."""
+        return self.datasets_dir / f"{name}.jsonl"
 
     @property
     def union_path(self) -> Path:
-        return self.datasets_dir / "union.jsonl"
-
-    @property
-    def mix_path(self) -> Path:
-        return self.datasets_dir / "mix.jsonl"
-
-    def translate_train_path(self, lang: str) -> Path:
-        return self.datasets_dir / f"tt_{lang}.jsonl"
+        return self.dataset_path("union")
 
     @property
     def eval_grid_path(self) -> Path:
-        return self.datasets_dir / "eval_grid.jsonl"
+        return self.dataset_path("eval_grid")
 
     def eval_zero_shot_path(self, lang: str) -> Path:
-        return self.datasets_dir / f"eval_zero_shot_{lang}.jsonl"
+        return self.dataset_path(f"eval_zero_shot_{lang}")
 
     def teacher_dir(self, name: str) -> Path:
         return self.out_dir / "teachers" / name
@@ -186,10 +181,16 @@ class PipelineConfig:
 
 
 def _parse_value(key: str, raw):
+    """``raw``, a flag's text or a config file's JSON value, parsed for
+    ``key``. A float must be finite: ``float`` and ``json.loads`` both accept
+    NaN and infinities, which no setting means and no artifact can record."""
     try:
-        return SCHEMA[key][0](raw)
-    except (TypeError, ValueError) as exc:
+        value = SCHEMA[key][0](raw)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfig(f"bad value {raw!r} for {key} ({exc})") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InvalidConfig(f"bad value {raw!r} for {key} (not a finite number)")
+    return value
 
 
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
@@ -279,57 +280,44 @@ def _write_vocab(cfg: PipelineConfig, train_records) -> Vocabulary:
     return vocab
 
 
-def _write_eval_sets(cfg: PipelineConfig, eval_records) -> dict:
-    grid = cp.build_mix_dataset(eval_records, cfg.languages, cfg.seed)
-    cp.write_samples(grid.samples, cfg.eval_grid_path)
-    meta = {"eval_grid": len(grid.samples)}
-    zz = cfg.zero_shot_language
-    if zz:
-        zero = cp.build_translate_train(eval_records, zz)
-        cp.write_samples(zero.samples, cfg.eval_zero_shot_path(zz))
-        meta[f"eval_zero_shot_{zz}"] = len(zero.samples)
-    return meta
-
-
 def op_build(cfg: PipelineConfig, mode: str, language: str | None = None) -> dict:
+    """Write each dataset of ``mode``, and the evaluation sets, to
+    ``cfg.dataset_path`` of its name, and a meta with their sizes."""
     train_records, eval_records = _split_records(cfg)
     cfg.datasets_dir.mkdir(parents=True, exist_ok=True)
     _write_vocab(cfg, train_records)
-    meta: dict = {
-        "mode": mode,
-        "train_records": len(train_records),
-        "eval_records": len(eval_records),
-        "sizes": {},
-        "missing": {},
-        "unrecoverable": {},
-    }
-
     if mode == "lbmrc":
         result = cp.build_language_branches(
             train_records, cfg.languages, augment_with_source=cfg.values["train.augment_source"]
         )
-        for lang, branch in result.branches.items():
-            cp.write_samples(branch, cfg.branch_path(lang))
-            meta["sizes"][f"branch_{lang}"] = len(branch)
-        union = cp.union_of_branches(result.branches)
-        cp.write_samples(union, cfg.union_path)
-        meta["sizes"]["union"] = len(union)
+        datasets = {f"branch_{lang}": branch for lang, branch in result.branches.items()}
+        datasets["union"] = cp.union_of_branches(result.branches)
     elif mode == "mixmrc":
         result = cp.build_mix_dataset(train_records, cfg.languages, cfg.seed)
-        cp.write_samples(result.samples, cfg.mix_path)
-        meta["sizes"]["mix"] = len(result.samples)
+        datasets = {"mix": result.samples}
     elif mode == "translate-train":
         if not language:
             raise InvalidConfig("build --mode translate-train requires --language")
         result = cp.build_translate_train(train_records, language)
-        cp.write_samples(result.samples, cfg.translate_train_path(language))
-        meta["sizes"][f"tt_{language}"] = len(result.samples)
+        datasets = {f"tt_{language}": result.samples}
     else:
         raise InvalidConfig(f"unknown build mode {mode!r}")
+    eval_sets = {"eval_grid": cp.build_mix_dataset(eval_records, cfg.languages, cfg.seed).samples}
+    zz = cfg.zero_shot_language
+    if zz:
+        eval_sets[f"eval_zero_shot_{zz}"] = cp.build_translate_train(eval_records, zz).samples
+    for name, samples in {**datasets, **eval_sets}.items():
+        cp.write_samples(samples, cfg.dataset_path(name))
 
-    meta["missing"] = dict(result.missing)
-    meta["unrecoverable"] = dict(result.unrecoverable)
-    meta.update(_write_eval_sets(cfg, eval_records))
+    meta = {
+        "mode": mode,
+        "train_records": len(train_records),
+        "eval_records": len(eval_records),
+        "sizes": {name: len(samples) for name, samples in datasets.items()},
+        "missing": dict(result.missing),
+        "unrecoverable": dict(result.unrecoverable),
+        **{name: len(samples) for name, samples in eval_sets.items()},
+    }
     # one meta per dataset, so each translate-train language keeps its own
     dataset = f"tt_{language}" if mode == "translate-train" else mode
     cp.write_json(cfg.datasets_dir / f"build_meta_{dataset}.json", meta)
@@ -393,7 +381,7 @@ def op_train_teacher(cfg: PipelineConfig, branch: str | None = None,
     if dataset is None:
         if branch is None:
             raise InvalidConfig("train-teacher needs --branch or --dataset")
-        dataset = cfg.branch_path(branch)
+        dataset = cfg.dataset_path(f"branch_{branch}")
     run_name = run_name or branch or Path(dataset).stem
     run_dir = cfg.teacher_dir(run_name)
     dataset = _require(Path(dataset), "training dataset")
@@ -530,7 +518,7 @@ def run_translate_train_baseline(cfg: PipelineConfig) -> ev.EvalReport:
     for lang in cfg.languages:
         op_build(cfg, "translate-train", language=lang)
         run_dir = op_train_teacher(
-            cfg, dataset=cfg.translate_train_path(lang), run_name=f"tt_{lang}"
+            cfg, dataset=cfg.dataset_path(f"tt_{lang}"), run_name=f"tt_{lang}"
         )
         model = load_model(run_dir / "final.ckpt")
         subset = [s for s in grid_samples if s.passage_lang == lang]
@@ -555,7 +543,7 @@ def op_ablate(cfg: PipelineConfig) -> dict:
     mix_ids = []
     for i in range(len(cfg.languages)):
         name = f"mix_{i}"
-        op_train_teacher(cfg, dataset=cfg.mix_path, run_name=name, seed=cfg.seed + 1 + i)
+        op_train_teacher(cfg, dataset=cfg.dataset_path("mix"), run_name=name, seed=cfg.seed + 1 + i)
         op_dump_logits(cfg, name)
         mix_ids.append(name)
 
@@ -757,7 +745,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (InvalidConfig, InvalidParameter, InvalidRecord, InvalidLabel,
+    except (InvalidConfig, InvalidParameter, InvalidRecord,
             Unrecoverable, ShapeError, IncompleteLogits) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,13 +1,16 @@
 """Corpus data model, dataset builders, and the synthetic corpus generator.
 
 An aligned record holds parallel renderings of one QA instance in several
-languages. Builders turn aligned records into flat training samples:
+languages. Builders turn aligned records into flat training samples by one
+pairing rule over a language list: a record pairs each passage language
+whose rendering has an answer span with every question language whose
+rendering exists.
 
-* language branches: passages and answers in one language, questions in all
-  configured languages,
-* mixed dataset: the full passage-language x question-language cross product
-  in one flat shuffled list,
-* translate-train: passage and question both in a single language.
+* language branches: the pairings grouped by passage language, so a branch
+  holds passages and answers in one language and questions in all,
+* mixed dataset: the same pairings in one flat shuffled list,
+* translate-train: the pairings over a single language, so passage and
+  question are both in it.
 
 The synthetic generator produces aligned records for a marker-location task
 that a small encoder can learn: each passage contains one cue token followed
@@ -221,52 +224,40 @@ class BuildResult:
         return sum(self.missing.values()) + sum(self.unrecoverable.values())
 
 
-def _rendering_status(records, languages):
-    """Per (record, language) usability: 'ok', 'unrecoverable', or 'missing'."""
-    status = []
+def _pairings(records, languages) -> BuildResult:
+    """The pairing rule, walked once: every sample of ``records`` over
+    ``languages``, in record, passage-language, question-language order, in
+    ``samples``, with the renderings it skips counted per language.
+
+    A record pairs each passage language whose rendering has an answer span
+    with every question language whose rendering exists. Each record is
+    validated as it is reached.
+    """
+    if not languages:
+        raise InvalidConfig("language list must be non-empty")
+    result = BuildResult()
     for record in records:
         record.validate()
-        row = {}
-        for lang in languages:
-            rendering = record.renderings.get(lang)
-            if rendering is None:
-                row[lang] = "missing"
-            elif rendering.answer_span is None:
-                row[lang] = "unrecoverable"
+        renderings = [(lang, record.renderings.get(lang)) for lang in languages]
+        questions = [(lang, tuple(r.question_tokens)) for lang, r in renderings if r is not None]
+        for passage_lang, passage in renderings:
+            if passage is None:
+                result.missing[passage_lang] += 1
+            elif passage.answer_span is None:
+                result.unrecoverable[passage_lang] += 1
             else:
-                row[lang] = "ok"
-        status.append(row)
-    return status
-
-
-def _count_skips(status, languages, result: BuildResult) -> None:
-    for row in status:
-        for lang in languages:
-            if row[lang] == "missing":
-                result.missing[lang] += 1
-            elif row[lang] == "unrecoverable":
-                result.unrecoverable[lang] += 1
-
-
-def _make_sample(record: AlignedRecord, passage_lang: str, question_lang: str) -> Sample:
-    passage = record.renderings[passage_lang]
-    question = record.renderings[question_lang]
-    start, end = passage.answer_span
-    sample = Sample(
-        id=record.id,
-        question_tokens=tuple(question.question_tokens),
-        passage_tokens=tuple(passage.passage_tokens),
-        gold_start=start,
-        gold_end=end,
-        passage_lang=passage_lang,
-        question_lang=question_lang,
-    )
-    sample.validate()
-    return sample
+                start, end = passage.answer_span
+                passage_tokens = tuple(passage.passage_tokens)
+                result.samples.extend(
+                    Sample(record.id, question_tokens, passage_tokens, start, end,
+                           passage_lang, question_lang)
+                    for question_lang, question_tokens in questions
+                )
+    return result
 
 
 def build_language_branches(records, languages, augment_with_source: bool = False) -> BuildResult:
-    """Build one branch per language: passages in that language, questions in all.
+    """Build one branch per language: the pairings grouped by passage language.
 
     A rendering unusable in one language is skipped there but the record stays
     usable in the other branches; question tokens only require the rendering
@@ -274,23 +265,12 @@ def build_language_branches(records, languages, augment_with_source: bool = Fals
     receives the full source-language branch.
     """
     languages = list(languages)
-    if not languages:
-        raise InvalidConfig("language list must be non-empty")
     records = list(records)
-    status = _rendering_status(records, languages)
-    result = BuildResult()
-    _count_skips(status, languages, result)
-
-    for lang in languages:
-        branch: list[Sample] = []
-        for record, row in zip(records, status):
-            if row[lang] != "ok":
-                continue
-            for question_lang in languages:
-                if row[question_lang] == "missing":
-                    continue
-                branch.append(_make_sample(record, lang, question_lang))
-        result.branches[lang] = branch
+    result = _pairings(records, languages)
+    result.branches = {lang: [] for lang in languages}
+    for sample in result.samples:
+        result.branches[sample.passage_lang].append(sample)
+    result.samples = []
 
     if augment_with_source:
         sources = {r.source_language for r in records}
@@ -307,44 +287,21 @@ def build_language_branches(records, languages, augment_with_source: bool = Fals
 
 
 def build_mix_dataset(records, languages, seed: int) -> BuildResult:
-    """Flat cross-product dataset: every usable passage language paired with
-    every available question language, reproducibly shuffled by ``seed``."""
-    languages = list(languages)
-    if not languages:
-        raise InvalidConfig("language list must be non-empty")
-    records = list(records)
-    status = _rendering_status(records, languages)
-    result = BuildResult()
-    _count_skips(status, languages, result)
-
-    samples = []
-    for record, row in zip(records, status):
-        for passage_lang in languages:
-            if row[passage_lang] != "ok":
-                continue
-            for question_lang in languages:
-                if row[question_lang] == "missing":
-                    continue
-                samples.append(_make_sample(record, passage_lang, question_lang))
+    """Flat cross-product dataset: the pairings over every language,
+    reproducibly shuffled by ``seed``."""
+    result = _pairings(records, list(languages))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6D69]))
-    order = rng.permutation(len(samples))
-    result.samples = [samples[i] for i in order]
+    order = rng.permutation(len(result.samples))
+    result.samples = [result.samples[i] for i in order]
     return result
 
 
 def build_translate_train(records, language: str) -> BuildResult:
-    """Single-language dataset: passage and question both in ``language``."""
+    """Single-language dataset: the pairings over ``language`` alone, so
+    passage and question are both in it."""
     if not language:
         raise InvalidConfig("language must be non-empty")
-    records = list(records)
-    status = _rendering_status(records, [language])
-    result = BuildResult()
-    _count_skips(status, [language], result)
-    for record, row in zip(records, status):
-        if row[language] != "ok":
-            continue
-        result.samples.append(_make_sample(record, language, language))
-    return result
+    return _pairings(records, [language])
 
 
 def union_of_branches(branches: dict[str, list[Sample]]) -> list[Sample]:

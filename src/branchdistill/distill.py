@@ -17,8 +17,7 @@ Logits, their gradients, teacher targets and store rows are all
 spans are (..., 2) arrays of (start, end). Fixed weights are one (K,)
 vector; impurity weights, computed one head at a time, are (..., 2, K).
 Impurity weighting and aggregation both take a leading batch axis, so one
-call of each serves every instance of a run. The per-instance references
-``nll_loss`` and ``kd_loss`` take a head's (L,) vectors one at a time.
+call of each serves every instance of a run.
 
 Teacher logits are always consumed from a precomputed store, never
 recomputed during student training. The store is one file per teacher: a
@@ -42,13 +41,12 @@ import numpy as np
 from .errors import (
     IncompleteLogits,
     InvalidConfig,
-    InvalidLabel,
     InvalidParameter,
     ShapeError,
 )
 from .corpus import write_file
 from .model import pack_artifact, read_artifact
-from .numerics import LOG_FLOOR, cross_entropy, entropy, softmax_temperature
+from .numerics import entropy, softmax_temperature
 
 STORE_VERSION = 2
 
@@ -118,30 +116,6 @@ def aggregate_logits(blocks, weights) -> np.ndarray:
     for k, block in enumerate(blocks):
         z += weights[..., k, None] * block
     return z
-
-
-def nll_loss(p_s, p_e, gold_start: int, gold_end: int) -> float:
-    """-(ln p_s[gold_start] + ln p_e[gold_end]) for one instance."""
-    p_s = np.asarray(p_s, dtype=np.float64)
-    p_e = np.asarray(p_e, dtype=np.float64)
-    if not (0 <= gold_start < p_s.shape[-1]) or not (0 <= gold_end < p_e.shape[-1]):
-        raise InvalidLabel(
-            f"gold indices ({gold_start}, {gold_end}) outside length {p_s.shape[-1]}"
-        )
-    return float(
-        -(np.log(max(p_s[gold_start], LOG_FLOOR)) + np.log(max(p_e[gold_end], LOG_FLOOR)))
-    )
-
-
-def kd_loss(teacher_z_s, teacher_z_e, student_z_s, student_z_e, tau: float) -> float:
-    """Distillation loss for one instance: softened cross-entropies times tau^2."""
-    if not tau > 0.0:
-        raise InvalidParameter(f"temperature must be positive, got {tau}")
-    p_s = softmax_temperature(teacher_z_s, tau)
-    p_e = softmax_temperature(teacher_z_e, tau)
-    q_s = softmax_temperature(student_z_s, tau)
-    q_e = softmax_temperature(student_z_e, tau)
-    return (cross_entropy(p_s, q_s) + cross_entropy(p_e, q_e)) * tau * tau
 
 
 # ---------------------------------------------------------------------------

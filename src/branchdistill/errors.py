@@ -24,10 +24,6 @@ class Unrecoverable(ValueError):
     """An answer span cannot be recovered from a marked token sequence."""
 
 
-class InvalidLabel(ValueError):
-    """A gold start/end index lies outside the prediction vector."""
-
-
 class ShapeError(ValueError):
     """Array shapes are inconsistent with the operation's contract."""
 

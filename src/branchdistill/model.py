@@ -104,14 +104,6 @@ class Vocabulary:
                 raise InvalidConfig(f"reserved marker {token!r} cannot enter the vocabulary")
         self._index = {t: FIRST_TOKEN_ID + i for i, t in enumerate(self.tokens)}
 
-    @classmethod
-    def from_samples(cls, samples) -> "Vocabulary":
-        tokens: set[str] = set()
-        for s in samples:
-            tokens.update(s.question_tokens)
-            tokens.update(s.passage_tokens)
-        return cls(tokens)
-
     @property
     def size(self) -> int:
         return FIRST_TOKEN_ID + len(self.tokens)

@@ -1,10 +1,9 @@
 """Float64 numerical primitives for targets, impurity weights and metrics.
 
-``softmax_temperature``, ``entropy`` and ``cross_entropy`` work on plain
-arrays and carry no gradient: teacher-side target construction, impurity
-weighting, metric reporting and the reference losses the tests compare
-against. The model's and the objectives' gradients are written out by hand
-in ``model`` and ``distill``.
+``softmax_temperature`` and ``entropy`` work on plain arrays and carry no
+gradient: teacher-side target construction, impurity weighting and metric
+reporting. The model's and the objectives' gradients are written out by
+hand in ``model`` and ``distill``.
 
 All arrays are 64-bit floats. Logs are natural logs. ``log`` arguments are
 clamped below at ``LOG_FLOOR``.
@@ -14,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidParameter, ShapeError
+from .errors import InvalidParameter
 
 LOG_FLOOR = 1e-12
 
@@ -60,16 +59,3 @@ def entropy(p) -> float | np.ndarray:
     _require_distribution(p)
     terms = np.where(p > 0.0, p * np.log(np.maximum(p, LOG_FLOOR)), 0.0)
     return -terms.sum(axis=-1)
-
-
-def cross_entropy(target, predicted) -> float:
-    """-sum(target * ln(predicted)), predicted clamped below at LOG_FLOOR."""
-    target = _as_f64(target)
-    predicted = _as_f64(predicted)
-    if target.shape != predicted.shape:
-        raise ShapeError(
-            f"target shape {target.shape} != predicted shape {predicted.shape}"
-        )
-    _require_distribution(target)
-    _require_distribution(predicted)
-    return float(-(target * np.log(np.maximum(predicted, LOG_FLOOR))).sum())

@@ -95,15 +95,30 @@ class TestBuild:
         assert len(samples) == 16
         assert all(s.passage_lang == s.question_lang == "de" for s in samples)
 
-    def test_translate_train_builds_keep_one_meta_each(self, tmp_path):
+    @pytest.mark.parametrize("builds, metas", [
+        ([["--mode", "lbmrc"]], ["lbmrc"]),
+        ([["--mode", "mixmrc"]], ["mixmrc"]),
         # the baseline builds every language in turn into one datasets directory
+        ([["--mode", "translate-train", "--language", lang] for lang in ("en", "de")],
+         ["tt_en", "tt_de"]),
+    ], ids=["lbmrc", "mixmrc", "translate-train"])
+    def test_builds_keep_one_meta_each(self, tmp_path, builds, metas):
+        # every dataset a meta sizes, and each evaluation set, is the file
+        # datasets/<name>.jsonl with that many samples, and no other is written
         tiny("generate", tmp_path)
-        for lang in ("en", "de"):
-            assert tiny("build", tmp_path, "--mode", "translate-train", "--language", lang) == 0
-        for lang in ("en", "de"):
-            meta = json.loads((tmp_path / "datasets" / f"build_meta_tt_{lang}.json").read_text())
-            samples = cp.read_samples(tmp_path / "datasets" / f"tt_{lang}.jsonl")
-            assert meta["sizes"] == {f"tt_{lang}": len(samples)}
+        for args in builds:
+            assert tiny("build", tmp_path, *args) == 0
+        datasets = tmp_path / "datasets"
+        sizes = {}
+        for name in metas:
+            meta = json.loads((datasets / f"build_meta_{name}.json").read_text())
+            assert set(meta["sizes"]) == {"lbmrc": {"branch_en", "branch_es", "branch_de", "union"},
+                                          "mixmrc": {"mix"}}.get(name, {name})
+            sizes.update(meta["sizes"], eval_grid=meta["eval_grid"],
+                         eval_zero_shot_zz=meta["eval_zero_shot_zz"])
+        assert {p.stem for p in datasets.glob("*.jsonl")} == set(sizes)
+        for name, size in sizes.items():
+            assert len(cp.read_samples(datasets / f"{name}.jsonl")) == size
 
     def test_translate_train_requires_language(self, tmp_path):
         tiny("generate", tmp_path)
@@ -383,6 +398,24 @@ class TestConfigHandling:
             args = ["--config", str(path)]
         assert run(["generate", "--out-dir", str(tmp_path), *args]) == 2
         assert "corpus.records" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", [
+        ["--train.clip_norm", "nan"], ["--train.clip_norm", "inf"], ["--train.tau", "inf"],
+        '{"train.tau": Infinity}', '{"train.epochs": Infinity}',
+    ], ids=["clip_norm_nan", "clip_norm_inf", "tau_inf", "config_tau_infinity",
+            "config_epochs_infinity"])
+    def test_non_finite_setting_is_config_error(self, tmp_path, setting, capsys):
+        # refused before training, not after the last epoch when no manifest
+        # can record it
+        tiny("generate", tmp_path)
+        tiny("build", tmp_path)
+        if isinstance(setting, str):
+            path = tmp_path / "config.json"
+            path.write_text(setting)
+            setting = ["--config", str(path)]
+        assert tiny("train-teacher", tmp_path, "--branch", "en", *setting) == 2
+        assert "bad value" in capsys.readouterr().err
+        assert not (tmp_path / "teachers" / "en").exists()
 
     def test_unknown_mode_is_usage_error(self, tmp_path):
         assert run(["build", "--mode", "bogus", "--out-dir", str(tmp_path)]) == 2

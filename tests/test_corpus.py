@@ -3,6 +3,7 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -167,6 +168,154 @@ class TestTranslateTrainBuilder:
             assert sample.passage_tokens == rendering.passage_tokens
             assert sample.question_tokens == rendering.question_tokens
             assert (sample.gold_start, sample.gold_end) == rendering.answer_span
+
+
+# The three builder loops as they stood before one pairing walk replaced
+# them, kept as the oracle the walk must match sample for sample.
+
+
+def _oracle_status(records, languages):
+    status = []
+    for record in records:
+        record.validate()
+        row = {}
+        for lang in languages:
+            rendering = record.renderings.get(lang)
+            if rendering is None:
+                row[lang] = "missing"
+            elif rendering.answer_span is None:
+                row[lang] = "unrecoverable"
+            else:
+                row[lang] = "ok"
+        status.append(row)
+    return status
+
+
+def _oracle_result(status, languages):
+    result = cp.BuildResult()
+    for row in status:
+        for lang in languages:
+            if row[lang] == "missing":
+                result.missing[lang] += 1
+            elif row[lang] == "unrecoverable":
+                result.unrecoverable[lang] += 1
+    return result
+
+
+def _oracle_sample(record, passage_lang, question_lang):
+    passage = record.renderings[passage_lang]
+    start, end = passage.answer_span
+    return cp.Sample(record.id, tuple(record.renderings[question_lang].question_tokens),
+                     tuple(passage.passage_tokens), start, end, passage_lang, question_lang)
+
+
+def oracle_branches(records, languages, augment_with_source=False):
+    languages, records = list(languages), list(records)
+    if not languages:
+        raise InvalidConfig("language list must be non-empty")
+    status = _oracle_status(records, languages)
+    result = _oracle_result(status, languages)
+    for lang in languages:
+        branch = []
+        for record, row in zip(records, status):
+            if row[lang] != "ok":
+                continue
+            for question_lang in languages:
+                if row[question_lang] != "missing":
+                    branch.append(_oracle_sample(record, lang, question_lang))
+        result.branches[lang] = branch
+    if augment_with_source:
+        sources = {r.source_language for r in records}
+        if len(sources) > 1:
+            raise InvalidConfig(f"augmentation needs a single source language, got {sorted(sources)}")
+        source = sources.pop() if sources else None
+        if source not in result.branches:
+            raise InvalidConfig(f"source language {source!r} is not among the built branches")
+        source_samples = list(result.branches[source])
+        for lang, branch in result.branches.items():
+            if lang != source:
+                branch.extend(source_samples)
+    return result
+
+
+def oracle_mix(records, languages, seed):
+    languages, records = list(languages), list(records)
+    if not languages:
+        raise InvalidConfig("language list must be non-empty")
+    status = _oracle_status(records, languages)
+    result = _oracle_result(status, languages)
+    samples = []
+    for record, row in zip(records, status):
+        for passage_lang in languages:
+            if row[passage_lang] != "ok":
+                continue
+            for question_lang in languages:
+                if row[question_lang] != "missing":
+                    samples.append(_oracle_sample(record, passage_lang, question_lang))
+    order = np.random.default_rng(np.random.SeedSequence([seed, 0x6D69])).permutation(len(samples))
+    result.samples = [samples[i] for i in order]
+    return result
+
+
+def oracle_translate_train(records, language):
+    if not language:
+        raise InvalidConfig("language must be non-empty")
+    records = list(records)
+    status = _oracle_status(records, [language])
+    result = _oracle_result(status, [language])
+    for record, row in zip(records, status):
+        if row[language] == "ok":
+            result.samples.append(_oracle_sample(record, language, language))
+    return result
+
+
+POOL = ["en", "es", "de", "fr"]
+
+
+@st.composite
+def pairing_cases(draw):
+    """Records whose rendering in each pool language is present, has no span
+    or is missing (the source's is never missing), and 1-4 languages."""
+    sources = draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=2, unique=True))
+    records = []
+    for i in range(draw(st.integers(0, 6))):
+        source = draw(st.sampled_from(sources))
+        renderings = {}
+        for lang in POOL:
+            state = draw(st.sampled_from(["present", "unrecoverable", "missing"]))
+            if state == "missing" and lang != source:
+                continue
+            passage = tuple(f"{lang}{i}.{k}" for k in range(draw(st.integers(1, 4))))
+            start = draw(st.integers(0, len(passage) - 1))
+            span = (start, draw(st.integers(start, len(passage) - 1)))
+            renderings[lang] = cp.Rendering(passage, (f"q{lang}{i}",),
+                                            None if state == "unrecoverable" else span)
+        records.append(cp.AlignedRecord(f"r{i}", source, renderings))
+    languages = draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=4, unique=True))
+    return records, languages
+
+
+def outcome(build, *args):
+    """Everything a builder gives: its datasets and skip counts, or its error."""
+    try:
+        r = build(*args)
+    except InvalidConfig as exc:
+        return "error", str(exc)
+    return r.branches, r.samples, r.missing, r.unrecoverable, r.skipped
+
+
+class TestPairingWalk:
+    @given(pairing_cases(), st.booleans(), st.sampled_from([0, 1, 7, 2**31 + 5]))
+    @settings(deadline=None, max_examples=300)
+    def test_builders_match_the_three_loops(self, case, augment, seed):
+        records, languages = case
+        assert (outcome(cp.build_language_branches, records, languages, augment)
+                == outcome(oracle_branches, records, languages, augment))
+        assert (outcome(cp.build_mix_dataset, records, languages, seed)
+                == outcome(oracle_mix, records, languages, seed))
+        for lang in languages:
+            assert (outcome(cp.build_translate_train, records, lang)
+                    == outcome(oracle_translate_train, records, lang))
 
 
 class TestSyntheticGenerator:

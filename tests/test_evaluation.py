@@ -7,6 +7,8 @@ from branchdistill import evaluation as ev
 from branchdistill import model as md
 from branchdistill.errors import InvalidConfig, InvalidParameter, NoValidSpan
 
+from _oracles import vocabulary_from_samples
+
 
 def brute_force_decode(z_s, z_e, valid, max_answer_length):
     """Independent oracle: exhaustive scan over all (s, e) pairs with
@@ -163,7 +165,7 @@ class TestEvaluate:
 
     def test_oracle_biases_give_perfect_scores(self):
         samples = fixed_layout_samples(10)
-        vocab = md.Vocabulary.from_samples(samples)
+        vocab = vocabulary_from_samples(samples)
         model = self._zero_model(vocab)
         # every sample's gold sits at the same packed position
         enc = md.encode_dataset(samples[:1], vocab, model.config.max_len)[0]
@@ -181,7 +183,7 @@ class TestEvaluate:
             cp.TaskSpec(seed=1, passage_min=4, passage_max=7, rare_vocab_size=20),
         )
         samples = cp.build_translate_train(records, "en").samples
-        vocab = md.Vocabulary.from_samples(samples)
+        vocab = vocabulary_from_samples(samples)
         model = self._zero_model(vocab, max_len=32)
         expected = sum(1 for s in samples if (s.gold_start, s.gold_end) == (0, 0)) / len(samples)
         report = ev.evaluate(model, samples, vocab)
@@ -194,7 +196,7 @@ class TestEvaluate:
             id="long", question_tokens=("what",), passage_tokens=long_passage,
             gold_start=39, gold_end=39, passage_lang="en", question_lang="en",
         ))
-        vocab = md.Vocabulary.from_samples(samples)
+        vocab = vocabulary_from_samples(samples)
         model = self._zero_model(vocab)
         report = ev.evaluate(model, samples, vocab)
         assert report.skips == 1
@@ -203,7 +205,7 @@ class TestEvaluate:
 
     def test_order_invariance(self):
         samples = fixed_layout_samples(8) + fixed_layout_samples(8, lang="es")
-        vocab = md.Vocabulary.from_samples(samples)
+        vocab = vocabulary_from_samples(samples)
         model = self._zero_model(vocab)
         forward = ev.evaluate(model, samples, vocab)
         backward = ev.evaluate(model, samples[::-1], vocab)
@@ -211,7 +213,7 @@ class TestEvaluate:
 
     def test_report_json_round_trip(self, tmp_path):
         samples = fixed_layout_samples(5)
-        vocab = md.Vocabulary.from_samples(samples)
+        vocab = vocabulary_from_samples(samples)
         report = ev.evaluate(self._zero_model(vocab), samples, vocab)
         cp.write_json(tmp_path / "report.json", report.to_dict())
         loaded = ev.EvalReport.load(tmp_path / "report.json")

@@ -8,6 +8,7 @@ from branchdistill import numerics as nm
 from branchdistill.errors import InvalidConfig
 
 from _gradcheck import check_gradients
+from _oracles import vocabulary_from_samples
 
 
 def simple_sample(question=("q1",), passage=("a", "b"), gold=(0, 0), langs=("en", "en")):
@@ -30,7 +31,7 @@ def task_samples(n=6, seed=0, **task_kwargs):
 
 
 def small_model(samples, hidden=8, ffn=12, max_len=32, layers=1, seed=0):
-    vocab = md.Vocabulary.from_samples(samples)
+    vocab = vocabulary_from_samples(samples)
     config = md.ModelConfig(vocab_size=vocab.size, hidden=hidden, ffn=ffn,
                             max_len=max_len, layers=layers)
     return md.init_model(config, seed=seed), vocab

@@ -11,6 +11,8 @@ import pytest
 from branchdistill import corpus as cp
 from branchdistill import model as md
 
+from _oracles import vocabulary_from_samples
+
 
 def assert_same_bits(actual, expected):
     actual, expected = np.asarray(actual), np.asarray(expected)
@@ -217,7 +219,7 @@ def test_encode_dataset_matches_per_sample_oracle(max_len):
                                            cp.TaskSpec(seed=4))
     samples = cp.union_of_branches(cp.build_language_branches(records, ["en", "es"]).branches)
     # tokens outside the first third of the samples hash into OOV buckets
-    vocab = md.Vocabulary.from_samples(samples[: len(samples) // 3])
+    vocab = vocabulary_from_samples(samples[: len(samples) // 3])
     encoded, kept, skipped = md.encode_dataset(samples, vocab, max_len)
 
     rows, expected_kept, skips = [], [], 0

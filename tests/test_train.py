@@ -10,6 +10,8 @@ from branchdistill import numerics as nm
 from branchdistill import train as tr
 from branchdistill.errors import IncompleteLogits, InvalidConfig, InvalidParameter, ShapeError
 
+from _oracles import vocabulary_from_samples
+
 
 def small_task(n_records=12, seed=0, langs=("en", "es")):
     records = cp.generate_synthetic_corpus(
@@ -18,7 +20,7 @@ def small_task(n_records=12, seed=0, langs=("en", "es")):
     )
     result = cp.build_language_branches(records, list(langs))
     union = cp.union_of_branches(result.branches)
-    vocab = md.Vocabulary.from_samples(union)
+    vocab = vocabulary_from_samples(union)
     config = md.ModelConfig(vocab_size=vocab.size, hidden=8, ffn=12, max_len=24)
     return result, union, vocab, config
 
@@ -266,7 +268,7 @@ class TestDumpLogits:
         branches = cp.build_language_branches(records, ["en", "es", "de"]).branches
         union = cp.union_of_branches(branches)
         assert len(union) == 90
-        vocab = md.Vocabulary.from_samples(union)
+        vocab = vocabulary_from_samples(union)
         config = md.ModelConfig(vocab_size=vocab.size, hidden=8, ffn=12, max_len=24)
         model = md.init_model(config, seed=0)
         written, skipped = tr.dump_teacher_logits(model, union, vocab, tmp_path / "s.logits", "en")
