@@ -3,11 +3,16 @@
 
 For each seed the corpus is regenerated with translation noise, the full
 branch-training + distillation pipeline runs, and the per-language
-translate-train baseline is trained on the same split. Macro-EM over the
-passage-language x question-language grid is compared, averaged over seeds.
+translate-train baseline is trained on the same split (``cli.noise_study``).
+Macro-EM over the passage-language x question-language grid is compared,
+averaged over seeds.
+
+Takes every CLI setting. By default it generates 300 records with each
+noise probability at 0.1 under ``runs/noise_study``; these defaults count as
+flags, so they also override the same keys in a ``--config`` file.
 
 Usage:
-    python scripts/run_noise_study.py --records 300 --seeds 11,12,13
+    python scripts/run_noise_study.py --corpus.records 300 --seeds 11,12,13
 """
 
 import argparse
@@ -23,35 +28,21 @@ from branchdistill import cli
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--records", type=int, default=300)
-    parser.add_argument("--seeds", default="11,12,13")
-    parser.add_argument("--token-drop", type=float, default=0.1)
-    parser.add_argument("--token-swap", type=float, default=0.1)
-    parser.add_argument("--marker-destroy", type=float, default=0.1)
-    parser.add_argument("--out-dir", default="runs/noise_study")
+    cli.add_config_flags(parser)
+    parser.add_argument("--seeds", default="11,12,13", help="comma-separated seeds")
+    parser.set_defaults(out_dir="runs/noise_study", **{
+        "corpus.records": 300, "noise.token_drop_prob": 0.1,
+        "noise.token_swap_prob": 0.1, "noise.marker_destroy_prob": 0.1,
+    })
     args = parser.parse_args()
+    seeds = [int(s) for s in args.seeds.split(",")]
 
-    student_macros, baseline_macros = [], []
-    for seed in [int(s) for s in args.seeds.split(",")]:
-        ns = argparse.Namespace(config=None, seed=seed,
-                                out_dir=f"{args.out_dir}/seed{seed}")
-        setattr(ns, "corpus.records", args.records)
-        setattr(ns, "noise.token_drop_prob", args.token_drop)
-        setattr(ns, "noise.token_swap_prob", args.token_swap)
-        setattr(ns, "noise.marker_destroy_prob", args.marker_destroy)
-        cfg = cli.resolve_config(ns)
-
-        artifacts = cli.run_pipeline(cfg, strategies=("imp",), evaluate_teachers=False)
-        student = artifacts.student_reports["student_imp"]
-        baseline = cli.run_translate_train_baseline(cfg)
-        student_macros.append(student.macro_em())
-        baseline_macros.append(baseline.macro_em())
-        print(f"\nseed {seed}: student macro-EM {student.macro_em():.4f} | "
-              f"translate-train macro-EM {baseline.macro_em():.4f}\n")
-
-    student_mean = float(np.mean(student_macros))
-    baseline_mean = float(np.mean(baseline_macros))
-    print(f"mean over {len(student_macros)} seeds: "
+    pairs = cli.noise_study(cli.resolve_config(args), seeds)
+    for seed, (student, baseline) in zip(seeds, pairs):
+        print(f"seed {seed}: student macro-EM {student:.4f} | "
+              f"translate-train macro-EM {baseline:.4f}")
+    student_mean, baseline_mean = np.mean(pairs, axis=0)
+    print(f"mean over {len(pairs)} seeds: "
           f"student {student_mean:.4f} vs translate-train {baseline_mean:.4f}")
     print("robustness direction "
           + ("CONFIRMED" if student_mean >= baseline_mean else "NOT confirmed"))

@@ -4,10 +4,11 @@
 Generates the corpus, builds language branches, trains one teacher per
 branch, precomputes teacher logits, distills students with both teacher
 weighting strategies, and prints one comparison table with per-teacher and
-per-student rows plus zero-shot evaluations.
+per-student rows plus zero-shot evaluations. Takes every CLI setting, with
+seed 7 and ``--out-dir runs/pipeline`` by default.
 
 Usage:
-    python scripts/run_pipeline.py --records 500 --seed 7 --out-dir runs/pipeline
+    python scripts/run_pipeline.py --corpus.records 500 --seed 7 --out-dir runs/pipeline
 """
 
 import argparse
@@ -22,37 +23,23 @@ from branchdistill import cli
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--records", type=int, default=500)
-    parser.add_argument("--languages", default="en,es,de")
-    parser.add_argument("--zero-shot-language", default="zz")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--out-dir", default="runs/pipeline")
-    args = parser.parse_args()
-
-    ns = argparse.Namespace(config=None, seed=args.seed, out_dir=args.out_dir)
-    setattr(ns, "corpus.records", args.records)
-    setattr(ns, "languages", args.languages)
-    setattr(ns, "zero_shot_language", args.zero_shot_language)
-    cfg = cli.resolve_config(ns)
+    cli.add_config_flags(parser)
+    parser.set_defaults(seed=7, out_dir="runs/pipeline")
+    cfg = cli.resolve_config(parser.parse_args())
 
     start = time.monotonic()
-    artifacts = cli.run_pipeline(cfg, strategies=("hyper", "imp"))
-
-    names, reports = [], []
-    for lang, report in artifacts.teacher_reports.items():
-        names.append(f"teacher_{lang}")
-        reports.append(report)
-    for run_name, report in artifacts.student_reports.items():
-        names.append(run_name)
-        reports.append(report)
+    reports = cli.run_pipeline(cfg)
+    zero_shot = f"_zero_shot_{cfg.zero_shot_language}"
+    grid = {name: report for name, report in reports.items() if not name.endswith(zero_shot)}
+    names = list(grid)
     print()
-    cli.op_compare(reports, names, baseline=names.index("student_imp"),
+    cli.op_compare(list(grid.values()), names, baseline=names.index("student_imp"),
                    out_path=cfg.reports_dir / "pipeline_comparison.json")
 
-    if artifacts.zero_shot_reports:
-        print()
-        for run_name, report in artifacts.zero_shot_reports.items():
-            print(f"zero-shot {args.zero_shot_language} ({run_name}): "
+    print()
+    for name, report in reports.items():
+        if name.endswith(zero_shot):
+            print(f"zero-shot {cfg.zero_shot_language} ({name.removesuffix(zero_shot)}): "
                   f"EM {report.overall_em:.4f}  F1 {report.overall_f1:.4f}")
     print(f"\ntotal wall time: {time.monotonic() - start:.0f}s")
     print(f"artifacts under: {cfg.out_dir}")

@@ -4,9 +4,8 @@
 Stages communicate only through files under ``--out-dir`` so expensive
 artifacts (teacher checkpoints, logit stores) can be reused across ablation
 settings. Configuration is a flat JSON object with dotted keys; every key
-can be overridden by a flag of the same name, and a handful of short
-aliases (``--records``, ``--mode``, ``--strategy``, ...) cover the common
-ones. All randomness flows from the single ``--seed`` value.
+can be overridden by a flag of the same name. All randomness flows from the
+single ``--seed`` value.
 
 Exit codes: 0 success, 2 configuration error, 3 missing upstream artifact,
 1 internal error.
@@ -19,7 +18,7 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import corpus as cp
@@ -183,9 +182,16 @@ class PipelineConfig:
 def _parse_value(key: str, raw):
     """``raw``, a flag's text or a config file's JSON value, parsed for
     ``key``. A float must be finite: ``float`` and ``json.loads`` both accept
-    NaN and infinities, which no setting means and no artifact can record."""
+    NaN and infinities, which no setting means and no artifact can record.
+    A number is never a JSON boolean, and an integer never a fractional
+    float, which ``int`` and ``float`` would silently convert."""
+    parse = SCHEMA[key][0]
     try:
-        value = SCHEMA[key][0](raw)
+        if parse in (int, float) and isinstance(raw, bool):
+            raise TypeError("a boolean is not a number")
+        if parse is int and isinstance(raw, float) and not raw.is_integer():
+            raise ValueError("not an integer")
+        value = parse(raw)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfig(f"bad value {raw!r} for {key} ({exc})") from exc
     if isinstance(value, float) and not math.isfinite(value):
@@ -282,7 +288,12 @@ def _write_vocab(cfg: PipelineConfig, train_records) -> Vocabulary:
 
 def op_build(cfg: PipelineConfig, mode: str, language: str | None = None) -> dict:
     """Write each dataset of ``mode``, and the evaluation sets, to
-    ``cfg.dataset_path`` of its name, and a meta with their sizes."""
+    ``cfg.dataset_path`` of its name, and a meta with their sizes. The
+    arguments are checked before anything is read or written."""
+    if mode not in ("lbmrc", "mixmrc", "translate-train"):
+        raise InvalidConfig(f"unknown build mode {mode!r}")
+    if mode == "translate-train" and not language:
+        raise InvalidConfig("build --mode translate-train requires --language")
     train_records, eval_records = _split_records(cfg)
     cfg.datasets_dir.mkdir(parents=True, exist_ok=True)
     _write_vocab(cfg, train_records)
@@ -295,13 +306,9 @@ def op_build(cfg: PipelineConfig, mode: str, language: str | None = None) -> dic
     elif mode == "mixmrc":
         result = cp.build_mix_dataset(train_records, cfg.languages, cfg.seed)
         datasets = {"mix": result.samples}
-    elif mode == "translate-train":
-        if not language:
-            raise InvalidConfig("build --mode translate-train requires --language")
+    else:
         result = cp.build_translate_train(train_records, language)
         datasets = {f"tt_{language}": result.samples}
-    else:
-        raise InvalidConfig(f"unknown build mode {mode!r}")
     eval_sets = {"eval_grid": cp.build_mix_dataset(eval_records, cfg.languages, cfg.seed).samples}
     zz = cfg.zero_shot_language
     if zz:
@@ -398,7 +405,7 @@ def op_dump_logits(cfg: PipelineConfig, teacher: str, model_path: Path | None = 
                    dataset: Path | None = None, store_path: Path | None = None) -> Path:
     model_path = model_path or (cfg.teacher_dir(teacher) / "final.ckpt")
     dataset = dataset or cfg.union_path
-    store_path = store_path or cfg.store_path(teacher)
+    store_path = Path(store_path or cfg.store_path(teacher))
     model = load_model(_require(Path(model_path), "teacher checkpoint"))
     vocab = _load_vocab(cfg)
     samples = cp.read_samples(_require(Path(dataset), "distillation dataset"))
@@ -409,11 +416,10 @@ def op_dump_logits(cfg: PipelineConfig, teacher: str, model_path: Path | None = 
 
 
 def op_distill(cfg: PipelineConfig, run_name: str | None = None,
-               strategy: str | None = None, impurity_sign: int | None = None,
-               teachers: list[str] | None = None, dataset: Path | None = None) -> Path:
+               strategy: str | None = None, teachers: list[str] | None = None,
+               dataset: Path | None = None) -> Path:
     teachers = teachers or cfg.languages
     strategy = strategy or cfg.values["train.strategy"]
-    sign = cfg.values["train.impurity_sign"] if impurity_sign is None else impurity_sign
     run_name = run_name or ("student_imp" if strategy == "impurity" else "student_hyper")
     run_dir = cfg.student_dir(run_name)
     dataset = _require(Path(dataset or cfg.union_path), "distillation dataset")
@@ -421,9 +427,7 @@ def op_distill(cfg: PipelineConfig, run_name: str | None = None,
         t: LogitStore(_require(cfg.store_path(t), f"logit store for {t!r}"))
         for t in teachers
     }
-    train_cfg = cfg.train_config(
-        strategy=strategy, impurity_sign=sign, teacher_ids=tuple(sorted(teachers))
-    )
+    train_cfg = cfg.train_config(strategy=strategy, teacher_ids=tuple(sorted(teachers)))
     manifest = _train_stage(cfg, run_name, run_dir, dataset, train_cfg, stores)
     first, last = manifest.epoch_losses[0], manifest.epoch_losses[-1]
     print(f"distill {run_name}: teachers={sorted(teachers)} strategy={strategy} "
@@ -464,46 +468,57 @@ def op_compare(reports: list[ev.EvalReport], names: list[str], baseline: int = 0
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PipelineArtifacts:
-    teacher_reports: dict[str, ev.EvalReport] = field(default_factory=dict)
-    student_reports: dict[str, ev.EvalReport] = field(default_factory=dict)
-    zero_shot_reports: dict[str, ev.EvalReport] = field(default_factory=dict)
+# run_pipeline's strategy names, each training the student ``student_<name>``
+# with the ``train.strategy`` it maps to
+STRATEGIES = {"hyper": "fixed", "imp": "impurity"}
 
 
-def run_pipeline(cfg: PipelineConfig, strategies: tuple[str, ...] = ("hyper", "imp"),
-                 evaluate_teachers: bool = True) -> PipelineArtifacts:
-    """Full pipeline on one output directory: corpus through student reports."""
-    op_generate(cfg)
+def _branch_teachers(cfg: PipelineConfig) -> dict[str, Path]:
+    """Build the language branches, train one teacher on each and dump its
+    logits over the union; returns the teachers' run directories keyed by
+    their report names, ``teacher_<lang>``."""
     op_build(cfg, "lbmrc")
+    runs = {}
     for lang in cfg.languages:
-        op_train_teacher(cfg, branch=lang)
+        runs[f"teacher_{lang}"] = op_train_teacher(cfg, branch=lang)
         op_dump_logits(cfg, lang)
-    artifacts = PipelineArtifacts()
-    cfg.reports_dir.mkdir(parents=True, exist_ok=True)
-    if evaluate_teachers:
-        for lang in cfg.languages:
-            artifacts.teacher_reports[lang] = op_evaluate(
-                cfg, cfg.teacher_dir(lang) / "final.ckpt",
-                report_path=cfg.reports_dir / f"teacher_{lang}.json",
-                name=f"teacher_{lang}",
-            )
-    for strategy_name in strategies:
-        strategy = "impurity" if strategy_name == "imp" else "fixed"
-        run_name = f"student_{strategy_name}"
-        run_dir = op_distill(cfg, run_name=run_name, strategy=strategy)
-        artifacts.student_reports[run_name] = op_evaluate(
-            cfg, run_dir / "final.ckpt",
-            report_path=cfg.reports_dir / f"{run_name}.json", name=run_name,
-        )
-        zz = cfg.zero_shot_language
+    return runs
+
+
+def _report_runs(cfg: PipelineConfig, runs: dict[str, Path],
+                 zero_shot: bool = False) -> dict[str, ev.EvalReport]:
+    """Evaluate each run's final checkpoint on the grid into
+    ``reports/<name>.json`` and, with ``zero_shot`` and a held-out language
+    ``zz``, on that language into ``reports/<name>_zero_shot_<zz>.json``
+    (row name ``<name>_zero_shot``). Returns the reports keyed by file stem."""
+    zz = cfg.zero_shot_language if zero_shot else None
+    reports = {}
+    for name, run_dir in runs.items():
+        ckpt = run_dir / "final.ckpt"
+        reports[name] = op_evaluate(cfg, ckpt, report_path=cfg.reports_dir / f"{name}.json",
+                                    name=name)
         if zz:
-            artifacts.zero_shot_reports[run_name] = op_evaluate(
-                cfg, run_dir / "final.ckpt", zero_shot_language=zz,
-                report_path=cfg.reports_dir / f"{run_name}_zero_shot_{zz}.json",
-                name=f"{run_name}_zero_shot",
-            )
-    return artifacts
+            stem = f"{name}_zero_shot_{zz}"
+            reports[stem] = op_evaluate(cfg, ckpt, zero_shot_language=zz,
+                                        report_path=cfg.reports_dir / f"{stem}.json",
+                                        name=f"{name}_zero_shot")
+    return reports
+
+
+def run_pipeline(cfg: PipelineConfig, strategies: tuple[str, ...] = ("hyper", "imp")
+                 ) -> dict[str, ev.EvalReport]:
+    """Full pipeline on one output directory, corpus through the reports of
+    the branch teachers and of one student per name in ``strategies``;
+    returns ``_report_runs``' reports, students' zero-shot ones included."""
+    unknown = [name for name in strategies if name not in STRATEGIES]
+    if unknown:
+        raise InvalidConfig(f"unknown strategies {unknown}; choose from {sorted(STRATEGIES)}")
+    op_generate(cfg)
+    reports = _report_runs(cfg, _branch_teachers(cfg))
+    students = {f"student_{name}": op_distill(cfg, run_name=f"student_{name}",
+                                              strategy=STRATEGIES[name])
+                for name in strategies}
+    return {**reports, **_report_runs(cfg, students, zero_shot=True)}
 
 
 def run_translate_train_baseline(cfg: PipelineConfig) -> ev.EvalReport:
@@ -526,6 +541,18 @@ def run_translate_train_baseline(cfg: PipelineConfig) -> ev.EvalReport:
     return ev.merge_reports(partial_reports)
 
 
+def noise_study(cfg: PipelineConfig, seeds) -> list[tuple[float, float]]:
+    """For each seed, ``run_pipeline`` with the impurity student and the
+    translate-train baseline under ``<out-dir>/seed<seed>``; returns each
+    seed's (student, translate-train) macro-EM pair."""
+    pairs = []
+    for seed in seeds:
+        run = replace(cfg, seed=seed, out_dir=cfg.out_dir / f"seed{seed}")
+        student = run_pipeline(run, ("imp",))["student_imp"]
+        pairs.append((student.macro_em(), run_translate_train_baseline(run).macro_em()))
+    return pairs
+
+
 def op_ablate(cfg: PipelineConfig) -> dict:
     """Teacher-set and strategy ablations over one prepared output directory.
 
@@ -533,30 +560,14 @@ def op_ablate(cfg: PipelineConfig) -> dict:
     accepts its run directory; one with other settings stops the ablation
     with that function's ``InvalidConfig``."""
     _require(cfg.corpus_path, "corpus (run generate first)")
-    op_build(cfg, "lbmrc")
-    for lang in cfg.languages:
-        op_train_teacher(cfg, branch=lang)
-        op_dump_logits(cfg, lang)
+    teachers = _branch_teachers(cfg)
 
     # teachers trained on the mixed dataset, one per branch slot
     op_build(cfg, "mixmrc")
-    mix_ids = []
-    for i in range(len(cfg.languages)):
-        name = f"mix_{i}"
+    mix_ids = [f"mix_{i}" for i in range(len(cfg.languages))]
+    for i, name in enumerate(mix_ids):
         op_train_teacher(cfg, dataset=cfg.dataset_path("mix"), run_name=name, seed=cfg.seed + 1 + i)
         op_dump_logits(cfg, name)
-        mix_ids.append(name)
-
-    cfg.reports_dir.mkdir(parents=True, exist_ok=True)
-    names: list[str] = []
-    reports: list[ev.EvalReport] = []
-
-    for lang in cfg.languages:
-        names.append(f"teacher_{lang}")
-        reports.append(op_evaluate(
-            cfg, cfg.teacher_dir(lang) / "final.ckpt",
-            report_path=cfg.reports_dir / f"teacher_{lang}.json", name=f"teacher_{lang}",
-        ))
 
     settings: list[tuple[str, str, list[str]]] = [
         ("ours_hyper", "fixed", cfg.languages),
@@ -566,17 +577,14 @@ def op_ablate(cfg: PipelineConfig) -> dict:
         settings.append((f"wo_{lang}", "impurity", [x for x in cfg.languages if x != lang]))
     settings.append((f"w_{cfg.source_language}_only", "impurity", [cfg.source_language]))
     settings.append(("w_mix", "impurity", mix_ids))
+    students = {run_name: op_distill(cfg, run_name=run_name, strategy=strategy,
+                                     teachers=teacher_set)
+                for run_name, strategy, teacher_set in settings}
 
-    for run_name, strategy, teacher_set in settings:
-        run_dir = op_distill(cfg, run_name=run_name, strategy=strategy, teachers=teacher_set)
-        names.append(run_name)
-        reports.append(op_evaluate(
-            cfg, run_dir / "final.ckpt",
-            report_path=cfg.reports_dir / f"{run_name}.json", name=run_name,
-        ))
-
-    baseline = names.index("ours_imp")
-    return op_compare(reports, names, baseline, cfg.reports_dir / "ablation.json")
+    reports = {**_report_runs(cfg, teachers), **_report_runs(cfg, students)}
+    names = list(reports)
+    return op_compare(list(reports.values()), names, names.index("ours_imp"),
+                      cfg.reports_dir / "ablation.json")
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +592,9 @@ def op_ablate(cfg: PipelineConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """``--config``, ``--seed``, ``--out-dir`` and one flag per ``SCHEMA``
+    key: every setting ``resolve_config`` reads."""
     parser.add_argument("--config", help="JSON config file with flat dotted keys")
     parser.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
     parser.add_argument("--out-dir", dest="out_dir", default="runs",
@@ -596,6 +606,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser. Each subcommand binds ``run(cfg, args)``, a call of
+    its ``op_*`` with the resolved config and the subcommand's own flags."""
     parser = argparse.ArgumentParser(
         prog="branchdistill",
         description="Language-branch training and multi-teacher distillation pipeline",
@@ -603,42 +615,39 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate the synthetic aligned corpus")
-    p.add_argument("--records", type=int, default=None, help="alias for --corpus.records")
-    _add_common(p)
-    p.set_defaults(func=cmd_generate)
+    add_config_flags(p)
+    p.set_defaults(run=lambda cfg, a: op_generate(cfg))
 
     p = sub.add_parser("build", help="build branch / mixed / translate-train datasets")
     p.add_argument("--mode", choices=["lbmrc", "mixmrc", "translate-train"], default="lbmrc",
                    help="dataset construction strategy")
     p.add_argument("--language", default=None, help="target language for translate-train")
-    _add_common(p)
-    p.set_defaults(func=cmd_build)
+    add_config_flags(p)
+    p.set_defaults(run=lambda cfg, a: op_build(cfg, a.mode, a.language))
 
     p = sub.add_parser("train-teacher", help="train one branch model")
     p.add_argument("--branch", default=None, help="branch language to train on")
     p.add_argument("--dataset", default=None, help="explicit dataset path")
     p.add_argument("--run-name", dest="run_name", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_train_teacher)
+    add_config_flags(p)
+    p.set_defaults(run=lambda cfg, a: op_train_teacher(cfg, a.branch, a.dataset, a.run_name))
 
     p = sub.add_parser("dump-logits", help="precompute one teacher's logits")
     p.add_argument("--teacher", required=True, help="teacher name (run directory under teachers/)")
     p.add_argument("--model", default=None, help="explicit checkpoint path")
     p.add_argument("--dataset", default=None, help="dataset to cover (default: the union)")
     p.add_argument("--store", default=None, help="explicit store output path")
-    _add_common(p)
-    p.set_defaults(func=cmd_dump_logits)
+    add_config_flags(p)
+    p.set_defaults(run=lambda cfg, a: op_dump_logits(cfg, a.teacher, a.model, a.dataset, a.store))
 
     p = sub.add_parser("distill", help="train the multilingual student")
-    p.add_argument("--strategy", choices=["fixed", "impurity"], default=None,
-                   help="alias for --train.strategy")
-    p.add_argument("--impurity-sign", dest="impurity_sign", type=int, default=None,
-                   help="alias for --train.impurity_sign")
     p.add_argument("--teachers", default=None, help="comma-separated teacher subset")
     p.add_argument("--dataset", default=None, help="explicit dataset path")
     p.add_argument("--run-name", dest="run_name", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_distill)
+    add_config_flags(p)
+    p.set_defaults(run=lambda cfg, a: op_distill(
+        cfg, a.run_name, teachers=a.teachers.split(",") if a.teachers else None,
+        dataset=a.dataset))
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a dataset")
     p.add_argument("--model", required=True, help="checkpoint to evaluate")
@@ -647,94 +656,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate on a language held out of training")
     p.add_argument("--report", default=None, help="write the report JSON here")
     p.add_argument("--name", default="run", help="row name in the rendered table")
-    _add_common(p)
-    p.set_defaults(func=cmd_evaluate)
+    add_config_flags(p)
+    p.set_defaults(run=lambda cfg, a: op_evaluate(
+        cfg, a.model, a.dataset, a.zero_shot_eval, a.report, a.name))
 
     p = sub.add_parser("ablate", help="run the teacher-set and strategy ablation matrix")
-    _add_common(p)
-    p.set_defaults(func=cmd_ablate)
+    add_config_flags(p)
+    p.set_defaults(run=lambda cfg, a: op_ablate(cfg))
 
     p = sub.add_parser("compare", help="align several report JSONs into one table")
     p.add_argument("--reports", nargs="+", required=True, help="report JSON paths")
     p.add_argument("--names", default=None, help="comma-separated row names")
     p.add_argument("--baseline", type=int, default=0, help="index of the baseline row")
     p.add_argument("--out", default=None, help="write the comparison JSON here")
-    _add_common(p)
-    p.set_defaults(func=cmd_compare)
+    add_config_flags(p)
+    p.set_defaults(run=lambda cfg, a: op_compare(
+        [ev.EvalReport.load(_require(Path(path), "report")) for path in a.reports],
+        a.names.split(",") if a.names else [Path(path).stem for path in a.reports],
+        a.baseline, a.out or cfg.reports_dir / "comparison.json"))
     return parser
-
-
-def cmd_generate(args) -> int:
-    cfg = resolve_config(args)
-    if args.records is not None:
-        cfg.values["corpus.records"] = int(args.records)
-    op_generate(cfg)
-    return 0
-
-
-def cmd_build(args) -> int:
-    cfg = resolve_config(args)
-    op_build(cfg, args.mode, language=args.language)
-    return 0
-
-
-def cmd_train_teacher(args) -> int:
-    cfg = resolve_config(args)
-    op_train_teacher(
-        cfg, branch=args.branch,
-        dataset=Path(args.dataset) if args.dataset else None,
-        run_name=args.run_name,
-    )
-    return 0
-
-
-def cmd_dump_logits(args) -> int:
-    cfg = resolve_config(args)
-    op_dump_logits(
-        cfg, args.teacher,
-        model_path=Path(args.model) if args.model else None,
-        dataset=Path(args.dataset) if args.dataset else None,
-        store_path=Path(args.store) if args.store else None,
-    )
-    return 0
-
-
-def cmd_distill(args) -> int:
-    cfg = resolve_config(args)
-    teachers = args.teachers.split(",") if args.teachers else None
-    op_distill(
-        cfg, run_name=args.run_name, strategy=args.strategy,
-        impurity_sign=args.impurity_sign, teachers=teachers,
-        dataset=Path(args.dataset) if args.dataset else None,
-    )
-    return 0
-
-
-def cmd_evaluate(args) -> int:
-    cfg = resolve_config(args)
-    op_evaluate(
-        cfg, Path(args.model),
-        dataset=Path(args.dataset) if args.dataset else None,
-        zero_shot_language=args.zero_shot_eval,
-        report_path=Path(args.report) if args.report else None,
-        name=args.name,
-    )
-    return 0
-
-
-def cmd_ablate(args) -> int:
-    cfg = resolve_config(args)
-    op_ablate(cfg)
-    return 0
-
-
-def cmd_compare(args) -> int:
-    cfg = resolve_config(args)
-    reports = [ev.EvalReport.load(_require(Path(p), "report")) for p in args.reports]
-    names = args.names.split(",") if args.names else [Path(p).stem for p in args.reports]
-    out = Path(args.out) if args.out else cfg.reports_dir / "comparison.json"
-    op_compare(reports, names, baseline=args.baseline, out_path=out)
-    return 0
 
 
 def main(argv=None) -> int:
@@ -744,7 +684,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:   # argparse handles --help and flag errors
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        args.run(resolve_config(args), args)
+        return 0
     except (InvalidConfig, InvalidParameter, InvalidRecord,
             Unrecoverable, ShapeError, IncompleteLogits) as exc:
         print(f"error: {exc}", file=sys.stderr)

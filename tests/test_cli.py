@@ -11,6 +11,7 @@ from branchdistill import cli
 from branchdistill import corpus as cp
 from branchdistill import evaluation as ev
 from branchdistill import model as md
+from branchdistill.errors import InvalidConfig
 
 TINY = [
     "--corpus.records", "20",
@@ -62,10 +63,10 @@ class TestGenerate:
         ).read_text()
 
     def test_zero_records_is_config_error(self, tmp_path):
-        assert tiny("generate", tmp_path, "--records", "0") == 2
+        assert tiny("generate", tmp_path, "--corpus.records", "0") == 2
 
-    def test_records_alias(self, tmp_path):
-        assert tiny("generate", tmp_path, "--records", "7") == 0
+    def test_records_flag(self, tmp_path):
+        assert tiny("generate", tmp_path, "--corpus.records", "7") == 0
         lines = (tmp_path / "corpus.jsonl").read_text().splitlines()
         assert len(lines) == 7
 
@@ -123,6 +124,9 @@ class TestBuild:
     def test_translate_train_requires_language(self, tmp_path):
         tiny("generate", tmp_path)
         assert tiny("build", tmp_path, "--mode", "translate-train") == 2
+        # refused before anything is written
+        assert not (tmp_path / "vocab.json").exists()
+        assert not (tmp_path / "datasets").exists()
 
     def test_build_before_generate_is_missing_artifact(self, tmp_path):
         assert tiny("build", tmp_path) == 3
@@ -167,8 +171,8 @@ def pipeline_dir(tmp_path_factory):
 
 class TestPipelineCommands:
     def test_distill_and_evaluate(self, pipeline_dir):
-        assert tiny("distill", pipeline_dir, "--strategy", "impurity", "--impurity-sign", "-1",
-                    "--run-name", "imp_minus") == 0
+        assert tiny("distill", pipeline_dir, "--train.strategy", "impurity",
+                    "--train.impurity_sign", "-1", "--run-name", "imp_minus") == 0
         manifest = json.loads(
             (pipeline_dir / "students" / "imp_minus" / "manifest.json").read_text()
         )
@@ -384,6 +388,20 @@ class TestConfigHandling:
                     "--corpus.records", "4"]) == 0
         assert len((tmp_path / "corpus.jsonl").read_text().splitlines()) == 4
 
+    @pytest.mark.parametrize("value, records", [(7.9, None), (7.0, 7), (True, None)],
+                             ids=["fractional", "integral_float", "boolean"])
+    def test_config_file_integer_setting(self, tmp_path, value, records):
+        # a config value for an integer key is never truncated or read as 1
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"corpus.records": value}))
+        code = run(["generate", "--config", str(path), "--out-dir", str(tmp_path)])
+        if records is None:
+            assert code == 2
+            assert not (tmp_path / "corpus.jsonl").exists()
+        else:
+            assert code == 0
+            assert len((tmp_path / "corpus.jsonl").read_text().splitlines()) == records
+
     def test_unknown_config_key(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"nonsense.key": 1}))
@@ -441,3 +459,51 @@ class TestConfigHandling:
         monkeypatch.setitem(cli.SCHEMA, "train.lr", (parser, default, "peak rate, 10% warmup"))
         assert run(["generate", "--help"]) == 0
         assert "10% warmup" in capsys.readouterr().out
+
+
+def tiny_config(out_dir, seed="3"):
+    args = cli.build_parser().parse_args(
+        ["generate", "--seed", seed, "--out-dir", str(out_dir), *TINY])
+    return cli.resolve_config(args)
+
+
+class TestDrivers:
+    def test_pipeline_reports_one_file_per_stem(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        reports = cli.run_pipeline(cfg)
+        assert set(reports) == {
+            "teacher_en", "teacher_es", "teacher_de", "student_hyper", "student_imp",
+            "student_hyper_zero_shot_zz", "student_imp_zero_shot_zz",
+        }
+        for stem, report in reports.items():
+            assert ev.EvalReport.load(cfg.reports_dir / f"{stem}.json") == report
+
+    def test_unknown_strategy_is_config_error(self, tmp_path):
+        with pytest.raises(InvalidConfig, match="unknown strategies"):
+            cli.run_pipeline(tiny_config(tmp_path), ("imp", "bogus"))
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestScripts:
+    SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+    def script(self, name, out_dir, *extra):
+        return subprocess.run(
+            [sys.executable, str(self.SCRIPTS / name), "--out-dir", str(out_dir), *TINY, *extra],
+            capture_output=True, text=True, timeout=600,
+        )
+
+    def test_run_pipeline(self, tmp_path):
+        proc = self.script("run_pipeline.py", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        comparison = json.loads((tmp_path / "reports" / "pipeline_comparison.json").read_text())
+        assert [row["name"] for row in comparison["rows"]] == [
+            "teacher_en", "teacher_es", "teacher_de", "student_hyper", "student_imp"]
+
+    def test_run_noise_study(self, tmp_path):
+        # exit 1 means the direction was not confirmed, which a tiny run may show;
+        # the last line separates a finished study from a crash
+        proc = self.script("run_noise_study.py", tmp_path, "--seeds", "3,4")
+        assert proc.returncode in (0, 1), proc.stderr
+        assert proc.stdout.splitlines()[-1].startswith("robustness direction")
+        assert (tmp_path / "seed3").is_dir() and (tmp_path / "seed4").is_dir()
