@@ -32,9 +32,10 @@ from .errors import (
     MissingArtifact,
     ShapeError,
     Unrecoverable,
+    malformed_as_invalid,
 )
 from .model import ModelConfig, Vocabulary, load_model
-from .train import RunManifest, TrainConfig, dump_teacher_logits, train
+from .train import MANIFEST_VERSION, RunManifest, TrainConfig, dump_teacher_logits, train
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +184,14 @@ def _parse_value(key: str, raw):
     """``raw``, a flag's text or a config file's JSON value, parsed for
     ``key``. A float must be finite: ``float`` and ``json.loads`` both accept
     NaN and infinities, which no setting means and no artifact can record.
-    A number is never a JSON boolean, and an integer never a fractional
-    float, which ``int`` and ``float`` would silently convert."""
+    No number is a JSON boolean, no integer a fractional float and no string
+    another JSON value, which ``int``, ``float`` and ``str`` would convert."""
     parse = SCHEMA[key][0]
     try:
         if parse in (int, float) and isinstance(raw, bool):
             raise TypeError("a boolean is not a number")
+        if parse is str and not isinstance(raw, str):
+            raise TypeError("not a string")
         if parse is int and isinstance(raw, float) and not raw.is_integer():
             raise ValueError("not an integer")
         value = parse(raw)
@@ -339,26 +342,28 @@ def op_build(cfg: PipelineConfig, mode: str, language: str | None = None) -> dic
 
 def _check_resume(run_dir: Path, train_cfg: TrainConfig, model_cfg: ModelConfig,
                   dataset_digest: str, vocab_digest: str) -> RunManifest | None:
-    """A rerun into an existing run directory must carry the same training
-    and model config, dataset and vocabulary. Returns the directory's
-    manifest, or None when it has none."""
+    """A rerun into a run directory must find a manifest of the current
+    ``format_version`` with the same training and model config, dataset and
+    vocabulary. Returns that manifest, or None when there is none."""
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         return None
-    previous = cp.read_json(manifest_path, "run manifest", lambda raw: RunManifest(**raw))
     current = json.loads(json.dumps({
+        "format_version": MANIFEST_VERSION,
         "train_config": asdict(train_cfg),
         "model_config": asdict(model_cfg),
         "dataset_digest": dataset_digest,
         "vocab_digest": vocab_digest,
     }))
-    changed = [key for key, value in current.items() if getattr(previous, key) != value]
+    raw = cp.read_json(manifest_path, "run manifest", dict)
+    changed = [key for key, value in current.items() if raw.get(key) != value]
     if changed:
         raise InvalidConfig(
             f"run directory {run_dir} holds a manifest with a different "
             f"{', '.join(changed)}; choose a fresh --out-dir or matching settings"
         )
-    return previous
+    with malformed_as_invalid(manifest_path, "run manifest"):
+        return RunManifest(**raw)
 
 
 def _train_stage(cfg: PipelineConfig, run_name: str, run_dir: Path, dataset: Path,
@@ -677,15 +682,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def guarded(call) -> int:
+    """Exit code of ``call()``, an entry point's work: the code it returns or
+    exits with through argparse, 2 or 3 with one line on stderr for a typed
+    error, or 1 with the traceback of any other."""
     try:
-        args = parser.parse_args(argv)
+        return call()
     except SystemExit as exc:   # argparse handles --help and flag errors
         return int(exc.code or 0)
-    try:
-        args.run(resolve_config(args), args)
-        return 0
     except (InvalidConfig, InvalidParameter, InvalidRecord,
             Unrecoverable, ShapeError, IncompleteLogits) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -698,9 +702,14 @@ def main(argv=None) -> int:
         return 1
 
 
-def entrypoint() -> None:
-    sys.exit(main())
+def main(argv=None) -> int:
+    def run() -> int:
+        args = build_parser().parse_args(argv)
+        args.run(resolve_config(args), args)
+        return 0
+
+    return guarded(run)
 
 
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

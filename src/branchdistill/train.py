@@ -66,7 +66,7 @@ from .model import (
 )
 from .numerics import softmax_temperature
 
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 WARMUP_FRACTION = 0.1
 
 
@@ -189,7 +189,7 @@ class TrainConfig:
 
 @dataclass
 class RunManifest:
-    """Record of one training run, written next to its checkpoints.
+    """Record of one training run, written next to its checkpoint.
 
     Each ``epoch_losses`` entry holds the epoch's mean ``nll``, ``kd`` and
     ``total`` loss over its batches, ``grad_norm_max``, the largest pre-clip
@@ -197,9 +197,9 @@ class RunManifest:
     steps whose gradients ``clip_gradients`` scaled down to
     ``TrainConfig.clip_norm``.
 
-    ``format_version`` 2 marks runs trained under the warmup-plus-linear-decay
-    rule of ``learning_rate``; version 1 runs used the constant rate
-    ``TrainConfig.lr``.
+    ``format_version`` 3 marks runs that keep one checkpoint, ``final.ckpt``;
+    version 2 runs also kept one per epoch, named here, and version 1 runs
+    used the constant rate ``TrainConfig.lr``, not ``learning_rate``'s rule.
     """
 
     run_name: str
@@ -211,8 +211,6 @@ class RunManifest:
     epoch_losses: list[dict] = field(default_factory=list)
     skipped_samples: int = 0
     n_samples: int = 0
-    checkpoints: list[str] = field(default_factory=list)
-    final_checkpoint: str = ""
     format_version: int = MANIFEST_VERSION
 
 
@@ -283,10 +281,6 @@ def train(
     if stores is not None:
         manifest.teacher_store_digests = {tid: stores[tid].sha256 for tid in teacher_ids}
 
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
-
     n = len(kept)
     total_steps = cfg.epochs * -(-n // cfg.batch_size)
     # one gradient buffer per run: a fresh vector per step faults its pages in again
@@ -336,14 +330,11 @@ def train(
             "grad_norm_max": grad_norm_max,
             "clip_count": clip_count,
         })
-        if out_path is not None:
-            name = f"epoch_{epoch:03d}.ckpt"
-            save_model(model, out_path / name)
-            manifest.checkpoints.append(name)
 
-    if out_path is not None:
+    if out_dir is not None:
+        out_path = Path(out_dir)
+        out_path.mkdir(parents=True, exist_ok=True)
         save_model(model, out_path / "final.ckpt")
-        manifest.final_checkpoint = "final.ckpt"
         write_json(out_path / "manifest.json", asdict(manifest))
     return model, manifest
 

@@ -436,4 +436,6 @@ def test_c10_determinism(tmp_path):
         assert a.keys() == b.keys()
         different = [name for name in a if a[name] != b[name]]
         assert not different, f"artifacts differ: {different}"
+        # each run keeps one checkpoint, final.ckpt
+        assert not list((tmp_path / "a").rglob("epoch_*.ckpt"))
         print(f"    {len(a)} artifacts byte-identical")

@@ -326,6 +326,31 @@ class TestPipelineCommands:
         assert tiny("train-teacher", pipeline_dir, "--branch", "en", flag, value) == 2
         assert final.read_bytes() == before
 
+    @pytest.mark.parametrize("edit", [
+        lambda manifest: manifest.update(format_version=1),
+        lambda manifest: manifest.update(format_version=2, final_checkpoint="final.ckpt",
+                                         checkpoints=["epoch_001.ckpt", "epoch_002.ckpt"]),
+        lambda manifest: manifest.pop("format_version"),
+    ], ids=["version_1", "version_2", "no_version"])
+    def test_manifest_of_another_format_is_never_reused(self, pipeline_dir, tmp_path, edit,
+                                                        capsys):
+        out = tmp_path / "copy"
+        shutil.copytree(pipeline_dir, out)
+        assert tiny("distill", out, "--run-name", "student") == 0
+        checkpoints = {}
+        for run_dir in (out / "teachers" / "en", out / "students" / "student"):
+            manifest = json.loads((run_dir / "manifest.json").read_text())
+            edit(manifest)
+            (run_dir / "manifest.json").write_text(json.dumps(manifest))
+            checkpoints[run_dir / "final.ckpt"] = (run_dir / "final.ckpt").read_bytes()
+        capsys.readouterr()
+        for command in (["train-teacher", "--branch", "en"], ["distill", "--run-name", "student"],
+                        ["ablate"]):
+            assert tiny(command[0], out, *command[1:]) == 2
+            assert "different format_version" in capsys.readouterr().err
+        for path, blob in checkpoints.items():
+            assert path.read_bytes() == blob
+
     def test_compare_runs(self, pipeline_dir, capsys):
         report = pipeline_dir / "reports" / "teacher_en.json"
         assert tiny("evaluate", pipeline_dir,
@@ -401,6 +426,17 @@ class TestConfigHandling:
         else:
             assert code == 0
             assert len((tmp_path / "corpus.jsonl").read_text().splitlines()) == records
+
+    @pytest.mark.parametrize("key", [key for key, (parse, _, _) in cli.SCHEMA.items()
+                                     if parse is str])
+    @pytest.mark.parametrize("value", [False, 5, None], ids=["false", "5", "null"])
+    def test_config_file_string_setting(self, tmp_path, key, value, capsys):
+        # str() would turn any JSON value into a language or strategy name
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: value}))
+        assert run(["generate", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "corpus.jsonl").exists()
 
     def test_unknown_config_key(self, tmp_path):
         path = tmp_path / "config.json"
@@ -499,6 +535,12 @@ class TestScripts:
         comparison = json.loads((tmp_path / "reports" / "pipeline_comparison.json").read_text())
         assert [row["name"] for row in comparison["rows"]] == [
             "teacher_en", "teacher_es", "teacher_de", "student_hyper", "student_imp"]
+
+    @pytest.mark.parametrize("name", ["run_pipeline.py", "run_noise_study.py"])
+    def test_bad_setting_is_exit_2(self, tmp_path, name):
+        proc = self.script(name, tmp_path, "--corpus.records", "many")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
 
     def test_run_noise_study(self, tmp_path):
         # exit 1 means the direction was not confirmed, which a tiny run may show;

@@ -232,15 +232,14 @@ class TestTrainTeacher:
         with pytest.raises(InvalidConfig):
             tr.train(result.branches["en"], vocab, config, tr.TrainConfig(**weights), "teacher")
 
-    def test_checkpoint_per_epoch(self, tmp_path):
+    def test_run_directory_holds_one_checkpoint(self, tmp_path):
         result, _, vocab, config = small_task()
         cfg = tr.TrainConfig(epochs=3, seed=0, lr=1e-3)
-        _, manifest = tr.train(
-            result.branches["en"], vocab, config, cfg, "teacher", out_dir=tmp_path
-        )
-        assert manifest.checkpoints == ["epoch_001.ckpt", "epoch_002.ckpt", "epoch_003.ckpt"]
-        for name in manifest.checkpoints + ["final.ckpt"]:
-            assert (tmp_path / name).exists()
+        tr.train(result.branches["en"], vocab, config, cfg, "teacher", out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["final.ckpt", "manifest.json"]
+        saved = json.loads((tmp_path / "manifest.json").read_text())
+        assert saved["format_version"] == tr.MANIFEST_VERSION == 3
+        assert not {"checkpoints", "final_checkpoint"} & set(saved)
 
 
 class TestDumpLogits:
@@ -444,4 +443,3 @@ class TestDistillStudent:
         assert loaded.dataset_digest == "d" * 64
         assert loaded.vocab_digest == "v" * 64
         assert set(loaded.teacher_store_digests) == {"en", "es"}
-        assert loaded.final_checkpoint == "final.ckpt"
