@@ -24,6 +24,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from branchdistill import cli
+from branchdistill.errors import InvalidConfig
 
 
 def main() -> int:
@@ -35,7 +36,10 @@ def main() -> int:
         "noise.token_swap_prob": 0.1, "noise.marker_destroy_prob": 0.1,
     })
     args = parser.parse_args()
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError as exc:
+        raise InvalidConfig(f"bad value {args.seeds!r} for --seeds ({exc})") from exc
 
     pairs = cli.noise_study(cli.resolve_config(args), seeds)
     for seed, (student, baseline) in zip(seeds, pairs):

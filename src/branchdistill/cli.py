@@ -96,6 +96,10 @@ class PipelineConfig:
     seed: int
     out_dir: Path
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
+
     @property
     def languages(self) -> list[str]:
         langs = [x for x in str(self.values["languages"]).split(",") if x]
@@ -218,8 +222,6 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         if supplied is not None:
             values[key] = _parse_value(key, supplied)
     seed = int(getattr(args, "seed", 0) or 0)
-    if seed < 0:
-        raise InvalidConfig("seed must be non-negative")
     out_dir = Path(getattr(args, "out_dir", None) or "runs")
     return PipelineConfig(values=values, seed=seed, out_dir=out_dir)
 
@@ -549,10 +551,11 @@ def run_translate_train_baseline(cfg: PipelineConfig) -> ev.EvalReport:
 def noise_study(cfg: PipelineConfig, seeds) -> list[tuple[float, float]]:
     """For each seed, ``run_pipeline`` with the impurity student and the
     translate-train baseline under ``<out-dir>/seed<seed>``; returns each
-    seed's (student, translate-train) macro-EM pair."""
+    seed's (student, translate-train) macro-EM pair. Every seed's config is
+    made, and its seed checked, before any stage runs."""
+    runs = [replace(cfg, seed=seed, out_dir=cfg.out_dir / f"seed{seed}") for seed in seeds]
     pairs = []
-    for seed in seeds:
-        run = replace(cfg, seed=seed, out_dir=cfg.out_dir / f"seed{seed}")
+    for run in runs:
         student = run_pipeline(run, ("imp",))["student_imp"]
         pairs.append((student.macro_em(), run_translate_train_baseline(run).macro_em()))
     return pairs

@@ -10,7 +10,8 @@ student's logits and return the loss together with its written-out
 gradient, which ``model.backward`` carries through the encoder. Teachers
 are combined by a per-teacher weighted sum of their raw logits; weights are
 either fixed at 1/K or derived per instance from the entropy (impurity) of
-each teacher's predicted distribution.
+each teacher's predicted distribution. ``softmax_temperature`` and
+``entropy``, the float64 primitives of all of these, carry no gradient.
 
 Logits, their gradients, teacher targets and store rows are all
 (..., 2, L) blocks, start head first, as ``model`` defines them, and gold
@@ -28,6 +29,12 @@ and end logits. ``write_logit_store`` takes the block as
 ``LogitStore`` reads the file once when it is opened, checks the header,
 the ids, the block's exact size and every value, and then serves rows
 from memory.
+
+Each setting and artifact is checked once, where it enters: by the CLI's
+config parser, ``train.TrainConfig.validate``, ``train.train``'s store
+checks and ``LogitStore``. The numeric core (softmax, entropy, weighting,
+aggregation and the objectives) trusts its callers and repeats none of
+those checks.
 """
 
 from __future__ import annotations
@@ -46,9 +53,9 @@ from .errors import (
 )
 from .corpus import write_file
 from .model import pack_artifact, read_artifact
-from .numerics import entropy, softmax_temperature
 
 STORE_VERSION = 2
+LOG_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,31 +70,20 @@ class LogitRecord:
 
 def fixed_weights(k: int) -> np.ndarray:
     """Uniform 1/K weights, shared by both heads and every instance."""
-    if k < 1:
-        raise InvalidConfig(f"need at least one teacher, got {k}")
     return np.full(k, 1.0 / k)
 
 
 def impurity_weights(per_teacher_logits, sign: int = 1) -> np.ndarray:
     """Per-instance teacher weights from prediction entropy.
 
-    ``per_teacher_logits`` holds one array of shape (..., L) per teacher; the
-    result has shape (..., K), one row of K weights per instance. Each
-    teacher's logits are softened at temperature 1; the entropy of the
-    resulting distribution is the teacher's impurity, and the weights are the
-    softmax of ``sign * impurity``. The default sign (+1) favours
-    higher-entropy teachers; sign=-1 favours the more confident ones.
+    ``per_teacher_logits`` holds one array of shape (..., L) per teacher, all
+    of one shape; the result has shape (..., K), one row of K weights per
+    instance. Each teacher's logits are softened at temperature 1; the
+    entropy of the resulting distribution is the teacher's impurity, and the
+    weights are the softmax of ``sign * impurity``. The default sign (+1)
+    favours higher-entropy teachers; sign=-1 favours the more confident ones.
     """
-    logits = [np.asarray(z, dtype=np.float64) for z in per_teacher_logits]
-    if not logits:
-        raise InvalidConfig("need at least one teacher")
-    length = logits[0].shape
-    for z in logits:
-        if z.shape != length:
-            raise ShapeError("teacher logit lengths differ")
-    if sign not in (1, -1):
-        raise InvalidParameter(f"sign must be +1 or -1, got {sign}")
-    impurities = entropy(softmax_temperature(np.stack(logits, axis=-2), 1.0))
+    impurities = entropy(softmax_temperature(np.stack(per_teacher_logits, axis=-2), 1.0))
     return softmax_temperature(sign * impurities, 1.0)
 
 
@@ -96,31 +92,36 @@ def aggregate_logits(blocks, weights) -> np.ndarray:
 
     ``blocks`` holds one (..., 2, L) block per teacher, all of one shape.
     ``weights`` is (K,), shared by both heads and every instance, or
-    (..., 2, K), one row of K weights per instance and head; every row must
-    be non-negative and sum to 1.
+    (..., 2, K), one row of K weights per instance and head, each row
+    non-negative and summing to 1.
     """
-    blocks = list(blocks)
-    if not blocks:
-        raise IncompleteLogits("no teacher logits to aggregate")
-    weights = np.asarray(weights, dtype=np.float64)
-    if np.any(weights < 0.0):
-        raise InvalidParameter("teacher weights must be non-negative")
-    if np.any(np.abs(weights.sum(axis=-1) - 1.0) > 1e-9):
-        raise InvalidParameter("teacher weights must sum to 1")
-    if len(blocks) != weights.shape[-1]:
-        raise IncompleteLogits(f"{len(blocks)} teacher blocks for {weights.shape[-1]} weights")
-    shape = np.shape(blocks[0])
-    if any(np.shape(block) != shape for block in blocks):
-        raise ShapeError("teacher logit shapes differ")
-    z = np.zeros(shape)
+    z = np.zeros(np.shape(blocks[0]))
     for k, block in enumerate(blocks):
         z += weights[..., k, None] * block
     return z
 
 
 # ---------------------------------------------------------------------------
-# Batch objectives and their logit gradients
+# Softmax, entropy and the batch objectives with their logit gradients
 # ---------------------------------------------------------------------------
+
+
+def softmax_temperature(z: np.ndarray, tau: float = 1.0) -> np.ndarray:
+    """Softmax of ``z / tau`` along the last axis, max-subtracted for stability."""
+    shifted = (z - z.max(axis=-1, keepdims=True)) / tau
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def entropy(p: np.ndarray) -> float | np.ndarray:
+    """Shannon entropy in nats along the last axis, with 0 * ln 0 = 0 and
+    ``log`` arguments clamped below at ``LOG_FLOOR``.
+
+    A float for one distribution, an array of shape ``p.shape[:-1]`` for a
+    batch of them.
+    """
+    terms = np.where(p > 0.0, p * np.log(np.maximum(p, LOG_FLOOR)), 0.0)
+    return -terms.sum(axis=-1)
 
 
 def _log_softmax(z, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -156,8 +157,6 @@ def batch_kd(z, teacher_p: np.ndarray, tau: float):
     Returns ``(value, dz)``; each gradient row is
     ``tau * (softmax(z / tau) - teacher_p) / B``.
     """
-    if not tau > 0.0:
-        raise InvalidParameter(f"temperature must be positive, got {tau}")
     c = tau * tau / len(z)
     logq, q = _log_softmax(z, tau)
     value = (logq * teacher_p).sum(axis=-1)

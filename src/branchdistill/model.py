@@ -40,8 +40,8 @@ input unchanged.
 
 All parameters live in one float64 vector, ``SpanModel.flat``, in declared
 order; ``param_views`` gives the per-name views that are
-``SpanModel.params``, and names the parts of the same-shaped flat gradient
-``backward`` returns, or writes into a buffer the caller reuses.
+``SpanModel.params``, and the views of a same-shaped flat gradient buffer
+that ``backward`` writes through.
 Checkpoints are a JSON header followed by that vector as one little-endian
 float64 block, and round-trip bit-exactly; ``load_model`` maps a cut,
 garbled or overlong file, or one holding a non-finite parameter, to
@@ -403,20 +403,18 @@ def forward_logits(model: SpanModel, encoded: Encoded) -> np.ndarray:
     return logits
 
 
-def backward(model: SpanModel, cache: Forward, dz, out=None) -> np.ndarray:
-    """Gradient of sum(dz * cache.z) with respect to ``model.flat``, laid
-    out like it, for a logit gradient ``dz`` shaped like the (B, 2, L)
-    block ``cache.z``; ``param_views`` names its parts.
+def backward(model: SpanModel, cache: Forward, dz, grads: dict[str, np.ndarray]) -> None:
+    """Gradient of sum(dz * cache.z) with respect to ``model.flat``, for a
+    logit gradient ``dz`` shaped like the (B, 2, L) block ``cache.z``.
 
-    The gradient is written into ``out`` when it is given, else into a new
-    vector, and returned. Only the embedding block of ``out`` is cleared
-    first: every other block is overwritten whole. ``cache`` is left
-    unchanged, so one forward can serve several backward passes.
+    The gradient is written through ``grads``, the ``param_views`` of a
+    flat buffer laid out like ``model.flat``, which a training run builds
+    once and reuses. Only the embedding block is cleared first: every other
+    block is overwritten whole. ``cache`` is left unchanged, so one forward
+    can serve several backward passes.
     """
     p = model.params
     scale = 1.0 / np.sqrt(model.config.hidden)
-    grad = np.empty_like(model.flat) if out is None else out
-    grads = param_views(model.config, grad)
     # Weight gradients are batched matmuls summed over the batch axis, bias
     # gradients are .sum(0).sum(0), and a block input's gradient adds the
     # residual and q terms first, then k, then v. This fixes the summation
@@ -467,7 +465,6 @@ def backward(model: SpanModel, cache: Forward, dz, out=None) -> np.ndarray:
 
     grads["embed"][...] = 0.0
     np.add.at(grads["embed"], cache.ids, dx)
-    return grad
 
 
 # ---------------------------------------------------------------------------

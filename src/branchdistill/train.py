@@ -17,10 +17,10 @@ Logits, teacher targets and logit gradients are all (..., 2, L) blocks,
 start head first, as ``model`` defines them. A step's objective is
 ``lambda1 * nll + lambda2 * kd`` (``nll`` alone for a teacher); its
 (B, 2, L) logit gradient is combined the same way and passed to
-``model.backward``, which writes one flat gradient laid out like
-``SpanModel.flat`` into a buffer the run allocates once. ``AdamW`` keeps
-its two moments as flat vectors of the same layout and updates every
-parameter in one pass. A loss or pre-clip gradient norm that is not
+``model.backward``, which writes it through the per-parameter views of
+one flat gradient laid out like ``SpanModel.flat``; the run allocates that
+buffer and its views once. ``AdamW`` keeps its two moments as flat vectors
+of the same layout and updates every parameter in one pass. A loss or pre-clip gradient norm that is not
 finite stops the run with ``InvalidParameter`` before the optimizer step.
 
 Teachers and students share one learning-rate rule (``learning_rate``):
@@ -32,6 +32,11 @@ Every run is a pure function of (dataset bytes, config, seed): shuffling
 comes from one seeded generator, batches are reduced in a fixed order, and
 repeated runs produce bit-identical checkpoints. A manifest records the
 config snapshot, input digests, per-epoch loss curve, and skip counts.
+
+Each setting and artifact is checked once, where it enters: by the CLI's
+config parser, ``TrainConfig.validate`` (the optimizer's settings too),
+``train``'s dataset and store checks and ``LogitStore``, all before a run
+writes anything. ``AdamW`` and the numeric core in ``distill`` trust them.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from .distill import (
     batch_nll,
     fixed_weights,
     impurity_weights,
+    softmax_temperature,
     write_logit_store,
 )
 from .errors import InvalidConfig, InvalidParameter, ShapeError
@@ -64,7 +70,6 @@ from .model import (
     param_views,
     save_model,
 )
-from .numerics import softmax_temperature
 
 MANIFEST_VERSION = 3
 WARMUP_FRACTION = 0.1
@@ -92,16 +97,13 @@ class AdamW:
     and second gradient moments elementwise, are bias-corrected, and the
     step is ``theta -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta)``.
     ``lr`` is read at every step; the training loop sets it from
-    ``learning_rate`` before each update.
+    ``learning_rate`` before each update. ``TrainConfig.validate`` checks
+    the hyperparameters.
     """
 
     def __init__(self, size: int, lr: float = 1e-5,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.005):
-        if lr < 0.0 or eps <= 0.0 or weight_decay < 0.0:
-            raise InvalidConfig("bad optimizer hyperparameters")
-        if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
-            raise InvalidConfig(f"betas must be in [0, 1), got {betas}")
         self.lr = lr
         self.betas = betas
         self.eps = eps
@@ -114,9 +116,6 @@ class AdamW:
         self._b = np.empty(size)
 
     def step(self, theta: np.ndarray, g: np.ndarray) -> None:
-        if theta.shape != self.m.shape or g.shape != self.m.shape:
-            raise ShapeError(f"parameters {theta.shape} and gradient {g.shape} must both "
-                             f"have the optimizer's shape {self.m.shape}")
         self.step_count += 1
         b1, b2 = self.betas
         c1 = 1.0 - b1 ** self.step_count
@@ -179,6 +178,13 @@ class TrainConfig:
             raise InvalidConfig(f"temperature must be positive, got {self.tau}")
         if self.lambda1 < 0.0 or self.lambda2 < 0.0:
             raise InvalidConfig("loss weights must be non-negative")
+        if not (self.lr >= 0.0 and self.weight_decay >= 0.0):
+            raise InvalidConfig(f"learning rate {self.lr} and weight decay "
+                                f"{self.weight_decay} must be non-negative")
+        if not (0.0 <= self.betas[0] < 1.0 and 0.0 <= self.betas[1] < 1.0):
+            raise InvalidConfig(f"betas must be in [0, 1), got {self.betas}")
+        if not self.eps > 0.0:
+            raise InvalidConfig(f"eps must be positive, got {self.eps}")
         if self.strategy not in ("fixed", "impurity"):
             raise InvalidConfig(f"unknown selective strategy {self.strategy!r}")
         if self.impurity_sign not in (1, -1):
@@ -306,7 +312,7 @@ def train(
                 kd = 0.0
                 loss = nll
 
-            backward(model, result, dz, out=grad)
+            backward(model, result, dz, grad_views)
             norm = clip_gradients(grad_views, cfg.clip_norm)
             if not (np.isfinite(loss) and np.isfinite(norm)):
                 raise InvalidParameter(f"run {run_name!r}, epoch {epoch}, step "

@@ -471,6 +471,24 @@ class TestConfigHandling:
         assert "bad value" in capsys.readouterr().err
         assert not (tmp_path / "teachers" / "en").exists()
 
+    @pytest.mark.parametrize("command, setting, message", [
+        ("train-teacher", ["--train.tau", "0"], "temperature must be positive"),
+        ("train-teacher", ["--train.impurity_sign", "0"], "impurity_sign"),
+        ("train-teacher", ["--train.lr", "-1"], "must be non-negative"),
+        ("train-teacher", ["--train.weight_decay", "-1"], "must be non-negative"),
+        ("distill", ["--train.tau", "0"], "temperature must be positive"),
+    ], ids=["teacher_tau_0", "teacher_impurity_sign_0", "teacher_lr_negative",
+            "teacher_weight_decay_negative", "distill_tau_0"])
+    def test_out_of_range_setting_is_config_error(self, pipeline_dir, command, setting,
+                                                  message, capsys):
+        # TrainConfig.validate is the one check of these settings
+        extra = ["--branch", "en"] if command == "train-teacher" else []
+        assert tiny(command, pipeline_dir, *extra, "--run-name", "out_of_range", *setting) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (pipeline_dir / "teachers" / "out_of_range").exists()
+        assert not (pipeline_dir / "students" / "out_of_range").exists()
+
     def test_unknown_mode_is_usage_error(self, tmp_path):
         assert run(["build", "--mode", "bogus", "--out-dir", str(tmp_path)]) == 2
 
@@ -536,11 +554,20 @@ class TestScripts:
         assert [row["name"] for row in comparison["rows"]] == [
             "teacher_en", "teacher_es", "teacher_de", "student_hyper", "student_imp"]
 
-    @pytest.mark.parametrize("name", ["run_pipeline.py", "run_noise_study.py"])
-    def test_bad_setting_is_exit_2(self, tmp_path, name):
-        proc = self.script(name, tmp_path, "--corpus.records", "many")
+    @pytest.mark.parametrize("name, setting", [
+        ("run_pipeline.py", ["--corpus.records", "many"]),
+        ("run_noise_study.py", ["--corpus.records", "many"]),
+        ("run_noise_study.py", ["--seeds", "x"]),
+        ("run_noise_study.py", ["--seeds", "3,,4"]),
+        ("run_noise_study.py", ["--seeds", "3,-1"]),
+    ], ids=["run_pipeline.py", "run_noise_study.py", "run_noise_study.py-seeds_text",
+            "run_noise_study.py-seeds_empty", "run_noise_study.py-seeds_negative"])
+    def test_bad_setting_is_exit_2(self, tmp_path, name, setting):
+        out = tmp_path / "out"
+        proc = self.script(name, out, *setting)
         assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert not out.exists()
 
     def test_run_noise_study(self, tmp_path):
         # exit 1 means the direction was not confirmed, which a tiny run may show;

@@ -4,11 +4,10 @@ import pytest
 from branchdistill import corpus as cp
 from branchdistill import distill as ds
 from branchdistill import model as md
-from branchdistill import numerics as nm
 from branchdistill.errors import InvalidConfig
 
 from _gradcheck import check_gradients
-from _oracles import vocabulary_from_samples
+from _oracles import flat_gradient, vocabulary_from_samples
 
 
 def simple_sample(question=("q1",), passage=("a", "b"), gold=(0, 0), langs=("en", "en")):
@@ -155,7 +154,7 @@ class TestForward:
         model, vocab = small_model(samples)
         enc = md.encode_dataset(samples[:1], vocab, model.config.max_len)[0]
         z_s = md.forward_batch(model, enc).z[0, 0]
-        p = nm.softmax_temperature(z_s, 1.0)
+        p = ds.softmax_temperature(z_s, 1.0)
         assert p[~enc.passage_mask()[0]].max() <= 1e-6
 
     def test_batch_permutation_covariance(self):
@@ -170,7 +169,7 @@ class TestForward:
 
 def named_grads(model, cache, dz):
     """``md.backward``'s flat gradient, as one view per parameter name."""
-    return md.param_views(model.config, md.backward(model, cache, dz))
+    return md.param_views(model.config, flat_gradient(model, cache, dz))
 
 
 def operating_point(layers, seed, max_len=16):

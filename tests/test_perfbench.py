@@ -1,12 +1,27 @@
-"""The benchmark's own smoke run, over this checkout's sources."""
+"""The benchmark's own smoke run, and its tracer's bindings, over this
+checkout's sources."""
 
+import importlib
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import branchdistill
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_tracer_bindings_resolve(monkeypatch):
+    # every traced binding but these two exists, so a refactor that drops or
+    # renames one fails here, in seconds, rather than only in the smoke run
+    assert Path(branchdistill.__file__).resolve().parent == ROOT / "src" / "branchdistill"
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    bindings = [b for _, group, _ in tracing.TARGETS for b in group]
+    absent = {b for b in bindings if tracing.resolve(b) is None}
+    assert absent == {"numerics:backward", "evaluation:forward_batch"}
 
 
 @pytest.mark.slow
