@@ -1,5 +1,6 @@
 """Command-line pipeline: generate -> build -> train-teacher -> dump-logits
--> distill -> evaluate, plus ablate and compare.
+-> distill -> evaluate, plus ablate and compare, and the two experiments:
+pipeline (every stage, teachers against students) and noise-study.
 
 Stages communicate only through files under ``--out-dir`` so expensive
 artifacts (teacher checkpoints, logit stores) can be reused across ablation
@@ -8,7 +9,7 @@ can be overridden by a flag of the same name. All randomness flows from the
 single ``--seed`` value.
 
 Exit codes: 0 success, 2 configuration error, 3 missing upstream artifact,
-1 internal error.
+1 internal error or, for noise-study, a direction the study did not confirm.
 """
 
 from __future__ import annotations
@@ -17,9 +18,12 @@ import argparse
 import json
 import math
 import sys
+import time
 import traceback
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import corpus as cp
 from . import evaluation as ev
@@ -90,15 +94,19 @@ SCHEMA: dict[str, tuple] = {
 
 @dataclass
 class PipelineConfig:
-    """Resolved flat configuration plus the run's seed and output directory."""
+    """Resolved flat configuration plus the run's seed and output directory.
+    The seed and the evaluation settings are checked here, so a bad one stops
+    a command before it writes anything."""
 
     values: dict
     seed: int
     out_dir: Path
+    eval_config: ev.EvalConfig = field(init=False)
 
     def __post_init__(self):
         if self.seed < 0:
             raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
+        self.eval_config = self._settings(ev.EvalConfig, "eval")
 
     @property
     def languages(self) -> list[str]:
@@ -136,9 +144,6 @@ class PipelineConfig:
     def train_config(self, seed: int | None = None, **overrides) -> TrainConfig:
         return self._settings(TrainConfig, "train", seed=self.seed if seed is None else seed,
                               **overrides)
-
-    def eval_config(self) -> ev.EvalConfig:
-        return self._settings(ev.EvalConfig, "eval")
 
     # --- layout ---
 
@@ -246,7 +251,7 @@ def _write_with_text(path: Path, obj, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Operations (shared by subcommands, scripts, and tests)
+# Operations (shared by subcommands and tests)
 # ---------------------------------------------------------------------------
 
 
@@ -452,7 +457,7 @@ def op_evaluate(cfg: PipelineConfig, model_path: Path, dataset: Path | None = No
     model = load_model(_require(Path(model_path), "model checkpoint"))
     vocab = _load_vocab(cfg)
     samples = cp.read_samples(_require(Path(dataset), "evaluation dataset"))
-    report = ev.evaluate(model, samples, vocab, cfg.eval_config())
+    report = ev.evaluate(model, samples, vocab, cfg.eval_config)
     if report_path is not None:
         _write_with_text(report_path, report.to_dict(), ev.render_report(report, name))
     print(f"evaluate {name}: em={report.overall_em:.4f} f1={report.overall_f1:.4f} "
@@ -544,7 +549,7 @@ def run_translate_train_baseline(cfg: PipelineConfig) -> ev.EvalReport:
         )
         model = load_model(run_dir / "final.ckpt")
         subset = [s for s in grid_samples if s.passage_lang == lang]
-        partial_reports.append(ev.evaluate(model, subset, vocab, cfg.eval_config()))
+        partial_reports.append(ev.evaluate(model, subset, vocab, cfg.eval_config))
     return ev.merge_reports(partial_reports)
 
 
@@ -593,6 +598,51 @@ def op_ablate(cfg: PipelineConfig) -> dict:
     names = list(reports)
     return op_compare(list(reports.values()), names, names.index("ours_imp"),
                       cfg.reports_dir / "ablation.json")
+
+
+def op_pipeline(cfg: PipelineConfig) -> dict[str, ev.EvalReport]:
+    """``run_pipeline`` with both students, then one table of the teachers and
+    students on the grid, with ``student_imp`` as baseline, and each student's
+    zero-shot numbers; returns the pipeline's reports."""
+    start = time.monotonic()
+    reports = run_pipeline(cfg)
+    zero_shot = f"_zero_shot_{cfg.zero_shot_language}"
+    grid = {name: report for name, report in reports.items() if not name.endswith(zero_shot)}
+    names = list(grid)
+    print()
+    op_compare(list(grid.values()), names, baseline=names.index("student_imp"),
+               out_path=cfg.reports_dir / "pipeline_comparison.json")
+
+    print()
+    for name, report in reports.items():
+        if name.endswith(zero_shot):
+            print(f"zero-shot {cfg.zero_shot_language} ({name.removesuffix(zero_shot)}): "
+                  f"EM {report.overall_em:.4f}  F1 {report.overall_f1:.4f}")
+    print(f"\ntotal wall time: {time.monotonic() - start:.0f}s")
+    print(f"artifacts under: {cfg.out_dir}")
+    return reports
+
+
+def op_noise_study(cfg: PipelineConfig, seeds: str) -> list[tuple[float, float]]:
+    """``noise_study`` over the comma-separated ``seeds``, printing each
+    seed's macro-EM pair and their means; returns the pairs, or exits 1 when
+    the student's mean is below translate-train's."""
+    try:
+        seed_list = [int(s) for s in seeds.split(",")]
+    except ValueError as exc:
+        raise InvalidConfig(f"bad value {seeds!r} for --seeds ({exc})") from exc
+    pairs = noise_study(cfg, seed_list)
+    for seed, (student, baseline) in zip(seed_list, pairs):
+        print(f"seed {seed}: student macro-EM {student:.4f} | "
+              f"translate-train macro-EM {baseline:.4f}")
+    student_mean, baseline_mean = np.mean(pairs, axis=0)
+    print(f"mean over {len(pairs)} seeds: "
+          f"student {student_mean:.4f} vs translate-train {baseline_mean:.4f}")
+    confirmed = student_mean >= baseline_mean
+    print("robustness direction " + ("CONFIRMED" if confirmed else "NOT confirmed"))
+    if not confirmed:
+        raise SystemExit(1)
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -672,6 +722,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_config_flags(p)
     p.set_defaults(run=lambda cfg, a: op_ablate(cfg))
 
+    # an experiment's defaults count as flags, so they override a --config file's keys
+    p = sub.add_parser("pipeline", help="run every stage and compare the teachers and students")
+    add_config_flags(p)
+    p.set_defaults(seed=7, out_dir="runs/pipeline", run=lambda cfg, a: op_pipeline(cfg))
+
+    p = sub.add_parser("noise-study", help="compare the student against translate-train "
+                       "on noisy corpora over several seeds")
+    p.add_argument("--seeds", default="11,12,13", help="comma-separated seeds")
+    add_config_flags(p)
+    p.set_defaults(out_dir="runs/noise_study", run=lambda cfg, a: op_noise_study(cfg, a.seeds),
+                   **{"corpus.records": 300, "noise.token_drop_prob": 0.1,
+                      "noise.token_swap_prob": 0.1, "noise.marker_destroy_prob": 0.1})
+
     p = sub.add_parser("compare", help="align several report JSONs into one table")
     p.add_argument("--reports", nargs="+", required=True, help="report JSON paths")
     p.add_argument("--names", default=None, help="comma-separated row names")
@@ -687,11 +750,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def guarded(call) -> int:
     """Exit code of ``call()``, an entry point's work: the code it returns or
-    exits with through argparse, 2 or 3 with one line on stderr for a typed
-    error, or 1 with the traceback of any other."""
+    exits with, 2 or 3 with one line on stderr for a typed error, or 1 with
+    the traceback of any other."""
     try:
         return call()
-    except SystemExit as exc:   # argparse handles --help and flag errors
+    except SystemExit as exc:   # argparse's --help and flag errors, noise-study's verdict
         return int(exc.code or 0)
     except (InvalidConfig, InvalidParameter, InvalidRecord,
             Unrecoverable, ShapeError, IncompleteLogits) as exc:

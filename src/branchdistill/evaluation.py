@@ -31,6 +31,10 @@ from .model import SpanModel, Vocabulary, encode_dataset, forward_logits
 class EvalConfig:
     max_answer_length: int = 30
 
+    def __post_init__(self):
+        if self.max_answer_length < 1:
+            raise InvalidConfig(f"max_answer_length must be >= 1, got {self.max_answer_length}")
+
 
 def decode_span(z_s, z_e, valid_mask, max_answer_length: int) -> np.ndarray:
     """Best-scoring valid (start, end) pair of every row, under the length

@@ -497,7 +497,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("command", [
         "generate", "build", "train-teacher", "dump-logits",
-        "distill", "evaluate", "ablate", "compare",
+        "distill", "evaluate", "ablate", "compare", "pipeline", "noise-study",
     ])
     def test_help_documents_output_affecting_flags(self, command, capsys):
         assert run([command, "--help"]) == 0
@@ -538,41 +538,53 @@ class TestDrivers:
         assert list(tmp_path.iterdir()) == []
 
 
-class TestScripts:
-    SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+class TestExperimentCommands:
+    def experiment(self, command, out_dir, *extra):
+        return run([command, "--out-dir", str(out_dir), *TINY], *extra)
 
-    def script(self, name, out_dir, *extra):
-        return subprocess.run(
-            [sys.executable, str(self.SCRIPTS / name), "--out-dir", str(out_dir), *TINY, *extra],
-            capture_output=True, text=True, timeout=600,
-        )
-
-    def test_run_pipeline(self, tmp_path):
-        proc = self.script("run_pipeline.py", tmp_path)
-        assert proc.returncode == 0, proc.stderr
+    def test_pipeline(self, tmp_path):
+        assert self.experiment("pipeline", tmp_path) == 0
         comparison = json.loads((tmp_path / "reports" / "pipeline_comparison.json").read_text())
         assert [row["name"] for row in comparison["rows"]] == [
             "teacher_en", "teacher_es", "teacher_de", "student_hyper", "student_imp"]
 
-    @pytest.mark.parametrize("name, setting", [
-        ("run_pipeline.py", ["--corpus.records", "many"]),
-        ("run_noise_study.py", ["--corpus.records", "many"]),
-        ("run_noise_study.py", ["--seeds", "x"]),
-        ("run_noise_study.py", ["--seeds", "3,,4"]),
-        ("run_noise_study.py", ["--seeds", "3,-1"]),
-    ], ids=["run_pipeline.py", "run_noise_study.py", "run_noise_study.py-seeds_text",
-            "run_noise_study.py-seeds_empty", "run_noise_study.py-seeds_negative"])
-    def test_bad_setting_is_exit_2(self, tmp_path, name, setting):
+    @pytest.mark.parametrize("command, setting", [
+        ("pipeline", ["--corpus.records", "many"]),
+        ("pipeline", ["--eval.max_answer_length", "0"]),
+        ("noise-study", ["--corpus.records", "many"]),
+        ("noise-study", ["--eval.max_answer_length", "0"]),
+        ("noise-study", ["--seeds", "x"]),
+        ("noise-study", ["--seeds", "3,,4"]),
+        ("noise-study", ["--seeds", "3,-1"]),
+    ], ids=["pipeline", "pipeline-max_answer_length_0", "noise-study",
+            "noise-study-max_answer_length_0", "noise-study-seeds_text",
+            "noise-study-seeds_empty", "noise-study-seeds_negative"])
+    def test_bad_setting_is_exit_2(self, tmp_path, command, setting, capsys):
+        # refused before any stage writes, not at the first evaluate
         out = tmp_path / "out"
-        proc = self.script(name, out, *setting)
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert self.experiment(command, out, *setting) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
-    def test_run_noise_study(self, tmp_path):
-        # exit 1 means the direction was not confirmed, which a tiny run may show;
-        # the last line separates a finished study from a crash
-        proc = self.script("run_noise_study.py", tmp_path, "--seeds", "3,4")
-        assert proc.returncode in (0, 1), proc.stderr
-        assert proc.stdout.splitlines()[-1].startswith("robustness direction")
+    def test_noise_study(self, tmp_path, capsys):
+        code = self.experiment("noise-study", tmp_path, "--seeds", "3,4")
+        verdict = capsys.readouterr().out.splitlines()[-1]
+        assert (code, verdict) in ((0, "robustness direction CONFIRMED"),
+                                   (1, "robustness direction NOT confirmed"))
         assert (tmp_path / "seed3").is_dir() and (tmp_path / "seed4").is_dir()
+
+    @pytest.mark.parametrize("pairs, code", [
+        ([(0.5, 0.25), (0.25, 0.25)], 0),
+        ([(0.5, 0.5), (0.25, 0.25)], 0),
+        ([(0.25, 0.5), (0.25, 0.25)], 1),
+    ], ids=["above", "tie", "below"])
+    def test_noise_study_exit_code_is_verdict(self, tmp_path, monkeypatch, capsys, pairs, code):
+        seen = []
+        monkeypatch.setattr(cli, "noise_study", lambda cfg, seeds: seen.append(seeds) or pairs)
+        assert self.experiment("noise-study", tmp_path, "--seeds", "3,4") == code
+        assert seen == [[3, 4]]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (f"seed 3: student macro-EM {pairs[0][0]:.4f} | "
+                            f"translate-train macro-EM {pairs[0][1]:.4f}")
+        assert lines[-1].endswith("NOT confirmed" if code else "CONFIRMED")

@@ -103,6 +103,10 @@ class TestDecodeSpan:
         with pytest.raises(InvalidParameter):
             ev.decode_span([1.0], [1.0], [True], 0)
 
+    def test_eval_config_refuses_max_answer_length_below_1(self):
+        with pytest.raises(InvalidConfig, match="max_answer_length"):
+            ev.EvalConfig(max_answer_length=0)
+
 
 class TestMetrics:
     def test_exact_match_basic(self):
