@@ -6,7 +6,8 @@ Stages communicate only through files under ``--out-dir`` so expensive
 artifacts (teacher checkpoints, logit stores) can be reused across ablation
 settings. Configuration is a flat JSON object with dotted keys; every key
 can be overridden by a flag of the same name. All randomness flows from the
-single ``--seed`` value.
+single ``--seed`` value. Every setting is checked once, when
+``PipelineConfig`` is made from them, before any stage writes.
 
 Exit codes: 0 success, 2 configuration error, 3 missing upstream artifact,
 1 internal error or, for noise-study, a direction the study did not confirm.
@@ -95,27 +96,41 @@ SCHEMA: dict[str, tuple] = {
 @dataclass
 class PipelineConfig:
     """Resolved flat configuration plus the run's seed and output directory.
-    The seed and the evaluation settings are checked here, so a bad one stops
-    a command before it writes anything."""
+
+    Every setting is checked here, once, so a bad one stops a command before
+    any stage writes. The language list, ``corpus.records`` and
+    ``corpus.eval_fraction`` are checked below; every other setting by the
+    settings object built from it (the seed by ``train``). ``model`` holds
+    the empty vocabulary's size; a stage replaces it with the size of the
+    vocabulary ``build`` wrote. ``dataclasses.replace`` builds every
+    settings object again."""
 
     values: dict
     seed: int
     out_dir: Path
+    languages: list[str] = field(init=False)
+    task: cp.TaskSpec = field(init=False)
+    noise: cp.NoiseSpec = field(init=False)
+    model: ModelConfig = field(init=False)
+    train: TrainConfig = field(init=False)
     eval_config: ev.EvalConfig = field(init=False)
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
-        self.eval_config = self._settings(ev.EvalConfig, "eval")
-
-    @property
-    def languages(self) -> list[str]:
-        langs = [x for x in str(self.values["languages"]).split(",") if x]
-        if not langs:
+        self.languages = [x for x in self.values["languages"].split(",") if x]
+        if not self.languages:
             raise InvalidConfig("language list must be non-empty")
-        if len(set(langs)) != len(langs):
+        if len(set(self.languages)) != len(self.languages):
             raise InvalidConfig("language list contains duplicates")
-        return langs
+        if self.values["corpus.records"] < 1:
+            raise InvalidConfig("corpus.records must be >= 1")
+        if not 0.0 <= self.values["corpus.eval_fraction"] < 1.0:
+            raise InvalidConfig(f"corpus.eval_fraction must be in [0, 1), "
+                                f"got {self.values['corpus.eval_fraction']}")
+        self.task = self._settings(cp.TaskSpec, "corpus", seed=self.seed)
+        self.noise = self._settings(cp.NoiseSpec, "noise", seed=self.seed)
+        self.model = self._settings(ModelConfig, "model", vocab_size=Vocabulary(()).size)
+        self.train = self._settings(TrainConfig, "train", seed=self.seed)
+        self.eval_config = self._settings(ev.EvalConfig, "eval")
 
     @property
     def source_language(self) -> str:
@@ -131,19 +146,6 @@ class PipelineConfig:
         values = {f.name: self.values[f"{prefix}.{f.name}"] for f in fields(cls)
                   if f"{prefix}.{f.name}" in SCHEMA}
         return cls(**{**values, **extras})
-
-    def task_spec(self) -> cp.TaskSpec:
-        return self._settings(cp.TaskSpec, "corpus", seed=self.seed)
-
-    def noise_spec(self) -> cp.NoiseSpec:
-        return self._settings(cp.NoiseSpec, "noise", seed=self.seed)
-
-    def model_config(self, vocab_size: int) -> ModelConfig:
-        return self._settings(ModelConfig, "model", vocab_size=vocab_size)
-
-    def train_config(self, seed: int | None = None, **overrides) -> TrainConfig:
-        return self._settings(TrainConfig, "train", seed=self.seed if seed is None else seed,
-                              **overrides)
 
     # --- layout ---
 
@@ -189,18 +191,22 @@ class PipelineConfig:
         return self.out_dir / "reports"
 
 
-def _parse_value(key: str, raw):
-    """``raw``, a flag's text or a config file's JSON value, parsed for
-    ``key``. A float must be finite: ``float`` and ``json.loads`` both accept
-    NaN and infinities, which no setting means and no artifact can record.
-    No number is a JSON boolean, no integer a fractional float and no string
-    another JSON value, which ``int``, ``float`` and ``str`` would convert."""
+def _parse_value(key: str, raw, from_file: bool = False):
+    """``raw``, a flag's text or, with ``from_file``, a config file's JSON
+    value, parsed for ``key``. A float must be finite: ``float`` and
+    ``json.loads`` both accept NaN and infinities, which no setting means and
+    no artifact can record. No number is a JSON boolean, no integer a
+    fractional float, no string another JSON value and no file's boolean
+    anything but a JSON boolean, which ``int``, ``float``, ``str`` and
+    ``_parse_bool`` would convert."""
     parse = SCHEMA[key][0]
     try:
         if parse in (int, float) and isinstance(raw, bool):
             raise TypeError("a boolean is not a number")
         if parse is str and not isinstance(raw, str):
             raise TypeError("not a string")
+        if parse is _parse_bool and from_file and not isinstance(raw, bool):
+            raise TypeError("not a JSON boolean")
         if parse is int and isinstance(raw, float) and not raw.is_integer():
             raise ValueError("not an integer")
         value = parse(raw)
@@ -221,7 +227,7 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         for key, raw in cp.read_json(path, "config file", dict.items):
             if key not in SCHEMA:
                 raise InvalidConfig(f"unknown config key {key!r}")
-            values[key] = _parse_value(key, raw)
+            values[key] = _parse_value(key, raw, from_file=True)
     for key in SCHEMA:
         supplied = getattr(args, key, None)
         if supplied is not None:
@@ -263,10 +269,8 @@ def corpus_languages(cfg: PipelineConfig) -> list[str]:
 
 
 def op_generate(cfg: PipelineConfig) -> Path:
-    if cfg.values["corpus.records"] < 1:
-        raise InvalidConfig("corpus.records must be >= 1")
     records = cp.generate_synthetic_corpus(
-        cfg.values["corpus.records"], corpus_languages(cfg), cfg.noise_spec(), cfg.task_spec()
+        cfg.values["corpus.records"], corpus_languages(cfg), cfg.noise, cfg.task
     )
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     cp.write_corpus(records, cfg.corpus_path)
@@ -340,8 +344,7 @@ def op_build(cfg: PipelineConfig, mode: str, language: str | None = None) -> dic
     cp.write_json(cfg.datasets_dir / f"build_meta_{dataset}.json", meta)
     for name, size in sorted(meta["sizes"].items()):
         print(f"build: {name} -> {size} samples")
-    skipped = sum(meta["missing"].values()) + sum(meta["unrecoverable"].values())
-    print(f"build: skipped {skipped} renderings "
+    print(f"build: skipped {result.skipped} renderings "
           f"(missing {sum(meta['missing'].values())}, "
           f"unrecoverable {sum(meta['unrecoverable'].values())})")
     return meta
@@ -383,7 +386,7 @@ def _train_stage(cfg: PipelineConfig, run_name: str, run_dir: Path, dataset: Pat
     its manifest check does not cover the stores it reads."""
     vocab = _load_vocab(cfg)
     samples = cp.read_samples(dataset)
-    model_cfg = cfg.model_config(vocab.size)
+    model_cfg = replace(cfg.model, vocab_size=vocab.size)
     digest = cp.sha256_file(dataset)
     vocab_digest = cp.sha256_file(cfg.vocab_path)
     previous = _check_resume(run_dir, train_cfg, model_cfg, digest, vocab_digest)
@@ -404,7 +407,8 @@ def op_train_teacher(cfg: PipelineConfig, branch: str | None = None,
     run_name = run_name or branch or Path(dataset).stem
     run_dir = cfg.teacher_dir(run_name)
     dataset = _require(Path(dataset), "training dataset")
-    train_cfg = cfg.train_config(seed=seed, lambda1=1.0, lambda2=0.0)
+    train_cfg = replace(cfg.train, seed=cfg.seed if seed is None else seed,
+                        lambda1=1.0, lambda2=0.0)
     manifest = _train_stage(cfg, run_name, run_dir, dataset, train_cfg)
     first, last = manifest.epoch_losses[0], manifest.epoch_losses[-1]
     print(f"train-teacher {run_name}: {manifest.n_samples} samples "
@@ -431,7 +435,7 @@ def op_distill(cfg: PipelineConfig, run_name: str | None = None,
                strategy: str | None = None, teachers: list[str] | None = None,
                dataset: Path | None = None) -> Path:
     teachers = teachers or cfg.languages
-    strategy = strategy or cfg.values["train.strategy"]
+    strategy = strategy or cfg.train.strategy
     run_name = run_name or ("student_imp" if strategy == "impurity" else "student_hyper")
     run_dir = cfg.student_dir(run_name)
     dataset = _require(Path(dataset or cfg.union_path), "distillation dataset")
@@ -439,7 +443,7 @@ def op_distill(cfg: PipelineConfig, run_name: str | None = None,
         t: LogitStore(_require(cfg.store_path(t), f"logit store for {t!r}"))
         for t in teachers
     }
-    train_cfg = cfg.train_config(strategy=strategy, teacher_ids=tuple(sorted(teachers)))
+    train_cfg = replace(cfg.train, strategy=strategy, teacher_ids=tuple(sorted(teachers)))
     manifest = _train_stage(cfg, run_name, run_dir, dataset, train_cfg, stores)
     first, last = manifest.epoch_losses[0], manifest.epoch_losses[-1]
     print(f"distill {run_name}: teachers={sorted(teachers)} strategy={strategy} "
@@ -650,17 +654,22 @@ def op_noise_study(cfg: PipelineConfig, seeds: str) -> list[tuple[float, float]]
 # ---------------------------------------------------------------------------
 
 
-def add_config_flags(parser: argparse.ArgumentParser) -> None:
+def add_config_flags(parser: argparse.ArgumentParser, **defaults) -> None:
     """``--config``, ``--seed``, ``--out-dir`` and one flag per ``SCHEMA``
-    key: every setting ``resolve_config`` reads."""
+    key: every setting ``resolve_config`` reads. ``defaults``, keyed by
+    ``seed``, ``out_dir`` or a ``SCHEMA`` key, replaces a flag's default and
+    the default its help shows; a replaced ``SCHEMA`` default counts as a
+    flag given, so it wins over a ``--config`` file's key."""
     parser.add_argument("--config", help="JSON config file with flat dotted keys")
-    parser.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
-    parser.add_argument("--out-dir", dest="out_dir", default="runs",
-                        help="directory holding every pipeline artifact")
+    parser.add_argument("--seed", type=int, default=defaults.get("seed", 0),
+                        help="root seed for all randomness (default %(default)s)")
+    parser.add_argument("--out-dir", dest="out_dir", default=defaults.get("out_dir", "runs"),
+                        help="directory holding every pipeline artifact (default %(default)s)")
     for key, (_, default, help_text) in SCHEMA.items():
         # argparse %-formats help strings, so a literal % must be doubled
-        parser.add_argument(f"--{key}", dest=key, default=None, metavar="V",
-                            help=f"{help_text} (default {default})".replace("%", "%%"))
+        parser.add_argument(f"--{key}", dest=key, default=defaults.get(key), metavar="V",
+                            help=f"{help_text} (default {defaults.get(key, default)})"
+                            .replace("%", "%%"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -722,18 +731,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_config_flags(p)
     p.set_defaults(run=lambda cfg, a: op_ablate(cfg))
 
-    # an experiment's defaults count as flags, so they override a --config file's keys
     p = sub.add_parser("pipeline", help="run every stage and compare the teachers and students")
-    add_config_flags(p)
-    p.set_defaults(seed=7, out_dir="runs/pipeline", run=lambda cfg, a: op_pipeline(cfg))
+    add_config_flags(p, seed=7, out_dir="runs/pipeline")
+    p.set_defaults(run=lambda cfg, a: op_pipeline(cfg))
 
     p = sub.add_parser("noise-study", help="compare the student against translate-train "
                        "on noisy corpora over several seeds")
     p.add_argument("--seeds", default="11,12,13", help="comma-separated seeds")
-    add_config_flags(p)
-    p.set_defaults(out_dir="runs/noise_study", run=lambda cfg, a: op_noise_study(cfg, a.seeds),
-                   **{"corpus.records": 300, "noise.token_drop_prob": 0.1,
-                      "noise.token_swap_prob": 0.1, "noise.marker_destroy_prob": 0.1})
+    add_config_flags(p, out_dir="runs/noise_study",
+                     **{"corpus.records": 300, "noise.token_drop_prob": 0.1,
+                        "noise.token_swap_prob": 0.1, "noise.marker_destroy_prob": 0.1})
+    p.set_defaults(run=lambda cfg, a: op_noise_study(cfg, a.seeds))
 
     p = sub.add_parser("compare", help="align several report JSONs into one table")
     p.add_argument("--reports", nargs="+", required=True, help="report JSON paths")

@@ -20,6 +20,9 @@ content and question words are mapped through a per-language bijection.
 Non-source renderings pass through the mark -> corrupt -> recover pipeline,
 so translation noise can destroy answer markers and make a rendering
 unusable exactly as in the real construction process.
+
+Renderings, records, samples and the two specs check their invariants when
+they are made, so every one that exists is valid.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ class Rendering:
     question_tokens: tuple[str, ...]
     answer_span: tuple[int, int] | None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.answer_span is not None:
             start, end = self.answer_span
             if not (0 <= start <= end < len(self.passage_tokens)):
@@ -77,14 +80,12 @@ class AlignedRecord:
     source_language: str
     renderings: dict[str, Rendering]
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.source_language not in self.renderings:
             raise InvalidRecord(
                 f"record {self.id} lacks its source language "
                 f"{self.source_language!r}"
             )
-        for rendering in self.renderings.values():
-            rendering.validate()
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ class Sample:
     passage_lang: str
     question_lang: str
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not (0 <= self.gold_start <= self.gold_end < len(self.passage_tokens)):
             raise InvalidRecord(
                 f"sample {self.id}: gold span ({self.gold_start}, {self.gold_end}) "
@@ -126,7 +127,7 @@ class NoiseSpec:
     marker_destroy_prob: float = 0.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("token_drop_prob", "token_swap_prob", "marker_destroy_prob"):
             p = getattr(self, name)
             if not (0.0 <= p <= 1.0):
@@ -153,7 +154,7 @@ class TaskSpec:
     answer_max_len: int = 3
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.content_vocab < 1 or self.cue_count < 1 or self.answer_vocab_size < 1:
             raise InvalidConfig("content, answer, and cue vocabularies must be non-empty")
         if self.rare_vocab_size < 0 or not (0.0 <= self.rare_prob <= 1.0):
@@ -175,7 +176,6 @@ def mark_answer(rendering: Rendering) -> list[str]:
     """Insert the reserved marker pair around the rendering's answer span."""
     if rendering.answer_span is None:
         raise InvalidRecord("cannot mark a rendering without an answer span")
-    rendering.validate()
     start, end = rendering.answer_span
     tokens = list(rendering.passage_tokens)
     return tokens[:start] + [ANSWER_OPEN] + tokens[start : end + 1] + [ANSWER_CLOSE] + tokens[end + 1 :]
@@ -230,14 +230,12 @@ def _pairings(records, languages) -> BuildResult:
     ``samples``, with the renderings it skips counted per language.
 
     A record pairs each passage language whose rendering has an answer span
-    with every question language whose rendering exists. Each record is
-    validated as it is reached.
+    with every question language whose rendering exists.
     """
     if not languages:
         raise InvalidConfig("language list must be non-empty")
     result = BuildResult()
     for record in records:
-        record.validate()
         renderings = [(lang, record.renderings.get(lang)) for lang in languages]
         questions = [(lang, tuple(r.question_tokens)) for lang, r in renderings if r is not None]
         for passage_lang, passage in renderings:
@@ -414,8 +412,6 @@ def generate_synthetic_corpus(
         raise InvalidConfig("language list must be non-empty")
     if len(set(languages)) != len(languages):
         raise InvalidConfig("language list contains duplicates")
-    noise.validate()
-    task.validate()
 
     source = languages[0]
     content = _content_vocab(task)
@@ -460,16 +456,14 @@ def generate_synthetic_corpus(
             except Unrecoverable:
                 renderings[lang] = Rendering(tuple(strip_markers(corrupted)), translated_question, None)
 
-        record = AlignedRecord(id=f"r{index:06d}", source_language=source, renderings=renderings)
-        record.validate()
-        records.append(record)
+        records.append(AlignedRecord(id=f"r{index:06d}", source_language=source,
+                                     renderings=renderings))
     return records
 
 
 def split_records(records, eval_fraction: float) -> tuple[list[AlignedRecord], list[AlignedRecord]]:
-    """Deterministic train/eval split by record position."""
-    if not (0.0 <= eval_fraction < 1.0):
-        raise InvalidConfig(f"eval_fraction must be in [0, 1), got {eval_fraction}")
+    """Deterministic train/eval split by record position; ``eval_fraction``
+    is in [0, 1), as ``cli.PipelineConfig`` checks."""
     records = list(records)
     n_eval = int(round(len(records) * eval_fraction))
     n_train = len(records) - n_eval
@@ -562,11 +556,9 @@ def read_corpus(path) -> list[AlignedRecord]:
                 renderings[lang] = Rendering(
                     tuple(r["passage_tokens"]), tuple(r["question_tokens"]), span
                 )
-            record = AlignedRecord(
+            records.append(AlignedRecord(
                 id=raw["id"], source_language=raw["source_language"], renderings=renderings
-            )
-            record.validate()
-            records.append(record)
+            ))
     return records
 
 
@@ -588,7 +580,7 @@ def read_samples(path) -> list[Sample]:
     with malformed_as_invalid(path, "dataset"), path.open("r", encoding="utf-8") as fh:
         for line in fh:
             raw = json.loads(line)
-            sample = Sample(
+            samples.append(Sample(
                 id=raw["id"],
                 question_tokens=tuple(raw["question_tokens"]),
                 passage_tokens=tuple(raw["passage_tokens"]),
@@ -596,9 +588,7 @@ def read_samples(path) -> list[Sample]:
                 gold_end=int(raw["gold_end"]),
                 passage_lang=raw["passage_lang"],
                 question_lang=raw["question_lang"],
-            )
-            sample.validate()
-            samples.append(sample)
+            ))
     return samples
 
 

@@ -31,8 +31,8 @@ the ids, the block's exact size and every value, and then serves rows
 from memory.
 
 Each setting and artifact is checked once, where it enters: by the CLI's
-config parser, ``train.TrainConfig.validate``, ``train.train``'s store
-checks and ``LogitStore``. The numeric core (softmax, entropy, weighting,
+config parser, the construction of ``train.TrainConfig``, ``train.train``'s
+store checks and ``LogitStore``. The numeric core (softmax, entropy, weighting,
 aggregation and the objectives) trusts its callers and repeats none of
 those checks.
 """

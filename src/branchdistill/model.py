@@ -85,13 +85,14 @@ class ModelConfig:
     max_len: int = 64
     layers: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.vocab_size < 2:
             raise InvalidConfig(f"vocab_size must be >= 2, got {self.vocab_size}")
         if self.hidden < 2 or self.hidden % 2 != 0:
-            raise InvalidConfig("hidden size must be an even number >= 2")
-        if self.ffn < 1 or self.max_len < 4 or self.layers < 0:
-            raise InvalidConfig("bad model dimensions")
+            raise InvalidConfig(f"hidden must be an even number >= 2, got {self.hidden}")
+        for name, least in (("ffn", 1), ("max_len", 4), ("layers", 0)):
+            if getattr(self, name) < least:
+                raise InvalidConfig(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 class Vocabulary:
@@ -268,7 +269,6 @@ class SpanModel:
 
 def init_model(config: ModelConfig, seed: int) -> SpanModel:
     """All trainable weights drawn from N(0, 0.01^2) with a seeded generator."""
-    config.validate()
     if seed < 0:
         raise InvalidConfig("seed must be non-negative")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6D6F64]))
@@ -520,7 +520,6 @@ def load_model(path) -> SpanModel:
 
     try:
         config = ModelConfig(**header["config"])
-        config.validate()
         seed = int(header["seed"])
         entries = [(e["name"], tuple(e["shape"])) for e in header["params"]]
     except (KeyError, TypeError, ValueError) as exc:

@@ -34,9 +34,10 @@ repeated runs produce bit-identical checkpoints. A manifest records the
 config snapshot, input digests, per-epoch loss curve, and skip counts.
 
 Each setting and artifact is checked once, where it enters: by the CLI's
-config parser, ``TrainConfig.validate`` (the optimizer's settings too),
-``train``'s dataset and store checks and ``LogitStore``, all before a run
-writes anything. ``AdamW`` and the numeric core in ``distill`` trust them.
+config parser, the construction of ``TrainConfig`` (the optimizer's
+settings too) and ``ModelConfig``, ``train``'s dataset and store checks and
+``LogitStore``, all before a run writes anything. ``AdamW`` and the numeric
+core in ``distill`` trust them.
 """
 
 from __future__ import annotations
@@ -97,13 +98,12 @@ class AdamW:
     and second gradient moments elementwise, are bias-corrected, and the
     step is ``theta -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta)``.
     ``lr`` is read at every step; the training loop sets it from
-    ``learning_rate`` before each update. ``TrainConfig.validate`` checks
+    ``learning_rate`` before each update. ``TrainConfig`` holds and checks
     the hyperparameters.
     """
 
-    def __init__(self, size: int, lr: float = 1e-5,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.005):
+    def __init__(self, size: int, *, lr: float, betas: tuple[float, float], eps: float,
+                 weight_decay: float):
         self.lr = lr
         self.betas = betas
         self.eps = eps
@@ -169,13 +169,13 @@ class TrainConfig:
     eps: float = 1e-8
     clip_norm: float = 5.0            # <= 0 disables clipping
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise InvalidConfig("epochs and batch_size must be >= 1")
         if self.seed < 0:
-            raise InvalidConfig("seed must be non-negative")
+            raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
         if not self.tau > 0.0:
-            raise InvalidConfig(f"temperature must be positive, got {self.tau}")
+            raise InvalidConfig(f"temperature tau must be positive, got {self.tau}")
         if self.lambda1 < 0.0 or self.lambda2 < 0.0:
             raise InvalidConfig("loss weights must be non-negative")
         if not (self.lr >= 0.0 and self.weight_decay >= 0.0):
@@ -248,7 +248,6 @@ def train(
 ) -> tuple[SpanModel, RunManifest]:
     """Train one model on ``samples``: a branch teacher when ``stores`` is
     None, else the student, distilled from the teachers' logit stores."""
-    cfg.validate()
     if not samples:
         raise InvalidConfig("training dataset is empty")
     if stores is not None:

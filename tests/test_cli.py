@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from branchdistill import cli
 from branchdistill import corpus as cp
 from branchdistill import evaluation as ev
 from branchdistill import model as md
+from branchdistill import train as tr
 from branchdistill.errors import InvalidConfig
 
 TINY = [
@@ -438,6 +441,26 @@ class TestConfigHandling:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "corpus.jsonl").exists()
 
+    @pytest.mark.parametrize("value, code", [(False, 0), (0, 2), ("no", 2)],
+                             ids=["false", "0", "no"])
+    def test_config_file_boolean_setting(self, tmp_path, value, code, capsys):
+        # a file's boolean is a JSON boolean; only flag text is read as a word
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"train.augment_source": value}))
+        assert run(["generate", "--config", str(path), "--out-dir", str(tmp_path)]) == code
+        if code:
+            assert "train.augment_source" in capsys.readouterr().err
+        assert (tmp_path / "corpus.jsonl").exists() == (code == 0)
+
+    def test_schema_defaults_are_the_field_defaults(self):
+        # a key's default and the default of the field it fills cannot drift apart
+        owners = {"corpus": cp.TaskSpec, "noise": cp.NoiseSpec, "model": md.ModelConfig,
+                  "train": tr.TrainConfig, "eval": ev.EvalConfig}
+        defaults = {f"{prefix}.{f.name}": f.default for prefix, cls in owners.items()
+                    for f in dataclasses.fields(cls) if f"{prefix}.{f.name}" in cli.SCHEMA}
+        assert len(defaults) == 24
+        assert {key: cli.SCHEMA[key][1] for key in defaults} == defaults
+
     def test_unknown_config_key(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"nonsense.key": 1}))
@@ -472,16 +495,16 @@ class TestConfigHandling:
         assert not (tmp_path / "teachers" / "en").exists()
 
     @pytest.mark.parametrize("command, setting, message", [
-        ("train-teacher", ["--train.tau", "0"], "temperature must be positive"),
+        ("train-teacher", ["--train.tau", "0"], "tau must be positive"),
         ("train-teacher", ["--train.impurity_sign", "0"], "impurity_sign"),
         ("train-teacher", ["--train.lr", "-1"], "must be non-negative"),
         ("train-teacher", ["--train.weight_decay", "-1"], "must be non-negative"),
-        ("distill", ["--train.tau", "0"], "temperature must be positive"),
+        ("distill", ["--train.tau", "0"], "tau must be positive"),
     ], ids=["teacher_tau_0", "teacher_impurity_sign_0", "teacher_lr_negative",
             "teacher_weight_decay_negative", "distill_tau_0"])
     def test_out_of_range_setting_is_config_error(self, pipeline_dir, command, setting,
                                                   message, capsys):
-        # TrainConfig.validate is the one check of these settings
+        # building TrainConfig is the one check of these settings
         extra = ["--branch", "en"] if command == "train-teacher" else []
         assert tiny(command, pipeline_dir, *extra, "--run-name", "out_of_range", *setting) == 2
         err = capsys.readouterr().err
@@ -507,6 +530,25 @@ class TestConfigHandling:
         assert "--config" in text
         if command in ("generate", "build", "train-teacher", "distill"):
             assert "--train.epochs" in text and "--corpus.records" in text
+
+    @pytest.mark.parametrize("command, shown", [
+        ("generate", {"--seed": "0", "--out-dir": "runs", "--corpus.records": "500",
+                      "--noise.token_drop_prob": "0.0"}),
+        ("pipeline", {"--seed": "7", "--out-dir": "runs/pipeline", "--corpus.records": "500"}),
+        ("noise-study", {"--seed": "0", "--out-dir": "runs/noise_study",
+                         "--corpus.records": "300", "--noise.token_drop_prob": "0.1",
+                         "--noise.token_swap_prob": "0.1", "--noise.marker_destroy_prob": "0.1"}),
+    ], ids=["generate", "pipeline", "noise-study"])
+    def test_help_shows_the_defaults_the_command_runs_with(self, command, shown, capsys):
+        assert run([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for flag, default in shown.items():
+            assert re.search(rf"{re.escape(flag)} \S+ [^(]*\(default {re.escape(default)}\)",
+                             text), flag
+        cfg = cli.resolve_config(cli.build_parser().parse_args([command]))
+        assert (str(cfg.seed), str(cfg.out_dir)) == (shown["--seed"], shown["--out-dir"])
+        assert str(cfg.values["corpus.records"]) == shown["--corpus.records"]
+        assert str(cfg.noise.token_drop_prob) == shown.get("--noise.token_drop_prob", "0.0")
 
     def test_help_with_percent_in_text(self, monkeypatch, capsys):
         parser, default, _ = cli.SCHEMA["train.lr"]
@@ -548,23 +590,33 @@ class TestExperimentCommands:
         assert [row["name"] for row in comparison["rows"]] == [
             "teacher_en", "teacher_es", "teacher_de", "student_hyper", "student_imp"]
 
-    @pytest.mark.parametrize("command, setting", [
-        ("pipeline", ["--corpus.records", "many"]),
-        ("pipeline", ["--eval.max_answer_length", "0"]),
-        ("noise-study", ["--corpus.records", "many"]),
-        ("noise-study", ["--eval.max_answer_length", "0"]),
-        ("noise-study", ["--seeds", "x"]),
-        ("noise-study", ["--seeds", "3,,4"]),
-        ("noise-study", ["--seeds", "3,-1"]),
-    ], ids=["pipeline", "pipeline-max_answer_length_0", "noise-study",
-            "noise-study-max_answer_length_0", "noise-study-seeds_text",
-            "noise-study-seeds_empty", "noise-study-seeds_negative"])
-    def test_bad_setting_is_exit_2(self, tmp_path, command, setting, capsys):
-        # refused before any stage writes, not at the first evaluate
+    @pytest.mark.parametrize("command, setting, named", [
+        ("pipeline", ["--corpus.records", "many"], "corpus.records"),
+        ("pipeline", ["--eval.max_answer_length", "0"], "max_answer_length"),
+        ("pipeline", ["--train.epochs", "0"], "epochs"),
+        ("pipeline", ["--train.batch_size", "0"], "batch_size"),
+        ("pipeline", ["--train.tau", "0"], "tau"),
+        ("pipeline", ["--train.strategy", "bogus"], "strategy"),
+        ("pipeline", ["--train.impurity_sign", "0"], "impurity_sign"),
+        ("pipeline", ["--model.hidden", "3"], "hidden"),
+        ("pipeline", ["--model.max_len", "3"], "max_len"),
+        ("pipeline", ["--corpus.eval_fraction", "1.0"], "corpus.eval_fraction"),
+        ("noise-study", ["--corpus.records", "many"], "corpus.records"),
+        ("noise-study", ["--eval.max_answer_length", "0"], "max_answer_length"),
+        ("noise-study", ["--seeds", "x"], "--seeds"),
+        ("noise-study", ["--seeds", "3,,4"], "--seeds"),
+        ("noise-study", ["--seeds", "3,-1"], "seed"),
+    ], ids=["pipeline", "pipeline-max_answer_length_0", "pipeline-epochs_0",
+            "pipeline-batch_size_0", "pipeline-tau_0", "pipeline-strategy_bogus",
+            "pipeline-impurity_sign_0", "pipeline-hidden_3", "pipeline-max_len_3",
+            "pipeline-eval_fraction_1", "noise-study", "noise-study-max_answer_length_0",
+            "noise-study-seeds_text", "noise-study-seeds_empty", "noise-study-seeds_negative"])
+    def test_bad_setting_is_exit_2(self, tmp_path, command, setting, named, capsys):
+        # refused before any stage writes, not at the first evaluate or after training
         out = tmp_path / "out"
         assert self.experiment(command, out, *setting) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
         assert not out.exists()
 
     def test_noise_study(self, tmp_path, capsys):

@@ -119,7 +119,7 @@ class TestBranchBuilder:
         for lang, branch in result.branches.items():
             for sample in branch:
                 assert sample.passage_lang == lang or sample.passage_lang == "en"
-                sample.validate()
+                assert 0 <= sample.gold_start <= sample.gold_end < len(sample.passage_tokens)
 
     def test_empty_language_list(self):
         with pytest.raises(InvalidConfig):
@@ -177,7 +177,6 @@ class TestTranslateTrainBuilder:
 def _oracle_status(records, languages):
     status = []
     for record in records:
-        record.validate()
         row = {}
         for lang in languages:
             rendering = record.renderings.get(lang)
@@ -379,7 +378,6 @@ class TestSyntheticGenerator:
         noise = cp.NoiseSpec(token_drop_prob=0.3, token_swap_prob=0.3, seed=4)
         records = cp.generate_synthetic_corpus(50, ["en", "es"], noise, cp.TaskSpec(seed=4))
         for record in records:
-            record.validate()
             # source rendering is never corrupted
             assert record.renderings["en"].answer_span is not None
 
@@ -401,9 +399,19 @@ class TestSplit:
         assert [r.id for r in train_a] == [r.id for r in train_b]
         assert [r.id for r in eval_a] == [r.id for r in eval_b]
 
-    def test_bad_fraction(self):
-        with pytest.raises(InvalidConfig):
-            cp.split_records(noiseless_records(4), 1.0)
+
+class TestRecordInvariants:
+    @pytest.mark.parametrize("build", [
+        lambda: make_rendering(["a", "b"], (1, 2)),
+        lambda: make_rendering(["a", "b"], (1, 0)),
+        lambda: cp.Sample("s", ("q",), ("a", "b"), 0, 2, "en", "en"),
+        lambda: cp.Sample("s", ("q",), ("a", "b"), -1, 0, "en", "en"),
+        lambda: cp.AlignedRecord("r", "en", {"es": make_rendering(["a"], (0, 0))}),
+    ], ids=["span_past_passage", "span_reversed", "gold_past_passage", "gold_negative",
+            "no_source_rendering"])
+    def test_construction_refuses_a_broken_record(self, build):
+        with pytest.raises(InvalidRecord):
+            build()
 
 
 class TestFileFormats:

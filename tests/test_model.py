@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -430,6 +432,18 @@ class TestSerialization:
         md.save_model(model, path)
         path.write_bytes(corrupt(path.read_bytes()))
         with pytest.raises(InvalidConfig, match="is corrupt"):
+            md.load_model(path)
+
+    def test_checkpoint_with_invalid_config_is_corrupt(self, tmp_path):
+        model, _ = small_model(task_samples())
+        path = tmp_path / "model.ckpt"
+        md.save_model(model, path)
+        data = path.read_bytes()
+        start = 4 + int.from_bytes(data[:4], "little")
+        header = json.loads(data[4:start])
+        header["config"]["max_len"] = 3
+        path.write_bytes(md.pack_artifact(header, np.frombuffer(data, "<f8", offset=start)))
+        with pytest.raises(InvalidConfig, match=r"is corrupt: bad header field \(max_len"):
             md.load_model(path)
 
     def test_body_is_the_flat_vector(self, tmp_path):

@@ -27,21 +27,21 @@ def small_task(n_records=12, seed=0, langs=("en", "es")):
 class TestAdamW:
     def test_null_update(self):
         theta = np.array([1.0, -2.0, 3.0])
-        opt = tr.AdamW(3, lr=0.1, weight_decay=0.0)
+        opt = tr.AdamW(3, lr=0.1, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
         opt.step(theta, np.zeros(3))
         np.testing.assert_array_equal(theta, [1.0, -2.0, 3.0])
 
     def test_decoupled_decay_hand_evaluation(self):
         # theta = 1, g = 0, wd = 0.005, lr = 0.1 -> theta = 1 - 0.1 * 0.005
         theta = np.array([1.0])
-        opt = tr.AdamW(1, lr=0.1, weight_decay=0.005)
+        opt = tr.AdamW(1, lr=0.1, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.005)
         opt.step(theta, np.zeros(1))
         np.testing.assert_allclose(theta, [0.9995], atol=1e-15)
 
     def test_constant_gradient_update_approaches_lr(self):
         theta = np.array([0.0])
         lr = 0.001
-        opt = tr.AdamW(1, lr=lr, weight_decay=0.0)
+        opt = tr.AdamW(1, lr=lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
         previous = theta.copy()
         for _ in range(2000):
             previous = theta.copy()
@@ -211,9 +211,9 @@ class TestTrainTeacher:
         assert manifest.epoch_losses[-1]["total"] < manifest.epoch_losses[0]["total"]
 
     def test_repeated_teacher_ids_rejected(self):
-        tr.TrainConfig(teacher_ids=("en", "es")).validate()
+        tr.TrainConfig(teacher_ids=("en", "es"))
         with pytest.raises(InvalidConfig, match="repeat a teacher"):
-            tr.TrainConfig(teacher_ids=("en", "en", "es")).validate()
+            tr.TrainConfig(teacher_ids=("en", "en", "es"))
 
     @pytest.mark.parametrize("setting, message", [
         ({"betas": (1.0, 0.999)}, "betas"), ({"betas": (0.9, -0.1)}, "betas"),
@@ -221,9 +221,9 @@ class TestTrainTeacher:
         ({"eps": -1e-8}, "eps"), ({"eps": float("nan")}, "eps"),
     ])
     def test_bad_optimizer_setting_rejected(self, setting, message):
-        tr.TrainConfig(betas=(0.0, 0.5), eps=1e-12).validate()
+        tr.TrainConfig(betas=(0.0, 0.5), eps=1e-12)
         with pytest.raises(InvalidConfig, match=message):
-            tr.TrainConfig(**setting).validate()
+            tr.TrainConfig(**setting)
 
     def test_empty_dataset_rejected(self):
         _, _, vocab, config = small_task()
