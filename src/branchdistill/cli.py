@@ -35,11 +35,10 @@ from .errors import (
     InvalidParameter,
     InvalidRecord,
     MissingArtifact,
-    ShapeError,
     Unrecoverable,
     malformed_as_invalid,
 )
-from .model import ModelConfig, Vocabulary, load_model
+from .model import ModelConfig, SpanModel, Vocabulary, load_model
 from .train import MANIFEST_VERSION, RunManifest, TrainConfig, dump_teacher_logits, train
 
 
@@ -98,11 +97,11 @@ class PipelineConfig:
     """Resolved flat configuration plus the run's seed and output directory.
 
     Every setting is checked here, once, so a bad one stops a command before
-    any stage writes. The language list, ``corpus.records`` and
-    ``corpus.eval_fraction`` are checked below; every other setting by the
-    settings object built from it (the seed by ``train``). ``model`` holds
-    the empty vocabulary's size; a stage replaces it with the size of the
-    vocabulary ``build`` wrote. ``dataclasses.replace`` builds every
+    any stage writes. The language list, and the split ``corpus.records``
+    and ``corpus.eval_fraction`` make, are checked below; every other setting
+    by the settings object built from it (the seed by ``train``). ``model``
+    holds the empty vocabulary's size; a stage replaces it with the size of
+    the vocabulary ``build`` wrote. ``dataclasses.replace`` builds every
     settings object again."""
 
     values: dict
@@ -121,11 +120,15 @@ class PipelineConfig:
             raise InvalidConfig("language list must be non-empty")
         if len(set(self.languages)) != len(self.languages):
             raise InvalidConfig("language list contains duplicates")
-        if self.values["corpus.records"] < 1:
-            raise InvalidConfig("corpus.records must be >= 1")
-        if not 0.0 <= self.values["corpus.eval_fraction"] < 1.0:
-            raise InvalidConfig(f"corpus.eval_fraction must be in [0, 1), "
-                                f"got {self.values['corpus.eval_fraction']}")
+        records, fraction = self.values["corpus.records"], self.values["corpus.eval_fraction"]
+        if not 0.0 <= fraction < 1.0:
+            raise InvalidConfig(f"corpus.eval_fraction must be in [0, 1), got {fraction}")
+        # the evaluation side of ``cp.split_records``; each side needs a record
+        n_eval = round(records * fraction)
+        if not 0 < n_eval < records:
+            raise InvalidConfig(f"corpus.records {records} with corpus.eval_fraction {fraction} "
+                                f"leaves {n_eval} evaluation and {records - n_eval} training "
+                                f"records; each split needs at least one")
         self.task = self._settings(cp.TaskSpec, "corpus", seed=self.seed)
         self.noise = self._settings(cp.NoiseSpec, "noise", seed=self.seed)
         self.model = self._settings(ModelConfig, "model", vocab_size=Vocabulary(()).size)
@@ -210,6 +213,8 @@ def _parse_value(key: str, raw, from_file: bool = False):
         if parse is int and isinstance(raw, float) and not raw.is_integer():
             raise ValueError("not an integer")
         value = parse(raw)
+        if parse is int:
+            float(value)   # an integer past float range overflows any product with a float
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfig(f"bad value {raw!r} for {key} ({exc})") from exc
     if isinstance(value, float) and not math.isfinite(value):
@@ -246,6 +251,20 @@ def _require(path: Path, what: str) -> Path:
 def _load_vocab(cfg: PipelineConfig) -> Vocabulary:
     return cp.read_json(_require(cfg.vocab_path, "vocabulary"), "vocabulary",
                         Vocabulary.from_dict)
+
+
+def _load_model_and_vocab(cfg: PipelineConfig, model_path, what: str
+                          ) -> tuple[SpanModel, Vocabulary]:
+    """The checkpoint at ``model_path`` and the vocabulary ``build`` wrote,
+    which must have as many ids as the checkpoint embeds: a model run with
+    another build's vocabulary reads the wrong embedding rows."""
+    model = load_model(_require(Path(model_path), what))
+    vocab = _load_vocab(cfg)
+    if vocab.size != model.config.vocab_size:
+        raise InvalidConfig(f"checkpoint {model_path} embeds {model.config.vocab_size} token "
+                            f"ids but vocabulary {cfg.vocab_path} has {vocab.size}; they come "
+                            f"from different builds")
+    return model, vocab
 
 
 def _write_with_text(path: Path, obj, text: str) -> None:
@@ -422,8 +441,7 @@ def op_dump_logits(cfg: PipelineConfig, teacher: str, model_path: Path | None = 
     model_path = model_path or (cfg.teacher_dir(teacher) / "final.ckpt")
     dataset = dataset or cfg.union_path
     store_path = Path(store_path or cfg.store_path(teacher))
-    model = load_model(_require(Path(model_path), "teacher checkpoint"))
-    vocab = _load_vocab(cfg)
+    model, vocab = _load_model_and_vocab(cfg, model_path, "teacher checkpoint")
     samples = cp.read_samples(_require(Path(dataset), "distillation dataset"))
     store_path.parent.mkdir(parents=True, exist_ok=True)
     written, skipped = dump_teacher_logits(model, samples, vocab, store_path, teacher)
@@ -458,8 +476,7 @@ def op_evaluate(cfg: PipelineConfig, model_path: Path, dataset: Path | None = No
         dataset = cfg.eval_zero_shot_path(zero_shot_language)
     if dataset is None:
         dataset = cfg.eval_grid_path
-    model = load_model(_require(Path(model_path), "model checkpoint"))
-    vocab = _load_vocab(cfg)
+    model, vocab = _load_model_and_vocab(cfg, model_path, "model checkpoint")
     samples = cp.read_samples(_require(Path(dataset), "evaluation dataset"))
     report = ev.evaluate(model, samples, vocab, cfg.eval_config)
     if report_path is not None:
@@ -538,23 +555,24 @@ def run_pipeline(cfg: PipelineConfig, strategies: tuple[str, ...] = ("hyper", "i
 
 
 def run_translate_train_baseline(cfg: PipelineConfig) -> ev.EvalReport:
-    """Per-language translate-train models combined into one grid report.
+    """Per-language translate-train models scored as one grid report.
 
     Each grid cell (p, q) is scored by the model trained on language p, the
     most favorable reading for this baseline.
     """
-    vocab = _load_vocab(cfg)
     grid_samples = cp.read_samples(_require(cfg.eval_grid_path, "evaluation grid"))
-    partial_reports = []
+    pairs, skipped = [], 0
     for lang in cfg.languages:
         op_build(cfg, "translate-train", language=lang)
         run_dir = op_train_teacher(
             cfg, dataset=cfg.dataset_path(f"tt_{lang}"), run_name=f"tt_{lang}"
         )
-        model = load_model(run_dir / "final.ckpt")
+        model, vocab = _load_model_and_vocab(cfg, run_dir / "final.ckpt", "model checkpoint")
         subset = [s for s in grid_samples if s.passage_lang == lang]
-        partial_reports.append(ev.evaluate(model, subset, vocab, cfg.eval_config))
-    return ev.merge_reports(partial_reports)
+        lang_pairs, lang_skipped = ev.predict(model, subset, vocab, cfg.eval_config)
+        pairs += lang_pairs
+        skipped += lang_skipped
+    return ev.score(pairs, skipped)
 
 
 def noise_study(cfg: PipelineConfig, seeds) -> list[tuple[float, float]]:
@@ -765,7 +783,7 @@ def guarded(call) -> int:
     except SystemExit as exc:   # argparse's --help and flag errors, noise-study's verdict
         return int(exc.code or 0)
     except (InvalidConfig, InvalidParameter, InvalidRecord,
-            Unrecoverable, ShapeError, IncompleteLogits) as exc:
+            Unrecoverable, IncompleteLogits) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MissingArtifact, FileNotFoundError) as exc:

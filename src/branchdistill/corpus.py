@@ -22,7 +22,9 @@ so translation noise can destroy answer markers and make a rendering
 unusable exactly as in the real construction process.
 
 Renderings, records, samples and the two specs check their invariants when
-they are made, so every one that exists is valid.
+they are made, so every one that exists is valid. The builders and the
+generator trust their other arguments, record counts and language lists,
+which ``cli.PipelineConfig`` checks once.
 """
 
 from __future__ import annotations
@@ -173,9 +175,8 @@ class TaskSpec:
 
 
 def mark_answer(rendering: Rendering) -> list[str]:
-    """Insert the reserved marker pair around the rendering's answer span."""
-    if rendering.answer_span is None:
-        raise InvalidRecord("cannot mark a rendering without an answer span")
+    """Insert the reserved marker pair around the rendering's answer span,
+    which must be set."""
     start, end = rendering.answer_span
     tokens = list(rendering.passage_tokens)
     return tokens[:start] + [ANSWER_OPEN] + tokens[start : end + 1] + [ANSWER_CLOSE] + tokens[end + 1 :]
@@ -232,8 +233,6 @@ def _pairings(records, languages) -> BuildResult:
     A record pairs each passage language whose rendering has an answer span
     with every question language whose rendering exists.
     """
-    if not languages:
-        raise InvalidConfig("language list must be non-empty")
     result = BuildResult()
     for record in records:
         renderings = [(lang, record.renderings.get(lang)) for lang in languages]
@@ -297,8 +296,6 @@ def build_mix_dataset(records, languages, seed: int) -> BuildResult:
 def build_translate_train(records, language: str) -> BuildResult:
     """Single-language dataset: the pairings over ``language`` alone, so
     passage and question are both in it."""
-    if not language:
-        raise InvalidConfig("language must be non-empty")
     return _pairings(records, [language])
 
 
@@ -406,13 +403,6 @@ def generate_synthetic_corpus(
     ``task`` and ``noise``.
     """
     languages = list(languages)
-    if n_records < 1:
-        raise InvalidConfig(f"n_records must be >= 1, got {n_records}")
-    if not languages:
-        raise InvalidConfig("language list must be non-empty")
-    if len(set(languages)) != len(languages):
-        raise InvalidConfig("language list contains duplicates")
-
     source = languages[0]
     content = _content_vocab(task)
     rare = _rare_vocab(task)
@@ -462,8 +452,8 @@ def generate_synthetic_corpus(
 
 
 def split_records(records, eval_fraction: float) -> tuple[list[AlignedRecord], list[AlignedRecord]]:
-    """Deterministic train/eval split by record position; ``eval_fraction``
-    is in [0, 1), as ``cli.PipelineConfig`` checks."""
+    """Deterministic train/eval split by record position; ``cli.PipelineConfig``
+    checks that each side gets at least one record."""
     records = list(records)
     n_eval = int(round(len(records) * eval_fraction))
     n_train = len(records) - n_eval

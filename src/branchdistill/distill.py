@@ -25,8 +25,9 @@ recomputed during student training. The store is one file per teacher: a
 length-prefixed JSON header naming the teacher, ``max_len`` and the sample
 ids in row order, then one (N, 2, L) little-endian float64 block of start
 and end logits. ``write_logit_store`` takes the block as
-``model.forward_logits`` returns it and checks it once, as a whole.
-``LogitStore`` reads the file once when it is opened, checks the header,
+``model.forward_logits`` returns it and trusts its shape; it refuses only a
+non-finite value or a repeated id, which would make a store no one could
+open. ``LogitStore`` reads the file once when it is opened, checks the header,
 the ids, the block's exact size and every value, and then serves rows
 from memory.
 
@@ -45,12 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    IncompleteLogits,
-    InvalidConfig,
-    InvalidParameter,
-    ShapeError,
-)
+from .errors import IncompleteLogits, InvalidConfig, InvalidParameter
 from .corpus import write_file
 from .model import pack_artifact, read_artifact
 
@@ -174,11 +170,9 @@ def batch_kd(z, teacher_p: np.ndarray, tau: float):
 def write_logit_store(path, teacher_id: str, sample_ids, logits: np.ndarray) -> None:
     """Write one teacher's (N, 2, L) block of start and end logits, row i
     belonging to ``sample_ids[i]``: a length-prefixed JSON header with the
-    ids and L, then the block."""
+    ids and L, then the block. A non-finite value or a repeated id raises
+    before anything is written."""
     sample_ids = list(sample_ids)
-    if logits.ndim != 3 or logits.shape[:2] != (len(sample_ids), 2):
-        raise ShapeError(f"logits have shape {logits.shape}, expected "
-                         f"({len(sample_ids)}, 2, max_len)")
     if not np.isfinite(logits).all():
         raise InvalidParameter(f"logits for {teacher_id!r} contain non-finite values")
     if len(set(sample_ids)) != len(sample_ids):

@@ -1,8 +1,11 @@
 """Exception types shared across the pipeline.
 
-Each exception corresponds to one failure mode of the public operations;
-the CLI maps them onto process exit codes (configuration errors -> 2,
-missing upstream artifacts -> 3, everything else -> 1).
+Each type names one way data that enters the program can be bad: a flag or
+config value, a file the program reads, or two artifacts that do not belong
+together. Values the program built itself, or has already checked, are
+trusted, so no type guards them. ``cli.guarded`` maps a missing upstream
+artifact to exit 3 and every other type here to exit 2; anything else is
+exit 1.
 """
 
 from contextlib import contextmanager
@@ -13,7 +16,8 @@ class InvalidConfig(ValueError):
 
 
 class InvalidParameter(ValueError):
-    """A numerical argument violates a precondition (e.g. tau <= 0)."""
+    """A computed value is not finite: a diverging loss, or logits a store
+    could not hold."""
 
 
 class InvalidRecord(ValueError):
@@ -24,19 +28,8 @@ class Unrecoverable(ValueError):
     """An answer span cannot be recovered from a marked token sequence."""
 
 
-class ShapeError(ValueError):
-    """Array shapes are inconsistent with the operation's contract."""
-
-
-class IncompleteLogits(KeyError):
+class IncompleteLogits(ValueError):
     """A required teacher logit record is absent from the store."""
-
-    # KeyError's own __str__ quotes the message, as the repr of a key
-    __str__ = Exception.__str__
-
-
-class NoValidSpan(ValueError):
-    """No (start, end) pair satisfies the decoding constraints."""
 
 
 class MissingArtifact(FileNotFoundError):

@@ -7,10 +7,12 @@ Predictions are decoded by maximizing ``z_s[s] + z_e[e]`` over pairs with
 ``s <= e < s + max_answer_length`` and both positions inside the passage;
 ties break toward the smaller start, then the smaller end. Metrics follow
 the usual span-extraction conventions on token sequences: exact match is
-sequence identity, F1 is multiset token overlap. Reports aggregate per
-(passage language, question language) cell, so a single report covers both
-same-language and cross-language evaluation; zero-shot evaluation is the
-same operation run on a language absent from training.
+sequence identity, F1 is multiset token overlap. ``score`` aggregates
+(sample, answer) pairs per (passage language, question language) cell, so a
+single report covers both same-language and cross-language evaluation, and
+predictions of several models make one report the same way as one model's;
+zero-shot evaluation is the same operation run on a language absent from
+training.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import read_json
-from .errors import InvalidConfig, InvalidParameter, NoValidSpan
+from .errors import InvalidConfig
 from .model import SpanModel, Vocabulary, encode_dataset, forward_logits
 
 
@@ -38,38 +40,25 @@ class EvalConfig:
 
 def decode_span(z_s, z_e, valid_mask, max_answer_length: int) -> np.ndarray:
     """Best-scoring valid (start, end) pair of every row, under the length
-    constraint, as a (..., 2) int array for (..., L) inputs.
+    constraint, as a (..., 2) int array for (..., L) float arrays and an
+    (..., L) bool ``valid_mask``.
 
     The best end of each start is the first maximum of its window of the
     passage-masked ``z_e``; the best start is the first maximum of
-    ``z_s + that maximum``, over the finite scores of valid starts. Raises
-    ``NoValidSpan`` if any row has no valid pair.
+    ``z_s + that maximum`` over the valid starts, whose scores are finite
+    since each window holds its own start's end logit. Every row needs a
+    valid position, as each row of ``predict`` has.
     """
-    if max_answer_length < 1:
-        raise InvalidParameter(f"max_answer_length must be >= 1, got {max_answer_length}")
-    z_s = np.asarray(z_s, dtype=np.float64)
-    z_e = np.asarray(z_e, dtype=np.float64)
-    valid = np.asarray(valid_mask, dtype=bool)
-    if z_s.shape != z_e.shape or z_s.shape != valid.shape:
-        raise InvalidParameter("decode inputs must share one length")
     *rows, length = z_s.shape
-    if length == 0:
-        # argmax cannot reduce an empty axis; no row has a pair
-        if math.prod(rows):
-            raise NoValidSpan("no valid (start, end) pair")
-        return np.zeros((*rows, 2), dtype=np.intp)
     # the window of start s is z_e[s : s + width]; padding with -inf lets
     # every start have a full window without changing its first maximum
     width = min(max_answer_length, length)
     padded = np.full((*rows, length + width - 1), -np.inf)
-    np.copyto(padded[..., :length], z_e, where=valid)
+    np.copyto(padded[..., :length], z_e, where=valid_mask)
     windows = sliding_window_view(padded, width, axis=-1)
     offsets = windows.argmax(axis=-1)
     scores = z_s + np.take_along_axis(windows, offsets[..., None], axis=-1)[..., 0]
-    finite = valid & np.isfinite(scores)
-    if not finite.any(axis=-1).all():
-        raise NoValidSpan("no valid (start, end) pair")
-    scores[~finite] = -np.inf
+    scores[~valid_mask] = -np.inf
     starts = scores.argmax(axis=-1)
     ends = starts + np.take_along_axis(offsets, starts[..., None], axis=-1)[..., 0]
     return np.stack([starts, ends], axis=-1)
@@ -169,14 +158,13 @@ def predict(model: SpanModel, samples, vocab: Vocabulary, config: EvalConfig):
     return pairs, skipped
 
 
-def evaluate(model: SpanModel, samples, vocab: Vocabulary,
-             config: EvalConfig = EvalConfig()) -> EvalReport:
-    """Score a dataset and aggregate EM/F1 into the language grid.
+def score(pairs, skipped: int) -> EvalReport:
+    """Aggregate EM/F1 of (sample, answer tokens) pairs into the language
+    grid, with ``skipped`` samples counted as skips.
 
-    Deterministic and invariant to dataset ordering: per-cell results are
-    sorted by sample key before reduction.
+    Deterministic and invariant to the order of ``pairs``: per-cell results
+    are sorted by sample key before reduction.
     """
-    pairs, skipped = predict(model, samples, vocab, config)
     by_cell: dict[tuple[str, str], list[tuple[str, int, float]]] = {}
     for sample, answer in pairs:
         gold = tuple(sample.passage_tokens[sample.gold_start : sample.gold_end + 1])
@@ -206,25 +194,10 @@ def evaluate(model: SpanModel, samples, vocab: Vocabulary,
     return report
 
 
-def merge_reports(reports) -> EvalReport:
-    """Combine reports with disjoint grids into one (e.g. per-language experts
-    each scored on their own passage-language cells)."""
-    merged = EvalReport()
-    seen: set[tuple[str, str]] = set()
-    for report in reports:
-        for cell in report.cells:
-            key = (cell.passage_lang, cell.question_lang)
-            if key in seen:
-                raise InvalidConfig(f"cell {key} appears in more than one report")
-            seen.add(key)
-            merged.cells.append(cell)
-        merged.skips += report.skips
-    merged.cells.sort(key=lambda c: (c.passage_lang, c.question_lang))
-    merged.n = sum(c.n for c in merged.cells)
-    if merged.n:
-        merged.overall_em = math.fsum(c.em * c.n for c in merged.cells) / merged.n
-        merged.overall_f1 = math.fsum(c.f1 * c.n for c in merged.cells) / merged.n
-    return merged
+def evaluate(model: SpanModel, samples, vocab: Vocabulary,
+             config: EvalConfig = EvalConfig()) -> EvalReport:
+    """The ``score`` of the model's predictions on a dataset."""
+    return score(*predict(model, samples, vocab, config))
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ from .distill import (
     softmax_temperature,
     write_logit_store,
 )
-from .errors import InvalidConfig, InvalidParameter, ShapeError
+from .errors import InvalidConfig, InvalidParameter
 from .model import (
     ModelConfig,
     SpanModel,
@@ -259,7 +259,7 @@ def train(
             raise InvalidConfig(f"teacher ids {unknown} have no store")
         for tid, store in stores.items():
             if store.max_len != model_config.max_len:
-                raise ShapeError(
+                raise InvalidConfig(
                     f"store for {tid!r} has max_len {store.max_len}, model expects "
                     f"{model_config.max_len}"
                 )

@@ -12,7 +12,6 @@ import numpy as np
 
 from branchdistill import distill as ds
 from branchdistill import model as md
-from branchdistill.errors import ShapeError
 
 
 def cross_entropy(target, predicted) -> float:
@@ -20,7 +19,7 @@ def cross_entropy(target, predicted) -> float:
     target = np.asarray(target, dtype=np.float64)
     predicted = np.asarray(predicted, dtype=np.float64)
     if target.shape != predicted.shape:
-        raise ShapeError(f"target shape {target.shape} != predicted shape {predicted.shape}")
+        raise ValueError(f"target shape {target.shape} != predicted shape {predicted.shape}")
     return float(-(target * np.log(np.maximum(predicted, ds.LOG_FLOOR))).sum())
 
 

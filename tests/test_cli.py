@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -11,10 +12,11 @@ import pytest
 
 from branchdistill import cli
 from branchdistill import corpus as cp
+from branchdistill import errors
 from branchdistill import evaluation as ev
 from branchdistill import model as md
 from branchdistill import train as tr
-from branchdistill.errors import InvalidConfig
+from branchdistill.errors import InvalidConfig, MissingArtifact
 
 TINY = [
     "--corpus.records", "20",
@@ -197,6 +199,39 @@ class TestPipelineCommands:
     def test_missing_checkpoint_is_exit_3(self, pipeline_dir):
         assert tiny("evaluate", pipeline_dir,
                     "--model", str(pipeline_dir / "teachers" / "nope" / "final.ckpt")) == 3
+
+    def test_checkpoint_from_another_build_is_exit_2(self, pipeline_dir, tmp_path, capsys):
+        # teacher de embeds the three-language vocabulary; an en-only rebuild
+        # writes a smaller one, whose ids would select the wrong rows
+        out = tmp_path / "copy"
+        shutil.copytree(pipeline_dir, out)
+        shutil.rmtree(out / "logits")
+        assert tiny("build", out, "--languages", "en") == 0
+        capsys.readouterr()
+        ckpt = out / "teachers" / "de" / "final.ckpt"
+        for command, *extra in (["evaluate", "--model", str(ckpt)],
+                                ["dump-logits", "--teacher", "de"]):
+            assert tiny(command, out, *extra) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and str(ckpt) in err and str(out / "vocab.json") in err
+        assert not (out / "logits").exists()
+
+    def test_vocabulary_with_more_ids_than_the_checkpoint_is_exit_2(self, pipeline_dir,
+                                                                      tmp_path, capsys):
+        # one more token shifts every id after it, so the checkpoint reads wrong rows
+        out = tmp_path / "copy"
+        shutil.copytree(pipeline_dir, out)
+        shutil.rmtree(out / "logits")
+        vocab = json.loads((out / "vocab.json").read_text())
+        vocab["tokens"].append("en:unseen")
+        (out / "vocab.json").write_text(json.dumps(vocab))
+        ckpt = out / "teachers" / "en" / "final.ckpt"
+        for command, *extra in (["evaluate", "--model", str(ckpt)],
+                                ["dump-logits", "--teacher", "en"]):
+            assert tiny(command, out, *extra) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and str(ckpt) in err and str(out / "vocab.json") in err
+        assert not (out / "logits").exists()
 
     def test_distill_without_stores_is_exit_3(self, tmp_path):
         tiny("generate", tmp_path)
@@ -461,6 +496,21 @@ class TestConfigHandling:
         assert len(defaults) == 24
         assert {key: cli.SCHEMA[key][1] for key in defaults} == defaults
 
+    def test_split_check_agrees_with_split_records(self, tmp_path):
+        # the config refuses exactly the splits that would leave a side empty
+        values = {key: default for key, (_, default, _) in cli.SCHEMA.items()}
+        for records in range(1, 13):
+            for fraction in [i / 20 for i in range(20)] + [0.05 / records, 0.5 / records]:
+                train, held_out = cp.split_records(range(records), fraction)
+                try:
+                    cli.PipelineConfig(values={**values, "corpus.records": records,
+                                               "corpus.eval_fraction": fraction},
+                                       seed=3, out_dir=tmp_path)
+                    accepted = True
+                except InvalidConfig:
+                    accepted = False
+                assert accepted == (bool(train) and bool(held_out)), (records, fraction)
+
     def test_unknown_config_key(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"nonsense.key": 1}))
@@ -479,8 +529,9 @@ class TestConfigHandling:
     @pytest.mark.parametrize("setting", [
         ["--train.clip_norm", "nan"], ["--train.clip_norm", "inf"], ["--train.tau", "inf"],
         '{"train.tau": Infinity}', '{"train.epochs": Infinity}',
+        ["--corpus.records", "1" + "0" * 400],
     ], ids=["clip_norm_nan", "clip_norm_inf", "tau_inf", "config_tau_infinity",
-            "config_epochs_infinity"])
+            "config_epochs_infinity", "records_past_float_range"])
     def test_non_finite_setting_is_config_error(self, tmp_path, setting, capsys):
         # refused before training, not after the last epoch when no manifest
         # can record it
@@ -563,6 +614,21 @@ def tiny_config(out_dir, seed="3"):
     return cli.resolve_config(args)
 
 
+ERROR_TYPES = [obj for _, obj in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(obj, Exception) and obj.__module__ == errors.__name__]
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("error", ERROR_TYPES, ids=lambda cls: cls.__name__)
+    def test_every_error_type_has_a_documented_exit_code(self, error, capsys):
+        def fail():
+            raise error("what went wrong")
+
+        assert cli.guarded(fail) == (3 if issubclass(error, MissingArtifact) else 2)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.rstrip().endswith("what went wrong")
+
+
 class TestDrivers:
     def test_pipeline_reports_one_file_per_stem(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -601,6 +667,8 @@ class TestExperimentCommands:
         ("pipeline", ["--model.hidden", "3"], "hidden"),
         ("pipeline", ["--model.max_len", "3"], "max_len"),
         ("pipeline", ["--corpus.eval_fraction", "1.0"], "corpus.eval_fraction"),
+        ("pipeline", ["--corpus.eval_fraction", "0.98"], "records 20 with corpus.eval_fraction"),
+        ("pipeline", ["--corpus.eval_fraction", "0.0"], "records 20 with corpus.eval_fraction"),
         ("noise-study", ["--corpus.records", "many"], "corpus.records"),
         ("noise-study", ["--eval.max_answer_length", "0"], "max_answer_length"),
         ("noise-study", ["--seeds", "x"], "--seeds"),
@@ -609,7 +677,8 @@ class TestExperimentCommands:
     ], ids=["pipeline", "pipeline-max_answer_length_0", "pipeline-epochs_0",
             "pipeline-batch_size_0", "pipeline-tau_0", "pipeline-strategy_bogus",
             "pipeline-impurity_sign_0", "pipeline-hidden_3", "pipeline-max_len_3",
-            "pipeline-eval_fraction_1", "noise-study", "noise-study-max_answer_length_0",
+            "pipeline-eval_fraction_1", "pipeline-no_training_record",
+            "pipeline-no_evaluation_record", "noise-study", "noise-study-max_answer_length_0",
             "noise-study-seeds_text", "noise-study-seeds_empty", "noise-study-seeds_negative"])
     def test_bad_setting_is_exit_2(self, tmp_path, command, setting, named, capsys):
         # refused before any stage writes, not at the first evaluate or after training

@@ -113,11 +113,6 @@ class TestInit:
         table = md.positional_table(max_len=4, hidden=6)
         np.testing.assert_allclose(table[0], [0.0, 1.0, 0.0, 1.0, 0.0, 1.0], atol=0)
 
-    def test_negative_seed_rejected(self):
-        config = md.ModelConfig(vocab_size=md.FIRST_TOKEN_ID + 1)
-        with pytest.raises(InvalidConfig):
-            md.init_model(config, seed=-1)
-
 
 class TestForward:
     def test_zero_heads_give_zero_logits_on_passage(self):

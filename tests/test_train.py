@@ -7,7 +7,7 @@ from branchdistill import corpus as cp
 from branchdistill import distill as ds
 from branchdistill import model as md
 from branchdistill import train as tr
-from branchdistill.errors import IncompleteLogits, InvalidConfig, InvalidParameter, ShapeError
+from branchdistill.errors import IncompleteLogits, InvalidConfig, InvalidParameter
 
 from _oracles import vocabulary_from_samples
 
@@ -406,7 +406,7 @@ class TestDistillStudent:
         result, union, vocab, config = small_task()
         stores = self._stores(tmp_path, result, union, vocab, config)
         other = md.ModelConfig(vocab_size=vocab.size, hidden=8, ffn=12, max_len=32)
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidConfig, match="has max_len"):
             tr.train(union, vocab, other, tr.TrainConfig(epochs=1), "student", stores=stores)
 
     def test_single_teacher_distillation_runs(self, tmp_path):
