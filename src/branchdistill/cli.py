@@ -29,15 +29,7 @@ import numpy as np
 from . import corpus as cp
 from . import evaluation as ev
 from .distill import LogitStore
-from .errors import (
-    IncompleteLogits,
-    InvalidConfig,
-    InvalidParameter,
-    InvalidRecord,
-    MissingArtifact,
-    Unrecoverable,
-    malformed_as_invalid,
-)
+from .errors import InvalidConfig, MissingArtifact, malformed_as_invalid
 from .model import ModelConfig, SpanModel, Vocabulary, load_model
 from .train import MANIFEST_VERSION, RunManifest, TrainConfig, dump_teacher_logits, train
 
@@ -97,8 +89,9 @@ class PipelineConfig:
     """Resolved flat configuration plus the run's seed and output directory.
 
     Every setting is checked here, once, so a bad one stops a command before
-    any stage writes. The language list, and the split ``corpus.records``
-    and ``corpus.eval_fraction`` make, are checked below; every other setting
+    any stage writes. The language list, with the held-out
+    ``zero_shot_language`` outside it, and the split ``corpus.records`` and
+    ``corpus.eval_fraction`` make, are checked below; every other setting
     by the settings object built from it (the seed by ``train``). ``model``
     holds the empty vocabulary's size; a stage replaces it with the size of
     the vocabulary ``build`` wrote. ``dataclasses.replace`` builds every
@@ -120,6 +113,9 @@ class PipelineConfig:
             raise InvalidConfig("language list must be non-empty")
         if len(set(self.languages)) != len(self.languages):
             raise InvalidConfig("language list contains duplicates")
+        if self.zero_shot_language in self.languages:
+            raise InvalidConfig(f"zero_shot_language {self.zero_shot_language!r} is a training "
+                                f"language; it must be held out of {self.languages}")
         records, fraction = self.values["corpus.records"], self.values["corpus.eval_fraction"]
         if not 0.0 <= fraction < 1.0:
             raise InvalidConfig(f"corpus.eval_fraction must be in [0, 1), got {fraction}")
@@ -281,10 +277,7 @@ def _write_with_text(path: Path, obj, text: str) -> None:
 
 
 def corpus_languages(cfg: PipelineConfig) -> list[str]:
-    langs = list(cfg.languages)
-    if cfg.zero_shot_language and cfg.zero_shot_language not in langs:
-        langs.append(cfg.zero_shot_language)
-    return langs
+    return cfg.languages + ([cfg.zero_shot_language] if cfg.zero_shot_language else [])
 
 
 def op_generate(cfg: PipelineConfig) -> Path:
@@ -325,8 +318,9 @@ def op_build(cfg: PipelineConfig, mode: str, language: str | None = None) -> dic
     arguments are checked before anything is read or written."""
     if mode not in ("lbmrc", "mixmrc", "translate-train"):
         raise InvalidConfig(f"unknown build mode {mode!r}")
-    if mode == "translate-train" and not language:
-        raise InvalidConfig("build --mode translate-train requires --language")
+    if mode == "translate-train" and language not in cfg.languages:
+        raise InvalidConfig(f"build --mode translate-train needs --language, one of the "
+                            f"training languages {cfg.languages}; got {language!r}")
     train_records, eval_records = _split_records(cfg)
     cfg.datasets_dir.mkdir(parents=True, exist_ok=True)
     _write_vocab(cfg, train_records)
@@ -782,11 +776,10 @@ def guarded(call) -> int:
         return call()
     except SystemExit as exc:   # argparse's --help and flag errors, noise-study's verdict
         return int(exc.code or 0)
-    except (InvalidConfig, InvalidParameter, InvalidRecord,
-            Unrecoverable, IncompleteLogits) as exc:
+    except InvalidConfig as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MissingArtifact, FileNotFoundError) as exc:
+    except FileNotFoundError as exc:   # ``MissingArtifact`` among them
         print(f"missing artifact: {exc}", file=sys.stderr)
         return 3
     except Exception:

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidRecord, Unrecoverable, malformed_as_invalid
+from .errors import InvalidConfig, malformed_as_invalid
 
 ANSWER_OPEN = "⟦"   # reserved marker, cannot appear in generated text
 ANSWER_CLOSE = "⟧"
@@ -68,7 +68,7 @@ class Rendering:
         if self.answer_span is not None:
             start, end = self.answer_span
             if not (0 <= start <= end < len(self.passage_tokens)):
-                raise InvalidRecord(
+                raise InvalidConfig(
                     f"answer span {self.answer_span} out of bounds for "
                     f"passage of length {len(self.passage_tokens)}"
                 )
@@ -84,7 +84,7 @@ class AlignedRecord:
 
     def __post_init__(self):
         if self.source_language not in self.renderings:
-            raise InvalidRecord(
+            raise InvalidConfig(
                 f"record {self.id} lacks its source language "
                 f"{self.source_language!r}"
             )
@@ -104,7 +104,7 @@ class Sample:
 
     def __post_init__(self):
         if not (0 <= self.gold_start <= self.gold_end < len(self.passage_tokens)):
-            raise InvalidRecord(
+            raise InvalidConfig(
                 f"sample {self.id}: gold span ({self.gold_start}, {self.gold_end}) "
                 f"out of bounds for passage of length {len(self.passage_tokens)}"
             )
@@ -182,28 +182,18 @@ def mark_answer(rendering: Rendering) -> list[str]:
     return tokens[:start] + [ANSWER_OPEN] + tokens[start : end + 1] + [ANSWER_CLOSE] + tokens[end + 1 :]
 
 
-def recover_answer(marked_tokens) -> tuple[list[str], tuple[int, int]]:
-    """Strip the marker pair and return (clean tokens, inclusive span).
-
-    Raises ``Unrecoverable`` when the markers are absent, duplicated,
-    crossed, or enclose no tokens; callers discard such renderings.
-    """
+def recover_answer(marked_tokens) -> tuple[list[str], tuple[int, int] | None]:
+    """The tokens without the answer markers, and the inclusive span the
+    marker pair enclosed: None when the markers are absent, duplicated,
+    crossed, or enclose no tokens, and callers keep the rendering without
+    an answer."""
     marked = list(marked_tokens)
+    tokens = [t for t in marked if t not in RESERVED_TOKENS]
     opens = [i for i, t in enumerate(marked) if t == ANSWER_OPEN]
     closes = [i for i, t in enumerate(marked) if t == ANSWER_CLOSE]
-    if len(opens) != 1 or len(closes) != 1:
-        raise Unrecoverable(
-            f"expected exactly one marker pair, found {len(opens)} open / {len(closes)} close"
-        )
-    o, c = opens[0], closes[0]
-    if c <= o + 1:
-        raise Unrecoverable("markers are crossed or enclose no tokens")
-    tokens = marked[:o] + marked[o + 1 : c] + marked[c + 1 :]
-    return tokens, (o, c - 2)
-
-
-def strip_markers(tokens) -> list[str]:
-    return [t for t in tokens if t not in RESERVED_TOKENS]
+    if len(opens) != 1 or len(closes) != 1 or closes[0] <= opens[0] + 1:
+        return tokens, None
+    return tokens, (opens[0], closes[0] - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +430,8 @@ def generate_synthetic_corpus(
             translated = [_translate_token(t, lang, invariant) for t in source_marked]
             corrupted = _apply_noise(translated, noise, rng_noise)
             translated_question = tuple(_translate_token(t, lang, invariant) for t in question)
-            try:
-                clean, recovered_span = recover_answer(corrupted)
-                renderings[lang] = Rendering(tuple(clean), translated_question, recovered_span)
-            except Unrecoverable:
-                renderings[lang] = Rendering(tuple(strip_markers(corrupted)), translated_question, None)
+            clean, recovered_span = recover_answer(corrupted)
+            renderings[lang] = Rendering(tuple(clean), translated_question, recovered_span)
 
         records.append(AlignedRecord(id=f"r{index:06d}", source_language=source,
                                      renderings=renderings))
@@ -541,7 +528,7 @@ def read_corpus(path) -> list[AlignedRecord]:
             for lang, r in raw["renderings"].items():
                 start, end = r["answer_start"], r["answer_end"]
                 if (start is None) != (end is None):
-                    raise InvalidRecord(f"record {raw['id']}: half-open answer span")
+                    raise InvalidConfig(f"record {raw['id']}: half-open answer span")
                 span = None if start is None else (int(start), int(end))
                 renderings[lang] = Rendering(
                     tuple(r["passage_tokens"]), tuple(r["question_tokens"]), span

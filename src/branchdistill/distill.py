@@ -27,9 +27,10 @@ ids in row order, then one (N, 2, L) little-endian float64 block of start
 and end logits. ``write_logit_store`` takes the block as
 ``model.forward_logits`` returns it and trusts its shape; it refuses only a
 non-finite value or a repeated id, which would make a store no one could
-open. ``LogitStore`` reads the file once when it is opened, checks the header,
-the ids, the block's exact size and every value, and then serves rows
-from memory.
+open. ``LogitStore`` reads the file once when it is opened, parses its
+own header fields and checks the ids; ``model.read_artifact``, the reader
+it shares with checkpoints, checks the block's exact size and every value.
+It then serves rows from memory.
 
 Each setting and artifact is checked once, where it enters: by the CLI's
 config parser, the construction of ``train.TrainConfig``, ``train.train``'s
@@ -46,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IncompleteLogits, InvalidConfig, InvalidParameter
+from .errors import InvalidConfig
 from .corpus import write_file
 from .model import pack_artifact, read_artifact
 
@@ -174,7 +175,7 @@ def write_logit_store(path, teacher_id: str, sample_ids, logits: np.ndarray) -> 
     before anything is written."""
     sample_ids = list(sample_ids)
     if not np.isfinite(logits).all():
-        raise InvalidParameter(f"logits for {teacher_id!r} contain non-finite values")
+        raise InvalidConfig(f"logits for {teacher_id!r} contain non-finite values")
     if len(set(sample_ids)) != len(sample_ids):
         raise InvalidConfig(f"duplicate sample ids in the store for {teacher_id!r}")
     write_file(path, pack_artifact({
@@ -185,45 +186,36 @@ def write_logit_store(path, teacher_id: str, sample_ids, logits: np.ndarray) -> 
     }, logits))
 
 
+def _parse_store_header(header):
+    """(teacher id, row of each sample id) and the block's shape."""
+    max_len, sample_ids = int(header["max_len"]), header["sample_ids"]
+    if max_len < 1:
+        raise ValueError(f"max_len {max_len}")
+    if not isinstance(sample_ids, list) or not all(isinstance(s, str) for s in sample_ids):
+        raise TypeError("sample_ids is not a list of strings")
+    rows = {sid: row for row, sid in enumerate(sample_ids)}
+    if len(rows) != len(sample_ids):
+        raise ValueError("repeated sample ids")
+    return (str(header["teacher_id"]), rows), (len(rows), 2, max_len)
+
+
 class LogitStore:
     """One teacher's precomputed logits, read and checked once when opened.
 
-    Opening reads the file in one pass and checks the header, that its
-    sample ids are distinct, that the block holds exactly (count, 2, L)
-    values and that every value is finite; a defect raises
-    ``InvalidConfig``. The (count, 2, L) block is then held in memory,
-    ``get`` and ``take`` serve rows of it, and ``sha256`` is the digest of
-    the bytes read.
+    Opening reads the file in one pass with ``model.read_artifact``, which
+    checks the header, that the block holds exactly (count, 2, L) values
+    and that every value is finite; the header's sample ids must be
+    distinct strings. A defect raises ``InvalidConfig``. The (count, 2, L)
+    block is then held in memory, ``get`` and ``take`` serve rows of it,
+    and ``sha256`` is the digest of the bytes read.
     """
 
     def __init__(self, path):
         self.path = Path(path)
-        data, header, start = read_artifact(path, "logit store", STORE_VERSION)
+        data, (self.teacher_id, self._rows), self._values = read_artifact(
+            path, "logit store", STORE_VERSION, _parse_store_header)
         self.sha256 = hashlib.sha256(data).hexdigest()
-        try:
-            self.teacher_id: str = str(header["teacher_id"])
-            self.max_len: int = int(header["max_len"])
-            sample_ids = header["sample_ids"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise self._corrupt(f"bad header field ({exc})") from exc
-        if self.max_len < 1:
-            raise self._corrupt(f"max_len {self.max_len}")
-        if not isinstance(sample_ids, list) or not all(isinstance(s, str) for s in sample_ids):
-            raise self._corrupt("sample_ids is not a list of strings")
-        self._rows = {sid: row for row, sid in enumerate(sample_ids)}
-        if len(self._rows) != len(sample_ids):
-            raise self._corrupt("repeated sample ids")
-        self.count: int = len(sample_ids)
-        size = 16 * self.max_len * self.count
-        if len(data) - start != size:
-            raise self._corrupt(f"{len(data) - start} bytes of logits, expected {size}")
-        values = np.frombuffer(data, dtype="<f8", offset=start).reshape(self.count, 2, self.max_len)
-        if not np.isfinite(values).all():
-            raise self._corrupt("non-finite logits")
-        self._values = values
-
-    def _corrupt(self, what: str) -> InvalidConfig:
-        return InvalidConfig(f"logit store {self.path} is corrupt: {what}")
+        self.count, _, self.max_len = self._values.shape
 
     def sample_ids(self) -> list[str]:
         return sorted(self._rows)
@@ -231,7 +223,7 @@ class LogitStore:
     def get(self, sample_id: str) -> LogitRecord:
         row = self._rows.get(sample_id)
         if row is None:
-            raise IncompleteLogits(
+            raise InvalidConfig(
                 f"teacher {self.teacher_id!r} has no logits for sample {sample_id!r}"
             )
         return LogitRecord(sample_id=sample_id, teacher_id=self.teacher_id,
@@ -242,7 +234,7 @@ class LogitStore:
         sample_ids = list(sample_ids)
         missing = [sid for sid in sample_ids if sid not in self._rows]
         if missing:
-            raise IncompleteLogits(
+            raise InvalidConfig(
                 f"{len(missing)} samples lack teacher logits (first: {missing[0]!r} "
                 f"from teacher {self.teacher_id!r})"
             )

@@ -1,35 +1,19 @@
-"""Exception types shared across the pipeline.
+"""Exception types shared across the pipeline, one per exit code.
 
-Each type names one way data that enters the program can be bad: a flag or
-config value, a file the program reads, or two artifacts that do not belong
-together. Values the program built itself, or has already checked, are
-trusted, so no type guards them. ``cli.guarded`` maps a missing upstream
-artifact to exit 3 and every other type here to exit 2; anything else is
-exit 1.
+Data that enters the program can be bad in a few ways: a flag or config
+value, a file the program reads, or two artifacts that do not belong
+together. Each is an ``InvalidConfig`` with a message naming what is wrong,
+and ``cli.guarded`` maps it to exit 2; a missing upstream artifact is a
+``MissingArtifact``, exit 3; anything else is exit 1. Values the program
+built itself, or has already checked, are trusted, so no type guards them.
 """
 
 from contextlib import contextmanager
 
 
 class InvalidConfig(ValueError):
-    """A configuration value is missing, malformed, or out of range."""
-
-
-class InvalidParameter(ValueError):
-    """A computed value is not finite: a diverging loss, or logits a store
-    could not hold."""
-
-
-class InvalidRecord(ValueError):
-    """A corpus record or rendering violates its invariants."""
-
-
-class Unrecoverable(ValueError):
-    """An answer span cannot be recovered from a marked token sequence."""
-
-
-class IncompleteLogits(ValueError):
-    """A required teacher logit record is absent from the store."""
+    """A setting, an artifact or a pair of artifacts is missing a field,
+    malformed, out of range or inconsistent."""
 
 
 class MissingArtifact(FileNotFoundError):
@@ -40,11 +24,10 @@ class MissingArtifact(FileNotFoundError):
 def malformed_as_invalid(path, what: str):
     """Raise ``InvalidConfig`` naming the JSON artifact ``path`` when the
     ``with`` body cannot decode or parse it or finds a field missing or of
-    the wrong type; the body's own ``InvalidConfig`` and ``InvalidRecord``
-    pass through."""
+    the wrong type; the body's own ``InvalidConfig`` passes through."""
     try:
         yield
-    except (InvalidConfig, InvalidRecord):
+    except InvalidConfig:
         raise
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise InvalidConfig(f"{what} {path} is malformed ({type(exc).__name__}: {exc})") from exc

@@ -94,6 +94,18 @@ class CellMetrics:
     n: int
 
 
+def _typed(raw: dict, key: str, kind: type):
+    """``raw[key]``: an integer, or with ``kind`` float any finite number
+    (``json`` reads ``NaN``, which no report holds); never a JSON boolean,
+    which Python counts as an integer."""
+    value = raw[key]
+    if (isinstance(value, bool) or not isinstance(value, (int, kind))
+            or isinstance(value, float) and not math.isfinite(value)):
+        raise TypeError(f"{key} is {value!r}, not "
+                        f"{'a finite number' if kind is float else 'an integer'}")
+    return value
+
+
 @dataclass
 class EvalReport:
     cells: list[CellMetrics] = field(default_factory=list)
@@ -129,13 +141,16 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "EvalReport":
+        """The report ``to_dict`` wrote; an ``em`` or ``f1`` that is not a
+        finite number, or an ``n`` or ``skips`` that is not an integer,
+        raises ``TypeError``."""
+        def em_f1_n(d) -> tuple[float, float, int]:
+            return _typed(d, "em", float), _typed(d, "f1", float), _typed(d, "n", int)
+
         return cls(
-            cells=[CellMetrics(c["passage_lang"], c["question_lang"], c["em"], c["f1"], c["n"])
-                   for c in raw["grid"]],
-            overall_em=raw["overall"]["em"],
-            overall_f1=raw["overall"]["f1"],
-            n=raw["overall"]["n"],
-            skips=raw["skips"],
+            [CellMetrics(c["passage_lang"], c["question_lang"], *em_f1_n(c)) for c in raw["grid"]],
+            *em_f1_n(raw["overall"]),
+            skips=_typed(raw, "skips", int),
         )
 
     @classmethod

@@ -43,9 +43,10 @@ order; ``param_views`` gives the per-name views that are
 ``SpanModel.params``, and the views of a same-shaped flat gradient buffer
 that ``backward`` writes through.
 Checkpoints are a JSON header followed by that vector as one little-endian
-float64 block, and round-trip bit-exactly; ``load_model`` maps a cut,
-garbled or overlong file, or one holding a non-finite parameter, to
-``InvalidConfig``.
+float64 block, and round-trip bit-exactly. Checkpoints and logit stores
+share that layout and one reader, ``read_artifact``, which maps a cut,
+garbled or overlong file, a bad header field or a non-finite value to
+``InvalidConfig``; each caller parses only its own header fields.
 
 A checkpoint is checked where it enters, by ``load_model``, and against
 its vocabulary file by the CLI. Everything else here trusts its inputs:
@@ -91,6 +92,10 @@ class ModelConfig:
     layers: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidConfig(f"{f.name} must be an integer, got {value!r}")
         if self.vocab_size < 2:
             raise InvalidConfig(f"vocab_size must be >= 2, got {self.vocab_size}")
         if self.hidden < 2 or self.hidden % 2 != 0:
@@ -478,22 +483,41 @@ def pack_artifact(header: dict, values: np.ndarray) -> bytes:
     return b"".join((len(blob).to_bytes(4, "little"), blob, block))
 
 
-def read_artifact(path, kind: str, version: int) -> tuple[bytes, dict, int]:
-    """The bytes of a file in the ``pack_artifact`` layout, its header and
-    the offset of its block. A cut or garbled header raises ``InvalidConfig``
-    ("<kind> <path> is corrupt: ..."), and so does a ``format_version``
-    other than ``version``."""
+def read_artifact(path, kind: str, version: int, parse) -> tuple[bytes, object, np.ndarray]:
+    """The bytes of a file in the ``pack_artifact`` layout, ``parse`` of its
+    header, and its block.
+
+    ``parse(header)`` returns its result and the shape of the block, and
+    raises ``KeyError``, ``TypeError`` or ``ValueError`` for a bad field. A
+    cut or garbled header, a bad field, a block of any other size than that
+    shape or a non-finite value raises ``InvalidConfig`` ("<kind> <path> is
+    corrupt: ..."), and so does a ``format_version`` other than ``version``.
+    """
     data = Path(path).read_bytes()
     start = 4 + int.from_bytes(data[:4], "little")
+
+    def corrupt(what: str) -> InvalidConfig:
+        return InvalidConfig(f"{kind} {path} is corrupt: {what}")
+
     try:
         if len(data) < 4 or start > len(data):
             raise ValueError(f"the header needs {max(start, 4)} bytes, the file has {len(data)}")
         header = json.loads(data[4:start].decode("utf-8"))
     except ValueError as exc:
-        raise InvalidConfig(f"{kind} {path} is corrupt: unreadable header ({exc})") from exc
+        raise corrupt(f"unreadable header ({exc})") from exc
     if not isinstance(header, dict) or header.get("format_version") != version:
         raise InvalidConfig(f"unsupported {kind} version in {path}")
-    return data, header, start
+    try:
+        result, shape = parse(header)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise corrupt(f"bad header field ({exc})") from exc
+    size = 8 * math.prod(shape)
+    if len(data) - start != size:
+        raise corrupt(f"a block of {len(data) - start} bytes, expected {size}")
+    block = np.frombuffer(data, dtype="<f8", offset=start).reshape(shape)
+    if not np.isfinite(block).all():
+        raise corrupt("non-finite values")
+    return data, result, block
 
 
 def save_model(model: SpanModel, path) -> None:
@@ -507,26 +531,15 @@ def save_model(model: SpanModel, path) -> None:
 
 
 def load_model(path) -> SpanModel:
-    """Read a checkpoint written by ``save_model``. A cut or garbled header,
-    a truncated parameter block, bytes after it or a non-finite parameter
-    raise ``InvalidConfig``."""
-    data, header, pos = read_artifact(path, "checkpoint", CHECKPOINT_VERSION)
-
-    def corrupt(what: str) -> InvalidConfig:
-        return InvalidConfig(f"checkpoint {path} is corrupt: {what}")
-
-    try:
+    """Read a checkpoint written by ``save_model``, checked by
+    ``read_artifact``; a parameter list other than the config's layout is a
+    bad header field."""
+    def parse(header):
         config = ModelConfig(**header["config"])
-        seed = int(header["seed"])
         entries = [(e["name"], tuple(e["shape"])) for e in header["params"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise corrupt(f"bad header field ({exc})") from exc
-    if entries != parameter_layout(config):
-        raise InvalidConfig(f"checkpoint {path} does not match the declared layout")
-    size = 8 * parameter_count(config)
-    if len(data) - pos != size:
-        raise corrupt(f"{len(data) - pos} bytes of parameters, expected {size}")
-    flat = np.frombuffer(data, dtype="<f8", offset=pos).astype(np.float64)
-    if not np.isfinite(flat).all():
-        raise corrupt("non-finite parameters")
-    return SpanModel(config=config, seed=seed, flat=flat)
+        if entries != parameter_layout(config):
+            raise ValueError("the parameter list does not match the config's layout")
+        return (config, int(header["seed"])), (parameter_count(config),)
+
+    _, (config, seed), flat = read_artifact(path, "checkpoint", CHECKPOINT_VERSION, parse)
+    return SpanModel(config=config, seed=seed, flat=flat.astype(np.float64))

@@ -20,8 +20,9 @@ start head first, as ``model`` defines them. A step's objective is
 ``model.backward``, which writes it through the per-parameter views of
 one flat gradient laid out like ``SpanModel.flat``; the run allocates that
 buffer and its views once. ``AdamW`` keeps its two moments as flat vectors
-of the same layout and updates every parameter in one pass. A loss or pre-clip gradient norm that is not
-finite stops the run with ``InvalidParameter`` before the optimizer step.
+of the same layout and updates every parameter in one pass. A loss or
+pre-clip gradient norm that is not finite stops the run with
+``InvalidConfig`` before the optimizer step.
 
 Teachers and students share one learning-rate rule (``learning_rate``):
 ``TrainConfig.lr`` is the peak, reached by a linear warmup over the first
@@ -58,7 +59,7 @@ from .distill import (
     softmax_temperature,
     write_logit_store,
 )
-from .errors import InvalidConfig, InvalidParameter
+from .errors import InvalidConfig
 from .model import (
     ModelConfig,
     SpanModel,
@@ -314,9 +315,9 @@ def train(
             backward(model, result, dz, grad_views)
             norm = clip_gradients(grad_views, cfg.clip_norm)
             if not (np.isfinite(loss) and np.isfinite(norm)):
-                raise InvalidParameter(f"run {run_name!r}, epoch {epoch}, step "
-                                       f"{optimizer.step_count + 1} of {total_steps}: loss "
-                                       f"{loss} and gradient norm {norm} must be finite")
+                raise InvalidConfig(f"run {run_name!r}, epoch {epoch}, step "
+                                    f"{optimizer.step_count + 1} of {total_steps}: loss "
+                                    f"{loss} and gradient norm {norm} must be finite")
             grad_norm_max = max(grad_norm_max, norm)
             clip_count += norm > cfg.clip_norm > 0.0
             optimizer.lr = learning_rate(optimizer.step_count, total_steps, cfg.lr)

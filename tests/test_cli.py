@@ -1,15 +1,19 @@
 import dataclasses
+import importlib
 import inspect
 import json
 import os
+import pkgutil
 import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import branchdistill
 from branchdistill import cli
 from branchdistill import corpus as cp
 from branchdistill import errors
@@ -43,6 +47,17 @@ V1_STORE = (
     b"\x00\x00\x00\x00\x00\x00\xe0\xbf\x00\x00\x00\x00\x00\x00\x08@"
     b'\t\x00\x00\x00{"s0":64}\x86\x00\x00\x00\x00\x00\x00\x00'
 )
+
+
+def rewrite_header(edit):
+    """A corruption of a checkpoint that applies ``edit`` to its JSON header
+    and keeps its parameter block."""
+    def corrupt(blob):
+        start = 4 + int.from_bytes(blob[:4], "little")
+        header = json.loads(blob[4:start])
+        edit(header)
+        return md.pack_artifact(header, np.frombuffer(blob, "<f8", offset=start))
+    return corrupt
 
 
 def run(args, *extra):
@@ -126,9 +141,14 @@ class TestBuild:
         for name, size in sizes.items():
             assert len(cp.read_samples(datasets / f"{name}.jsonl")) == size
 
-    def test_translate_train_requires_language(self, tmp_path):
+    @pytest.mark.parametrize("language", [[], ["--language", "fr"]], ids=["none", "untrained"])
+    def test_translate_train_needs_a_training_language(self, tmp_path, language, capsys):
         tiny("generate", tmp_path)
-        assert tiny("build", tmp_path, "--mode", "translate-train") == 2
+        capsys.readouterr()
+        assert tiny("build", tmp_path, "--mode", "translate-train", *language) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: build --mode translate-train needs --language")
+        assert err.count("\n") == 1
         # refused before anything is written
         assert not (tmp_path / "vocab.json").exists()
         assert not (tmp_path / "datasets").exists()
@@ -267,11 +287,17 @@ class TestPipelineCommands:
         ("datasets/union.jsonl", lambda blob: blob.replace(b'"gold_start":', b'"gold_start":"x",'
                                                            b'"was":', 1), ["distill"]),
         ("report.json", lambda blob: blob[: len(blob) // 2], ["compare", "--reports", "{}"]),
+        ("report.json", lambda blob: blob.replace(b'"em":0.0', b'"em":"1.0"'),
+         ["compare", "--reports", "{}"]),
+        ("report.json", lambda blob: blob.replace(b'"em":0.0', b'"em":null'),
+         ["compare", "--reports", "{}"]),
+        ("report.json", lambda blob: blob.replace(b'"em":0.0', b'"em":NaN'),
+         ["compare", "--reports", "{}"]),
         ("corpus.jsonl", lambda blob: blob[: len(blob) // 2], ["build"]),
         ("config.json", lambda blob: blob[: len(blob) // 2], ["generate", "--config", "{}"]),
     ], ids=["manifest", "vocab", "vocab_without_tokens", "vocab_non_string_token",
-            "vocab_tokens_not_a_list", "dataset", "dataset_field_type", "report", "corpus",
-            "config"])
+            "vocab_tokens_not_a_list", "dataset", "dataset_field_type", "report",
+            "report_em_string", "report_em_null", "report_em_nan", "corpus", "config"])
     def test_malformed_json_artifact_is_exit_2(self, pipeline_dir, tmp_path, name, corrupt,
                                                command, capsys):
         out = tmp_path / "copy"
@@ -289,7 +315,9 @@ class TestPipelineCommands:
         lambda blob: blob[:-100],       # last parameter block cut short
         lambda blob: blob[:10],         # header cut
         lambda blob: blob + b"\0\0",    # bytes after the last block
-    ], ids=["truncated_block", "cut_header", "trailing_bytes"])
+        # 8.0 == 8, so only the config's own check refuses it
+        rewrite_header(lambda header: header["config"].update(hidden=8.0)),
+    ], ids=["truncated_block", "cut_header", "trailing_bytes", "float_hidden"])
     def test_dump_logits_from_corrupt_checkpoint_is_exit_2(self, pipeline_dir, tmp_path,
                                                           corrupt, capsys):
         out = tmp_path / "copy"
@@ -297,7 +325,8 @@ class TestPipelineCommands:
         ckpt = out / "teachers" / "en" / "final.ckpt"
         ckpt.write_bytes(corrupt(ckpt.read_bytes()))
         assert tiny("dump-logits", out, "--teacher", "en") == 2
-        assert "is corrupt" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "is corrupt" in err
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_evaluate_non_finite_checkpoint_is_exit_2(self, pipeline_dir, tmp_path, value,
@@ -619,6 +648,16 @@ ERROR_TYPES = [obj for _, obj in inspect.getmembers(errors, inspect.isclass)
 
 
 class TestErrorBoundary:
+    def test_only_errors_defines_exception_types(self):
+        # so ERROR_TYPES, and the test below, see every type the package raises
+        defined = {
+            f"{info.name}.{name}"
+            for info in pkgutil.iter_modules(branchdistill.__path__, "branchdistill.")
+            for name, obj in inspect.getmembers(importlib.import_module(info.name), inspect.isclass)
+            if issubclass(obj, BaseException) and obj.__module__ == info.name
+        }
+        assert defined == {f"{errors.__name__}.{cls.__name__}" for cls in ERROR_TYPES}
+
     @pytest.mark.parametrize("error", ERROR_TYPES, ids=lambda cls: cls.__name__)
     def test_every_error_type_has_a_documented_exit_code(self, error, capsys):
         def fail():
@@ -669,6 +708,7 @@ class TestExperimentCommands:
         ("pipeline", ["--corpus.eval_fraction", "1.0"], "corpus.eval_fraction"),
         ("pipeline", ["--corpus.eval_fraction", "0.98"], "records 20 with corpus.eval_fraction"),
         ("pipeline", ["--corpus.eval_fraction", "0.0"], "records 20 with corpus.eval_fraction"),
+        ("pipeline", ["--zero_shot_language", "es"], "zero_shot_language 'es' is a training"),
         ("noise-study", ["--corpus.records", "many"], "corpus.records"),
         ("noise-study", ["--eval.max_answer_length", "0"], "max_answer_length"),
         ("noise-study", ["--seeds", "x"], "--seeds"),
@@ -678,7 +718,8 @@ class TestExperimentCommands:
             "pipeline-batch_size_0", "pipeline-tau_0", "pipeline-strategy_bogus",
             "pipeline-impurity_sign_0", "pipeline-hidden_3", "pipeline-max_len_3",
             "pipeline-eval_fraction_1", "pipeline-no_training_record",
-            "pipeline-no_evaluation_record", "noise-study", "noise-study-max_answer_length_0",
+            "pipeline-no_evaluation_record", "pipeline-zero_shot_trained", "noise-study",
+            "noise-study-max_answer_length_0",
             "noise-study-seeds_text", "noise-study-seeds_empty", "noise-study-seeds_negative"])
     def test_bad_setting_is_exit_2(self, tmp_path, command, setting, named, capsys):
         # refused before any stage writes, not at the first evaluate or after training

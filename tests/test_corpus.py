@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from branchdistill import corpus as cp
-from branchdistill.errors import InvalidConfig, InvalidRecord, Unrecoverable
+from branchdistill.errors import InvalidConfig
 
 LANGS = ["en", "es", "de"]
 
@@ -42,7 +42,7 @@ class TestMarkAnswer:
         ]
 
     def test_out_of_bounds_span_rejected(self):
-        with pytest.raises(InvalidRecord):
+        with pytest.raises(InvalidConfig, match=r"answer span \(1, 2\) out of bounds"):
             cp.mark_answer(make_rendering(["a", "b"], (1, 2)))
 
 
@@ -53,20 +53,17 @@ class TestRecoverAnswer:
         assert span == (1, 2)
 
     def test_no_markers(self):
-        with pytest.raises(Unrecoverable):
-            cp.recover_answer(["a", "b", "c"])
+        assert cp.recover_answer(["a", "b", "c"]) == (["a", "b", "c"], None)
 
     def test_duplicated_open_marker(self):
-        with pytest.raises(Unrecoverable):
-            cp.recover_answer([cp.ANSWER_OPEN, "a", cp.ANSWER_OPEN, "b", cp.ANSWER_CLOSE])
+        assert cp.recover_answer(
+            [cp.ANSWER_OPEN, "a", cp.ANSWER_OPEN, "b", cp.ANSWER_CLOSE]) == (["a", "b"], None)
 
     def test_crossed_markers(self):
-        with pytest.raises(Unrecoverable):
-            cp.recover_answer([cp.ANSWER_CLOSE, "a", cp.ANSWER_OPEN])
+        assert cp.recover_answer([cp.ANSWER_CLOSE, "a", cp.ANSWER_OPEN]) == (["a"], None)
 
     def test_empty_interior(self):
-        with pytest.raises(Unrecoverable):
-            cp.recover_answer(["a", cp.ANSWER_OPEN, cp.ANSWER_CLOSE, "b"])
+        assert cp.recover_answer(["a", cp.ANSWER_OPEN, cp.ANSWER_CLOSE, "b"]) == (["a", "b"], None)
 
     @given(plain_tokens, st.data())
     @settings(deadline=None)
@@ -379,16 +376,19 @@ class TestSplit:
 
 
 class TestRecordInvariants:
-    @pytest.mark.parametrize("build", [
-        lambda: make_rendering(["a", "b"], (1, 2)),
-        lambda: make_rendering(["a", "b"], (1, 0)),
-        lambda: cp.Sample("s", ("q",), ("a", "b"), 0, 2, "en", "en"),
-        lambda: cp.Sample("s", ("q",), ("a", "b"), -1, 0, "en", "en"),
-        lambda: cp.AlignedRecord("r", "en", {"es": make_rendering(["a"], (0, 0))}),
+    @pytest.mark.parametrize("build, message", [
+        (lambda: make_rendering(["a", "b"], (1, 2)), "answer span (1, 2) out of bounds"),
+        (lambda: make_rendering(["a", "b"], (1, 0)), "answer span (1, 0) out of bounds"),
+        (lambda: cp.Sample("s", ("q",), ("a", "b"), 0, 2, "en", "en"),
+         "sample s: gold span (0, 2) out of bounds"),
+        (lambda: cp.Sample("s", ("q",), ("a", "b"), -1, 0, "en", "en"),
+         "sample s: gold span (-1, 0) out of bounds"),
+        (lambda: cp.AlignedRecord("r", "en", {"es": make_rendering(["a"], (0, 0))}),
+         "record r lacks its source language 'en'"),
     ], ids=["span_past_passage", "span_reversed", "gold_past_passage", "gold_negative",
             "no_source_rendering"])
-    def test_construction_refuses_a_broken_record(self, build):
-        with pytest.raises(InvalidRecord):
+    def test_construction_refuses_a_broken_record(self, build, message):
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
             build()
 
 
@@ -459,7 +459,7 @@ class TestFileFormats:
             '{"id":"x","source_language":"en","renderings":{"en":'
             '{"passage_tokens":["a"],"question_tokens":["q"],"answer_start":0,"answer_end":5}}}\n'
         )
-        with pytest.raises(InvalidRecord):
+        with pytest.raises(InvalidConfig, match=r"answer span \(0, 5\) out of bounds"):
             cp.read_corpus(path)
 
 

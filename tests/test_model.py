@@ -429,16 +429,35 @@ class TestSerialization:
         with pytest.raises(InvalidConfig, match="is corrupt"):
             md.load_model(path)
 
-    def test_checkpoint_with_invalid_config_is_corrupt(self, tmp_path):
+    @staticmethod
+    def _checkpoint_with_config(tmp_path, edit):
+        """A saved checkpoint whose header's config ``edit`` has changed."""
         model, _ = small_model(task_samples())
         path = tmp_path / "model.ckpt"
         md.save_model(model, path)
         data = path.read_bytes()
         start = 4 + int.from_bytes(data[:4], "little")
         header = json.loads(data[4:start])
-        header["config"]["max_len"] = 3
+        edit(header["config"])
         path.write_bytes(md.pack_artifact(header, np.frombuffer(data, "<f8", offset=start)))
+        return path
+
+    def test_checkpoint_with_invalid_config_is_corrupt(self, tmp_path):
+        path = self._checkpoint_with_config(tmp_path, lambda config: config.update(max_len=3))
         with pytest.raises(InvalidConfig, match=r"is corrupt: bad header field \(max_len"):
+            md.load_model(path)
+
+    @pytest.mark.parametrize("field, retype", [
+        ("vocab_size", float), ("hidden", float), ("ffn", float), ("max_len", float),
+        ("layers", float), ("layers", bool),
+    ], ids=["vocab_size", "hidden", "ffn", "max_len", "layers", "layers_bool"])
+    def test_checkpoint_with_a_non_integer_config_field_is_corrupt(self, tmp_path, field,
+                                                                   retype):
+        # 8.0 == 8 and True == 1, so the layout compare alone lets such a header through
+        path = self._checkpoint_with_config(
+            tmp_path, lambda config: config.update({field: retype(config[field])}))
+        with pytest.raises(InvalidConfig, match=rf"is corrupt: bad header field \({field} must "
+                                                rf"be an integer, got (\d+\.0|True)\)"):
             md.load_model(path)
 
     def test_body_is_the_flat_vector(self, tmp_path):

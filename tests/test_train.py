@@ -7,7 +7,7 @@ from branchdistill import corpus as cp
 from branchdistill import distill as ds
 from branchdistill import model as md
 from branchdistill import train as tr
-from branchdistill.errors import IncompleteLogits, InvalidConfig, InvalidParameter
+from branchdistill.errors import InvalidConfig
 
 from _oracles import vocabulary_from_samples
 
@@ -173,7 +173,7 @@ class TestTrainTeacher:
         result, _, vocab, config = small_task()
         cfg = tr.TrainConfig(epochs=2, seed=0, lr=1e200, clip_norm=clip_norm)
         with np.errstate(all="ignore"), pytest.raises(
-            InvalidParameter, match=r"run 'diverging'.* epoch \d+, step \d+ of \d+"
+            InvalidConfig, match=r"run 'diverging'.* epoch \d+, step \d+ of \d+"
         ):
             tr.train(result.branches["en"], vocab, config, cfg, "diverging")
         assert stepped and all(stepped)
@@ -399,7 +399,8 @@ class TestDistillStudent:
         keys = [s.key() for s in union[:5]]
         ds.write_logit_store(path, "en", keys, stores["en"].take(keys))
         stores["en"] = ds.LogitStore(path)
-        with pytest.raises(IncompleteLogits):
+        with pytest.raises(InvalidConfig, match=r"samples lack teacher logits \(first: .* "
+                                                r"from teacher 'en'\)"):
             tr.train(union, vocab, config, tr.TrainConfig(epochs=1), "student", stores=stores)
 
     def test_store_length_mismatch(self, tmp_path):
