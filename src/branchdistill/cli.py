@@ -30,7 +30,7 @@ from . import corpus as cp
 from . import evaluation as ev
 from .distill import LogitStore
 from .errors import InvalidConfig, MissingArtifact, malformed_as_invalid
-from .model import ModelConfig, SpanModel, Vocabulary, load_model
+from .model import ModelConfig, Vocabulary, load_model
 from .train import MANIFEST_VERSION, RunManifest, TrainConfig, dump_teacher_logits, train
 
 
@@ -93,9 +93,10 @@ class PipelineConfig:
     ``zero_shot_language`` outside it, and the split ``corpus.records`` and
     ``corpus.eval_fraction`` make, are checked below; every other setting
     by the settings object built from it (the seed by ``train``). ``model``
-    holds the empty vocabulary's size; a stage replaces it with the size of
-    the vocabulary ``build`` wrote. ``dataclasses.replace`` builds every
-    settings object again."""
+    holds the empty vocabulary's size; a training stage replaces it with the
+    size of the vocabulary ``build`` wrote, and a checkpoint carries its own
+    config and vocabulary. ``dataclasses.replace`` builds every settings
+    object again."""
 
     values: dict
     seed: int
@@ -244,25 +245,6 @@ def _require(path: Path, what: str) -> Path:
     return Path(path)
 
 
-def _load_vocab(cfg: PipelineConfig) -> Vocabulary:
-    return cp.read_json(_require(cfg.vocab_path, "vocabulary"), "vocabulary",
-                        Vocabulary.from_dict)
-
-
-def _load_model_and_vocab(cfg: PipelineConfig, model_path, what: str
-                          ) -> tuple[SpanModel, Vocabulary]:
-    """The checkpoint at ``model_path`` and the vocabulary ``build`` wrote,
-    which must have as many ids as the checkpoint embeds: a model run with
-    another build's vocabulary reads the wrong embedding rows."""
-    model = load_model(_require(Path(model_path), what))
-    vocab = _load_vocab(cfg)
-    if vocab.size != model.config.vocab_size:
-        raise InvalidConfig(f"checkpoint {model_path} embeds {model.config.vocab_size} token "
-                            f"ids but vocabulary {cfg.vocab_path} has {vocab.size}; they come "
-                            f"from different builds")
-    return model, vocab
-
-
 def _write_with_text(path: Path, obj, text: str) -> None:
     """``obj`` as JSON at ``path``, and ``text`` beside it as ``.txt``."""
     path = Path(path)
@@ -299,7 +281,7 @@ def _split_records(cfg: PipelineConfig):
     return cp.split_records(records, cfg.values["corpus.eval_fraction"])
 
 
-def _write_vocab(cfg: PipelineConfig, train_records) -> Vocabulary:
+def _write_vocab(cfg: PipelineConfig, train_records) -> None:
     tokens: set[str] = set()
     for record in train_records:
         for lang in cfg.languages:
@@ -307,9 +289,7 @@ def _write_vocab(cfg: PipelineConfig, train_records) -> Vocabulary:
             if rendering is not None:
                 tokens.update(rendering.passage_tokens)
                 tokens.update(rendering.question_tokens)
-    vocab = Vocabulary(tokens)
-    cp.write_json(cfg.vocab_path, vocab.to_dict())
-    return vocab
+    cp.write_json(cfg.vocab_path, Vocabulary(tokens).to_dict())
 
 
 def op_build(cfg: PipelineConfig, mode: str, language: str | None = None) -> dict:
@@ -364,10 +344,12 @@ def op_build(cfg: PipelineConfig, mode: str, language: str | None = None) -> dic
 
 
 def _check_resume(run_dir: Path, train_cfg: TrainConfig, model_cfg: ModelConfig,
-                  dataset_digest: str, vocab_digest: str) -> RunManifest | None:
+                  dataset_digest: str, vocab_digest: str,
+                  store_digests: dict[str, str]) -> RunManifest | None:
     """A rerun into a run directory must find a manifest of the current
-    ``format_version`` with the same training and model config, dataset and
-    vocabulary. Returns that manifest, or None when there is none."""
+    ``format_version`` with the same training and model config, dataset,
+    vocabulary and teacher stores (none for a teacher). Returns that
+    manifest, or None when there is none."""
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         return None
@@ -377,6 +359,7 @@ def _check_resume(run_dir: Path, train_cfg: TrainConfig, model_cfg: ModelConfig,
         "model_config": asdict(model_cfg),
         "dataset_digest": dataset_digest,
         "vocab_digest": vocab_digest,
+        "teacher_store_digests": store_digests,
     }))
     raw = cp.read_json(manifest_path, "run manifest", dict)
     changed = [key for key, value in current.items() if raw.get(key) != value]
@@ -392,18 +375,19 @@ def _check_resume(run_dir: Path, train_cfg: TrainConfig, model_cfg: ModelConfig,
 def _train_stage(cfg: PipelineConfig, run_name: str, run_dir: Path, dataset: Path,
                  train_cfg: TrainConfig, stores: dict[str, LogitStore] | None = None
                  ) -> RunManifest:
-    """Train one run on ``dataset`` into ``run_dir``: a teacher when
-    ``stores`` is None, else a student distilled from them. A finished
-    teacher whose manifest ``_check_resume`` accepts is kept, since training
-    it again would give the same bytes; a student is always trained, since
-    its manifest check does not cover the stores it reads."""
-    vocab = _load_vocab(cfg)
+    """Train one run on ``dataset`` with the vocabulary ``build`` wrote into
+    ``run_dir``: a teacher when ``stores`` is None, else a student distilled
+    from them. A finished run whose manifest ``_check_resume`` accepts is
+    kept, since training it again would give the same bytes."""
+    vocab_path = _require(cfg.vocab_path, "vocabulary")
+    vocab = cp.read_json(vocab_path, "vocabulary", Vocabulary.from_dict)
     samples = cp.read_samples(dataset)
     model_cfg = replace(cfg.model, vocab_size=vocab.size)
     digest = cp.sha256_file(dataset)
-    vocab_digest = cp.sha256_file(cfg.vocab_path)
-    previous = _check_resume(run_dir, train_cfg, model_cfg, digest, vocab_digest)
-    if stores is None and previous is not None and (run_dir / "final.ckpt").exists():
+    vocab_digest = cp.sha256_file(vocab_path)
+    store_digests = {tid: store.sha256 for tid, store in (stores or {}).items()}
+    previous = _check_resume(run_dir, train_cfg, model_cfg, digest, vocab_digest, store_digests)
+    if previous is not None and (run_dir / "final.ckpt").exists():
         return previous
     _, manifest = train(samples, vocab, model_cfg, train_cfg, run_name, out_dir=run_dir,
                         stores=stores, dataset_digest=digest, vocab_digest=vocab_digest)
@@ -435,10 +419,10 @@ def op_dump_logits(cfg: PipelineConfig, teacher: str, model_path: Path | None = 
     model_path = model_path or (cfg.teacher_dir(teacher) / "final.ckpt")
     dataset = dataset or cfg.union_path
     store_path = Path(store_path or cfg.store_path(teacher))
-    model, vocab = _load_model_and_vocab(cfg, model_path, "teacher checkpoint")
+    model = load_model(_require(Path(model_path), "teacher checkpoint"))
     samples = cp.read_samples(_require(Path(dataset), "distillation dataset"))
     store_path.parent.mkdir(parents=True, exist_ok=True)
-    written, skipped = dump_teacher_logits(model, samples, vocab, store_path, teacher)
+    written, skipped = dump_teacher_logits(model, samples, store_path, teacher)
     print(f"dump-logits {teacher}: {written} records ({skipped} skipped) -> {store_path}")
     return store_path
 
@@ -470,9 +454,9 @@ def op_evaluate(cfg: PipelineConfig, model_path: Path, dataset: Path | None = No
         dataset = cfg.eval_zero_shot_path(zero_shot_language)
     if dataset is None:
         dataset = cfg.eval_grid_path
-    model, vocab = _load_model_and_vocab(cfg, model_path, "model checkpoint")
+    model = load_model(_require(Path(model_path), "model checkpoint"))
     samples = cp.read_samples(_require(Path(dataset), "evaluation dataset"))
-    report = ev.evaluate(model, samples, vocab, cfg.eval_config)
+    report = ev.evaluate(model, samples, cfg.eval_config)
     if report_path is not None:
         _write_with_text(report_path, report.to_dict(), ev.render_report(report, name))
     print(f"evaluate {name}: em={report.overall_em:.4f} f1={report.overall_f1:.4f} "
@@ -561,9 +545,9 @@ def run_translate_train_baseline(cfg: PipelineConfig) -> ev.EvalReport:
         run_dir = op_train_teacher(
             cfg, dataset=cfg.dataset_path(f"tt_{lang}"), run_name=f"tt_{lang}"
         )
-        model, vocab = _load_model_and_vocab(cfg, run_dir / "final.ckpt", "model checkpoint")
+        model = load_model(_require(run_dir / "final.ckpt", "model checkpoint"))
         subset = [s for s in grid_samples if s.passage_lang == lang]
-        lang_pairs, lang_skipped = ev.predict(model, subset, vocab, cfg.eval_config)
+        lang_pairs, lang_skipped = ev.predict(model, subset, cfg.eval_config)
         pairs += lang_pairs
         skipped += lang_skipped
     return ev.score(pairs, skipped)

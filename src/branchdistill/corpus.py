@@ -32,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -490,6 +491,21 @@ def write_json(path, obj) -> None:
     write_file(path, dumps(obj) + "\n")
 
 
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a finite number"}
+
+
+def typed(raw: dict, key: str, kind: type):
+    """``raw[key]`` if it is a ``kind``: a ``str``, an ``int``, or with
+    ``float`` any finite number (``json`` reads ``NaN``, which no artifact
+    holds). A JSON boolean, which Python counts as an integer, is no number.
+    Anything else raises ``TypeError``; nothing is converted."""
+    value = raw[key]
+    if (isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind)
+            or kind is float and not math.isfinite(value)):
+        raise TypeError(f"{key} is {value!r}, not {_KIND_NAMES[kind]}")
+    return value
+
+
 def read_json(path, what: str, parse):
     """``parse`` of the JSON value in ``path``. A file that does not decode,
     or in which ``parse`` finds a field missing or of the wrong type, raises
@@ -529,7 +545,8 @@ def read_corpus(path) -> list[AlignedRecord]:
                 start, end = r["answer_start"], r["answer_end"]
                 if (start is None) != (end is None):
                     raise InvalidConfig(f"record {raw['id']}: half-open answer span")
-                span = None if start is None else (int(start), int(end))
+                span = None if start is None else (typed(r, "answer_start", int),
+                                                   typed(r, "answer_end", int))
                 renderings[lang] = Rendering(
                     tuple(r["passage_tokens"]), tuple(r["question_tokens"]), span
                 )
@@ -561,8 +578,8 @@ def read_samples(path) -> list[Sample]:
                 id=raw["id"],
                 question_tokens=tuple(raw["question_tokens"]),
                 passage_tokens=tuple(raw["passage_tokens"]),
-                gold_start=int(raw["gold_start"]),
-                gold_end=int(raw["gold_end"]),
+                gold_start=typed(raw, "gold_start", int),
+                gold_end=typed(raw, "gold_end", int),
                 passage_lang=raw["passage_lang"],
                 question_lang=raw["question_lang"],
             ))

@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidConfig
-from .corpus import write_file
+from .corpus import typed, write_file
 from .model import pack_artifact, read_artifact
 
 STORE_VERSION = 2
@@ -188,7 +188,7 @@ def write_logit_store(path, teacher_id: str, sample_ids, logits: np.ndarray) -> 
 
 def _parse_store_header(header):
     """(teacher id, row of each sample id) and the block's shape."""
-    max_len, sample_ids = int(header["max_len"]), header["sample_ids"]
+    max_len, sample_ids = typed(header, "max_len", int), header["sample_ids"]
     if max_len < 1:
         raise ValueError(f"max_len {max_len}")
     if not isinstance(sample_ids, list) or not all(isinstance(s, str) for s in sample_ids):
@@ -196,7 +196,7 @@ def _parse_store_header(header):
     rows = {sid: row for row, sid in enumerate(sample_ids)}
     if len(rows) != len(sample_ids):
         raise ValueError("repeated sample ids")
-    return (str(header["teacher_id"]), rows), (len(rows), 2, max_len)
+    return (typed(header, "teacher_id", str), rows), (len(rows), 2, max_len)
 
 
 class LogitStore:

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import read_json
+from .corpus import read_json, typed
 from .errors import InvalidConfig
-from .model import SpanModel, Vocabulary, encode_dataset, forward_logits
+from .model import SpanModel, encode_dataset, forward_logits
 
 
 @dataclass(frozen=True)
@@ -94,18 +94,6 @@ class CellMetrics:
     n: int
 
 
-def _typed(raw: dict, key: str, kind: type):
-    """``raw[key]``: an integer, or with ``kind`` float any finite number
-    (``json`` reads ``NaN``, which no report holds); never a JSON boolean,
-    which Python counts as an integer."""
-    value = raw[key]
-    if (isinstance(value, bool) or not isinstance(value, (int, kind))
-            or isinstance(value, float) and not math.isfinite(value)):
-        raise TypeError(f"{key} is {value!r}, not "
-                        f"{'a finite number' if kind is float else 'an integer'}")
-    return value
-
-
 @dataclass
 class EvalReport:
     cells: list[CellMetrics] = field(default_factory=list)
@@ -145,12 +133,12 @@ class EvalReport:
         finite number, or an ``n`` or ``skips`` that is not an integer,
         raises ``TypeError``."""
         def em_f1_n(d) -> tuple[float, float, int]:
-            return _typed(d, "em", float), _typed(d, "f1", float), _typed(d, "n", int)
+            return typed(d, "em", float), typed(d, "f1", float), typed(d, "n", int)
 
         return cls(
             [CellMetrics(c["passage_lang"], c["question_lang"], *em_f1_n(c)) for c in raw["grid"]],
             *em_f1_n(raw["overall"]),
-            skips=_typed(raw, "skips", int),
+            skips=typed(raw, "skips", int),
         )
 
     @classmethod
@@ -158,12 +146,13 @@ class EvalReport:
         return read_json(path, "report", cls.from_dict)
 
 
-def predict(model: SpanModel, samples, vocab: Vocabulary, config: EvalConfig):
-    """Decode an answer for every encodable sample from the model's logit block.
+def predict(model: SpanModel, samples, config: EvalConfig):
+    """Decode an answer for every sample the model's window holds, encoded
+    with the model's vocabulary, from the model's logit block.
 
     Returns (list of (sample, answer tokens) pairs, skipped count).
     """
-    encoded, kept, skipped = encode_dataset(samples, vocab, model.config.max_len)
+    encoded, kept, skipped = encode_dataset(samples, model.vocab, model.config.max_len)
     logits = forward_logits(model, encoded)
     spans = decode_span(logits[:, 0], logits[:, 1], encoded.passage_mask(),
                         config.max_answer_length)
@@ -209,10 +198,9 @@ def score(pairs, skipped: int) -> EvalReport:
     return report
 
 
-def evaluate(model: SpanModel, samples, vocab: Vocabulary,
-             config: EvalConfig = EvalConfig()) -> EvalReport:
+def evaluate(model: SpanModel, samples, config: EvalConfig = EvalConfig()) -> EvalReport:
     """The ``score`` of the model's predictions on a dataset."""
-    return score(*predict(model, samples, vocab, config))
+    return score(*predict(model, samples, config))
 
 
 # ---------------------------------------------------------------------------

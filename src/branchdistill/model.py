@@ -42,16 +42,17 @@ All parameters live in one float64 vector, ``SpanModel.flat``, in declared
 order; ``param_views`` gives the per-name views that are
 ``SpanModel.params``, and the views of a same-shaped flat gradient buffer
 that ``backward`` writes through.
-Checkpoints are a JSON header followed by that vector as one little-endian
-float64 block, and round-trip bit-exactly. Checkpoints and logit stores
-share that layout and one reader, ``read_artifact``, which maps a cut,
-garbled or overlong file, a bad header field or a non-finite value to
-``InvalidConfig``; each caller parses only its own header fields.
+Checkpoints are a JSON header, which holds the model's vocabulary, followed
+by that vector as one little-endian float64 block, and round-trip
+bit-exactly. Checkpoints and logit stores share that layout and one
+reader, ``read_artifact``, which maps a cut, garbled or overlong file, a
+bad header field or a non-finite value to ``InvalidConfig``; each caller
+parses only its own header fields.
 
-A checkpoint is checked where it enters, by ``load_model``, and against
-its vocabulary file by the CLI. Everything else here trusts its inputs:
-``forward_batch`` takes rows ``encode_dataset`` packed at the model's
-``max_len`` with the model's own vocabulary.
+A checkpoint carries the vocabulary its embedding rows belong to, so it
+runs on its own, and it is checked where it enters, by ``load_model``.
+Everything else here trusts its inputs: ``forward_batch`` takes rows
+``encode_dataset`` packed at the model's ``max_len`` with ``SpanModel.vocab``.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import RESERVED_TOKENS, Sample, dumps, write_file
+from .corpus import RESERVED_TOKENS, Sample, dumps, typed, write_file
 from .errors import InvalidConfig
 
 MASKED_LOGIT = -1e9
@@ -76,7 +77,7 @@ OOV_BASE_ID = 3
 OOV_BUCKETS = 100
 FIRST_TOKEN_ID = OOV_BASE_ID + OOV_BUCKETS
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # Rows per encoder pass in ``forward_logits``, the forward-only pass of logit
 # dumps and evaluation.
@@ -131,11 +132,13 @@ class Vocabulary:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Vocabulary":
-        buckets, tokens = raw.get("oov_buckets"), raw["tokens"]
+        """The vocabulary ``to_dict`` wrote; a token list that is not all
+        strings, or another bucket count, raises ``TypeError`` or ``ValueError``."""
+        tokens = raw["tokens"]
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise TypeError("tokens is not a list of strings")
-        if buckets != OOV_BUCKETS:
-            raise InvalidConfig("vocabulary file uses an incompatible bucket count")
+        if typed(raw, "oov_buckets", int) != OOV_BUCKETS:
+            raise ValueError(f"oov_buckets is {raw['oov_buckets']}, not {OOV_BUCKETS}")
         return cls(tokens)
 
 
@@ -266,21 +269,26 @@ def positional_table(max_len: int, hidden: int) -> np.ndarray:
 
 @dataclass
 class SpanModel:
+    """A model's config, seed and flat parameter vector, and the vocabulary
+    whose ids index its embedding rows."""
+
     config: ModelConfig
     seed: int
     flat: np.ndarray
+    vocab: Vocabulary
 
     def __post_init__(self):
         self.params = param_views(self.config, self.flat)
         self.pos_table = positional_table(self.config.max_len, self.config.hidden)
 
 
-def init_model(config: ModelConfig, seed: int) -> SpanModel:
-    """All trainable weights drawn from N(0, 0.01^2) with a seeded generator."""
+def init_model(config: ModelConfig, seed: int, vocab: Vocabulary) -> SpanModel:
+    """All trainable weights drawn from N(0, 0.01^2) with a seeded generator;
+    ``vocab`` has ``config.vocab_size`` ids."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6D6F64]))
     # one draw of the whole vector equals per-parameter draws in declared order
     flat = rng.standard_normal(parameter_count(config)) * 0.01
-    return SpanModel(config=config, seed=seed, flat=flat)
+    return SpanModel(config=config, seed=seed, flat=flat, vocab=vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -527,19 +535,25 @@ def save_model(model: SpanModel, path) -> None:
         "seed": model.seed,
         "params": [{"name": name, "shape": list(shape)}
                    for name, shape in parameter_layout(model.config)],
+        "vocabulary": model.vocab.to_dict(),
     }, model.flat))
 
 
 def load_model(path) -> SpanModel:
     """Read a checkpoint written by ``save_model``, checked by
-    ``read_artifact``; a parameter list other than the config's layout is a
+    ``read_artifact``; a parameter list other than the config's layout, or a
+    vocabulary that is malformed or has other than ``vocab_size`` ids, is a
     bad header field."""
     def parse(header):
         config = ModelConfig(**header["config"])
         entries = [(e["name"], tuple(e["shape"])) for e in header["params"]]
         if entries != parameter_layout(config):
             raise ValueError("the parameter list does not match the config's layout")
-        return (config, int(header["seed"])), (parameter_count(config),)
+        vocab = Vocabulary.from_dict(header["vocabulary"])
+        if vocab.size != config.vocab_size:
+            raise ValueError(f"the vocabulary has {vocab.size} ids, the config "
+                             f"{config.vocab_size}")
+        return (config, typed(header, "seed", int), vocab), (parameter_count(config),)
 
-    _, (config, seed), flat = read_artifact(path, "checkpoint", CHECKPOINT_VERSION, parse)
-    return SpanModel(config=config, seed=seed, flat=flat.astype(np.float64))
+    _, (config, seed, vocab), flat = read_artifact(path, "checkpoint", CHECKPOINT_VERSION, parse)
+    return SpanModel(config=config, seed=seed, flat=flat.astype(np.float64), vocab=vocab)

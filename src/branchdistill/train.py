@@ -270,7 +270,7 @@ def train(
     if stores is not None:
         targets = _target_tables(kept, stores, cfg)
 
-    model = init_model(model_config, cfg.seed)
+    model = init_model(model_config, cfg.seed, vocab)
     optimizer = AdamW(model.flat.size, lr=cfg.lr, betas=cfg.betas, eps=cfg.eps,
                       weight_decay=cfg.weight_decay)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x736866]))
@@ -345,18 +345,13 @@ def train(
     return model, manifest
 
 
-
-def dump_teacher_logits(
-    model: SpanModel,
-    samples: list[Sample],
-    vocab: Vocabulary,
-    path,
-    teacher_id: str,
-) -> tuple[int, int]:
-    """Forward every encodable sample and write its logits to a store.
+def dump_teacher_logits(model: SpanModel, samples: list[Sample], path,
+                        teacher_id: str) -> tuple[int, int]:
+    """Forward every sample the model's window holds, encoded with the
+    model's vocabulary, and write its logits to a store.
 
     Returns (records written, samples skipped as out-of-window).
     """
-    encoded, kept, skipped = encode_dataset(samples, vocab, model.config.max_len)
+    encoded, kept, skipped = encode_dataset(samples, model.vocab, model.config.max_len)
     write_logit_store(path, teacher_id, [s.key() for s in kept], forward_logits(model, encoded))
     return len(kept), skipped

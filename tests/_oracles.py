@@ -4,8 +4,9 @@
 head's (L,) vector at a time, as plain sums over probabilities; the batch
 forms ``distill.batch_nll`` and ``distill.batch_kd`` must agree with their
 means. ``vocabulary_from_samples`` is the vocabulary of a sample list, for
-tests that build a model without running ``build``, and ``flat_gradient``
-is ``model.backward`` into a fresh buffer.
+tests that build a model without running ``build``, ``vocabulary_of_size``
+one for tests that draw token ids directly, and ``flat_gradient`` is
+``model.backward`` into a fresh buffer.
 """
 
 import numpy as np
@@ -40,6 +41,12 @@ def kd_loss(teacher_z_s, teacher_z_e, student_z_s, student_z_e, tau: float) -> f
 
 def vocabulary_from_samples(samples) -> md.Vocabulary:
     return md.Vocabulary(t for s in samples for t in (*s.question_tokens, *s.passage_tokens))
+
+
+def vocabulary_of_size(size: int) -> md.Vocabulary:
+    """A vocabulary of ``size`` ids, or the empty one when ``size`` is below
+    ``FIRST_TOKEN_ID``, for a model whose tests encode no sample."""
+    return md.Vocabulary(f"t{i}" for i in range(size - md.FIRST_TOKEN_ID))
 
 
 def flat_gradient(model, cache, dz) -> np.ndarray:

@@ -17,7 +17,7 @@ from branchdistill import model as md
 from branchdistill import train as tr
 
 from _gradcheck import central_difference, max_relative_error
-from _oracles import flat_gradient, vocabulary_from_samples
+from _oracles import flat_gradient, vocabulary_from_samples, vocabulary_of_size
 
 
 @contextmanager
@@ -63,7 +63,7 @@ def test_c01_gradient_fidelity():
         start = time.monotonic()
         rng = np.random.default_rng(42)
         config = md.ModelConfig(vocab_size=30, hidden=8, ffn=16, max_len=16, layers=1)
-        model = md.init_model(config, seed=0)
+        model = md.init_model(config, 0, vocabulary_of_size(config.vocab_size))
         for p in model.params.values():
             p[:] = rng.normal(scale=0.5, size=p.shape)
 
@@ -137,7 +137,7 @@ def test_c02_loss_identities(tmp_path):
         helper, _ = tr.train(dataset, vocab, config,
                              tr.TrainConfig(epochs=1, seed=1, lr=1e-3), "teacher")
         store_path = tmp_path / "en.logits"
-        tr.dump_teacher_logits(helper, dataset, vocab, store_path, "en")
+        tr.dump_teacher_logits(helper, dataset, store_path, "en")
         stores = {"en": ds.LogitStore(store_path)}
 
         shared = dict(epochs=2, seed=17, lr=1e-3, lambda1=1.0, lambda2=0.0)

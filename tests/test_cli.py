@@ -60,6 +60,30 @@ def rewrite_header(edit):
     return corrupt
 
 
+def rewrite_first_record(edit):
+    """A corruption of a JSONL artifact that applies ``edit`` to its first
+    record and keeps the other lines."""
+    def corrupt(blob):
+        first, rest = blob.split(b"\n", 1)
+        record = json.loads(first)
+        edit(record)
+        return json.dumps(record).encode() + b"\n" + rest
+    return corrupt
+
+
+def _shift_answer(record, key):
+    record["renderings"]["en"][key] += 0.5
+
+
+def forbid_training(monkeypatch):
+    """Make the CLI's next training run fail. A run trained again writes the
+    same bytes, which ``write_file`` leaves alone, mtime included, so only
+    this tells a kept run from a retrained one."""
+    def train(*args, **kwargs):
+        raise AssertionError("a finished run was trained again")
+    monkeypatch.setattr(cli, "train", train)
+
+
 def run(args, *extra):
     return cli.main(list(args) + list(extra))
 
@@ -220,38 +244,56 @@ class TestPipelineCommands:
         assert tiny("evaluate", pipeline_dir,
                     "--model", str(pipeline_dir / "teachers" / "nope" / "final.ckpt")) == 3
 
-    def test_checkpoint_from_another_build_is_exit_2(self, pipeline_dir, tmp_path, capsys):
-        # teacher de embeds the three-language vocabulary; an en-only rebuild
-        # writes a smaller one, whose ids would select the wrong rows
-        out = tmp_path / "copy"
-        shutil.copytree(pipeline_dir, out)
-        shutil.rmtree(out / "logits")
-        assert tiny("build", out, "--languages", "en") == 0
-        capsys.readouterr()
-        ckpt = out / "teachers" / "de" / "final.ckpt"
-        for command, *extra in (["evaluate", "--model", str(ckpt)],
-                                ["dump-logits", "--teacher", "de"]):
-            assert tiny(command, out, *extra) == 2
-            err = capsys.readouterr().err
-            assert err.count("\n") == 1 and str(ckpt) in err and str(out / "vocab.json") in err
-        assert not (out / "logits").exists()
+    def test_rebuild_with_other_languages_leaves_dumped_logits_unchanged(self, tmp_path):
+        # the en,de rebuild writes a vocabulary of the same size that moves
+        # ids, so only the vocabulary in the checkpoint selects the rows the
+        # teacher was trained with
+        first, second = ("--languages", "en,es"), ("--languages", "en,de")
+        tiny("generate", tmp_path)
+        assert tiny("build", tmp_path, *first) == 0
+        assert tiny("train-teacher", tmp_path, *first, "--branch", "en") == 0
+        branch = tmp_path / "branch_en.jsonl"
+        shutil.copy(tmp_path / "datasets" / "branch_en.jsonl", branch)
+        vocabularies, stores = [], []
+        for languages in (first, second):
+            assert tiny("build", tmp_path, *languages) == 0
+            vocabularies.append(json.loads((tmp_path / "vocab.json").read_text())["tokens"])
+            store = tmp_path / f"en_{len(stores)}.logits"
+            assert tiny("dump-logits", tmp_path, *languages, "--teacher", "en",
+                        "--dataset", str(branch), "--store", str(store)) == 0
+            stores.append(store.read_bytes())
+        assert len(vocabularies[0]) == len(vocabularies[1]) and vocabularies[0] != vocabularies[1]
+        assert stores[0] == stores[1]
 
-    def test_vocabulary_with_more_ids_than_the_checkpoint_is_exit_2(self, pipeline_dir,
-                                                                      tmp_path, capsys):
-        # one more token shifts every id after it, so the checkpoint reads wrong rows
+    def test_evaluate_and_dump_logits_need_no_vocabulary_file(self, pipeline_dir, tmp_path,
+                                                              capsys):
         out = tmp_path / "copy"
         shutil.copytree(pipeline_dir, out)
-        shutil.rmtree(out / "logits")
-        vocab = json.loads((out / "vocab.json").read_text())
-        vocab["tokens"].append("en:unseen")
-        (out / "vocab.json").write_text(json.dumps(vocab))
+        report, store = out / "reports" / "en.json", out / "en_again.logits"
+
+        def outputs():
+            assert tiny("evaluate", out, "--model", str(out / "teachers" / "en" / "final.ckpt"),
+                        "--report", str(report)) == 0
+            assert tiny("dump-logits", out, "--teacher", "en", "--store", str(store)) == 0
+            return [path.read_bytes() for path in (report, report.with_suffix(".txt"), store)]
+
+        before = outputs()
+        (out / "vocab.json").unlink()
+        assert outputs() == before
+        capsys.readouterr()
+        for command in (["train-teacher", "--branch", "en"], ["distill"]):
+            assert tiny(command[0], out, *command[1:]) == 3
+            assert "vocabulary" in capsys.readouterr().err
+
+    def test_version_1_checkpoint_is_exit_2(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "copy"
+        shutil.copytree(pipeline_dir, out)
         ckpt = out / "teachers" / "en" / "final.ckpt"
-        for command, *extra in (["evaluate", "--model", str(ckpt)],
-                                ["dump-logits", "--teacher", "en"]):
-            assert tiny(command, out, *extra) == 2
-            err = capsys.readouterr().err
-            assert err.count("\n") == 1 and str(ckpt) in err and str(out / "vocab.json") in err
-        assert not (out / "logits").exists()
+        ckpt.write_bytes(rewrite_header(lambda header: header.update(format_version=1))(
+            ckpt.read_bytes()))
+        for command in (["evaluate", "--model", str(ckpt)], ["dump-logits", "--teacher", "en"]):
+            assert tiny(command[0], out, *command[1:]) == 2
+            assert f"unsupported checkpoint version in {ckpt}" in capsys.readouterr().err
 
     def test_distill_without_stores_is_exit_3(self, tmp_path):
         tiny("generate", tmp_path)
@@ -277,12 +319,12 @@ class TestPipelineCommands:
 
     @pytest.mark.parametrize("name, corrupt, command", [
         ("teachers/en/manifest.json", lambda blob: blob[:100], ["train-teacher", "--branch", "en"]),
-        ("vocab.json", lambda blob: blob[: len(blob) // 2], ["dump-logits", "--teacher", "en"]),
-        ("vocab.json", lambda blob: b'{"oov_buckets":100}', ["dump-logits", "--teacher", "en"]),
+        ("vocab.json", lambda blob: blob[: len(blob) // 2], ["train-teacher", "--branch", "en"]),
+        ("vocab.json", lambda blob: b'{"oov_buckets":100}', ["train-teacher", "--branch", "en"]),
         ("vocab.json", lambda blob: b'{"oov_buckets":100,"tokens":[1,"a"]}',
-         ["dump-logits", "--teacher", "en"]),
+         ["train-teacher", "--branch", "en"]),
         ("vocab.json", lambda blob: b'{"oov_buckets":100,"tokens":"abc"}',
-         ["dump-logits", "--teacher", "en"]),
+         ["train-teacher", "--branch", "en"]),
         ("datasets/union.jsonl", lambda blob: blob[: len(blob) // 2], ["distill"]),
         ("datasets/union.jsonl", lambda blob: blob.replace(b'"gold_start":', b'"gold_start":"x",'
                                                            b'"was":', 1), ["distill"]),
@@ -311,13 +353,53 @@ class TestPipelineCommands:
         assert tiny(command[0], out, *[arg.format(path) for arg in command[1:]]) == 2
         assert f"{path} is malformed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, field, corrupt, command", [
+        ("teachers/en/final.ckpt", "seed",
+         rewrite_header(lambda header: header.update(seed=2.9)), ["dump-logits", "--teacher", "en"]),
+        ("logits/en.logits", "max_len",
+         rewrite_header(lambda header: header.update(max_len="32")),
+         ["distill", "--run-name", "typed"]),
+        ("logits/en.logits", "teacher_id",
+         rewrite_header(lambda header: header.update(teacher_id=["x"])),
+         ["distill", "--run-name", "typed"]),
+        ("datasets/union.jsonl", "gold_start",
+         rewrite_first_record(lambda record: record.update(gold_start=2.5)),
+         ["distill", "--run-name", "typed"]),
+        ("datasets/union.jsonl", "gold_end",
+         rewrite_first_record(lambda record: record.update(gold_end=record["gold_end"] + 0.5)),
+         ["distill", "--run-name", "typed"]),
+        ("corpus.jsonl", "answer_start",
+         rewrite_first_record(lambda record: _shift_answer(record, "answer_start")), ["build"]),
+        ("corpus.jsonl", "answer_end",
+         rewrite_first_record(lambda record: _shift_answer(record, "answer_end")), ["build"]),
+    ], ids=["seed", "max_len", "teacher_id", "gold_start", "gold_end", "answer_start",
+            "answer_end"])
+    def test_field_of_the_wrong_type_is_exit_2(self, pipeline_dir, tmp_path, name, field,
+                                               corrupt, command, capsys):
+        # each value converts to one of the right type, so only a type check refuses it
+        out = tmp_path / "copy"
+        shutil.copytree(pipeline_dir, out)
+        path = out / name
+        path.write_bytes(corrupt(path.read_bytes()))
+        assert tiny(command[0], out, *command[1:]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"{field} is " in err
+        assert not (out / "students" / "typed").exists()
+
     @pytest.mark.parametrize("corrupt", [
         lambda blob: blob[:-100],       # last parameter block cut short
         lambda blob: blob[:10],         # header cut
         lambda blob: blob + b"\0\0",    # bytes after the last block
         # 8.0 == 8, so only the config's own check refuses it
         rewrite_header(lambda header: header["config"].update(hidden=8.0)),
-    ], ids=["truncated_block", "cut_header", "trailing_bytes", "float_hidden"])
+        # one more token shifts every id after it
+        rewrite_header(lambda header: header["vocabulary"]["tokens"].append("en:unseen")),
+        rewrite_header(lambda header: header["vocabulary"].update(
+            tokens=[1, *header["vocabulary"]["tokens"][1:]])),
+        rewrite_header(lambda header: header["vocabulary"].update(oov_buckets=99)),
+    ], ids=["truncated_block", "cut_header", "trailing_bytes", "float_hidden",
+            "vocabulary_token_too_many", "vocabulary_non_string_token",
+            "vocabulary_bucket_count"])
     def test_dump_logits_from_corrupt_checkpoint_is_exit_2(self, pipeline_dir, tmp_path,
                                                           corrupt, capsys):
         out = tmp_path / "copy"
@@ -377,14 +459,42 @@ class TestPipelineCommands:
         b = (out / "teachers" / "en" / "final.ckpt").read_bytes()
         assert a == b
 
-    def test_finished_teacher_with_same_config_is_kept(self, pipeline_dir, tmp_path, capsys):
+    def test_finished_teacher_with_same_config_is_kept(self, pipeline_dir, tmp_path,
+                                                       monkeypatch, capsys):
         out = tmp_path / "copy"
         shutil.copytree(pipeline_dir, out)
         final = out / "teachers" / "en" / "final.ckpt"
         os.utime(final, ns=(0, 0))
+        forbid_training(monkeypatch)
         assert tiny("train-teacher", out, "--branch", "en") == 0
         assert final.stat().st_mtime_ns == 0
         assert "train-teacher en:" in capsys.readouterr().out
+
+    def test_finished_student_with_same_stores_is_kept(self, pipeline_dir, tmp_path,
+                                                       monkeypatch, capsys):
+        out = tmp_path / "copy"
+        shutil.copytree(pipeline_dir, out)
+        assert tiny("distill", out, "--run-name", "kept") == 0
+        final = out / "students" / "kept" / "final.ckpt"
+        os.utime(final, ns=(0, 0))
+        capsys.readouterr()
+        forbid_training(monkeypatch)
+        assert tiny("distill", out, "--run-name", "kept") == 0
+        assert final.stat().st_mtime_ns == 0
+        assert "distill kept:" in capsys.readouterr().out
+
+    def test_student_whose_store_changed_is_refused(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "copy"
+        shutil.copytree(pipeline_dir, out)
+        assert tiny("distill", out, "--run-name", "stale") == 0
+        final = out / "students" / "stale" / "final.ckpt"
+        before = final.read_bytes()
+        assert tiny("dump-logits", out, "--teacher", "es",
+                    "--model", str(out / "teachers" / "de" / "final.ckpt")) == 0
+        capsys.readouterr()
+        assert tiny("distill", out, "--run-name", "stale") == 2
+        assert "different teacher_store_digests" in capsys.readouterr().err
+        assert final.read_bytes() == before
 
     @pytest.mark.parametrize("flag, value", [("--train.lr", "0.009"), ("--model.ffn", "16")])
     def test_resume_with_different_config_is_config_error(self, pipeline_dir, flag, value):

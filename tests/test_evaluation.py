@@ -146,7 +146,7 @@ def fixed_layout_samples(n, lang="en"):
 class TestEvaluate:
     def _zero_model(self, vocab, max_len=16):
         config = md.ModelConfig(vocab_size=vocab.size, hidden=8, ffn=8, max_len=max_len, layers=0)
-        model = md.init_model(config, seed=0)
+        model = md.init_model(config, 0, vocab)
         for p in model.params.values():
             p[:] = 0.0
         return model
@@ -159,7 +159,7 @@ class TestEvaluate:
         enc = md.encode_dataset(samples[:1], vocab, model.config.max_len)[0]
         model.params["start_bias"][enc.gold[:, 0]] = 10.0
         model.params["end_bias"][enc.gold[:, 1]] = 10.0
-        report = ev.evaluate(model, samples, vocab)
+        report = ev.evaluate(model, samples)
         assert report.overall_em == 1.0
         assert report.overall_f1 == 1.0
 
@@ -171,10 +171,10 @@ class TestEvaluate:
         enc = md.encode_dataset(en[:1], vocab, perfect.config.max_len)[0]
         perfect.params["start_bias"][enc.gold[:, 0]] = 10.0
         perfect.params["end_bias"][enc.gold[:, 1]] = 10.0
-        en_pairs, en_skips = ev.predict(perfect, en, vocab, ev.EvalConfig())
-        es_pairs, es_skips = ev.predict(zero, es, vocab, ev.EvalConfig())
+        en_pairs, en_skips = ev.predict(perfect, en, ev.EvalConfig())
+        es_pairs, es_skips = ev.predict(zero, es, ev.EvalConfig())
         joined = ev.score(es_pairs + en_pairs, en_skips + es_skips)
-        alone = [ev.evaluate(perfect, en, vocab), ev.evaluate(zero, es, vocab)]
+        alone = [ev.evaluate(perfect, en), ev.evaluate(zero, es)]
         assert joined.cells == alone[0].cells + alone[1].cells
         assert [c.em for c in joined.cells] == [1.0, 0.0]
         assert (joined.n, joined.overall_em) == (15, 6 / 15)
@@ -190,7 +190,7 @@ class TestEvaluate:
         vocab = vocabulary_from_samples(samples)
         model = self._zero_model(vocab, max_len=32)
         expected = sum(1 for s in samples if (s.gold_start, s.gold_end) == (0, 0)) / len(samples)
-        report = ev.evaluate(model, samples, vocab)
+        report = ev.evaluate(model, samples)
         assert report.overall_em == expected
 
     def test_counts_include_skips(self):
@@ -202,7 +202,7 @@ class TestEvaluate:
         ))
         vocab = vocabulary_from_samples(samples)
         model = self._zero_model(vocab)
-        report = ev.evaluate(model, samples, vocab)
+        report = ev.evaluate(model, samples)
         assert report.skips == 1
         assert sum(c.n for c in report.cells) == 6
         assert report.n == 6
@@ -211,14 +211,14 @@ class TestEvaluate:
         samples = fixed_layout_samples(8) + fixed_layout_samples(8, lang="es")
         vocab = vocabulary_from_samples(samples)
         model = self._zero_model(vocab)
-        forward = ev.evaluate(model, samples, vocab)
-        backward = ev.evaluate(model, samples[::-1], vocab)
+        forward = ev.evaluate(model, samples)
+        backward = ev.evaluate(model, samples[::-1])
         assert forward.to_dict() == backward.to_dict()
 
     def test_report_json_round_trip(self, tmp_path):
         samples = fixed_layout_samples(5)
         vocab = vocabulary_from_samples(samples)
-        report = ev.evaluate(self._zero_model(vocab), samples, vocab)
+        report = ev.evaluate(self._zero_model(vocab), samples)
         cp.write_json(tmp_path / "report.json", report.to_dict())
         loaded = ev.EvalReport.load(tmp_path / "report.json")
         assert loaded.to_dict() == report.to_dict()

@@ -9,7 +9,7 @@ from branchdistill import model as md
 from branchdistill.errors import InvalidConfig
 
 from _gradcheck import check_gradients
-from _oracles import flat_gradient, vocabulary_from_samples
+from _oracles import flat_gradient, vocabulary_from_samples, vocabulary_of_size
 
 
 def simple_sample(question=("q1",), passage=("a", "b"), gold=(0, 0), langs=("en", "en")):
@@ -35,7 +35,7 @@ def small_model(samples, hidden=8, ffn=12, max_len=32, layers=1, seed=0):
     vocab = vocabulary_from_samples(samples)
     config = md.ModelConfig(vocab_size=vocab.size, hidden=hidden, ffn=ffn,
                             max_len=max_len, layers=layers)
-    return md.init_model(config, seed=seed), vocab
+    return md.init_model(config, seed, vocab), vocab
 
 
 class TestVocabulary:
@@ -95,15 +95,16 @@ class TestEncodeDataset:
 class TestInit:
     def test_same_seed_same_parameters(self):
         config = md.ModelConfig(vocab_size=md.FIRST_TOKEN_ID + 5, hidden=8, ffn=8, max_len=16)
-        a = md.init_model(config, seed=3)
-        b = md.init_model(config, seed=3)
+        vocab = vocabulary_of_size(config.vocab_size)
+        a = md.init_model(config, 3, vocab)
+        b = md.init_model(config, 3, vocab)
         for name in a.params:
             np.testing.assert_array_equal(a.params[name], b.params[name])
 
     def test_weight_statistics(self):
         # > 10k parameters; sample mean within the 3-sigma band around 0
         config = md.ModelConfig(vocab_size=400, hidden=32, ffn=64, max_len=64)
-        model = md.init_model(config, seed=1)
+        model = md.init_model(config, 1, vocabulary_of_size(config.vocab_size))
         flat = np.concatenate([p.ravel() for p in model.params.values()])
         assert flat.size >= 10_000
         assert abs(flat.mean()) <= 0.001
@@ -403,6 +404,7 @@ class TestSerialization:
         loaded = md.load_model(path)
         assert loaded.config == model.config
         assert loaded.seed == model.seed
+        assert loaded.vocab.tokens == vocab.tokens
         for name in model.params:
             np.testing.assert_array_equal(loaded.params[name], model.params[name])
         enc = md.encode_dataset(samples[:1], vocab, model.config.max_len)[0]

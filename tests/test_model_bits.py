@@ -11,7 +11,7 @@ import pytest
 from branchdistill import corpus as cp
 from branchdistill import model as md
 
-from _oracles import flat_gradient, vocabulary_from_samples
+from _oracles import flat_gradient, vocabulary_from_samples, vocabulary_of_size
 
 
 def assert_same_bits(actual, expected):
@@ -119,7 +119,7 @@ def random_batch(rng, batch, hidden, layers, max_len=24, vocab_size=md.FIRST_TOK
     scale) and a batch of rows of mixed real lengths."""
     config = md.ModelConfig(vocab_size=vocab_size, hidden=hidden, ffn=2 * hidden,
                             max_len=max_len, layers=layers)
-    model = md.init_model(config, seed=0)
+    model = md.init_model(config, 0, vocabulary_of_size(vocab_size))
     model.flat[:] = rng.normal(scale=0.3, size=model.flat.size)
     offset = rng.integers(2, 6, size=batch)
     end = rng.integers(offset + 2, max_len + 1)

@@ -85,7 +85,7 @@ class TestFlatParameters:
             model, _ = tr.train(result.branches["en"], vocab, config,
                                 tr.TrainConfig(epochs=1, seed=3, lr=1e-3), "teacher")
         else:
-            model = md.init_model(config, seed=3)
+            model = md.init_model(config, 3, vocab)
         if source == "load":
             md.save_model(model, tmp_path / "saved.ckpt")
             model = md.load_model(tmp_path / "saved.ckpt")
@@ -252,7 +252,7 @@ class TestDumpLogits:
         cfg = tr.TrainConfig(epochs=1, seed=3, lr=1e-3)
         model, _ = tr.train(result.branches["en"], vocab, config, cfg, "teacher")
         path = tmp_path / "en.logits"
-        written, skipped = tr.dump_teacher_logits(model, union, vocab, path, "en")
+        written, skipped = tr.dump_teacher_logits(model, union, path, "en")
         assert written == len(union) - skipped
         store = ds.LogitStore(path)
         assert store.count == written
@@ -273,8 +273,8 @@ class TestDumpLogits:
         assert len(union) == 90
         vocab = vocabulary_from_samples(union)
         config = md.ModelConfig(vocab_size=vocab.size, hidden=8, ffn=12, max_len=24)
-        model = md.init_model(config, seed=0)
-        written, skipped = tr.dump_teacher_logits(model, union, vocab, tmp_path / "s.logits", "en")
+        model = md.init_model(config, 0, vocab)
+        written, skipped = tr.dump_teacher_logits(model, union, tmp_path / "s.logits", "en")
         assert written == 90 and skipped == 0
         assert len(ds.LogitStore(tmp_path / "s.logits").sample_ids()) == 90
 
@@ -376,7 +376,7 @@ class TestDistillStudent:
             cfg = tr.TrainConfig(epochs=1, seed=4, lr=1e-3)
             model, _ = tr.train(result.branches[lang], vocab, config, cfg, "teacher")
             path = tmp_path / f"{lang}.logits"
-            tr.dump_teacher_logits(model, union, vocab, path, lang)
+            tr.dump_teacher_logits(model, union, path, lang)
             stores[lang] = ds.LogitStore(path)
         return stores
 
