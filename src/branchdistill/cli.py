@@ -92,11 +92,8 @@ class PipelineConfig:
     any stage writes. The language list, with the held-out
     ``zero_shot_language`` outside it, and the split ``corpus.records`` and
     ``corpus.eval_fraction`` make, are checked below; every other setting
-    by the settings object built from it (the seed by ``train``). ``model``
-    holds the empty vocabulary's size; a training stage replaces it with the
-    size of the vocabulary ``build`` wrote, and a checkpoint carries its own
-    config and vocabulary. ``dataclasses.replace`` builds every settings
-    object again."""
+    by the settings object built from it (the seed by ``train``).
+    ``dataclasses.replace`` builds every settings object again."""
 
     values: dict
     seed: int
@@ -128,7 +125,7 @@ class PipelineConfig:
                                 f"records; each split needs at least one")
         self.task = self._settings(cp.TaskSpec, "corpus", seed=self.seed)
         self.noise = self._settings(cp.NoiseSpec, "noise", seed=self.seed)
-        self.model = self._settings(ModelConfig, "model", vocab_size=Vocabulary(()).size)
+        self.model = self._settings(ModelConfig, "model")
         self.train = self._settings(TrainConfig, "train", seed=self.seed)
         self.eval_config = self._settings(ev.EvalConfig, "eval")
 
@@ -223,9 +220,7 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     values = {key: default for key, (_, default, _) in SCHEMA.items()}
     config_path = getattr(args, "config", None)
     if config_path:
-        path = Path(config_path)
-        if not path.exists():
-            raise MissingArtifact(str(path))
+        path = _require(Path(config_path), "config file")
         for key, raw in cp.read_json(path, "config file", dict.items):
             if key not in SCHEMA:
                 raise InvalidConfig(f"unknown config key {key!r}")
@@ -240,9 +235,17 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _require(path: Path, what: str) -> Path:
-    if not Path(path).exists():
+    if not Path(path).is_file():
         raise MissingArtifact(f"{what}: {path}")
     return Path(path)
+
+
+def _read_dataset(path: Path, what: str) -> list[cp.Sample]:
+    """The samples of the dataset file ``path``, which must hold one at least."""
+    samples = cp.read_samples(_require(path, what))
+    if not samples:
+        raise InvalidConfig(f"{what} {path} holds no sample")
+    return samples
 
 
 def _write_with_text(path: Path, obj, text: str) -> None:
@@ -382,14 +385,13 @@ def _train_stage(cfg: PipelineConfig, run_name: str, run_dir: Path, dataset: Pat
     vocab_path = _require(cfg.vocab_path, "vocabulary")
     vocab = cp.read_json(vocab_path, "vocabulary", Vocabulary.from_dict)
     samples = cp.read_samples(dataset)
-    model_cfg = replace(cfg.model, vocab_size=vocab.size)
     digest = cp.sha256_file(dataset)
     vocab_digest = cp.sha256_file(vocab_path)
     store_digests = {tid: store.sha256 for tid, store in (stores or {}).items()}
-    previous = _check_resume(run_dir, train_cfg, model_cfg, digest, vocab_digest, store_digests)
+    previous = _check_resume(run_dir, train_cfg, cfg.model, digest, vocab_digest, store_digests)
     if previous is not None and (run_dir / "final.ckpt").exists():
         return previous
-    _, manifest = train(samples, vocab, model_cfg, train_cfg, run_name, out_dir=run_dir,
+    _, manifest = train(samples, vocab, cfg.model, train_cfg, run_name, out_dir=run_dir,
                         stores=stores, dataset_digest=digest, vocab_digest=vocab_digest)
     return manifest
 
@@ -420,7 +422,7 @@ def op_dump_logits(cfg: PipelineConfig, teacher: str, model_path: Path | None = 
     dataset = dataset or cfg.union_path
     store_path = Path(store_path or cfg.store_path(teacher))
     model = load_model(_require(Path(model_path), "teacher checkpoint"))
-    samples = cp.read_samples(_require(Path(dataset), "distillation dataset"))
+    samples = _read_dataset(Path(dataset), "distillation dataset")
     store_path.parent.mkdir(parents=True, exist_ok=True)
     written, skipped = dump_teacher_logits(model, samples, store_path, teacher)
     print(f"dump-logits {teacher}: {written} records ({skipped} skipped) -> {store_path}")
@@ -455,7 +457,7 @@ def op_evaluate(cfg: PipelineConfig, model_path: Path, dataset: Path | None = No
     if dataset is None:
         dataset = cfg.eval_grid_path
     model = load_model(_require(Path(model_path), "model checkpoint"))
-    samples = cp.read_samples(_require(Path(dataset), "evaluation dataset"))
+    samples = _read_dataset(Path(dataset), "evaluation dataset")
     report = ev.evaluate(model, samples, cfg.eval_config)
     if report_path is not None:
         _write_with_text(report_path, report.to_dict(), ev.render_report(report, name))
@@ -538,7 +540,7 @@ def run_translate_train_baseline(cfg: PipelineConfig) -> ev.EvalReport:
     Each grid cell (p, q) is scored by the model trained on language p, the
     most favorable reading for this baseline.
     """
-    grid_samples = cp.read_samples(_require(cfg.eval_grid_path, "evaluation grid"))
+    grid_samples = _read_dataset(cfg.eval_grid_path, "evaluation grid")
     pairs, skipped = [], 0
     for lang in cfg.languages:
         op_build(cfg, "translate-train", language=lang)

@@ -50,7 +50,8 @@ bad header field or a non-finite value to ``InvalidConfig``; each caller
 parses only its own header fields.
 
 A checkpoint carries the vocabulary its embedding rows belong to, so it
-runs on its own, and it is checked where it enters, by ``load_model``.
+runs on its own, and it is checked where it enters, by ``load_model``. The
+vocabulary's size is the embedding's height, the layout functions' ``n_ids``.
 Everything else here trusts its inputs: ``forward_batch`` takes rows
 ``encode_dataset`` packed at the model's ``max_len`` with ``SpanModel.vocab``.
 """
@@ -77,7 +78,7 @@ OOV_BASE_ID = 3
 OOV_BUCKETS = 100
 FIRST_TOKEN_ID = OOV_BASE_ID + OOV_BUCKETS
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # Rows per encoder pass in ``forward_logits``, the forward-only pass of logit
 # dumps and evaluation.
@@ -86,7 +87,8 @@ FORWARD_BATCH_SIZE = 32
 
 @dataclass(frozen=True)
 class ModelConfig:
-    vocab_size: int
+    """The encoder's shape; the vocabulary sets the embedding's height."""
+
     hidden: int = 32
     ffn: int = 64
     max_len: int = 64
@@ -97,8 +99,6 @@ class ModelConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise InvalidConfig(f"{f.name} must be an integer, got {value!r}")
-        if self.vocab_size < 2:
-            raise InvalidConfig(f"vocab_size must be >= 2, got {self.vocab_size}")
         if self.hidden < 2 or self.hidden % 2 != 0:
             raise InvalidConfig(f"hidden must be an even number >= 2, got {self.hidden}")
         for name, least in (("ffn", 1), ("max_len", 4), ("layers", 0)):
@@ -211,11 +211,11 @@ def encode_dataset(samples, vocab: Vocabulary, max_len: int):
 # ---------------------------------------------------------------------------
 
 
-def parameter_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Declared parameter order; init, serialization, and the optimizer all
-    iterate in exactly this order."""
-    v, h, f, L = config.vocab_size, config.hidden, config.ffn, config.max_len
-    layout: list[tuple[str, tuple[int, ...]]] = [("embed", (v, h))]
+def parameter_layout(config: ModelConfig, n_ids: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Declared parameter order for a vocabulary of ``n_ids`` ids; init,
+    serialization, and the optimizer all iterate in exactly this order."""
+    h, f, L = config.hidden, config.ffn, config.max_len
+    layout: list[tuple[str, tuple[int, ...]]] = [("embed", (n_ids, h))]
     for i in range(config.layers):
         prefix = f"layer{i}."
         layout += [
@@ -241,20 +241,20 @@ def parameter_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     return layout
 
 
-def param_views(config: ModelConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
+def param_views(config: ModelConfig, n_ids: int, flat: np.ndarray) -> dict[str, np.ndarray]:
     """Reshaped views of the flat vector ``flat``, one per parameter in
     declared order; writing through a view writes into ``flat``."""
     views: dict[str, np.ndarray] = {}
     pos = 0
-    for name, shape in parameter_layout(config):
+    for name, shape in parameter_layout(config, n_ids):
         size = math.prod(shape)
         views[name] = flat[pos : pos + size].reshape(shape)
         pos += size
     return views
 
 
-def parameter_count(config: ModelConfig) -> int:
-    return sum(math.prod(shape) for _, shape in parameter_layout(config))
+def parameter_count(config: ModelConfig, n_ids: int) -> int:
+    return sum(math.prod(shape) for _, shape in parameter_layout(config, n_ids))
 
 
 def positional_table(max_len: int, hidden: int) -> np.ndarray:
@@ -278,16 +278,16 @@ class SpanModel:
     vocab: Vocabulary
 
     def __post_init__(self):
-        self.params = param_views(self.config, self.flat)
+        self.params = param_views(self.config, self.vocab.size, self.flat)
         self.pos_table = positional_table(self.config.max_len, self.config.hidden)
 
 
 def init_model(config: ModelConfig, seed: int, vocab: Vocabulary) -> SpanModel:
     """All trainable weights drawn from N(0, 0.01^2) with a seeded generator;
-    ``vocab`` has ``config.vocab_size`` ids."""
+    the embedding has one row per id of ``vocab``."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6D6F64]))
     # one draw of the whole vector equals per-parameter draws in declared order
-    flat = rng.standard_normal(parameter_count(config)) * 0.01
+    flat = rng.standard_normal(parameter_count(config, vocab.size)) * 0.01
     return SpanModel(config=config, seed=seed, flat=flat, vocab=vocab)
 
 
@@ -534,26 +534,22 @@ def save_model(model: SpanModel, path) -> None:
         "config": asdict(model.config),
         "seed": model.seed,
         "params": [{"name": name, "shape": list(shape)}
-                   for name, shape in parameter_layout(model.config)],
+                   for name, shape in parameter_layout(model.config, model.vocab.size)],
         "vocabulary": model.vocab.to_dict(),
     }, model.flat))
 
 
 def load_model(path) -> SpanModel:
     """Read a checkpoint written by ``save_model``, checked by
-    ``read_artifact``; a parameter list other than the config's layout, or a
-    vocabulary that is malformed or has other than ``vocab_size`` ids, is a
-    bad header field."""
+    ``read_artifact``; a malformed vocabulary, or a parameter list other
+    than the layout it and the config make, is a bad header field."""
     def parse(header):
         config = ModelConfig(**header["config"])
-        entries = [(e["name"], tuple(e["shape"])) for e in header["params"]]
-        if entries != parameter_layout(config):
-            raise ValueError("the parameter list does not match the config's layout")
         vocab = Vocabulary.from_dict(header["vocabulary"])
-        if vocab.size != config.vocab_size:
-            raise ValueError(f"the vocabulary has {vocab.size} ids, the config "
-                             f"{config.vocab_size}")
-        return (config, typed(header, "seed", int), vocab), (parameter_count(config),)
+        entries = [(e["name"], tuple(e["shape"])) for e in header["params"]]
+        if entries != parameter_layout(config, vocab.size):
+            raise ValueError("the parameter list does not match the config and vocabulary")
+        return (config, typed(header, "seed", int), vocab), (parameter_count(config, vocab.size),)
 
     _, (config, seed, vocab), flat = read_artifact(path, "checkpoint", CHECKPOINT_VERSION, parse)
     return SpanModel(config=config, seed=seed, flat=flat.astype(np.float64), vocab=vocab)

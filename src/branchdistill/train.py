@@ -291,7 +291,7 @@ def train(
     total_steps = cfg.epochs * -(-n // cfg.batch_size)
     # one gradient buffer per run: a fresh vector per step faults its pages in again
     grad = np.empty_like(model.flat)
-    grad_views = param_views(model_config, grad)
+    grad_views = param_views(model_config, vocab.size, grad)
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n)
         sums = {"nll": 0.0, "kd": 0.0, "total": 0.0}

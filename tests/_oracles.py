@@ -44,13 +44,13 @@ def vocabulary_from_samples(samples) -> md.Vocabulary:
 
 
 def vocabulary_of_size(size: int) -> md.Vocabulary:
-    """A vocabulary of ``size`` ids, or the empty one when ``size`` is below
-    ``FIRST_TOKEN_ID``, for a model whose tests encode no sample."""
+    """A vocabulary of ``size`` ids, at least ``FIRST_TOKEN_ID``, for a model
+    whose tests encode no sample."""
     return md.Vocabulary(f"t{i}" for i in range(size - md.FIRST_TOKEN_ID))
 
 
 def flat_gradient(model, cache, dz) -> np.ndarray:
     """``md.backward``'s gradient, written into a new flat vector."""
     grad = np.empty_like(model.flat)
-    md.backward(model, cache, dz, md.param_views(model.config, grad))
+    md.backward(model, cache, dz, md.param_views(model.config, model.vocab.size, grad))
     return grad

@@ -17,7 +17,7 @@ from branchdistill import model as md
 from branchdistill import train as tr
 
 from _gradcheck import central_difference, max_relative_error
-from _oracles import flat_gradient, vocabulary_from_samples, vocabulary_of_size
+from _oracles import flat_gradient, vocabulary_from_samples
 
 
 @contextmanager
@@ -62,12 +62,12 @@ def test_c01_gradient_fidelity():
     with criterion(1, "analytic gradients match central finite differences"):
         start = time.monotonic()
         rng = np.random.default_rng(42)
-        config = md.ModelConfig(vocab_size=30, hidden=8, ffn=16, max_len=16, layers=1)
-        model = md.init_model(config, 0, vocabulary_of_size(config.vocab_size))
+        config = md.ModelConfig(hidden=8, ffn=16, max_len=16, layers=1)
+        model = md.init_model(config, 0, md.Vocabulary(()))
         for p in model.params.values():
             p[:] = rng.normal(scale=0.5, size=p.shape)
 
-        encoded = random_encoded_batch(rng, config.vocab_size, config.max_len)
+        encoded = random_encoded_batch(rng, model.vocab.size, config.max_len)
         gold = encoded.gold
         passage = encoded.passage_mask()
         tau, lam1, lam2 = 2.0, 0.5, 0.5
@@ -87,14 +87,14 @@ def test_c01_gradient_fidelity():
 
         result = md.forward_batch(model, encoded)
         _, dz = ds.batch_nll(result.z, gold)
-        hard_grads = md.param_views(config, flat_gradient(model, result, dz))
+        hard_grads = md.param_views(config, model.vocab.size, flat_gradient(model, result, dz))
         worst_hard = max_relative_error(hard_grads, central_difference(hard_label_loss, model.params))
         assert worst_hard <= 1e-3, worst_hard
 
         result = md.forward_batch(model, encoded)
         _, nll_dz = ds.batch_nll(result.z, gold)
         _, kd_dz = ds.batch_kd(result.z, teacher_p, tau)
-        total_grads = md.param_views(config,
+        total_grads = md.param_views(config, model.vocab.size,
                                      flat_gradient(model, result, lam1 * nll_dz + lam2 * kd_dz))
         worst_total = max_relative_error(total_grads, central_difference(combined_loss, model.params))
         assert worst_total <= 1e-3, worst_total
@@ -132,7 +132,7 @@ def test_c02_loss_identities(tmp_path):
         dataset = cp.build_translate_train(records, "en").samples
         assert len(dataset) == 100
         vocab = vocabulary_from_samples(dataset)
-        config = md.ModelConfig(vocab_size=vocab.size, hidden=8, ffn=12, max_len=24)
+        config = md.ModelConfig(hidden=8, ffn=12, max_len=24)
 
         helper, _ = tr.train(dataset, vocab, config,
                              tr.TrainConfig(epochs=1, seed=1, lr=1e-3), "teacher")

@@ -244,6 +244,36 @@ class TestPipelineCommands:
         assert tiny("evaluate", pipeline_dir,
                     "--model", str(pipeline_dir / "teachers" / "nope" / "final.ckpt")) == 3
 
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--model", "{}/teachers/en"],
+        ["dump-logits", "--teacher", "en", "--model", "{}/teachers/en"],
+        ["evaluate", "--model", "{}/teachers/en/final.ckpt", "--dataset", "{}/datasets"],
+        ["compare", "--reports", "{}/datasets"],
+        ["generate", "--config", "{}/teachers"],
+    ], ids=["evaluate_model", "dump_logits_model", "evaluate_dataset", "compare_reports",
+            "generate_config"])
+    def test_input_path_naming_a_directory_is_exit_3(self, pipeline_dir, command, capsys):
+        # each command fails before it writes anything
+        command = [arg.format(pipeline_dir) for arg in command]
+        assert tiny(command[0], pipeline_dir, *command[1:]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("missing artifact: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, what", [
+        (["evaluate", "--model", "{run}/teachers/en/final.ckpt", "--report", "{tmp}/empty.json"],
+         "evaluation dataset"),
+        (["dump-logits", "--teacher", "en", "--store", "{tmp}/empty.logits"],
+         "distillation dataset"),
+    ], ids=["evaluate", "dump_logits"])
+    def test_dataset_with_no_sample_is_exit_2(self, pipeline_dir, tmp_path, command, what,
+                                              capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_bytes(b"")
+        command = [arg.format(run=pipeline_dir, tmp=tmp_path) for arg in command]
+        assert tiny(command[0], pipeline_dir, *command[1:], "--dataset", str(empty)) == 2
+        assert capsys.readouterr().err == f"error: {what} {empty} holds no sample\n"
+        assert sorted(tmp_path.iterdir()) == [empty]
+
     def test_rebuild_with_other_languages_leaves_dumped_logits_unchanged(self, tmp_path):
         # the en,de rebuild writes a vocabulary of the same size that moves
         # ids, so only the vocabulary in the checkpoint selects the rows the
@@ -285,11 +315,14 @@ class TestPipelineCommands:
             assert tiny(command[0], out, *command[1:]) == 3
             assert "vocabulary" in capsys.readouterr().err
 
-    def test_version_1_checkpoint_is_exit_2(self, pipeline_dir, tmp_path, capsys):
+    # version 1 held no vocabulary, and version 2 held the embedding height in
+    # its config as ``vocab_size``
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_checkpoint_version_is_exit_2(self, pipeline_dir, tmp_path, version, capsys):
         out = tmp_path / "copy"
         shutil.copytree(pipeline_dir, out)
         ckpt = out / "teachers" / "en" / "final.ckpt"
-        ckpt.write_bytes(rewrite_header(lambda header: header.update(format_version=1))(
+        ckpt.write_bytes(rewrite_header(lambda header: header.update(format_version=version))(
             ckpt.read_bytes()))
         for command in (["evaluate", "--model", str(ckpt)], ["dump-logits", "--teacher", "en"]):
             assert tiny(command[0], out, *command[1:]) == 2
@@ -501,6 +534,23 @@ class TestPipelineCommands:
         final = pipeline_dir / "teachers" / "en" / "final.ckpt"
         before = final.read_bytes()
         assert tiny("train-teacher", pipeline_dir, "--branch", "en", flag, value) == 2
+        assert final.read_bytes() == before
+
+    def test_manifest_with_a_vocab_size_is_refused(self, pipeline_dir, tmp_path, capsys):
+        # the model config once held the embedding height, which is now the
+        # vocabulary's size; a run directory written then is not reused
+        out = tmp_path / "copy"
+        shutil.copytree(pipeline_dir, out)
+        run_dir = out / "teachers" / "en"
+        final = run_dir / "final.ckpt"
+        before = final.read_bytes()
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        manifest["model_config"] = {"vocab_size": md.load_model(final).vocab.size,
+                                    **manifest["model_config"]}
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert tiny("train-teacher", out, "--branch", "en") == 2
+        assert "different model_config" in capsys.readouterr().err
         assert final.read_bytes() == before
 
     @pytest.mark.parametrize("edit", [

@@ -145,7 +145,7 @@ def fixed_layout_samples(n, lang="en"):
 
 class TestEvaluate:
     def _zero_model(self, vocab, max_len=16):
-        config = md.ModelConfig(vocab_size=vocab.size, hidden=8, ffn=8, max_len=max_len, layers=0)
+        config = md.ModelConfig(hidden=8, ffn=8, max_len=max_len, layers=0)
         model = md.init_model(config, 0, vocab)
         for p in model.params.values():
             p[:] = 0.0

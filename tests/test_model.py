@@ -33,8 +33,7 @@ def task_samples(n=6, seed=0, **task_kwargs):
 
 def small_model(samples, hidden=8, ffn=12, max_len=32, layers=1, seed=0):
     vocab = vocabulary_from_samples(samples)
-    config = md.ModelConfig(vocab_size=vocab.size, hidden=hidden, ffn=ffn,
-                            max_len=max_len, layers=layers)
+    config = md.ModelConfig(hidden=hidden, ffn=ffn, max_len=max_len, layers=layers)
     return md.init_model(config, seed, vocab), vocab
 
 
@@ -94,8 +93,8 @@ class TestEncodeDataset:
 
 class TestInit:
     def test_same_seed_same_parameters(self):
-        config = md.ModelConfig(vocab_size=md.FIRST_TOKEN_ID + 5, hidden=8, ffn=8, max_len=16)
-        vocab = vocabulary_of_size(config.vocab_size)
+        config = md.ModelConfig(hidden=8, ffn=8, max_len=16)
+        vocab = vocabulary_of_size(md.FIRST_TOKEN_ID + 5)
         a = md.init_model(config, 3, vocab)
         b = md.init_model(config, 3, vocab)
         for name in a.params:
@@ -103,8 +102,8 @@ class TestInit:
 
     def test_weight_statistics(self):
         # > 10k parameters; sample mean within the 3-sigma band around 0
-        config = md.ModelConfig(vocab_size=400, hidden=32, ffn=64, max_len=64)
-        model = md.init_model(config, 1, vocabulary_of_size(config.vocab_size))
+        config = md.ModelConfig(hidden=32, ffn=64, max_len=64)
+        model = md.init_model(config, 1, vocabulary_of_size(400))
         flat = np.concatenate([p.ravel() for p in model.params.values()])
         assert flat.size >= 10_000
         assert abs(flat.mean()) <= 0.001
@@ -167,7 +166,7 @@ class TestForward:
 
 def named_grads(model, cache, dz):
     """``md.backward``'s flat gradient, as one view per parameter name."""
-    return md.param_views(model.config, flat_gradient(model, cache, dz))
+    return md.param_views(model.config, model.vocab.size, flat_gradient(model, cache, dz))
 
 
 def operating_point(layers, seed, max_len=16):
@@ -218,7 +217,8 @@ class TestBackward:
         second = named_grads(model, cache, dz)
         for kept, now in zip(outputs, (cache.z, cache.H)):
             np.testing.assert_array_equal(kept, now)
-        assert list(first) == [name for name, _ in md.parameter_layout(model.config)]
+        layout = md.parameter_layout(model.config, model.vocab.size)
+        assert list(first) == [name for name, _ in layout]
         for name in first:
             np.testing.assert_array_equal(first[name], second[name])
             np.testing.assert_array_equal(model.params[name], before[name])
@@ -450,9 +450,9 @@ class TestSerialization:
             md.load_model(path)
 
     @pytest.mark.parametrize("field, retype", [
-        ("vocab_size", float), ("hidden", float), ("ffn", float), ("max_len", float),
-        ("layers", float), ("layers", bool),
-    ], ids=["vocab_size", "hidden", "ffn", "max_len", "layers", "layers_bool"])
+        ("hidden", float), ("ffn", float), ("max_len", float), ("layers", float),
+        ("layers", bool),
+    ], ids=["hidden", "ffn", "max_len", "layers", "layers_bool"])
     def test_checkpoint_with_a_non_integer_config_field_is_corrupt(self, tmp_path, field,
                                                                    retype):
         # 8.0 == 8 and True == 1, so the layout compare alone lets such a header through

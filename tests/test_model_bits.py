@@ -74,7 +74,7 @@ def oracle_backward(model, cache, grad_z_s, grad_z_e):
     p = model.params
     scale = 1.0 / np.sqrt(model.config.hidden)
     grad = np.zeros_like(model.flat)
-    grads = md.param_views(model.config, grad)
+    grads = md.param_views(model.config, model.vocab.size, grad)
     n = cache.H.shape[1]
     dx = 0.0
     for head, grad_z in (("start", grad_z_s), ("end", grad_z_e)):
@@ -117,8 +117,7 @@ def oracle_backward(model, cache, grad_z_s, grad_z_e):
 def random_batch(rng, batch, hidden, layers, max_len=24, vocab_size=md.FIRST_TOKEN_ID + 40):
     """A model at a representative operating point (not the tiny init
     scale) and a batch of rows of mixed real lengths."""
-    config = md.ModelConfig(vocab_size=vocab_size, hidden=hidden, ffn=2 * hidden,
-                            max_len=max_len, layers=layers)
+    config = md.ModelConfig(hidden=hidden, ffn=2 * hidden, max_len=max_len, layers=layers)
     model = md.init_model(config, 0, vocabulary_of_size(vocab_size))
     model.flat[:] = rng.normal(scale=0.3, size=model.flat.size)
     offset = rng.integers(2, 6, size=batch)
@@ -182,7 +181,7 @@ def test_reused_gradient_buffer_equals_a_fresh_backward():
     _, second = random_batch(rng, 4, 8, layers=1)
     assert set(first.ids.ravel()) != set(second.ids.ravel())
     buffer = np.full_like(model.flat, 7.0)
-    views = md.param_views(model.config, buffer)
+    views = md.param_views(model.config, model.vocab.size, buffer)
     for encoded in (first, second):
         fwd = md.forward_batch(model, encoded)
         dz = np.stack([rng.normal(size=fwd.passage.shape) for _ in range(2)], axis=1)

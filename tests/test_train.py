@@ -20,7 +20,7 @@ def small_task(n_records=12, seed=0, langs=("en", "es")):
     result = cp.build_language_branches(records, list(langs))
     union = cp.union_of_branches(result.branches)
     vocab = vocabulary_from_samples(union)
-    config = md.ModelConfig(vocab_size=vocab.size, hidden=8, ffn=12, max_len=24)
+    config = md.ModelConfig(hidden=8, ffn=12, max_len=24)
     return result, union, vocab, config
 
 
@@ -89,7 +89,7 @@ class TestFlatParameters:
         if source == "load":
             md.save_model(model, tmp_path / "saved.ckpt")
             model = md.load_model(tmp_path / "saved.ckpt")
-        assert list(model.params) == [name for name, _ in md.parameter_layout(config)]
+        assert list(model.params) == [name for name, _ in md.parameter_layout(config, vocab.size)]
         for name, view in model.params.items():
             assert np.shares_memory(view, model.flat), name
         model.params["end_bias"][2] = 7.5
@@ -272,7 +272,7 @@ class TestDumpLogits:
         union = cp.union_of_branches(branches)
         assert len(union) == 90
         vocab = vocabulary_from_samples(union)
-        config = md.ModelConfig(vocab_size=vocab.size, hidden=8, ffn=12, max_len=24)
+        config = md.ModelConfig(hidden=8, ffn=12, max_len=24)
         model = md.init_model(config, 0, vocab)
         written, skipped = tr.dump_teacher_logits(model, union, tmp_path / "s.logits", "en")
         assert written == 90 and skipped == 0
@@ -406,7 +406,7 @@ class TestDistillStudent:
     def test_store_length_mismatch(self, tmp_path):
         result, union, vocab, config = small_task()
         stores = self._stores(tmp_path, result, union, vocab, config)
-        other = md.ModelConfig(vocab_size=vocab.size, hidden=8, ffn=12, max_len=32)
+        other = md.ModelConfig(hidden=8, ffn=12, max_len=32)
         with pytest.raises(InvalidConfig, match="has max_len"):
             tr.train(union, vocab, other, tr.TrainConfig(epochs=1), "student", stores=stores)
 
