@@ -16,12 +16,11 @@ Exit codes: 0 success, 2 configuration error, 3 missing upstream artifact,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
 import traceback
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,7 @@ from . import evaluation as ev
 from .distill import LogitStore
 from .errors import InvalidConfig, MissingArtifact, malformed_as_invalid
 from .model import ModelConfig, Vocabulary, load_model
-from .train import MANIFEST_VERSION, RunManifest, TrainConfig, dump_teacher_logits, train
+from .train import DistillConfig, RunManifest, TrainConfig, dump_teacher_logits, run_key, train
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +102,7 @@ class PipelineConfig:
     noise: cp.NoiseSpec = field(init=False)
     model: ModelConfig = field(init=False)
     train: TrainConfig = field(init=False)
+    distill: DistillConfig = field(init=False)
     eval_config: ev.EvalConfig = field(init=False)
 
     def __post_init__(self):
@@ -127,6 +127,7 @@ class PipelineConfig:
         self.noise = self._settings(cp.NoiseSpec, "noise", seed=self.seed)
         self.model = self._settings(ModelConfig, "model")
         self.train = self._settings(TrainConfig, "train", seed=self.seed)
+        self.distill = self._settings(DistillConfig, "train")
         self.eval_config = self._settings(ev.EvalConfig, "eval")
 
     @property
@@ -240,6 +241,13 @@ def _require(path: Path, what: str) -> Path:
     return Path(path)
 
 
+def _output_path(path: str | None) -> str | None:
+    """An output flag's ``path``, refused when it names a directory."""
+    if path is not None and Path(path).is_dir():
+        raise InvalidConfig(f"output path {path} names a directory")
+    return path
+
+
 def _read_dataset(path: Path, what: str) -> list[cp.Sample]:
     """The samples of the dataset file ``path``, which must hold one at least."""
     samples = cp.read_samples(_require(path, what))
@@ -346,53 +354,40 @@ def op_build(cfg: PipelineConfig, mode: str, language: str | None = None) -> dic
     return meta
 
 
-def _check_resume(run_dir: Path, train_cfg: TrainConfig, model_cfg: ModelConfig,
-                  dataset_digest: str, vocab_digest: str,
-                  store_digests: dict[str, str]) -> RunManifest | None:
-    """A rerun into a run directory must find a manifest of the current
-    ``format_version`` with the same training and model config, dataset,
-    vocabulary and teacher stores (none for a teacher). Returns that
-    manifest, or None when there is none."""
+def _check_resume(run_dir: Path, key: dict) -> RunManifest | None:
+    """The manifest in ``run_dir`` if it records ``key``, the rerun's
+    ``run_key``, or None when there is none; any other manifest is refused."""
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         return None
-    current = json.loads(json.dumps({
-        "format_version": MANIFEST_VERSION,
-        "train_config": asdict(train_cfg),
-        "model_config": asdict(model_cfg),
-        "dataset_digest": dataset_digest,
-        "vocab_digest": vocab_digest,
-        "teacher_store_digests": store_digests,
-    }))
     raw = cp.read_json(manifest_path, "run manifest", dict)
-    changed = [key for key, value in current.items() if raw.get(key) != value]
+    changed = [name for name, value in key.items() if raw.get(name) != value]
     if changed:
-        raise InvalidConfig(
-            f"run directory {run_dir} holds a manifest with a different "
-            f"{', '.join(changed)}; choose a fresh --out-dir or matching settings"
-        )
+        raise InvalidConfig(f"run directory {run_dir} holds a manifest with a different "
+                            f"{', '.join(changed)}; choose a fresh --out-dir or matching settings")
     with malformed_as_invalid(manifest_path, "run manifest"):
         return RunManifest(**raw)
 
 
 def _train_stage(cfg: PipelineConfig, run_name: str, run_dir: Path, dataset: Path,
-                 train_cfg: TrainConfig, stores: dict[str, LogitStore] | None = None
-                 ) -> RunManifest:
+                 train_cfg: TrainConfig, stores: dict[str, LogitStore] | None = None,
+                 distill: DistillConfig | None = None) -> RunManifest:
     """Train one run on ``dataset`` with the vocabulary ``build`` wrote into
     ``run_dir``: a teacher when ``stores`` is None, else a student distilled
-    from them. A finished run whose manifest ``_check_resume`` accepts is
-    kept, since training it again would give the same bytes."""
+    from them under ``distill``. A finished run whose manifest ``_check_resume``
+    accepts is kept, since training it again would give the same bytes."""
     vocab_path = _require(cfg.vocab_path, "vocabulary")
     vocab = cp.read_json(vocab_path, "vocabulary", Vocabulary.from_dict)
     samples = cp.read_samples(dataset)
     digest = cp.sha256_file(dataset)
     vocab_digest = cp.sha256_file(vocab_path)
-    store_digests = {tid: store.sha256 for tid, store in (stores or {}).items()}
-    previous = _check_resume(run_dir, train_cfg, cfg.model, digest, vocab_digest, store_digests)
+    key = run_key(train_cfg, cfg.model, digest, vocab_digest, stores, distill)
+    previous = _check_resume(run_dir, key)
     if previous is not None and (run_dir / "final.ckpt").exists():
         return previous
     _, manifest = train(samples, vocab, cfg.model, train_cfg, run_name, out_dir=run_dir,
-                        stores=stores, dataset_digest=digest, vocab_digest=vocab_digest)
+                        stores=stores, distill=distill, dataset_digest=digest,
+                        vocab_digest=vocab_digest)
     return manifest
 
 
@@ -406,8 +401,7 @@ def op_train_teacher(cfg: PipelineConfig, branch: str | None = None,
     run_name = run_name or branch or Path(dataset).stem
     run_dir = cfg.teacher_dir(run_name)
     dataset = _require(Path(dataset), "training dataset")
-    train_cfg = replace(cfg.train, seed=cfg.seed if seed is None else seed,
-                        lambda1=1.0, lambda2=0.0)
+    train_cfg = cfg.train if seed is None else replace(cfg.train, seed=seed)
     manifest = _train_stage(cfg, run_name, run_dir, dataset, train_cfg)
     first, last = manifest.epoch_losses[0], manifest.epoch_losses[-1]
     print(f"train-teacher {run_name}: {manifest.n_samples} samples "
@@ -433,16 +427,16 @@ def op_distill(cfg: PipelineConfig, run_name: str | None = None,
                strategy: str | None = None, teachers: list[str] | None = None,
                dataset: Path | None = None) -> Path:
     teachers = teachers or cfg.languages
-    strategy = strategy or cfg.train.strategy
+    if len(set(teachers)) != len(teachers):
+        raise InvalidConfig(f"teacher ids {teachers} repeat a teacher")
+    strategy = strategy or cfg.distill.strategy
     run_name = run_name or ("student_imp" if strategy == "impurity" else "student_hyper")
     run_dir = cfg.student_dir(run_name)
     dataset = _require(Path(dataset or cfg.union_path), "distillation dataset")
-    stores = {
-        t: LogitStore(_require(cfg.store_path(t), f"logit store for {t!r}"))
-        for t in teachers
-    }
-    train_cfg = replace(cfg.train, strategy=strategy, teacher_ids=tuple(sorted(teachers)))
-    manifest = _train_stage(cfg, run_name, run_dir, dataset, train_cfg, stores)
+    stores = {t: LogitStore(_require(cfg.store_path(t), f"logit store for {t!r}"))
+              for t in teachers}
+    distill = replace(cfg.distill, strategy=strategy)
+    manifest = _train_stage(cfg, run_name, run_dir, dataset, cfg.train, stores, distill)
     first, last = manifest.epoch_losses[0], manifest.epoch_losses[-1]
     print(f"distill {run_name}: teachers={sorted(teachers)} strategy={strategy} "
           f"loss {first['total']:.4f} -> {last['total']:.4f}")
@@ -454,10 +448,8 @@ def op_evaluate(cfg: PipelineConfig, model_path: Path, dataset: Path | None = No
                 report_path: Path | None = None, name: str = "run") -> ev.EvalReport:
     if zero_shot_language:
         dataset = cfg.eval_zero_shot_path(zero_shot_language)
-    if dataset is None:
-        dataset = cfg.eval_grid_path
     model = load_model(_require(Path(model_path), "model checkpoint"))
-    samples = _read_dataset(Path(dataset), "evaluation dataset")
+    samples = _read_dataset(Path(dataset or cfg.eval_grid_path), "evaluation dataset")
     report = ev.evaluate(model, samples, cfg.eval_config)
     if report_path is not None:
         _write_with_text(report_path, report.to_dict(), ev.render_report(report, name))
@@ -703,7 +695,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", default=None, help="dataset to cover (default: the union)")
     p.add_argument("--store", default=None, help="explicit store output path")
     add_config_flags(p)
-    p.set_defaults(run=lambda cfg, a: op_dump_logits(cfg, a.teacher, a.model, a.dataset, a.store))
+    p.set_defaults(run=lambda cfg, a: op_dump_logits(cfg, a.teacher, a.model, a.dataset,
+                                                     _output_path(a.store)))
 
     p = sub.add_parser("distill", help="train the multilingual student")
     p.add_argument("--teachers", default=None, help="comma-separated teacher subset")
@@ -716,14 +709,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a dataset")
     p.add_argument("--model", required=True, help="checkpoint to evaluate")
-    p.add_argument("--dataset", default=None, help="dataset path (default: the eval grid)")
-    p.add_argument("--zero-shot-language", dest="zero_shot_eval", default=None,
-                   help="evaluate on a language held out of training")
+    scored = p.add_mutually_exclusive_group()
+    scored.add_argument("--dataset", default=None, help="dataset path (default: the eval grid)")
+    scored.add_argument("--zero-shot-language", dest="zero_shot_eval", default=None,
+                        help="evaluate on a language held out of training")
     p.add_argument("--report", default=None, help="write the report JSON here")
     p.add_argument("--name", default="run", help="row name in the rendered table")
     add_config_flags(p)
     p.set_defaults(run=lambda cfg, a: op_evaluate(
-        cfg, a.model, a.dataset, a.zero_shot_eval, a.report, a.name))
+        cfg, a.model, a.dataset, a.zero_shot_eval, _output_path(a.report), a.name))
 
     p = sub.add_parser("ablate", help="run the teacher-set and strategy ablation matrix")
     add_config_flags(p)
@@ -747,10 +741,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", type=int, default=0, help="index of the baseline row")
     p.add_argument("--out", default=None, help="write the comparison JSON here")
     add_config_flags(p)
+    # the output path first, so it is refused before any report is read
     p.set_defaults(run=lambda cfg, a: op_compare(
-        [ev.EvalReport.load(_require(Path(path), "report")) for path in a.reports],
-        a.names.split(",") if a.names else [Path(path).stem for path in a.reports],
-        a.baseline, a.out or cfg.reports_dir / "comparison.json"))
+        out_path=_output_path(a.out) or cfg.reports_dir / "comparison.json",
+        reports=[ev.EvalReport.load(_require(Path(path), "report")) for path in a.reports],
+        names=a.names.split(",") if a.names else [Path(path).stem for path in a.reports],
+        baseline=a.baseline))
     return parser
 
 

@@ -31,14 +31,16 @@ to zero at the end of the last epoch.
 
 Every run is a pure function of (dataset bytes, config, seed): shuffling
 comes from one seeded generator, batches are reduced in a fixed order, and
-repeated runs produce bit-identical checkpoints. A manifest records the
-config snapshot, input digests, per-epoch loss curve, and skip counts.
+repeated runs produce bit-identical checkpoints. ``TrainConfig`` holds the
+settings of every run and ``DistillConfig`` those of a student's objective
+alone, so no teacher depends on a distillation choice. A manifest records
+``run_key``'s fields, which identify a run, the loss curve and skip counts.
 
 Each setting and artifact is checked once, where it enters: by the CLI's
-config parser, the construction of ``TrainConfig`` (the optimizer's
-settings too) and ``ModelConfig``, ``train``'s dataset and store checks and
-``LogitStore``, all before a run writes anything. ``AdamW`` and the numeric
-core in ``distill`` trust them.
+config parser, the construction of ``TrainConfig``, ``DistillConfig`` and
+``ModelConfig``, ``train``'s dataset and store checks and ``LogitStore``,
+all before a run writes anything. ``AdamW`` and the numeric core in
+``distill`` trust them.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from .model import (
     save_model,
 )
 
-MANIFEST_VERSION = 3
+MANIFEST_VERSION = 4
 WARMUP_FRACTION = 0.1
 
 
@@ -97,17 +99,15 @@ class AdamW:
 
     Update of the flat parameter vector ``theta``: m and v track the first
     and second gradient moments elementwise, are bias-corrected, and the
-    step is ``theta -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta)``.
+    step is ``theta -= lr * (m_hat / (sqrt(v_hat) + EPS) + weight_decay * theta)``.
     ``lr`` is read at every step; the training loop sets it from
-    ``learning_rate`` before each update. ``TrainConfig`` holds and checks
-    the hyperparameters.
+    ``learning_rate`` before each update. ``BETAS`` and ``EPS`` are fixed.
     """
 
-    def __init__(self, size: int, *, lr: float, betas: tuple[float, float], eps: float,
-                 weight_decay: float):
+    BETAS, EPS = (0.9, 0.999), 1e-8
+
+    def __init__(self, size: int, *, lr: float, weight_decay: float):
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m = np.zeros(size)
@@ -118,7 +118,7 @@ class AdamW:
 
     def step(self, theta: np.ndarray, g: np.ndarray) -> None:
         self.step_count += 1
-        b1, b2 = self.betas
+        b1, b2 = self.BETAS
         c1 = 1.0 - b1 ** self.step_count
         c2 = 1.0 - b2 ** self.step_count
         m, v, a, b = self.m, self.v, self._a, self._b
@@ -129,7 +129,7 @@ class AdamW:
         v += np.multiply(np.multiply(g, 1.0 - b2, out=a), g, out=a)
         np.divide(m, c1, out=a)                     # m_hat
         np.sqrt(np.divide(v, c2, out=b), out=b)     # sqrt(v_hat)
-        a /= np.add(b, self.eps, out=b)
+        a /= np.add(b, self.EPS, out=b)
         a += np.multiply(theta, self.weight_decay, out=b)
         theta -= np.multiply(a, self.lr, out=a)
 
@@ -155,19 +155,13 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The settings of every run, teacher or student."""
+
     epochs: int = 10
     batch_size: int = 8
     seed: int = 0
-    tau: float = 2.0
-    lambda1: float = 0.5
-    lambda2: float = 0.5
-    strategy: str = "fixed"            # "fixed" or "impurity"
-    impurity_sign: int = 1
-    teacher_ids: tuple[str, ...] = ()
     lr: float = 5e-3
     weight_decay: float = 0.005
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
     clip_norm: float = 5.0            # <= 0 disables clipping
 
     def __post_init__(self):
@@ -175,23 +169,30 @@ class TrainConfig:
             raise InvalidConfig("epochs and batch_size must be >= 1")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
+        if not (self.lr >= 0.0 and self.weight_decay >= 0.0):
+            raise InvalidConfig(f"learning rate {self.lr} and weight decay "
+                                f"{self.weight_decay} must be non-negative")
+
+
+@dataclass(frozen=True)
+class DistillConfig:
+    """The settings of a student's objective alone, which no teacher reads."""
+
+    tau: float = 2.0
+    lambda1: float = 0.5
+    lambda2: float = 0.5
+    strategy: str = "fixed"            # "fixed" or "impurity"
+    impurity_sign: int = 1
+
+    def __post_init__(self):
         if not self.tau > 0.0:
             raise InvalidConfig(f"temperature tau must be positive, got {self.tau}")
         if self.lambda1 < 0.0 or self.lambda2 < 0.0:
             raise InvalidConfig("loss weights must be non-negative")
-        if not (self.lr >= 0.0 and self.weight_decay >= 0.0):
-            raise InvalidConfig(f"learning rate {self.lr} and weight decay "
-                                f"{self.weight_decay} must be non-negative")
-        if not (0.0 <= self.betas[0] < 1.0 and 0.0 <= self.betas[1] < 1.0):
-            raise InvalidConfig(f"betas must be in [0, 1), got {self.betas}")
-        if not self.eps > 0.0:
-            raise InvalidConfig(f"eps must be positive, got {self.eps}")
         if self.strategy not in ("fixed", "impurity"):
             raise InvalidConfig(f"unknown selective strategy {self.strategy!r}")
         if self.impurity_sign not in (1, -1):
             raise InvalidConfig("impurity_sign must be +1 or -1")
-        if len(set(self.teacher_ids)) != len(self.teacher_ids):
-            raise InvalidConfig(f"teacher ids {list(self.teacher_ids)} repeat a teacher")
 
 
 @dataclass
@@ -204,36 +205,55 @@ class RunManifest:
     steps whose gradients ``clip_gradients`` scaled down to
     ``TrainConfig.clip_norm``.
 
-    ``format_version`` 3 marks runs that keep one checkpoint, ``final.ckpt``;
-    version 2 runs also kept one per epoch, named here, and version 1 runs
-    used the constant rate ``TrainConfig.lr``, not ``learning_rate``'s rule.
+    ``format_version`` 4 marks runs whose distillation settings sit in
+    ``distill_config`` (None for a teacher), not ``train_config``; version 3
+    runs were the first with one checkpoint, ``final.ckpt``, version 2 runs
+    kept one per epoch too, and version 1 runs used a constant rate.
     """
 
     run_name: str
+    format_version: int
     train_config: dict
+    distill_config: dict | None
     model_config: dict
     dataset_digest: str
     vocab_digest: str | None
-    teacher_store_digests: dict[str, str] = field(default_factory=dict)
+    teacher_store_digests: dict[str, str]
     epoch_losses: list[dict] = field(default_factory=list)
     skipped_samples: int = 0
     n_samples: int = 0
-    format_version: int = MANIFEST_VERSION
+
+
+def run_key(cfg: TrainConfig, model_config: ModelConfig, dataset_digest: str,
+            vocab_digest: str | None, stores: dict[str, LogitStore] | None = None,
+            distill: DistillConfig | None = None) -> dict:
+    """The ``RunManifest`` fields that identify a run: its format, the
+    settings that train it and the digests of what it reads; a teacher
+    (``stores`` None) has no distillation settings or stores."""
+    return {
+        "format_version": MANIFEST_VERSION,
+        "train_config": asdict(cfg),
+        "distill_config": None if stores is None else asdict(distill),
+        "model_config": asdict(model_config),
+        "dataset_digest": dataset_digest,
+        "vocab_digest": vocab_digest,
+        "teacher_store_digests": {tid: stores[tid].sha256 for tid in sorted(stores or {})},
+    }
 
 
 def _target_tables(samples: list[Sample], stores: dict[str, LogitStore],
-                   cfg: TrainConfig) -> np.ndarray:
+                   distill: DistillConfig) -> np.ndarray:
     """Softened aggregated teacher targets for ``samples``, in that order,
-    as one (N, 2, L) block."""
+    as one (N, 2, L) block; the teachers are taken in sorted order."""
     keys = [s.key() for s in samples]
-    blocks = [stores[tid].take(keys) for tid in cfg.teacher_ids or sorted(stores)]
-    if cfg.strategy == "fixed":
+    blocks = [stores[tid].take(keys) for tid in sorted(stores)]
+    if distill.strategy == "fixed":
         weights = fixed_weights(len(blocks))
     else:
         # one head at a time: over the whole block the temporaries double in size
-        weights = np.stack([impurity_weights([b[:, i] for b in blocks], cfg.impurity_sign)
+        weights = np.stack([impurity_weights([b[:, i] for b in blocks], distill.impurity_sign)
                             for i in range(2)], axis=1)
-    return softmax_temperature(aggregate_logits(blocks, weights), cfg.tau)
+    return softmax_temperature(aggregate_logits(blocks, weights), distill.tau)
 
 
 def train(
@@ -244,48 +264,31 @@ def train(
     run_name: str,
     out_dir=None,
     stores: dict[str, LogitStore] | None = None,
+    distill: DistillConfig | None = None,
     dataset_digest: str = "",
     vocab_digest: str | None = None,
 ) -> tuple[SpanModel, RunManifest]:
     """Train one model on ``samples``: a branch teacher when ``stores`` is
-    None, else the student, distilled from the teachers' logit stores."""
+    None, else the student, distilled from the stores under ``distill``."""
     if not samples:
         raise InvalidConfig("training dataset is empty")
-    if stores is not None:
-        if not stores:
-            raise InvalidConfig("distillation requires at least one teacher store")
-        teacher_ids = cfg.teacher_ids or tuple(sorted(stores))
-        unknown = [tid for tid in teacher_ids if tid not in stores]
-        if unknown:
-            raise InvalidConfig(f"teacher ids {unknown} have no store")
-        for tid, store in stores.items():
-            if store.max_len != model_config.max_len:
-                raise InvalidConfig(
-                    f"store for {tid!r} has max_len {store.max_len}, model expects "
-                    f"{model_config.max_len}"
-                )
+    for tid, store in (stores or {}).items():
+        if store.max_len != model_config.max_len:
+            raise InvalidConfig(f"store for {tid!r} has max_len {store.max_len}, model expects "
+                                f"{model_config.max_len}")
     encoded, kept, skipped = encode_dataset(samples, vocab, model_config.max_len)
     if not kept:
         raise InvalidConfig("every training sample fell outside the input window")
     if stores is not None:
-        targets = _target_tables(kept, stores, cfg)
+        targets = _target_tables(kept, stores, distill)
 
     model = init_model(model_config, cfg.seed, vocab)
-    optimizer = AdamW(model.flat.size, lr=cfg.lr, betas=cfg.betas, eps=cfg.eps,
-                      weight_decay=cfg.weight_decay)
+    optimizer = AdamW(model.flat.size, lr=cfg.lr, weight_decay=cfg.weight_decay)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x736866]))
 
-    manifest = RunManifest(
-        run_name=run_name,
-        train_config=asdict(cfg),
-        model_config=asdict(model_config),
-        dataset_digest=dataset_digest,
-        vocab_digest=vocab_digest,
-        skipped_samples=skipped,
-        n_samples=len(kept),
-    )
-    if stores is not None:
-        manifest.teacher_store_digests = {tid: stores[tid].sha256 for tid in teacher_ids}
+    manifest = RunManifest(run_name=run_name, skipped_samples=skipped, n_samples=len(kept),
+                           **run_key(cfg, model_config, dataset_digest, vocab_digest, stores,
+                                     distill))
 
     n = len(kept)
     total_steps = cfg.epochs * -(-n // cfg.batch_size)
@@ -304,9 +307,9 @@ def train(
             result = forward_batch(model, batch)
             nll, dz = batch_nll(result.z, batch.gold)
             if stores is not None:
-                kd, kd_dz = batch_kd(result.z, targets[batch_idx], cfg.tau)
-                loss = cfg.lambda1 * nll + cfg.lambda2 * kd
-                dz = cfg.lambda1 * dz + cfg.lambda2 * kd_dz
+                kd, kd_dz = batch_kd(result.z, targets[batch_idx], distill.tau)
+                loss = distill.lambda1 * nll + distill.lambda2 * kd
+                dz = distill.lambda1 * dz + distill.lambda2 * kd_dz
             else:
                 # hard-label training: plain likelihood objective
                 kd = 0.0

@@ -140,12 +140,12 @@ def test_c02_loss_identities(tmp_path):
         tr.dump_teacher_logits(helper, dataset, store_path, "en")
         stores = {"en": ds.LogitStore(store_path)}
 
-        shared = dict(epochs=2, seed=17, lr=1e-3, lambda1=1.0, lambda2=0.0)
+        shared = tr.TrainConfig(epochs=2, seed=17, lr=1e-3)
         student, student_manifest = tr.train(
-            dataset, vocab, config, tr.TrainConfig(**shared), "student", stores=stores
+            dataset, vocab, config, shared, "student", stores=stores,
+            distill=tr.DistillConfig(lambda1=1.0, lambda2=0.0),
         )
-        plain, plain_manifest = tr.train(dataset, vocab, config, tr.TrainConfig(**shared),
-                                         "teacher")
+        plain, plain_manifest = tr.train(dataset, vocab, config, shared, "teacher")
         for name in student.params:
             assert np.array_equal(student.params[name], plain.params[name]), name
         assert [e["total"] for e in student_manifest.epoch_losses] == [

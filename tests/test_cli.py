@@ -84,6 +84,17 @@ def forbid_training(monkeypatch):
     monkeypatch.setattr(cli, "train", train)
 
 
+def _as_version_3(manifest):
+    """Rewrite a run manifest as version 3 wrote it: the distillation
+    settings (a teacher's with hard-label weights) and the optimizer's
+    constants in ``train_config``, and no ``distill_config``."""
+    distill = manifest.pop("distill_config") or dataclasses.asdict(
+        tr.DistillConfig(lambda1=1.0, lambda2=0.0))
+    manifest["train_config"].update(distill, teacher_ids=sorted(manifest["teacher_store_digests"]),
+                                    betas=[0.9, 0.999], eps=1e-8)
+    manifest["format_version"] = 3
+
+
 def run(args, *extra):
     return cli.main(list(args) + list(extra))
 
@@ -225,8 +236,8 @@ class TestPipelineCommands:
         manifest = json.loads(
             (pipeline_dir / "students" / "imp_minus" / "manifest.json").read_text()
         )
-        assert manifest["train_config"]["strategy"] == "impurity"
-        assert manifest["train_config"]["impurity_sign"] == -1
+        assert manifest["distill_config"]["strategy"] == "impurity"
+        assert manifest["distill_config"]["impurity_sign"] == -1
 
         report_path = pipeline_dir / "reports" / "imp_minus.json"
         assert tiny("evaluate", pipeline_dir,
@@ -239,6 +250,36 @@ class TestPipelineCommands:
         assert tiny("evaluate", pipeline_dir,
                     "--model", str(pipeline_dir / "teachers" / "en" / "final.ckpt"),
                     "--zero-shot-language", "zz") == 0
+
+    def test_evaluate_dataset_with_zero_shot_language_is_usage_error(self, pipeline_dir,
+                                                                     tmp_path, capsys):
+        # either flag names the evaluation set; given both, neither is scored
+        report = tmp_path / "report.json"
+        assert tiny("evaluate", pipeline_dir,
+                    "--model", str(pipeline_dir / "teachers" / "en" / "final.ckpt"),
+                    "--dataset", str(pipeline_dir / "datasets" / "branch_en.jsonl"),
+                    "--zero-shot-language", "zz", "--report", str(report)) == 2
+        captured = capsys.readouterr()
+        assert "not allowed with argument" in captured.err and captured.out == ""
+        assert not report.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["dump-logits", "--teacher", "en", "--store", "{out}"],
+        ["evaluate", "--model", "{run}/teachers/en/final.ckpt", "--report", "{out}"],
+        ["compare", "--reports", "{run}/reports/none.json", "--out", "{out}"],
+    ], ids=["dump_logits_store", "evaluate_report", "compare_out"])
+    def test_output_path_naming_a_directory_is_exit_2(self, pipeline_dir, tmp_path, command,
+                                                      monkeypatch, capsys):
+        # refused before a model is loaded, a report read or anything written
+        def load_model(path):
+            raise AssertionError(f"{path} was loaded")
+        monkeypatch.setattr(cli, "load_model", load_model)
+        out = tmp_path / "taken"
+        out.mkdir()
+        command = [arg.format(run=pipeline_dir, out=out) for arg in command]
+        assert tiny(command[0], pipeline_dir, *command[1:]) == 2
+        assert capsys.readouterr().err == f"error: output path {out} names a directory\n"
+        assert list(tmp_path.rglob("*")) == [out]
 
     def test_missing_checkpoint_is_exit_3(self, pipeline_dir):
         assert tiny("evaluate", pipeline_dir,
@@ -492,14 +533,19 @@ class TestPipelineCommands:
         b = (out / "teachers" / "en" / "final.ckpt").read_bytes()
         assert a == b
 
-    def test_finished_teacher_with_same_config_is_kept(self, pipeline_dir, tmp_path,
-                                                       monkeypatch, capsys):
+    # a distillation setting trains no teacher, so it keeps a finished one
+    @pytest.mark.parametrize("setting", [
+        [], ["--train.tau", "3"], ["--train.strategy", "impurity"],
+        ["--train.impurity_sign", "-1"], ["--train.lambda2", "0.9"],
+    ], ids=["same_config", "tau", "strategy", "impurity_sign", "lambda2"])
+    def test_finished_teacher_is_kept(self, pipeline_dir, tmp_path, setting, monkeypatch,
+                                      capsys):
         out = tmp_path / "copy"
         shutil.copytree(pipeline_dir, out)
         final = out / "teachers" / "en" / "final.ckpt"
         os.utime(final, ns=(0, 0))
         forbid_training(monkeypatch)
-        assert tiny("train-teacher", out, "--branch", "en") == 0
+        assert tiny("train-teacher", out, "--branch", "en", *setting) == 0
         assert final.stat().st_mtime_ns == 0
         assert "train-teacher en:" in capsys.readouterr().out
 
@@ -515,6 +561,18 @@ class TestPipelineCommands:
         assert tiny("distill", out, "--run-name", "kept") == 0
         assert final.stat().st_mtime_ns == 0
         assert "distill kept:" in capsys.readouterr().out
+
+    def test_student_with_another_temperature_is_refused(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "copy"
+        shutil.copytree(pipeline_dir, out)
+        assert tiny("distill", out, "--run-name", "warm") == 0
+        final = out / "students" / "warm" / "final.ckpt"
+        before = final.read_bytes()
+        capsys.readouterr()
+        assert tiny("distill", out, "--run-name", "warm", "--train.tau", "3") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "different distill_config;" in err
+        assert final.read_bytes() == before
 
     def test_student_whose_store_changed_is_refused(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "copy"
@@ -557,8 +615,9 @@ class TestPipelineCommands:
         lambda manifest: manifest.update(format_version=1),
         lambda manifest: manifest.update(format_version=2, final_checkpoint="final.ckpt",
                                          checkpoints=["epoch_001.ckpt", "epoch_002.ckpt"]),
+        _as_version_3,
         lambda manifest: manifest.pop("format_version"),
-    ], ids=["version_1", "version_2", "no_version"])
+    ], ids=["version_1", "version_2", "version_3", "no_version"])
     def test_manifest_of_another_format_is_never_reused(self, pipeline_dir, tmp_path, edit,
                                                         capsys):
         out = tmp_path / "copy"
@@ -678,9 +737,9 @@ class TestConfigHandling:
 
     def test_schema_defaults_are_the_field_defaults(self):
         # a key's default and the default of the field it fills cannot drift apart
-        owners = {"corpus": cp.TaskSpec, "noise": cp.NoiseSpec, "model": md.ModelConfig,
-                  "train": tr.TrainConfig, "eval": ev.EvalConfig}
-        defaults = {f"{prefix}.{f.name}": f.default for prefix, cls in owners.items()
+        owners = [("corpus", cp.TaskSpec), ("noise", cp.NoiseSpec), ("model", md.ModelConfig),
+                  ("train", tr.TrainConfig), ("train", tr.DistillConfig), ("eval", ev.EvalConfig)]
+        defaults = {f"{prefix}.{f.name}": f.default for prefix, cls in owners
                     for f in dataclasses.fields(cls) if f"{prefix}.{f.name}" in cli.SCHEMA}
         assert len(defaults) == 24
         assert {key: cli.SCHEMA[key][1] for key in defaults} == defaults
@@ -744,7 +803,7 @@ class TestConfigHandling:
             "teacher_weight_decay_negative", "distill_tau_0"])
     def test_out_of_range_setting_is_config_error(self, pipeline_dir, command, setting,
                                                   message, capsys):
-        # building TrainConfig is the one check of these settings
+        # building TrainConfig or DistillConfig is the one check of these settings
         extra = ["--branch", "en"] if command == "train-teacher" else []
         assert tiny(command, pipeline_dir, *extra, "--run-name", "out_of_range", *setting) == 2
         err = capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -27,21 +28,21 @@ def small_task(n_records=12, seed=0, langs=("en", "es")):
 class TestAdamW:
     def test_null_update(self):
         theta = np.array([1.0, -2.0, 3.0])
-        opt = tr.AdamW(3, lr=0.1, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
+        opt = tr.AdamW(3, lr=0.1, weight_decay=0.0)
         opt.step(theta, np.zeros(3))
         np.testing.assert_array_equal(theta, [1.0, -2.0, 3.0])
 
     def test_decoupled_decay_hand_evaluation(self):
         # theta = 1, g = 0, wd = 0.005, lr = 0.1 -> theta = 1 - 0.1 * 0.005
         theta = np.array([1.0])
-        opt = tr.AdamW(1, lr=0.1, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.005)
+        opt = tr.AdamW(1, lr=0.1, weight_decay=0.005)
         opt.step(theta, np.zeros(1))
         np.testing.assert_allclose(theta, [0.9995], atol=1e-15)
 
     def test_constant_gradient_update_approaches_lr(self):
         theta = np.array([0.0])
         lr = 0.001
-        opt = tr.AdamW(1, lr=lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
+        opt = tr.AdamW(1, lr=lr, weight_decay=0.0)
         previous = theta.copy()
         for _ in range(2000):
             previous = theta.copy()
@@ -53,7 +54,7 @@ class TestAdamW:
         b1, b2, lr, eps, wd = 0.9, 0.999, 5e-3, 1e-8, 0.005
         theta = rng.normal(size=500)
         expected, m, v = theta.copy(), np.zeros(500), np.zeros(500)
-        opt = tr.AdamW(500, lr=lr, betas=(b1, b2), eps=eps, weight_decay=wd)
+        opt = tr.AdamW(500, lr=lr, weight_decay=wd)
         for t in range(1, 6):
             g = rng.normal(size=500) * 10.0 ** rng.integers(-8, 3, size=500)
             opt.step(theta, g)
@@ -210,21 +211,6 @@ class TestTrainTeacher:
         _, manifest = tr.train(result.branches["en"], vocab, config, cfg, "teacher")
         assert manifest.epoch_losses[-1]["total"] < manifest.epoch_losses[0]["total"]
 
-    def test_repeated_teacher_ids_rejected(self):
-        tr.TrainConfig(teacher_ids=("en", "es"))
-        with pytest.raises(InvalidConfig, match="repeat a teacher"):
-            tr.TrainConfig(teacher_ids=("en", "en", "es"))
-
-    @pytest.mark.parametrize("setting, message", [
-        ({"betas": (1.0, 0.999)}, "betas"), ({"betas": (0.9, -0.1)}, "betas"),
-        ({"betas": (0.9, float("nan"))}, "betas"), ({"eps": 0.0}, "eps"),
-        ({"eps": -1e-8}, "eps"), ({"eps": float("nan")}, "eps"),
-    ])
-    def test_bad_optimizer_setting_rejected(self, setting, message):
-        tr.TrainConfig(betas=(0.0, 0.5), eps=1e-12)
-        with pytest.raises(InvalidConfig, match=message):
-            tr.TrainConfig(**setting)
-
     def test_empty_dataset_rejected(self):
         _, _, vocab, config = small_task()
         with pytest.raises(InvalidConfig):
@@ -232,9 +218,8 @@ class TestTrainTeacher:
 
     @pytest.mark.parametrize("weights", [{"lambda1": -0.1}, {"lambda2": -0.1}])
     def test_negative_loss_weights_rejected(self, weights):
-        result, _, vocab, config = small_task()
-        with pytest.raises(InvalidConfig):
-            tr.train(result.branches["en"], vocab, config, tr.TrainConfig(**weights), "teacher")
+        with pytest.raises(InvalidConfig, match="loss weights must be non-negative"):
+            tr.DistillConfig(**weights)
 
     def test_run_directory_holds_one_checkpoint(self, tmp_path):
         result, _, vocab, config = small_task()
@@ -242,8 +227,11 @@ class TestTrainTeacher:
         tr.train(result.branches["en"], vocab, config, cfg, "teacher", out_dir=tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["final.ckpt", "manifest.json"]
         saved = json.loads((tmp_path / "manifest.json").read_text())
-        assert saved["format_version"] == tr.MANIFEST_VERSION == 3
+        assert saved["format_version"] == tr.MANIFEST_VERSION == 4
         assert not {"checkpoints", "final_checkpoint"} & set(saved)
+        # a teacher's manifest records no distillation setting
+        assert saved["distill_config"] is None and saved["teacher_store_digests"] == {}
+        assert set(saved["train_config"]) == {f.name for f in dataclasses.fields(tr.TrainConfig)}
 
 
 class TestDumpLogits:
@@ -310,8 +298,8 @@ class TestTargetTables:
         return stores
 
     @staticmethod
-    def _reference_row(stores, teacher_ids, key, cfg):
-        records = [stores[tid].get(key) for tid in teacher_ids]
+    def _reference_row(stores, key, cfg):
+        records = [stores[tid].get(key) for tid in sorted(stores)]
         if cfg.strategy == "fixed":
             weights = ds.fixed_weights(len(records))
         else:
@@ -327,7 +315,7 @@ class TestTargetTables:
         """The targets as separate start and end tables, each weighted,
         aggregated and softened on its own."""
         keys = [s.key() for s in samples]
-        blocks = [stores[tid].take(keys) for tid in cfg.teacher_ids or sorted(stores)]
+        blocks = [stores[tid].take(keys) for tid in sorted(stores)]
         tables = []
         for head in range(2):
             per_teacher = [np.ascontiguousarray(b[:, head]) for b in blocks]
@@ -341,32 +329,30 @@ class TestTargetTables:
             tables.append(ds.softmax_temperature(z, cfg.tau))
         return np.stack(tables, axis=1)
 
-    @pytest.mark.parametrize("teacher_ids", [("en",), ("es", "en"), ("es", "de", "en")])
+    @pytest.mark.parametrize("teacher_ids", [("en",), ("en", "es"), ("de", "en", "es")])
     @pytest.mark.parametrize("strategy,sign", [("fixed", 1), ("impurity", 1), ("impurity", -1)])
     def test_block_bits_equal_per_head_oracle(self, tmp_path, teacher_ids, strategy, sign):
-        stores = self._stores(tmp_path, ("de", "en", "es"), 40, 24, masked=True)
-        cfg = tr.TrainConfig(tau=1.7, strategy=strategy, impurity_sign=sign,
-                             teacher_ids=teacher_ids)
+        stores = self._stores(tmp_path, teacher_ids, 40, 24, masked=True)
+        cfg = tr.DistillConfig(tau=1.7, strategy=strategy, impurity_sign=sign)
         samples = [_Keyed(f"s{i}") for i in np.random.default_rng(2).permutation(40)]
         block = tr._target_tables(samples, stores, cfg)
         expected = self._per_head_oracle(samples, stores, cfg)
         assert block.shape == expected.shape == (40, 2, 24)
         assert block.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("teacher_ids", [("en",), ("es", "en"), ("es", "de", "en"), ()])
+    @pytest.mark.parametrize("teacher_ids", [("en",), ("de", "es"), ("en", "es"),
+                                             ("de", "en", "es")])
     @pytest.mark.parametrize("strategy,sign", [("fixed", 1), ("impurity", 1), ("impurity", -1)])
     @pytest.mark.parametrize("max_len", [7, 150])
     def test_bit_identical_to_per_row_reference(self, tmp_path, teacher_ids, strategy, sign,
                                                max_len):
-        stores = self._stores(tmp_path, ("de", "en", "es"), 30, max_len)
-        cfg = tr.TrainConfig(tau=1.7, strategy=strategy, impurity_sign=sign,
-                             teacher_ids=teacher_ids)
+        stores = self._stores(tmp_path, teacher_ids, 30, max_len)
+        cfg = tr.DistillConfig(tau=1.7, strategy=strategy, impurity_sign=sign)
         keys = [f"s{i}" for i in np.random.default_rng(1).permutation(30)]
         p = tr._target_tables([_Keyed(k) for k in keys], stores, cfg)
         assert p.shape == (30, 2, max_len)
         for row, key in enumerate(keys):
-            ref = self._reference_row(stores, teacher_ids or ("de", "en", "es"), key, cfg)
-            np.testing.assert_array_equal(p[row], ref)
+            np.testing.assert_array_equal(p[row], self._reference_row(stores, key, cfg))
 
 
 class TestDistillStudent:
@@ -383,8 +369,9 @@ class TestDistillStudent:
     def test_hard_label_only_matches_teacher_training_bitwise(self, tmp_path):
         result, union, vocab, config = small_task()
         stores = self._stores(tmp_path, result, union, vocab, config)
-        cfg = tr.TrainConfig(epochs=2, seed=9, lr=1e-3, lambda1=1.0, lambda2=0.0)
-        student, student_manifest = tr.train(union, vocab, config, cfg, "student", stores=stores)
+        cfg = tr.TrainConfig(epochs=2, seed=9, lr=1e-3)
+        student, student_manifest = tr.train(union, vocab, config, cfg, "student", stores=stores,
+                                             distill=tr.DistillConfig(lambda1=1.0, lambda2=0.0))
         teacher, teacher_manifest = tr.train(union, vocab, config, cfg, "teacher")
         for name in student.params:
             np.testing.assert_array_equal(student.params[name], teacher.params[name])
@@ -401,29 +388,34 @@ class TestDistillStudent:
         stores["en"] = ds.LogitStore(path)
         with pytest.raises(InvalidConfig, match=r"samples lack teacher logits \(first: .* "
                                                 r"from teacher 'en'\)"):
-            tr.train(union, vocab, config, tr.TrainConfig(epochs=1), "student", stores=stores)
+            tr.train(union, vocab, config, tr.TrainConfig(epochs=1), "student", stores=stores,
+                     distill=tr.DistillConfig())
 
     def test_store_length_mismatch(self, tmp_path):
         result, union, vocab, config = small_task()
         stores = self._stores(tmp_path, result, union, vocab, config)
         other = md.ModelConfig(hidden=8, ffn=12, max_len=32)
         with pytest.raises(InvalidConfig, match="has max_len"):
-            tr.train(union, vocab, other, tr.TrainConfig(epochs=1), "student", stores=stores)
+            tr.train(union, vocab, other, tr.TrainConfig(epochs=1), "student", stores=stores,
+                     distill=tr.DistillConfig())
 
     def test_single_teacher_distillation_runs(self, tmp_path):
         result, union, vocab, config = small_task()
         stores = self._stores(tmp_path, result, union, vocab, config, langs=("en",))
-        cfg = tr.TrainConfig(epochs=1, seed=2, lr=1e-3, teacher_ids=("en",), strategy="impurity")
-        _, manifest = tr.train(union, vocab, config, cfg, "student", stores=stores)
+        cfg = tr.TrainConfig(epochs=1, seed=2, lr=1e-3)
+        _, manifest = tr.train(union, vocab, config, cfg, "student", stores=stores,
+                               distill=tr.DistillConfig(strategy="impurity"))
         assert manifest.epoch_losses[0]["kd"] > 0.0
         assert manifest.teacher_store_digests.keys() == {"en"}
+        assert manifest.distill_config["strategy"] == "impurity"
 
     def test_run_reads_no_store_after_opening(self, tmp_path):
         result, union, vocab, config = small_task()
         stores = self._stores(tmp_path, result, union, vocab, config)
-        cfg = tr.TrainConfig(epochs=2, seed=2, lr=1e-3, strategy="impurity")
+        cfg = tr.TrainConfig(epochs=2, seed=2, lr=1e-3)
+        distill = tr.DistillConfig(strategy="impurity")
         _, present = tr.train(union, vocab, config, cfg, "student", stores=stores,
-                              out_dir=tmp_path / "present")
+                              distill=distill, out_dir=tmp_path / "present")
         assert present.teacher_store_digests == {
             lang: cp.sha256_file(store.path) for lang, store in stores.items()
         }
@@ -431,7 +423,7 @@ class TestDistillStudent:
         for store in reopened.values():
             store.path.unlink()
         _, deleted = tr.train(union, vocab, config, cfg, "student", stores=reopened,
-                              out_dir=tmp_path / "deleted")
+                              distill=distill, out_dir=tmp_path / "deleted")
         assert ((tmp_path / "deleted" / "final.ckpt").read_bytes()
                 == (tmp_path / "present" / "final.ckpt").read_bytes())
         assert deleted.teacher_store_digests == present.teacher_store_digests
@@ -442,9 +434,10 @@ class TestDistillStudent:
         cfg = tr.TrainConfig(epochs=1, seed=2, lr=1e-3)
         _, manifest = tr.train(
             union, vocab, config, cfg, "student", out_dir=tmp_path / "run", stores=stores,
-            dataset_digest="d" * 64, vocab_digest="v" * 64,
+            distill=tr.DistillConfig(), dataset_digest="d" * 64, vocab_digest="v" * 64,
         )
         loaded = tr.RunManifest(**json.loads((tmp_path / "run" / "manifest.json").read_text()))
         assert loaded.dataset_digest == "d" * 64
         assert loaded.vocab_digest == "v" * 64
         assert set(loaded.teacher_store_digests) == {"en", "es"}
+        assert loaded.distill_config == dataclasses.asdict(tr.DistillConfig())
