@@ -20,6 +20,7 @@ import math
 import sys
 import time
 import traceback
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -67,7 +68,6 @@ SCHEMA: dict[str, tuple] = {
     "model.hidden": (int, 32, "encoder hidden size"),
     "model.ffn": (int, 64, "feed-forward inner size"),
     "model.max_len": (int, 64, "packed input length"),
-    "model.layers": (int, 1, "encoder layers"),
     "train.epochs": (int, 10, "training epochs"),
     "train.batch_size": (int, 8, "mini-batch size"),
     "train.tau": (float, 2.0, "distillation temperature"),
@@ -241,11 +241,14 @@ def _require(path: Path, what: str) -> Path:
     return Path(path)
 
 
-def _output_path(path: str | None) -> str | None:
-    """An output flag's ``path``, refused when it names a directory."""
-    if path is not None and Path(path).is_dir():
+def _output_path(path: str | Path | None) -> Path | None:
+    """An operation's resolved output ``path``, from a flag or a default, as
+    a ``Path``; refused when it names a directory."""
+    if path is None:
+        return None
+    if Path(path).is_dir():
         raise InvalidConfig(f"output path {path} names a directory")
-    return path
+    return Path(path)
 
 
 def _read_dataset(path: Path, what: str) -> list[cp.Sample]:
@@ -414,7 +417,7 @@ def op_dump_logits(cfg: PipelineConfig, teacher: str, model_path: Path | None = 
                    dataset: Path | None = None, store_path: Path | None = None) -> Path:
     model_path = model_path or (cfg.teacher_dir(teacher) / "final.ckpt")
     dataset = dataset or cfg.union_path
-    store_path = Path(store_path or cfg.store_path(teacher))
+    store_path = _output_path(store_path or cfg.store_path(teacher))
     model = load_model(_require(Path(model_path), "teacher checkpoint"))
     samples = _read_dataset(Path(dataset), "distillation dataset")
     store_path.parent.mkdir(parents=True, exist_ok=True)
@@ -448,6 +451,7 @@ def op_evaluate(cfg: PipelineConfig, model_path: Path, dataset: Path | None = No
                 report_path: Path | None = None, name: str = "run") -> ev.EvalReport:
     if zero_shot_language:
         dataset = cfg.eval_zero_shot_path(zero_shot_language)
+    report_path = _output_path(report_path)
     model = load_model(_require(Path(model_path), "model checkpoint"))
     samples = _read_dataset(Path(dataset or cfg.eval_grid_path), "evaluation dataset")
     report = ev.evaluate(model, samples, cfg.eval_config)
@@ -458,9 +462,12 @@ def op_evaluate(cfg: PipelineConfig, model_path: Path, dataset: Path | None = No
     return report
 
 
-def op_compare(reports: list[ev.EvalReport], names: list[str], baseline: int = 0,
+def op_compare(reports: Iterable[ev.EvalReport], names: list[str], baseline: int = 0,
                out_path: Path | None = None) -> dict:
-    comparison = ev.compare_runs(reports, names, baseline)
+    """One table of ``reports``, which are taken only after ``out_path``
+    is checked."""
+    out_path = _output_path(out_path)
+    comparison = ev.compare_runs(list(reports), names, baseline)
     text = ev.render_comparison(comparison)
     if out_path is not None:
         _write_with_text(out_path, comparison, text)
@@ -695,8 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", default=None, help="dataset to cover (default: the union)")
     p.add_argument("--store", default=None, help="explicit store output path")
     add_config_flags(p)
-    p.set_defaults(run=lambda cfg, a: op_dump_logits(cfg, a.teacher, a.model, a.dataset,
-                                                     _output_path(a.store)))
+    p.set_defaults(run=lambda cfg, a: op_dump_logits(cfg, a.teacher, a.model, a.dataset, a.store))
 
     p = sub.add_parser("distill", help="train the multilingual student")
     p.add_argument("--teachers", default=None, help="comma-separated teacher subset")
@@ -717,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default="run", help="row name in the rendered table")
     add_config_flags(p)
     p.set_defaults(run=lambda cfg, a: op_evaluate(
-        cfg, a.model, a.dataset, a.zero_shot_eval, _output_path(a.report), a.name))
+        cfg, a.model, a.dataset, a.zero_shot_eval, a.report, a.name))
 
     p = sub.add_parser("ablate", help="run the teacher-set and strategy ablation matrix")
     add_config_flags(p)
@@ -741,10 +747,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", type=int, default=0, help="index of the baseline row")
     p.add_argument("--out", default=None, help="write the comparison JSON here")
     add_config_flags(p)
-    # the output path first, so it is refused before any report is read
+    # a generator, so no report is read before op_compare checks the output path
     p.set_defaults(run=lambda cfg, a: op_compare(
-        out_path=_output_path(a.out) or cfg.reports_dir / "comparison.json",
-        reports=[ev.EvalReport.load(_require(Path(path), "report")) for path in a.reports],
+        out_path=a.out or cfg.reports_dir / "comparison.json",
+        reports=(ev.EvalReport.load(_require(Path(path), "report")) for path in a.reports),
         names=a.names.split(",") if a.names else [Path(path).stem for path in a.reports],
         baseline=a.baseline))
     return parser

@@ -1,9 +1,9 @@
 """Compact trainable span-extraction model.
 
 The encoder embeds the packed (question, passage) input, adds a fixed
-sinusoidal positional table, and runs ``layers`` blocks of single-head
-scaled dot-product self-attention and a position-wise feed-forward network,
-each with residual connection and post layer norm. Two linear heads project
+sinusoidal positional table, and runs one block of single-head scaled
+dot-product self-attention and a position-wise feed-forward network, each
+with residual connection and post layer norm. Two linear heads project
 the contextual representation to per-position start/end logits; each head
 adds a trainable per-position bias vector of length ``max_len``. Positions
 outside the passage window (start token, question, separator, padding) are
@@ -22,11 +22,11 @@ gradient in the same form, and ``forward_logits`` returns every row's
 (N, 2, max_len) block, the form a logit store and decoding both take.
 
 ``forward_batch`` trims each batch to its longest real input: with n that
-length, the embedding, every block and both heads run on n positions, and
+length, the embedding, the block and both heads run on n positions, and
 the logits are padded back to ``max_len`` with ``MASKED_LOGIT``. It keeps
-the activations of every block, and ``backward`` runs the written-out
-reverse pass of that one architecture. Outputs depend on n only in their
-last bits, through the rounding of sums and matrix products over positions.
+the block's activations, and ``backward`` runs the written-out reverse pass
+of that one architecture. Outputs depend on n only in their last bits,
+through the rounding of sums and matrix products over positions.
 
 Both passes update a temporary in place whenever the next operation
 consumes it (``attn *= scale``, ``t += x``, ``gx -= m1``) and allocate
@@ -78,7 +78,7 @@ OOV_BASE_ID = 3
 OOV_BUCKETS = 100
 FIRST_TOKEN_ID = OOV_BASE_ID + OOV_BUCKETS
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # Rows per encoder pass in ``forward_logits``, the forward-only pass of logit
 # dumps and evaluation.
@@ -92,7 +92,6 @@ class ModelConfig:
     hidden: int = 32
     ffn: int = 64
     max_len: int = 64
-    layers: int = 1
 
     def __post_init__(self):
         for f in fields(self):
@@ -101,7 +100,7 @@ class ModelConfig:
                 raise InvalidConfig(f"{f.name} must be an integer, got {value!r}")
         if self.hidden < 2 or self.hidden % 2 != 0:
             raise InvalidConfig(f"hidden must be an even number >= 2, got {self.hidden}")
-        for name, least in (("ffn", 1), ("max_len", 4), ("layers", 0)):
+        for name, least in (("ffn", 1), ("max_len", 4)):
             if getattr(self, name) < least:
                 raise InvalidConfig(f"{name} must be >= {least}, got {getattr(self, name)}")
 
@@ -215,30 +214,25 @@ def parameter_layout(config: ModelConfig, n_ids: int) -> list[tuple[str, tuple[i
     """Declared parameter order for a vocabulary of ``n_ids`` ids; init,
     serialization, and the optimizer all iterate in exactly this order."""
     h, f, L = config.hidden, config.ffn, config.max_len
-    layout: list[tuple[str, tuple[int, ...]]] = [("embed", (n_ids, h))]
-    for i in range(config.layers):
-        prefix = f"layer{i}."
-        layout += [
-            (prefix + "attn_wq", (h, h)),
-            (prefix + "attn_wk", (h, h)),
-            (prefix + "attn_wv", (h, h)),
-            (prefix + "attn_wo", (h, h)),
-            (prefix + "ln1_gain", (h,)),
-            (prefix + "ln1_offset", (h,)),
-            (prefix + "ffn_w1", (h, f)),
-            (prefix + "ffn_b1", (f,)),
-            (prefix + "ffn_w2", (f, h)),
-            (prefix + "ffn_b2", (h,)),
-            (prefix + "ln2_gain", (h,)),
-            (prefix + "ln2_offset", (h,)),
-        ]
-    layout += [
+    return [
+        ("embed", (n_ids, h)),
+        ("attn_wq", (h, h)),
+        ("attn_wk", (h, h)),
+        ("attn_wv", (h, h)),
+        ("attn_wo", (h, h)),
+        ("ln1_gain", (h,)),
+        ("ln1_offset", (h,)),
+        ("ffn_w1", (h, f)),
+        ("ffn_b1", (f,)),
+        ("ffn_w2", (f, h)),
+        ("ffn_b2", (h,)),
+        ("ln2_gain", (h,)),
+        ("ln2_offset", (h,)),
         ("start_vec", (h,)),
         ("start_bias", (L,)),
         ("end_vec", (h,)),
         ("end_bias", (L,)),
     ]
-    return layout
 
 
 def param_views(config: ModelConfig, n_ids: int, flat: np.ndarray) -> dict[str, np.ndarray]:
@@ -269,11 +263,10 @@ def positional_table(max_len: int, hidden: int) -> np.ndarray:
 
 @dataclass
 class SpanModel:
-    """A model's config, seed and flat parameter vector, and the vocabulary
-    whose ids index its embedding rows."""
+    """A model's config and flat parameter vector, and the vocabulary whose
+    ids index its embedding rows."""
 
     config: ModelConfig
-    seed: int
     flat: np.ndarray
     vocab: Vocabulary
 
@@ -288,7 +281,7 @@ def init_model(config: ModelConfig, seed: int, vocab: Vocabulary) -> SpanModel:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6D6F64]))
     # one draw of the whole vector equals per-parameter draws in declared order
     flat = rng.standard_normal(parameter_count(config, vocab.size)) * 0.01
-    return SpanModel(config=config, seed=seed, flat=flat, vocab=vocab)
+    return SpanModel(config=config, flat=flat, vocab=vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -301,20 +294,20 @@ class Forward:
     """Outputs of ``forward_batch``: the (B, 2, L) start/end logit block z
     and the final hidden states H (B, n, h), plus what ``backward`` needs
     besides them: the token ids (B, n), the passage mask (B, L) and the
-    block activations, all over n positions, where n is the batch's longest
-    real input.
+    encoder block's activations, all over n positions, where n is the
+    batch's longest real input.
 
-    ``blocks`` holds one tuple per encoder block: its input x, the attention
-    q, k, v and probabilities, their mix ``attn @ v``, the first layer-norm
-    cache, the FFN input y, the FFN hidden layer after ReLU, and the second
-    layer-norm cache.
+    ``activations`` holds the block's input x, the attention q, k, v and
+    probabilities, their mix ``attn @ v``, the first layer-norm cache, the
+    FFN input y, the FFN hidden layer after ReLU, and the second layer-norm
+    cache; the block's output is H.
     """
 
     z: np.ndarray
     H: np.ndarray
     ids: np.ndarray
     passage: np.ndarray
-    blocks: list[tuple]
+    activations: tuple
 
 
 def layer_norm(x, gain, offset, eps: float = 1e-6):
@@ -368,39 +361,36 @@ def forward_batch(model: SpanModel, encoded: Encoded) -> Forward:
 
     x = p["embed"][ids]
     x += model.pos_table[:n]
-    blocks = []
-    for i in range(cfg.layers):
-        prefix = f"layer{i}."
-        q = x @ p[prefix + "attn_wq"]
-        k = x @ p[prefix + "attn_wk"]
-        v = x @ p[prefix + "attn_wv"]
-        attn = q @ k.swapaxes(-1, -2)
-        attn *= scale
-        attn += attn_bias
-        attn -= attn.max(axis=-1, keepdims=True)
-        np.exp(attn, out=attn)
-        attn /= attn.sum(axis=-1, keepdims=True)
-        mixed = attn @ v
-        t = mixed @ p[prefix + "attn_wo"]
-        t += x
-        y, ln1 = layer_norm(t, p[prefix + "ln1_gain"], p[prefix + "ln1_offset"])
-        pre = y @ p[prefix + "ffn_w1"]
-        pre += p[prefix + "ffn_b1"]
-        # not np.maximum, which keeps -0.0
-        hidden = np.where(pre > 0.0, pre, 0.0)
-        t = hidden @ p[prefix + "ffn_w2"]
-        t += p[prefix + "ffn_b2"]
-        t += y
-        out, ln2 = layer_norm(t, p[prefix + "ln2_gain"], p[prefix + "ln2_offset"])
-        blocks.append((x, q, k, v, attn, mixed, ln1, y, hidden, ln2))
-        x = out
+    q = x @ p["attn_wq"]
+    k = x @ p["attn_wk"]
+    v = x @ p["attn_wv"]
+    attn = q @ k.swapaxes(-1, -2)
+    attn *= scale
+    attn += attn_bias
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    mixed = attn @ v
+    t = mixed @ p["attn_wo"]
+    t += x
+    y, ln1 = layer_norm(t, p["ln1_gain"], p["ln1_offset"])
+    hidden = y @ p["ffn_w1"]
+    hidden += p["ffn_b1"]
+    np.maximum(hidden, 0.0, out=hidden)
+    # np.maximum keeps -0.0; adding 0.0 makes it +0.0 and leaves every other value
+    hidden += 0.0
+    t = hidden @ p["ffn_w2"]
+    t += p["ffn_b2"]
+    t += y
+    H, ln2 = layer_norm(t, p["ln2_gain"], p["ln2_offset"])
 
     z = np.full((len(passage), 2, cfg.max_len), MASKED_LOGIT)
     inside = passage[:, :n]
     for i, head in enumerate(("start", "end")):
-        z[:, i, :n] = np.where(inside, (x @ p[f"{head}_vec"].reshape(-1, 1))[..., 0]
+        z[:, i, :n] = np.where(inside, (H @ p[f"{head}_vec"].reshape(-1, 1))[..., 0]
                                + p[f"{head}_bias"][:n], MASKED_LOGIT)
-    return Forward(z=z, H=x, ids=ids, passage=passage, blocks=blocks)
+    return Forward(z=z, H=H, ids=ids, passage=passage,
+                   activations=(x, q, k, v, attn, mixed, ln1, y, hidden, ln2))
 
 
 def forward_logits(model: SpanModel, encoded: Encoded) -> np.ndarray:
@@ -439,39 +429,37 @@ def backward(model: SpanModel, cache: Forward, dz, grads: dict[str, np.ndarray])
         grads[f"{head}_vec"][...] = (cache.H.swapaxes(-1, -2) @ g[..., None]).sum(axis=0)[:, 0]
         dx += g[..., None] @ p[f"{head}_vec"].reshape(1, -1)
 
-    for i in reversed(range(model.config.layers)):
-        prefix = f"layer{i}."
-        x, q, k, v, attn, mixed, ln1, y, hidden, ln2 = cache.blocks[i]
-        d_out, grads[prefix + "ln2_gain"][...], grads[prefix + "ln2_offset"][...] = (
-            layer_norm_backward(dx, p[prefix + "ln2_gain"], ln2))
-        grads[prefix + "ffn_b2"][...] = d_out.sum(0).sum(0)
-        grads[prefix + "ffn_w2"][...] = (hidden.swapaxes(-1, -2) @ d_out).sum(axis=0)
-        d_pre = d_out @ p[prefix + "ffn_w2"].swapaxes(-1, -2)
-        d_pre *= hidden > 0.0
-        grads[prefix + "ffn_b1"][...] = d_pre.sum(0).sum(0)
-        grads[prefix + "ffn_w1"][...] = (y.swapaxes(-1, -2) @ d_pre).sum(axis=0)
-        dy = d_pre @ p[prefix + "ffn_w1"].swapaxes(-1, -2)
-        dy += d_out
+    x, q, k, v, attn, mixed, ln1, y, hidden, ln2 = cache.activations
+    d_out, grads["ln2_gain"][...], grads["ln2_offset"][...] = (
+        layer_norm_backward(dx, p["ln2_gain"], ln2))
+    grads["ffn_b2"][...] = d_out.sum(0).sum(0)
+    grads["ffn_w2"][...] = (hidden.swapaxes(-1, -2) @ d_out).sum(axis=0)
+    d_pre = d_out @ p["ffn_w2"].swapaxes(-1, -2)
+    d_pre *= hidden > 0.0
+    grads["ffn_b1"][...] = d_pre.sum(0).sum(0)
+    grads["ffn_w1"][...] = (y.swapaxes(-1, -2) @ d_pre).sum(axis=0)
+    dy = d_pre @ p["ffn_w1"].swapaxes(-1, -2)
+    dy += d_out
 
-        d_sum, grads[prefix + "ln1_gain"][...], grads[prefix + "ln1_offset"][...] = (
-            layer_norm_backward(dy, p[prefix + "ln1_gain"], ln1))
-        grads[prefix + "attn_wo"][...] = (mixed.swapaxes(-1, -2) @ d_sum).sum(axis=0)
-        d_mixed = d_sum @ p[prefix + "attn_wo"].swapaxes(-1, -2)
-        d_v = attn.swapaxes(-1, -2) @ d_mixed
-        d_scores = d_mixed @ v.swapaxes(-1, -2)
-        d_scores -= (d_scores * attn).sum(axis=-1, keepdims=True)
-        d_scores *= attn
-        d_scores *= scale
-        d_q = d_scores @ k
-        d_k = (q.swapaxes(-1, -2) @ d_scores).swapaxes(-1, -2)
-        xt = x.swapaxes(-1, -2)
-        grads[prefix + "attn_wq"][...] = (xt @ d_q).sum(axis=0)
-        grads[prefix + "attn_wk"][...] = (xt @ d_k).sum(axis=0)
-        grads[prefix + "attn_wv"][...] = (xt @ d_v).sum(axis=0)
-        dx = d_q @ p[prefix + "attn_wq"].swapaxes(-1, -2)
-        dx += d_sum
-        dx += d_k @ p[prefix + "attn_wk"].swapaxes(-1, -2)
-        dx += d_v @ p[prefix + "attn_wv"].swapaxes(-1, -2)
+    d_sum, grads["ln1_gain"][...], grads["ln1_offset"][...] = (
+        layer_norm_backward(dy, p["ln1_gain"], ln1))
+    grads["attn_wo"][...] = (mixed.swapaxes(-1, -2) @ d_sum).sum(axis=0)
+    d_mixed = d_sum @ p["attn_wo"].swapaxes(-1, -2)
+    d_v = attn.swapaxes(-1, -2) @ d_mixed
+    d_scores = d_mixed @ v.swapaxes(-1, -2)
+    d_scores -= (d_scores * attn).sum(axis=-1, keepdims=True)
+    d_scores *= attn
+    d_scores *= scale
+    d_q = d_scores @ k
+    d_k = (q.swapaxes(-1, -2) @ d_scores).swapaxes(-1, -2)
+    xt = x.swapaxes(-1, -2)
+    grads["attn_wq"][...] = (xt @ d_q).sum(axis=0)
+    grads["attn_wk"][...] = (xt @ d_k).sum(axis=0)
+    grads["attn_wv"][...] = (xt @ d_v).sum(axis=0)
+    dx = d_q @ p["attn_wq"].swapaxes(-1, -2)
+    dx += d_sum
+    dx += d_k @ p["attn_wk"].swapaxes(-1, -2)
+    dx += d_v @ p["attn_wv"].swapaxes(-1, -2)
 
     grads["embed"][...] = 0.0
     np.add.at(grads["embed"], cache.ids, dx)
@@ -532,7 +520,6 @@ def save_model(model: SpanModel, path) -> None:
     write_file(path, pack_artifact({
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
-        "seed": model.seed,
         "params": [{"name": name, "shape": list(shape)}
                    for name, shape in parameter_layout(model.config, model.vocab.size)],
         "vocabulary": model.vocab.to_dict(),
@@ -549,7 +536,7 @@ def load_model(path) -> SpanModel:
         entries = [(e["name"], tuple(e["shape"])) for e in header["params"]]
         if entries != parameter_layout(config, vocab.size):
             raise ValueError("the parameter list does not match the config and vocabulary")
-        return (config, typed(header, "seed", int), vocab), (parameter_count(config, vocab.size),)
+        return (config, vocab), (parameter_count(config, vocab.size),)
 
-    _, (config, seed, vocab), flat = read_artifact(path, "checkpoint", CHECKPOINT_VERSION, parse)
-    return SpanModel(config=config, seed=seed, flat=flat.astype(np.float64), vocab=vocab)
+    _, (config, vocab), flat = read_artifact(path, "checkpoint", CHECKPOINT_VERSION, parse)
+    return SpanModel(config=config, flat=flat.astype(np.float64), vocab=vocab)

@@ -62,7 +62,7 @@ def test_c01_gradient_fidelity():
     with criterion(1, "analytic gradients match central finite differences"):
         start = time.monotonic()
         rng = np.random.default_rng(42)
-        config = md.ModelConfig(hidden=8, ffn=16, max_len=16, layers=1)
+        config = md.ModelConfig(hidden=8, ffn=16, max_len=16)
         model = md.init_model(config, 0, md.Vocabulary(()))
         for p in model.params.values():
             p[:] = rng.normal(scale=0.5, size=p.shape)

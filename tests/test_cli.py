@@ -263,23 +263,37 @@ class TestPipelineCommands:
         assert "not allowed with argument" in captured.err and captured.out == ""
         assert not report.exists()
 
-    @pytest.mark.parametrize("command", [
-        ["dump-logits", "--teacher", "en", "--store", "{out}"],
-        ["evaluate", "--model", "{run}/teachers/en/final.ckpt", "--report", "{out}"],
-        ["compare", "--reports", "{run}/reports/none.json", "--out", "{out}"],
-    ], ids=["dump_logits_store", "evaluate_report", "compare_out"])
+    @pytest.mark.parametrize("command, taken", [
+        (["dump-logits", "--teacher", "en", "--store", "{taken}"], "taken"),
+        (["evaluate", "--model", "{out}/teachers/en/final.ckpt", "--report", "{taken}"],
+         "taken"),
+        (["compare", "--reports", "{out}/reports/none.json", "--out", "{taken}"], "taken"),
+        (["dump-logits", "--teacher", "en"], "logits/en.logits"),
+        (["compare", "--reports", "{out}/reports/none.json"], "reports/comparison.json"),
+    ], ids=["dump_logits_store", "evaluate_report", "compare_out", "dump_logits_default",
+            "compare_default"])
     def test_output_path_naming_a_directory_is_exit_2(self, pipeline_dir, tmp_path, command,
-                                                      monkeypatch, capsys):
-        # refused before a model is loaded, a report read or anything written
+                                                      taken, monkeypatch, capsys):
+        # a flag's path or a default one, refused before a model is loaded, a
+        # report read or anything written
         def load_model(path):
             raise AssertionError(f"{path} was loaded")
         monkeypatch.setattr(cli, "load_model", load_model)
-        out = tmp_path / "taken"
-        out.mkdir()
-        command = [arg.format(run=pipeline_dir, out=out) for arg in command]
-        assert tiny(command[0], pipeline_dir, *command[1:]) == 2
-        assert capsys.readouterr().err == f"error: output path {out} names a directory\n"
-        assert list(tmp_path.rglob("*")) == [out]
+        out = tmp_path / "copy"
+        shutil.copytree(pipeline_dir, out)
+        taken = out / taken
+        if taken.is_file():
+            taken.unlink()
+        taken.mkdir(parents=True, exist_ok=True)
+
+        def snapshot():
+            return {path: path.is_file() and path.read_bytes() for path in out.rglob("*")}
+
+        before = snapshot()
+        command = [arg.format(out=out, taken=taken) for arg in command]
+        assert tiny(command[0], out, *command[1:]) == 2
+        assert capsys.readouterr().err == f"error: output path {taken} names a directory\n"
+        assert snapshot() == before
 
     def test_missing_checkpoint_is_exit_3(self, pipeline_dir):
         assert tiny("evaluate", pipeline_dir,
@@ -356,9 +370,10 @@ class TestPipelineCommands:
             assert tiny(command[0], out, *command[1:]) == 3
             assert "vocabulary" in capsys.readouterr().err
 
-    # version 1 held no vocabulary, and version 2 held the embedding height in
-    # its config as ``vocab_size``
-    @pytest.mark.parametrize("version", [1, 2])
+    # version 1 held no vocabulary, version 2 held the embedding height in
+    # its config as ``vocab_size``, and version 3 held a seed, a layer count
+    # and per-layer parameter names
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_checkpoint_version_is_exit_2(self, pipeline_dir, tmp_path, version, capsys):
         out = tmp_path / "copy"
         shutil.copytree(pipeline_dir, out)
@@ -428,8 +443,6 @@ class TestPipelineCommands:
         assert f"{path} is malformed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, field, corrupt, command", [
-        ("teachers/en/final.ckpt", "seed",
-         rewrite_header(lambda header: header.update(seed=2.9)), ["dump-logits", "--teacher", "en"]),
         ("logits/en.logits", "max_len",
          rewrite_header(lambda header: header.update(max_len="32")),
          ["distill", "--run-name", "typed"]),
@@ -446,7 +459,7 @@ class TestPipelineCommands:
          rewrite_first_record(lambda record: _shift_answer(record, "answer_start")), ["build"]),
         ("corpus.jsonl", "answer_end",
          rewrite_first_record(lambda record: _shift_answer(record, "answer_end")), ["build"]),
-    ], ids=["seed", "max_len", "teacher_id", "gold_start", "gold_end", "answer_start",
+    ], ids=["max_len", "teacher_id", "gold_start", "gold_end", "answer_start",
             "answer_end"])
     def test_field_of_the_wrong_type_is_exit_2(self, pipeline_dir, tmp_path, name, field,
                                                corrupt, command, capsys):
@@ -594,17 +607,20 @@ class TestPipelineCommands:
         assert tiny("train-teacher", pipeline_dir, "--branch", "en", flag, value) == 2
         assert final.read_bytes() == before
 
-    def test_manifest_with_a_vocab_size_is_refused(self, pipeline_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["vocab_size", "layers"])
+    def test_manifest_with_a_removed_model_field_is_refused(self, pipeline_dir, tmp_path, key,
+                                                            capsys):
         # the model config once held the embedding height, which is now the
-        # vocabulary's size; a run directory written then is not reused
+        # vocabulary's size, and the encoder's depth, which is now one block;
+        # a run directory written then is not reused
         out = tmp_path / "copy"
         shutil.copytree(pipeline_dir, out)
         run_dir = out / "teachers" / "en"
         final = run_dir / "final.ckpt"
         before = final.read_bytes()
         manifest = json.loads((run_dir / "manifest.json").read_text())
-        manifest["model_config"] = {"vocab_size": md.load_model(final).vocab.size,
-                                    **manifest["model_config"]}
+        value = md.load_model(final).vocab.size if key == "vocab_size" else 1
+        manifest["model_config"] = {key: value, **manifest["model_config"]}
         (run_dir / "manifest.json").write_text(json.dumps(manifest))
         capsys.readouterr()
         assert tiny("train-teacher", out, "--branch", "en") == 2
@@ -741,7 +757,7 @@ class TestConfigHandling:
                   ("train", tr.TrainConfig), ("train", tr.DistillConfig), ("eval", ev.EvalConfig)]
         defaults = {f"{prefix}.{f.name}": f.default for prefix, cls in owners
                     for f in dataclasses.fields(cls) if f"{prefix}.{f.name}" in cli.SCHEMA}
-        assert len(defaults) == 24
+        assert len(defaults) == 23
         assert {key: cli.SCHEMA[key][1] for key in defaults} == defaults
 
     def test_split_check_agrees_with_split_records(self, tmp_path):
@@ -759,10 +775,16 @@ class TestConfigHandling:
                     accepted = False
                 assert accepted == (bool(train) and bool(held_out)), (records, fraction)
 
-    def test_unknown_config_key(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"nonsense.key": 1}))
-        assert run(["generate", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("key", ["nonsense.key", "model.layers"])
+    @pytest.mark.parametrize("via_file", [False, True], ids=["flag", "config_file"])
+    def test_unknown_config_key(self, tmp_path, key, via_file):
+        args = [f"--{key}", "1"]
+        if via_file:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({key: 1}))
+            args = ["--config", str(path)]
+        assert run(["generate", *args, "--out-dir", str(tmp_path)]) == 2
+        assert not (tmp_path / "corpus.jsonl").exists()
 
     @pytest.mark.parametrize("via_file", [False, True], ids=["flag", "config_file"])
     def test_non_numeric_value_is_config_error(self, tmp_path, via_file, capsys):

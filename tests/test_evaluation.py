@@ -145,7 +145,9 @@ def fixed_layout_samples(n, lang="en"):
 
 class TestEvaluate:
     def _zero_model(self, vocab, max_len=16):
-        config = md.ModelConfig(hidden=8, ffn=8, max_len=max_len, layers=0)
+        """A model whose every weight is zero: the encoder block's output is
+        zero, so its logits are the head biases."""
+        config = md.ModelConfig(hidden=8, ffn=8, max_len=max_len)
         model = md.init_model(config, 0, vocab)
         for p in model.params.values():
             p[:] = 0.0

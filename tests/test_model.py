@@ -31,9 +31,9 @@ def task_samples(n=6, seed=0, **task_kwargs):
     return cp.build_language_branches(records, ["en", "es"]).branches["en"]
 
 
-def small_model(samples, hidden=8, ffn=12, max_len=32, layers=1, seed=0):
+def small_model(samples, hidden=8, ffn=12, max_len=32, seed=0):
     vocab = vocabulary_from_samples(samples)
-    config = md.ModelConfig(hidden=hidden, ffn=ffn, max_len=max_len, layers=layers)
+    config = md.ModelConfig(hidden=hidden, ffn=ffn, max_len=max_len)
     return md.init_model(config, seed, vocab), vocab
 
 
@@ -136,16 +136,6 @@ class TestForward:
         b = md.forward_batch(model, enc)
         np.testing.assert_array_equal(a.z, b.z)
 
-    def test_zero_layers_is_embedding_plus_positions(self):
-        samples = task_samples()
-        model, vocab = small_model(samples, layers=0)
-        enc = md.encode_dataset(samples[:1], vocab, model.config.max_len)[0]
-        H = md.forward_batch(model, enc).H[0]
-        n = enc.end[0]
-        assert H.shape[0] == n == np.count_nonzero(enc.ids[0])
-        expected = model.params["embed"][enc.ids[0]] + model.pos_table
-        np.testing.assert_array_equal(H, expected[:n])
-
     def test_masked_positions_carry_no_probability(self):
         samples = task_samples()
         model, vocab = small_model(samples)
@@ -169,12 +159,12 @@ def named_grads(model, cache, dz):
     return md.param_views(model.config, model.vocab.size, flat_gradient(model, cache, dz))
 
 
-def operating_point(layers, seed, max_len=16):
+def operating_point(seed, max_len=16):
     """A model at a representative operating point, not the tiny init scale,
     a batch of three encoded samples, and a (3, 2, L) block of logit probes
     that are zero at masked positions."""
     samples = task_samples(4, passage_min=5, passage_max=8)
-    model, vocab = small_model(samples, max_len=max_len, layers=layers)
+    model, vocab = small_model(samples, max_len=max_len)
     rng = np.random.default_rng(seed)
     for p in model.params.values():
         p[:] = rng.normal(scale=0.3, size=p.shape)
@@ -209,7 +199,7 @@ class TestBackward:
         np.testing.assert_array_equal(grads["start_bias"][~passage], 0.0)
 
     def test_backward_leaves_cache_and_parameters_unchanged(self):
-        model, encoded, dz = operating_point(layers=2, seed=6)
+        model, encoded, dz = operating_point(seed=6)
         before = {name: p.copy() for name, p in model.params.items()}
         cache = md.forward_batch(model, encoded)
         outputs = (cache.z.copy(), cache.H.copy())
@@ -225,7 +215,7 @@ class TestBackward:
 
     def test_gradients_at_masked_logits_are_ignored(self):
         # masked positions hold the constant MASKED_LOGIT, so no parameter moves them
-        model, encoded, _ = operating_point(layers=2, seed=7)
+        model, encoded, _ = operating_point(seed=7)
         cache = md.forward_batch(model, encoded)
         outside = ~cache.passage
         assert outside.any()
@@ -236,7 +226,7 @@ class TestBackward:
             np.testing.assert_array_equal(g, 0.0, err_msg=name)
 
     def test_batch_gradient_is_sum_of_per_sample_gradients(self):
-        model, encoded, dz = operating_point(layers=2, seed=8)
+        model, encoded, dz = operating_point(seed=8)
         batch = named_grads(model, md.forward_batch(model, encoded), dz)
         alone = [
             named_grads(model, md.forward_batch(model, encoded[i:i + 1]), dz[i:i + 1])
@@ -248,7 +238,7 @@ class TestBackward:
 
     def test_backward_is_linear_in_logit_gradients(self):
         # a training step combines lambda1 * d_nll + lambda2 * d_kd before one backward pass
-        model, encoded, a = operating_point(layers=1, seed=9)
+        model, encoded, a = operating_point(seed=9)
         rng = np.random.default_rng(9)
         b = np.stack([rng.normal(size=a[:, 0].shape) for _ in range(2)], axis=1)
         cache = md.forward_batch(model, encoded)
@@ -329,15 +319,10 @@ class TestBackwardPasses:
 
         check_gradients(value, model.params, grads)
 
-    def test_encoder_block_with_two_layers(self):
-        # attention, FFN and both layer norms of each block, and the second
-        # block's input gradient flowing into the first
-        self._check_probed_gradients(*operating_point(layers=2, seed=4))
-
     def test_heads_and_embedding_scatter(self):
-        # without blocks, every repeated token id adds its rows' head
-        # gradients into one embedding row
-        model, encoded, probes = operating_point(layers=0, seed=5)
+        # every repeated token id adds its rows' gradients, through the
+        # block, into one embedding row
+        model, encoded, probes = operating_point(seed=5)
         ids = encoded.ids.ravel()
         assert len(np.unique(ids)) < len(ids)
         self._check_probed_gradients(model, encoded, probes)
@@ -348,7 +333,7 @@ class TestTrimmedBatch:
 
     def test_mixed_lengths_match_single_sample_passes(self):
         samples = task_samples(8)
-        model, vocab = small_model(samples, layers=2)
+        model, vocab = small_model(samples)
         max_len = model.config.max_len
         encoded, _, _ = md.encode_dataset(samples, vocab, max_len)
         assert len(encoded) == len(samples)
@@ -383,7 +368,7 @@ class TestTrimmedBatch:
         assert grads["start_bias"][-1] == 1.0
 
     def test_gradients_of_a_trimmed_batch(self):
-        model, encoded, probes = operating_point(layers=2, seed=11, max_len=32)
+        model, encoded, probes = operating_point(seed=11, max_len=32)
         n = encoded.end.max()
         assert n < model.config.max_len
         fwd = md.forward_batch(model, encoded)
@@ -398,12 +383,11 @@ class TestTrimmedBatch:
 class TestSerialization:
     def test_round_trip_is_bit_exact(self, tmp_path):
         samples = task_samples()
-        model, vocab = small_model(samples, layers=2)
+        model, vocab = small_model(samples)
         path = tmp_path / "model.ckpt"
         md.save_model(model, path)
         loaded = md.load_model(path)
         assert loaded.config == model.config
-        assert loaded.seed == model.seed
         assert loaded.vocab.tokens == vocab.tokens
         for name in model.params:
             np.testing.assert_array_equal(loaded.params[name], model.params[name])
@@ -450,12 +434,12 @@ class TestSerialization:
             md.load_model(path)
 
     @pytest.mark.parametrize("field, retype", [
-        ("hidden", float), ("ffn", float), ("max_len", float), ("layers", float),
-        ("layers", bool),
-    ], ids=["hidden", "ffn", "max_len", "layers", "layers_bool"])
+        ("hidden", float), ("ffn", float), ("max_len", float), ("max_len", bool),
+    ], ids=["hidden", "ffn", "max_len", "max_len_bool"])
     def test_checkpoint_with_a_non_integer_config_field_is_corrupt(self, tmp_path, field,
                                                                    retype):
-        # 8.0 == 8 and True == 1, so the layout compare alone lets such a header through
+        # 8.0 == 8, so the layout compare alone lets a float through; a JSON
+        # boolean is no integer either
         path = self._checkpoint_with_config(
             tmp_path, lambda config: config.update({field: retype(config[field])}))
         with pytest.raises(InvalidConfig, match=rf"is corrupt: bad header field \({field} must "
@@ -463,7 +447,7 @@ class TestSerialization:
             md.load_model(path)
 
     def test_body_is_the_flat_vector(self, tmp_path):
-        model, _ = small_model(task_samples(), layers=2)
+        model, _ = small_model(task_samples())
         path = tmp_path / "model.ckpt"
         md.save_model(model, path)
         data = path.read_bytes()

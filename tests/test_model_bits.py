@@ -44,30 +44,24 @@ def oracle_forward(model, encoded):
     scale = 1.0 / np.sqrt(cfg.hidden)
     attn_bias = np.where(np.arange(n) < encoded.end[:, None], 0.0, md.MASKED_LOGIT)[:, None, :]
     x = p["embed"][ids] + model.pos_table[:n]
-    blocks = []
-    for i in range(cfg.layers):
-        w = {name: p[f"layer{i}.{name}"] for name in (
-            "attn_wq", "attn_wk", "attn_wv", "attn_wo", "ln1_gain", "ln1_offset",
-            "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2", "ln2_gain", "ln2_offset")}
-        q, k, v = x @ w["attn_wq"], x @ w["attn_wk"], x @ w["attn_wv"]
-        scores = (q @ k.swapaxes(-1, -2)) * scale + attn_bias
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        attn = e / e.sum(axis=-1, keepdims=True)
-        mixed = attn @ v
-        y, ln1 = oracle_layer_norm(x + mixed @ w["attn_wo"], w["ln1_gain"], w["ln1_offset"])
-        pre = y @ w["ffn_w1"] + w["ffn_b1"]
-        hidden = np.where(pre > 0.0, pre, 0.0)
-        out, ln2 = oracle_layer_norm(y + (hidden @ w["ffn_w2"] + w["ffn_b2"]),
-                                     w["ln2_gain"], w["ln2_offset"])
-        blocks.append((x, q, k, v, attn, mixed, ln1, y, hidden, ln2))
-        x = out
+    q, k, v = x @ p["attn_wq"], x @ p["attn_wk"], x @ p["attn_wv"]
+    scores = (q @ k.swapaxes(-1, -2)) * scale + attn_bias
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    mixed = attn @ v
+    y, ln1 = oracle_layer_norm(x + mixed @ p["attn_wo"], p["ln1_gain"], p["ln1_offset"])
+    pre = y @ p["ffn_w1"] + p["ffn_b1"]
+    hidden = np.where(pre > 0.0, pre, 0.0)
+    H, ln2 = oracle_layer_norm(y + (hidden @ p["ffn_w2"] + p["ffn_b2"]),
+                               p["ln2_gain"], p["ln2_offset"])
     z = []
     for head in ("start", "end"):
         logits = np.full(passage.shape, md.MASKED_LOGIT)
-        logits[:, :n] = np.where(passage[:, :n], (x @ p[f"{head}_vec"].reshape(-1, 1))[..., 0]
+        logits[:, :n] = np.where(passage[:, :n], (H @ p[f"{head}_vec"].reshape(-1, 1))[..., 0]
                                  + p[f"{head}_bias"][:n], md.MASKED_LOGIT)
         z.append(logits)
-    return md.Forward(z=np.stack(z, axis=1), H=x, ids=ids, passage=passage, blocks=blocks)
+    return md.Forward(z=np.stack(z, axis=1), H=H, ids=ids, passage=passage,
+                      activations=(x, q, k, v, attn, mixed, ln1, y, hidden, ln2))
 
 
 def oracle_backward(model, cache, grad_z_s, grad_z_e):
@@ -83,71 +77,76 @@ def oracle_backward(model, cache, grad_z_s, grad_z_e):
         g = g[:, :n]
         grads[f"{head}_vec"][...] = (cache.H.swapaxes(-1, -2) @ g[..., None]).sum(axis=0)[:, 0]
         dx = dx + g[..., None] @ p[f"{head}_vec"].reshape(1, -1)
-    for i in reversed(range(model.config.layers)):
-        pre = f"layer{i}."
-        x, q, k, v, attn, mixed, ln1, y, hidden, ln2 = cache.blocks[i]
-        d_out, grads[pre + "ln2_gain"][...], grads[pre + "ln2_offset"][...] = (
-            oracle_layer_norm_backward(dx, p[pre + "ln2_gain"], ln2))
-        grads[pre + "ffn_b2"][...] = d_out.sum(0).sum(0)
-        grads[pre + "ffn_w2"][...] = (hidden.swapaxes(-1, -2) @ d_out).sum(axis=0)
-        d_pre = (d_out @ p[pre + "ffn_w2"].swapaxes(-1, -2)) * (hidden > 0.0)
-        grads[pre + "ffn_b1"][...] = d_pre.sum(0).sum(0)
-        grads[pre + "ffn_w1"][...] = (y.swapaxes(-1, -2) @ d_pre).sum(axis=0)
-        dy = d_out + d_pre @ p[pre + "ffn_w1"].swapaxes(-1, -2)
-        d_sum, grads[pre + "ln1_gain"][...], grads[pre + "ln1_offset"][...] = (
-            oracle_layer_norm_backward(dy, p[pre + "ln1_gain"], ln1))
-        grads[pre + "attn_wo"][...] = (mixed.swapaxes(-1, -2) @ d_sum).sum(axis=0)
-        d_mixed = d_sum @ p[pre + "attn_wo"].swapaxes(-1, -2)
-        d_attn = d_mixed @ v.swapaxes(-1, -2)
-        d_v = attn.swapaxes(-1, -2) @ d_mixed
-        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True)) * scale
-        d_q = d_scores @ k
-        d_k = (q.swapaxes(-1, -2) @ d_scores).swapaxes(-1, -2)
-        xt = x.swapaxes(-1, -2)
-        grads[pre + "attn_wq"][...] = (xt @ d_q).sum(axis=0)
-        grads[pre + "attn_wk"][...] = (xt @ d_k).sum(axis=0)
-        grads[pre + "attn_wv"][...] = (xt @ d_v).sum(axis=0)
-        dx = d_sum + d_q @ p[pre + "attn_wq"].swapaxes(-1, -2)
-        dx = dx + d_k @ p[pre + "attn_wk"].swapaxes(-1, -2)
-        dx = dx + d_v @ p[pre + "attn_wv"].swapaxes(-1, -2)
+    x, q, k, v, attn, mixed, ln1, y, hidden, ln2 = cache.activations
+    d_out, grads["ln2_gain"][...], grads["ln2_offset"][...] = (
+        oracle_layer_norm_backward(dx, p["ln2_gain"], ln2))
+    grads["ffn_b2"][...] = d_out.sum(0).sum(0)
+    grads["ffn_w2"][...] = (hidden.swapaxes(-1, -2) @ d_out).sum(axis=0)
+    d_pre = (d_out @ p["ffn_w2"].swapaxes(-1, -2)) * (hidden > 0.0)
+    grads["ffn_b1"][...] = d_pre.sum(0).sum(0)
+    grads["ffn_w1"][...] = (y.swapaxes(-1, -2) @ d_pre).sum(axis=0)
+    dy = d_out + d_pre @ p["ffn_w1"].swapaxes(-1, -2)
+    d_sum, grads["ln1_gain"][...], grads["ln1_offset"][...] = (
+        oracle_layer_norm_backward(dy, p["ln1_gain"], ln1))
+    grads["attn_wo"][...] = (mixed.swapaxes(-1, -2) @ d_sum).sum(axis=0)
+    d_mixed = d_sum @ p["attn_wo"].swapaxes(-1, -2)
+    d_attn = d_mixed @ v.swapaxes(-1, -2)
+    d_v = attn.swapaxes(-1, -2) @ d_mixed
+    d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True)) * scale
+    d_q = d_scores @ k
+    d_k = (q.swapaxes(-1, -2) @ d_scores).swapaxes(-1, -2)
+    xt = x.swapaxes(-1, -2)
+    grads["attn_wq"][...] = (xt @ d_q).sum(axis=0)
+    grads["attn_wk"][...] = (xt @ d_k).sum(axis=0)
+    grads["attn_wv"][...] = (xt @ d_v).sum(axis=0)
+    dx = d_sum + d_q @ p["attn_wq"].swapaxes(-1, -2)
+    dx = dx + d_k @ p["attn_wk"].swapaxes(-1, -2)
+    dx = dx + d_v @ p["attn_wv"].swapaxes(-1, -2)
     np.add.at(grads["embed"], cache.ids, dx)
     return grad
 
 
-def random_batch(rng, batch, hidden, layers, max_len=24, vocab_size=md.FIRST_TOKEN_ID + 40):
+def random_batch(rng, batch, hidden, rows="ragged", max_len=24,
+                 vocab_size=md.FIRST_TOKEN_ID + 40):
     """A model at a representative operating point (not the tiny init
-    scale) and a batch of rows of mixed real lengths."""
-    config = md.ModelConfig(hidden=hidden, ffn=2 * hidden, max_len=max_len, layers=layers)
+    scale) and a batch of rows whose real lengths are ``rows``: mixed
+    ("ragged"), all filling the window ("full"), or all two passage
+    tokens long ("minimal")."""
+    config = md.ModelConfig(hidden=hidden, ffn=2 * hidden, max_len=max_len)
     model = md.init_model(config, 0, vocabulary_of_size(vocab_size))
     model.flat[:] = rng.normal(scale=0.3, size=model.flat.size)
     offset = rng.integers(2, 6, size=batch)
-    end = rng.integers(offset + 2, max_len + 1)
+    end = {"ragged": lambda: rng.integers(offset + 2, max_len + 1),
+           "full": lambda: np.full(batch, max_len),
+           "minimal": lambda: offset + 2}[rows]()
     ids = rng.integers(md.OOV_BASE_ID, vocab_size, size=(batch, max_len))
     ids[np.arange(max_len) >= end[:, None]] = md.PAD_ID
     return model, md.Encoded(ids, offset, end, np.stack([offset, offset + 1], axis=1))
 
 
-def flatten(block):
-    for item in block:
+def flatten(activations):
+    for item in activations:
         yield from (item if isinstance(item, tuple) else (item,))
 
 
 @pytest.mark.parametrize("hidden", [8, 32])
 @pytest.mark.parametrize("batch", [1, 8, 32])
-@pytest.mark.parametrize("layers", [0, 1, 2])
-def test_passes_match_out_of_place_oracles(layers, batch, hidden):
-    rng = np.random.default_rng(100 * layers + batch + hidden)
-    model, encoded = random_batch(rng, batch, hidden, layers)
+@pytest.mark.parametrize("rows", ["ragged", "full", "minimal"])
+def test_passes_match_out_of_place_oracles(rows, batch, hidden):
+    rng = np.random.default_rng(100 + batch + hidden)
+    model, encoded = random_batch(rng, batch, hidden, rows)
+    if rows == "full":
+        assert (encoded.end == encoded.ids.shape[1]).all()
+    elif rows == "minimal":
+        assert (encoded.end - encoded.offset == 2).all()
     fwd = md.forward_batch(model, encoded)
     ref = oracle_forward(model, encoded)
     for name in ("z", "H", "ids", "passage"):
         assert_same_bits(getattr(fwd, name), getattr(ref, name))
-    assert len(fwd.blocks) == len(ref.blocks) == layers
-    for block, ref_block in zip(fwd.blocks, ref.blocks):
-        pairs = list(zip(flatten(block), flatten(ref_block), strict=True))
-        assert len(pairs) == 12
-        for a, b in pairs:
-            assert_same_bits(a, b)
+    pairs = list(zip(flatten(fwd.activations), flatten(ref.activations), strict=True))
+    assert len(pairs) == 12
+    for a, b in pairs:
+        assert_same_bits(a, b)
     np.testing.assert_array_equal(md.forward_logits(model, encoded), ref.z)
 
     g_s, g_e = rng.normal(size=fwd.passage.shape), rng.normal(size=fwd.passage.shape)
@@ -177,8 +176,8 @@ def test_reused_gradient_buffer_equals_a_fresh_backward():
     # every block but the embedding is overwritten whole; the embedding
     # block must be cleared, or the first batch's token rows would leak
     rng = np.random.default_rng(8)
-    model, first = random_batch(rng, 4, 8, layers=1)
-    _, second = random_batch(rng, 4, 8, layers=1)
+    model, first = random_batch(rng, 4, 8)
+    _, second = random_batch(rng, 4, 8)
     assert set(first.ids.ravel()) != set(second.ids.ravel())
     buffer = np.full_like(model.flat, 7.0)
     views = md.param_views(model.config, model.vocab.size, buffer)
