@@ -50,71 +50,34 @@ def _parse_bool(text) -> bool:
     raise InvalidConfig(f"expected a boolean, got {text!r}")
 
 
-# key -> (parser, default, help)
-SCHEMA: dict[str, tuple] = {
-    "languages": (str, "en,es,de", "comma-separated training languages; the first is the source"),
-    "zero_shot_language": (str, "zz", "extra language generated in the corpus but held out of training; empty disables"),
-    "corpus.records": (int, 500, "number of aligned records to generate"),
-    "corpus.content_vocab": (int, 50, "content token types per language"),
-    "corpus.cue_count": (int, 8, "cue token types (shared across languages)"),
-    "corpus.question_words": (int, 5, "question word types per language"),
-    "corpus.passage_min": (int, 10, "minimum body tokens per passage"),
-    "corpus.passage_max": (int, 20, "maximum body tokens per passage"),
-    "corpus.answer_max_len": (int, 3, "maximum answer span length"),
-    "corpus.eval_fraction": (float, 0.2, "fraction of records held out for evaluation"),
-    "noise.token_drop_prob": (float, 0.0, "per-token drop probability in non-source renderings"),
-    "noise.token_swap_prob": (float, 0.0, "adjacent-token swap probability in non-source renderings"),
-    "noise.marker_destroy_prob": (float, 0.0, "probability a rendering loses an answer marker"),
-    "model.hidden": (int, 32, "encoder hidden size"),
-    "model.ffn": (int, 64, "feed-forward inner size"),
-    "model.max_len": (int, 64, "packed input length"),
-    "train.epochs": (int, 10, "training epochs"),
-    "train.batch_size": (int, 8, "mini-batch size"),
-    "train.tau": (float, 2.0, "distillation temperature"),
-    "train.lambda1": (float, 0.5, "weight of the hard-label loss"),
-    "train.lambda2": (float, 0.5, "weight of the distillation loss"),
-    "train.strategy": (str, "fixed", "teacher weighting: fixed or impurity"),
-    "train.impurity_sign": (int, 1, "+1 weights high-entropy teachers up, -1 down"),
-    "train.lr": (float, 5e-3, "peak learning rate (linear warmup, then linear decay to zero)"),
-    "train.weight_decay": (float, 0.005, "decoupled weight decay"),
-    "train.clip_norm": (float, 5.0, "global gradient-norm clip; <= 0 disables"),
-    "train.augment_source": (_parse_bool, True, "add the source branch to every non-source branch"),
-    "eval.max_answer_length": (int, 30, "decoding length constraint"),
-}
+@dataclass(frozen=True)
+class DataConfig:
+    """The settings no stage's own class holds: the corpus's languages and
+    size, its evaluation split and the branches' source augmentation. The
+    language list, with ``zero_shot_language`` outside it, and the split
+    ``records`` and ``eval_fraction`` make are checked here."""
 
-
-@dataclass
-class PipelineConfig:
-    """Resolved flat configuration plus the run's seed and output directory.
-
-    Every setting is checked here, once, so a bad one stops a command before
-    any stage writes. The language list, with the held-out
-    ``zero_shot_language`` outside it, and the split ``corpus.records`` and
-    ``corpus.eval_fraction`` make, are checked below; every other setting
-    by the settings object built from it (the seed by ``train``).
-    ``dataclasses.replace`` builds every settings object again."""
-
-    values: dict
-    seed: int
-    out_dir: Path
-    languages: list[str] = field(init=False)
-    task: cp.TaskSpec = field(init=False)
-    noise: cp.NoiseSpec = field(init=False)
-    model: ModelConfig = field(init=False)
-    train: TrainConfig = field(init=False)
-    distill: DistillConfig = field(init=False)
-    eval_config: ev.EvalConfig = field(init=False)
+    languages: str = cp.setting(
+        "en,es,de", "languages", "comma-separated training languages; the first is the source")
+    zero_shot_language: str = cp.setting(
+        "zz", "zero_shot_language",
+        "extra language generated in the corpus but held out of training; empty disables")
+    records: int = cp.setting(500, "corpus.records", "number of aligned records to generate")
+    eval_fraction: float = cp.setting(
+        0.2, "corpus.eval_fraction", "fraction of records held out for evaluation")
+    augment_source: bool = cp.setting(
+        True, "train.augment_source", "add the source branch to every non-source branch")
 
     def __post_init__(self):
-        self.languages = [x for x in self.values["languages"].split(",") if x]
-        if not self.languages:
+        languages = self.training_languages
+        if not languages:
             raise InvalidConfig("language list must be non-empty")
-        if len(set(self.languages)) != len(self.languages):
+        if len(set(languages)) != len(languages):
             raise InvalidConfig("language list contains duplicates")
-        if self.zero_shot_language in self.languages:
+        if self.zero_shot_language in languages:
             raise InvalidConfig(f"zero_shot_language {self.zero_shot_language!r} is a training "
-                                f"language; it must be held out of {self.languages}")
-        records, fraction = self.values["corpus.records"], self.values["corpus.eval_fraction"]
+                                f"language; it must be held out of {languages}")
+        records, fraction = self.records, self.eval_fraction
         if not 0.0 <= fraction < 1.0:
             raise InvalidConfig(f"corpus.eval_fraction must be in [0, 1), got {fraction}")
         # the evaluation side of ``cp.split_records``; each side needs a record
@@ -123,12 +86,53 @@ class PipelineConfig:
             raise InvalidConfig(f"corpus.records {records} with corpus.eval_fraction {fraction} "
                                 f"leaves {n_eval} evaluation and {records - n_eval} training "
                                 f"records; each split needs at least one")
-        self.task = self._settings(cp.TaskSpec, "corpus", seed=self.seed)
-        self.noise = self._settings(cp.NoiseSpec, "noise", seed=self.seed)
-        self.model = self._settings(ModelConfig, "model")
-        self.train = self._settings(TrainConfig, "train", seed=self.seed)
-        self.distill = self._settings(DistillConfig, "train")
-        self.eval_config = self._settings(ev.EvalConfig, "eval")
+
+    @property
+    def training_languages(self) -> list[str]:
+        return [x for x in self.languages.split(",") if x]
+
+
+# Every setting, by its config key: (parser, default, help), read off the
+# field of the settings class that holds it; the parser is the field's type's.
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
+SCHEMA: dict[str, tuple] = {
+    f.metadata["key"]: (_PARSERS[f.type], f.default, f.metadata["help"])
+    for cls in (DataConfig, cp.TaskSpec, cp.NoiseSpec, ModelConfig, TrainConfig, DistillConfig,
+                ev.EvalConfig)
+    for f in fields(cls) if f.metadata
+}
+
+
+@dataclass
+class PipelineConfig:
+    """Resolved settings plus the run's seed and output directory. Each
+    settings object is made here from ``values``, one per ``SCHEMA`` key, so
+    a bad setting stops a command before any stage writes (the seed is
+    checked by ``TrainConfig``); ``dataclasses.replace`` makes them again."""
+
+    values: dict
+    seed: int
+    out_dir: Path
+    data: DataConfig = field(init=False)
+    task: cp.TaskSpec = field(init=False)
+    noise: cp.NoiseSpec = field(init=False)
+    model: ModelConfig = field(init=False)
+    train: TrainConfig = field(init=False)
+    distill: DistillConfig = field(init=False)
+    eval_config: ev.EvalConfig = field(init=False)
+
+    def __post_init__(self):
+        self.data = self._settings(DataConfig)
+        self.task = self._settings(cp.TaskSpec, seed=self.seed)
+        self.noise = self._settings(cp.NoiseSpec, seed=self.seed)
+        self.model = self._settings(ModelConfig)
+        self.train = self._settings(TrainConfig, seed=self.seed)
+        self.distill = self._settings(DistillConfig)
+        self.eval_config = self._settings(ev.EvalConfig)
+
+    @property
+    def languages(self) -> list[str]:
+        return self.data.training_languages
 
     @property
     def source_language(self) -> str:
@@ -136,14 +140,13 @@ class PipelineConfig:
 
     @property
     def zero_shot_language(self) -> str | None:
-        return self.values["zero_shot_language"] or None
+        return self.data.zero_shot_language or None
 
-    def _settings(self, cls, prefix: str, **extras):
-        """A ``cls`` filled from the ``<prefix>.<field>`` value of each of its
-        fields that ``SCHEMA`` names, then from ``extras``, which win."""
-        values = {f.name: self.values[f"{prefix}.{f.name}"] for f in fields(cls)
-                  if f"{prefix}.{f.name}" in SCHEMA}
-        return cls(**{**values, **extras})
+    def _settings(self, cls, **extras):
+        """A ``cls`` whose setting fields take their ``values`` by key, and
+        whose other fields are given in ``extras``."""
+        values = {f.name: self.values[f.metadata["key"]] for f in fields(cls) if f.metadata}
+        return cls(**values, **extras)
 
     # --- layout ---
 
@@ -241,11 +244,9 @@ def _require(path: Path, what: str) -> Path:
     return Path(path)
 
 
-def _output_path(path: str | Path | None) -> Path | None:
+def _output_path(path: str | Path) -> Path:
     """An operation's resolved output ``path``, from a flag or a default, as
     a ``Path``; refused when it names a directory."""
-    if path is None:
-        return None
     if Path(path).is_dir():
         raise InvalidConfig(f"output path {path} names a directory")
     return Path(path)
@@ -259,12 +260,18 @@ def _read_dataset(path: Path, what: str) -> list[cp.Sample]:
     return samples
 
 
-def _write_with_text(path: Path, obj, text: str) -> None:
-    """``obj`` as JSON at ``path``, and ``text`` beside it as ``.txt``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    cp.write_json(path, obj)
-    cp.write_file(Path(str(path).removesuffix(".json") + ".txt"), text + "\n")
+def _report_paths(path: str | Path | None) -> tuple[Path, Path] | None:
+    """A report's JSON ``path`` and its ``.txt`` path, each checked by ``_output_path``."""
+    if path is None:
+        return None
+    return _output_path(path), _output_path(str(path).removesuffix(".json") + ".txt")
+
+
+def _write_with_text(json_path: Path, text_path: Path, obj, text: str) -> None:
+    """``obj`` as JSON and ``text`` at a report's two ``_report_paths``."""
+    json_path.parent.mkdir(parents=True, exist_ok=True)
+    cp.write_json(json_path, obj)
+    cp.write_file(text_path, text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -272,27 +279,17 @@ def _write_with_text(path: Path, obj, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def corpus_languages(cfg: PipelineConfig) -> list[str]:
-    return cfg.languages + ([cfg.zero_shot_language] if cfg.zero_shot_language else [])
-
-
 def op_generate(cfg: PipelineConfig) -> Path:
-    records = cp.generate_synthetic_corpus(
-        cfg.values["corpus.records"], corpus_languages(cfg), cfg.noise, cfg.task
-    )
+    languages = cfg.languages + ([cfg.zero_shot_language] if cfg.zero_shot_language else [])
+    records = cp.generate_synthetic_corpus(cfg.data.records, languages, cfg.noise, cfg.task)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     cp.write_corpus(records, cfg.corpus_path)
     digest = cp.sha256_file(cfg.corpus_path)
     cp.write_file(f"{cfg.corpus_path}.sha256", digest + "\n")
-    print(f"generate: {len(records)} records, languages {','.join(corpus_languages(cfg))} "
+    print(f"generate: {len(records)} records, languages {','.join(languages)} "
           f"-> {cfg.corpus_path}")
     print(f"generate: digest {digest}")
     return cfg.corpus_path
-
-
-def _split_records(cfg: PipelineConfig):
-    records = cp.read_corpus(_require(cfg.corpus_path, "corpus"))
-    return cp.split_records(records, cfg.values["corpus.eval_fraction"])
 
 
 def _write_vocab(cfg: PipelineConfig, train_records) -> None:
@@ -315,12 +312,13 @@ def op_build(cfg: PipelineConfig, mode: str, language: str | None = None) -> dic
     if mode == "translate-train" and language not in cfg.languages:
         raise InvalidConfig(f"build --mode translate-train needs --language, one of the "
                             f"training languages {cfg.languages}; got {language!r}")
-    train_records, eval_records = _split_records(cfg)
+    records = cp.read_corpus(_require(cfg.corpus_path, "corpus"))
+    train_records, eval_records = cp.split_records(records, cfg.data.eval_fraction)
     cfg.datasets_dir.mkdir(parents=True, exist_ok=True)
     _write_vocab(cfg, train_records)
     if mode == "lbmrc":
         result = cp.build_language_branches(
-            train_records, cfg.languages, augment_with_source=cfg.values["train.augment_source"]
+            train_records, cfg.languages, augment_with_source=cfg.data.augment_source
         )
         datasets = {f"branch_{lang}": branch for lang, branch in result.branches.items()}
         datasets["union"] = cp.union_of_branches(result.branches)
@@ -451,12 +449,12 @@ def op_evaluate(cfg: PipelineConfig, model_path: Path, dataset: Path | None = No
                 report_path: Path | None = None, name: str = "run") -> ev.EvalReport:
     if zero_shot_language:
         dataset = cfg.eval_zero_shot_path(zero_shot_language)
-    report_path = _output_path(report_path)
+    report_paths = _report_paths(report_path)
     model = load_model(_require(Path(model_path), "model checkpoint"))
     samples = _read_dataset(Path(dataset or cfg.eval_grid_path), "evaluation dataset")
     report = ev.evaluate(model, samples, cfg.eval_config)
-    if report_path is not None:
-        _write_with_text(report_path, report.to_dict(), ev.render_report(report, name))
+    if report_paths is not None:
+        _write_with_text(*report_paths, report.to_dict(), ev.render_report(report, name))
     print(f"evaluate {name}: em={report.overall_em:.4f} f1={report.overall_f1:.4f} "
           f"n={report.n} skips={report.skips}")
     return report
@@ -465,12 +463,12 @@ def op_evaluate(cfg: PipelineConfig, model_path: Path, dataset: Path | None = No
 def op_compare(reports: Iterable[ev.EvalReport], names: list[str], baseline: int = 0,
                out_path: Path | None = None) -> dict:
     """One table of ``reports``, which are taken only after ``out_path``
-    is checked."""
-    out_path = _output_path(out_path)
+    and its ``.txt`` rendering's path are checked."""
+    out_paths = _report_paths(out_path)
     comparison = ev.compare_runs(list(reports), names, baseline)
     text = ev.render_comparison(comparison)
-    if out_path is not None:
-        _write_with_text(out_path, comparison, text)
+    if out_paths is not None:
+        _write_with_text(*out_paths, comparison, text)
     print(text)
     return comparison
 
@@ -652,11 +650,12 @@ def op_noise_study(cfg: PipelineConfig, seeds: str) -> list[tuple[float, float]]
 
 
 def add_config_flags(parser: argparse.ArgumentParser, **defaults) -> None:
-    """``--config``, ``--seed``, ``--out-dir`` and one flag per ``SCHEMA``
-    key: every setting ``resolve_config`` reads. ``defaults``, keyed by
-    ``seed``, ``out_dir`` or a ``SCHEMA`` key, replaces a flag's default and
-    the default its help shows; a replaced ``SCHEMA`` default counts as a
-    flag given, so it wins over a ``--config`` file's key."""
+    """``--config``, ``--seed``, ``--out-dir`` and one flag per setting,
+    named by its ``SCHEMA`` key, with the help and default of the field that
+    declares it: every setting ``resolve_config`` reads. ``defaults``, keyed
+    by ``seed``, ``out_dir`` or a ``SCHEMA`` key, replaces a flag's default
+    and the default its help shows; a replaced ``SCHEMA`` default counts as
+    a flag given, so it wins over a ``--config`` file's key."""
     parser.add_argument("--config", help="JSON config file with flat dotted keys")
     parser.add_argument("--seed", type=int, default=defaults.get("seed", 0),
                         help="root seed for all randomness (default %(default)s)")

@@ -24,7 +24,7 @@ unusable exactly as in the real construction process.
 Renderings, records, samples and the two specs check their invariants when
 they are made, so every one that exists is valid. The builders and the
 generator trust their other arguments, record counts and language lists,
-which ``cli.PipelineConfig`` checks once.
+which ``cli.DataConfig`` checks once.
 """
 
 from __future__ import annotations
@@ -115,6 +115,12 @@ class Sample:
         return f"{self.id}|{self.passage_lang}|{self.question_lang}"
 
 
+def setting(default, key: str, help: str):
+    """A settings-class field exposed as the config key and flag ``key``, with
+    the help ``help``; ``cli.SCHEMA`` is built from the fields made by this."""
+    return field(default=default, metadata={"key": key, "help": help})
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Corruption applied to non-source renderings.
@@ -125,9 +131,12 @@ class NoiseSpec:
     is zero.
     """
 
-    token_drop_prob: float = 0.0
-    token_swap_prob: float = 0.0
-    marker_destroy_prob: float = 0.0
+    token_drop_prob: float = setting(
+        0.0, "noise.token_drop_prob", "per-token drop probability in non-source renderings")
+    token_swap_prob: float = setting(
+        0.0, "noise.token_swap_prob", "adjacent-token swap probability in non-source renderings")
+    marker_destroy_prob: float = setting(
+        0.0, "noise.marker_destroy_prob", "probability a rendering loses an answer marker")
     seed: int = 0
 
     def __post_init__(self):
@@ -146,15 +155,15 @@ class TaskSpec:
     content and question words go through the per-language bijection.
     """
 
-    content_vocab: int = 50
+    content_vocab: int = setting(50, "corpus.content_vocab", "content token types per language")
     rare_vocab_size: int = 2000
     rare_prob: float = 0.5
     answer_vocab_size: int = 20
-    cue_count: int = 8
-    question_words: int = 5
-    passage_min: int = 10
-    passage_max: int = 20
-    answer_max_len: int = 3
+    cue_count: int = setting(8, "corpus.cue_count", "cue token types (shared across languages)")
+    question_words: int = setting(5, "corpus.question_words", "question word types per language")
+    passage_min: int = setting(10, "corpus.passage_min", "minimum body tokens per passage")
+    passage_max: int = setting(20, "corpus.passage_max", "maximum body tokens per passage")
+    answer_max_len: int = setting(3, "corpus.answer_max_len", "maximum answer span length")
     seed: int = 0
 
     def __post_init__(self):
@@ -440,7 +449,7 @@ def generate_synthetic_corpus(
 
 
 def split_records(records, eval_fraction: float) -> tuple[list[AlignedRecord], list[AlignedRecord]]:
-    """Deterministic train/eval split by record position; ``cli.PipelineConfig``
+    """Deterministic train/eval split by record position; ``cli.DataConfig``
     checks that each side gets at least one record."""
     records = list(records)
     n_eval = int(round(len(records) * eval_fraction))

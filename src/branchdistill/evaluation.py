@@ -24,14 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import read_json, typed
+from .corpus import read_json, setting, typed
 from .errors import InvalidConfig
 from .model import SpanModel, encode_dataset, forward_logits
 
 
 @dataclass(frozen=True)
 class EvalConfig:
-    max_answer_length: int = 30
+    max_answer_length: int = setting(30, "eval.max_answer_length", "decoding length constraint")
 
     def __post_init__(self):
         if self.max_answer_length < 1:

@@ -66,7 +66,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import RESERVED_TOKENS, Sample, dumps, typed, write_file
+from .corpus import RESERVED_TOKENS, Sample, dumps, setting, typed, write_file
 from .errors import InvalidConfig
 
 MASKED_LOGIT = -1e9
@@ -89,9 +89,9 @@ FORWARD_BATCH_SIZE = 32
 class ModelConfig:
     """The encoder's shape; the vocabulary sets the embedding's height."""
 
-    hidden: int = 32
-    ffn: int = 64
-    max_len: int = 64
+    hidden: int = setting(32, "model.hidden", "encoder hidden size")
+    ffn: int = setting(64, "model.ffn", "feed-forward inner size")
+    max_len: int = setting(64, "model.max_len", "packed input length")
 
     def __post_init__(self):
         for f in fields(self):

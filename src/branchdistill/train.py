@@ -50,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Sample, write_json
+from .corpus import Sample, setting, write_json
 from .distill import (
     LogitStore,
     aggregate_logits,
@@ -157,12 +157,13 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
 class TrainConfig:
     """The settings of every run, teacher or student."""
 
-    epochs: int = 10
-    batch_size: int = 8
+    epochs: int = setting(10, "train.epochs", "training epochs")
+    batch_size: int = setting(8, "train.batch_size", "mini-batch size")
     seed: int = 0
-    lr: float = 5e-3
-    weight_decay: float = 0.005
-    clip_norm: float = 5.0            # <= 0 disables clipping
+    lr: float = setting(
+        5e-3, "train.lr", "peak learning rate (linear warmup, then linear decay to zero)")
+    weight_decay: float = setting(0.005, "train.weight_decay", "decoupled weight decay")
+    clip_norm: float = setting(5.0, "train.clip_norm", "global gradient-norm clip; <= 0 disables")
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -178,11 +179,12 @@ class TrainConfig:
 class DistillConfig:
     """The settings of a student's objective alone, which no teacher reads."""
 
-    tau: float = 2.0
-    lambda1: float = 0.5
-    lambda2: float = 0.5
-    strategy: str = "fixed"            # "fixed" or "impurity"
-    impurity_sign: int = 1
+    tau: float = setting(2.0, "train.tau", "distillation temperature")
+    lambda1: float = setting(0.5, "train.lambda1", "weight of the hard-label loss")
+    lambda2: float = setting(0.5, "train.lambda2", "weight of the distillation loss")
+    strategy: str = setting("fixed", "train.strategy", "teacher weighting: fixed or impurity")
+    impurity_sign: int = setting(
+        1, "train.impurity_sign", "+1 weights high-entropy teachers up, -1 down")
 
     def __post_init__(self):
         if not self.tau > 0.0:

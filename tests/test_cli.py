@@ -270,12 +270,17 @@ class TestPipelineCommands:
         (["compare", "--reports", "{out}/reports/none.json", "--out", "{taken}"], "taken"),
         (["dump-logits", "--teacher", "en"], "logits/en.logits"),
         (["compare", "--reports", "{out}/reports/none.json"], "reports/comparison.json"),
+        (["evaluate", "--model", "{out}/teachers/en/final.ckpt", "--report",
+          "{out}/reports/en.json"], "reports/en.txt"),
+        (["compare", "--reports", "{out}/reports/none.json", "--out", "{out}/table.json"],
+         "table.txt"),
     ], ids=["dump_logits_store", "evaluate_report", "compare_out", "dump_logits_default",
-            "compare_default"])
+            "compare_default", "evaluate_report_text", "compare_out_text"])
     def test_output_path_naming_a_directory_is_exit_2(self, pipeline_dir, tmp_path, command,
                                                       taken, monkeypatch, capsys):
-        # a flag's path or a default one, refused before a model is loaded, a
-        # report read or anything written
+        # a flag's path, a default one or the .txt rendering's path beside a
+        # report's, refused before a model is loaded, a report read or
+        # anything written
         def load_model(path):
             raise AssertionError(f"{path} was loaded")
         monkeypatch.setattr(cli, "load_model", load_model)
@@ -751,25 +756,30 @@ class TestConfigHandling:
             assert "train.augment_source" in capsys.readouterr().err
         assert (tmp_path / "corpus.jsonl").exists() == (code == 0)
 
-    def test_schema_defaults_are_the_field_defaults(self):
-        # a key's default and the default of the field it fills cannot drift apart
-        owners = [("corpus", cp.TaskSpec), ("noise", cp.NoiseSpec), ("model", md.ModelConfig),
-                  ("train", tr.TrainConfig), ("train", tr.DistillConfig), ("eval", ev.EvalConfig)]
-        defaults = {f"{prefix}.{f.name}": f.default for prefix, cls in owners
-                    for f in dataclasses.fields(cls) if f"{prefix}.{f.name}" in cli.SCHEMA}
-        assert len(defaults) == 23
-        assert {key: cli.SCHEMA[key][1] for key in defaults} == defaults
+    def test_only_declared_settings_are_exposed(self, tmp_path, capsys):
+        # the settings are exactly these keys; a field declared without one,
+        # such as a settings class's seed, is no flag
+        assert set(cli.SCHEMA) == {
+            "languages", "zero_shot_language", "corpus.records", "corpus.content_vocab",
+            "corpus.cue_count", "corpus.question_words", "corpus.passage_min",
+            "corpus.passage_max", "corpus.answer_max_len", "corpus.eval_fraction",
+            "noise.token_drop_prob", "noise.token_swap_prob", "noise.marker_destroy_prob",
+            "model.hidden", "model.ffn", "model.max_len", "train.epochs", "train.batch_size",
+            "train.tau", "train.lambda1", "train.lambda2", "train.strategy",
+            "train.impurity_sign", "train.lr", "train.weight_decay", "train.clip_norm",
+            "train.augment_source", "eval.max_answer_length"}
+        for flag in ("--corpus.rare_vocab_size", "--train.seed"):
+            assert run(["generate", flag, "1", "--out-dir", str(tmp_path)]) == 2
+            assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert not (tmp_path / "corpus.jsonl").exists()
 
-    def test_split_check_agrees_with_split_records(self, tmp_path):
+    def test_split_check_agrees_with_split_records(self):
         # the config refuses exactly the splits that would leave a side empty
-        values = {key: default for key, (_, default, _) in cli.SCHEMA.items()}
         for records in range(1, 13):
             for fraction in [i / 20 for i in range(20)] + [0.05 / records, 0.5 / records]:
                 train, held_out = cp.split_records(range(records), fraction)
                 try:
-                    cli.PipelineConfig(values={**values, "corpus.records": records,
-                                               "corpus.eval_fraction": fraction},
-                                       seed=3, out_dir=tmp_path)
+                    cli.DataConfig(records=records, eval_fraction=fraction)
                     accepted = True
                 except InvalidConfig:
                     accepted = False
@@ -862,14 +872,24 @@ class TestConfigHandling:
     ], ids=["generate", "pipeline", "noise-study"])
     def test_help_shows_the_defaults_the_command_runs_with(self, command, shown, capsys):
         assert run([command, "--help"]) == 0
-        text = " ".join(capsys.readouterr().out.split())
-        for flag, default in shown.items():
-            assert re.search(rf"{re.escape(flag)} \S+ [^(]*\(default {re.escape(default)}\)",
-                             text), flag
+        # the flags' entries, past the usage lines
+        text = " ".join(capsys.readouterr().out.split("options:")[1].split())
+
+        def default_shown(flag):
+            match = re.search(rf"{re.escape(flag)} \S+ .*?\(default ([^)]*)\)", text)
+            return match and match.group(1)
+
+        assert {flag: default_shown(flag) for flag in shown} == shown
+        # every setting's flag shows the value its settings object holds
         cfg = cli.resolve_config(cli.build_parser().parse_args([command]))
+        held = {f.metadata["key"]: getattr(settings, f.name)
+                for settings in (cfg.data, cfg.task, cfg.noise, cfg.model, cfg.train,
+                                 cfg.distill, cfg.eval_config)
+                for f in dataclasses.fields(settings) if f.metadata}
+        assert set(held) == set(cli.SCHEMA)
+        assert {key: default_shown(f"--{key}") for key in held} == \
+            {key: str(value) for key, value in held.items()}
         assert (str(cfg.seed), str(cfg.out_dir)) == (shown["--seed"], shown["--out-dir"])
-        assert str(cfg.values["corpus.records"]) == shown["--corpus.records"]
-        assert str(cfg.noise.token_drop_prob) == shown.get("--noise.token_drop_prob", "0.0")
 
     def test_help_with_percent_in_text(self, monkeypatch, capsys):
         parser, default, _ = cli.SCHEMA["train.lr"]
