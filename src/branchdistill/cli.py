@@ -221,7 +221,11 @@ def _parse_value(key: str, raw, from_file: bool = False):
 
 
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
+    """The settings ``args`` give, each from the last of: its field's
+    default, the subcommand's default (``add_config_flags``' ``settings``),
+    the ``--config`` file and its flag; with ``args.seed`` and ``args.out_dir``."""
     values = {key: default for key, (_, default, _) in SCHEMA.items()}
+    values.update(getattr(args, "setting_defaults", {}))
     config_path = getattr(args, "config", None)
     if config_path:
         path = _require(Path(config_path), "config file")
@@ -233,9 +237,9 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         supplied = getattr(args, key, None)
         if supplied is not None:
             values[key] = _parse_value(key, supplied)
-    seed = int(getattr(args, "seed", 0) or 0)
-    out_dir = Path(getattr(args, "out_dir", None) or "runs")
-    return PipelineConfig(values=values, seed=seed, out_dir=out_dir)
+    if not args.out_dir:
+        raise InvalidConfig("--out-dir must name a directory, got ''")
+    return PipelineConfig(values=values, seed=args.seed, out_dir=Path(args.out_dir))
 
 
 def _require(path: Path, what: str) -> Path:
@@ -312,6 +316,9 @@ def op_build(cfg: PipelineConfig, mode: str, language: str | None = None) -> dic
     if mode == "translate-train" and language not in cfg.languages:
         raise InvalidConfig(f"build --mode translate-train needs --language, one of the "
                             f"training languages {cfg.languages}; got {language!r}")
+    if mode != "translate-train" and language is not None:
+        raise InvalidConfig(f"build --language applies only to --mode translate-train, "
+                            f"not {mode}")
     records = cp.read_corpus(_require(cfg.corpus_path, "corpus"))
     train_records, eval_records = cp.split_records(records, cfg.data.eval_fraction)
     cfg.datasets_dir.mkdir(parents=True, exist_ok=True)
@@ -478,11 +485,6 @@ def op_compare(reports: Iterable[ev.EvalReport], names: list[str], baseline: int
 # ---------------------------------------------------------------------------
 
 
-# run_pipeline's strategy names, each training the student ``student_<name>``
-# with the ``train.strategy`` it maps to
-STRATEGIES = {"hyper": "fixed", "imp": "impurity"}
-
-
 def _branch_teachers(cfg: PipelineConfig) -> dict[str, Path]:
     """Build the language branches, train one teacher on each and dump its
     logits over the union; returns the teachers' run directories keyed by
@@ -515,20 +517,18 @@ def _report_runs(cfg: PipelineConfig, runs: dict[str, Path],
     return reports
 
 
-def run_pipeline(cfg: PipelineConfig, strategies: tuple[str, ...] = ("hyper", "imp")
+def run_pipeline(cfg: PipelineConfig, strategies: tuple[str, ...] = ("fixed", "impurity")
                  ) -> dict[str, ev.EvalReport]:
     """Full pipeline on one output directory, corpus through the reports of
-    the branch teachers and of one student per name in ``strategies``;
-    returns ``_report_runs``' reports, students' zero-shot ones included."""
-    unknown = [name for name in strategies if name not in STRATEGIES]
-    if unknown:
-        raise InvalidConfig(f"unknown strategies {unknown}; choose from {sorted(STRATEGIES)}")
+    the branch teachers and of one student per ``train.strategy`` value in
+    ``strategies``, each under the name ``op_distill`` gives it; returns
+    ``_report_runs``' reports, students' zero-shot ones included. Each
+    strategy is checked by ``DistillConfig`` before any stage runs."""
+    strategies = [replace(cfg.distill, strategy=s).strategy for s in strategies]
     op_generate(cfg)
     reports = _report_runs(cfg, _branch_teachers(cfg))
-    students = {f"student_{name}": op_distill(cfg, run_name=f"student_{name}",
-                                              strategy=STRATEGIES[name])
-                for name in strategies}
-    return {**reports, **_report_runs(cfg, students, zero_shot=True)}
+    students = [op_distill(cfg, strategy=strategy) for strategy in strategies]
+    return {**reports, **_report_runs(cfg, {s.name: s for s in students}, zero_shot=True)}
 
 
 def run_translate_train_baseline(cfg: PipelineConfig) -> ev.EvalReport:
@@ -560,7 +560,7 @@ def noise_study(cfg: PipelineConfig, seeds) -> list[tuple[float, float]]:
     runs = [replace(cfg, seed=seed, out_dir=cfg.out_dir / f"seed{seed}") for seed in seeds]
     pairs = []
     for run in runs:
-        student = run_pipeline(run, ("imp",))["student_imp"]
+        student = run_pipeline(run, ("impurity",))["student_imp"]
         pairs.append((student.macro_em(), run_translate_train_baseline(run).macro_em()))
     return pairs
 
@@ -649,23 +649,25 @@ def op_noise_study(cfg: PipelineConfig, seeds: str) -> list[tuple[float, float]]
 # ---------------------------------------------------------------------------
 
 
-def add_config_flags(parser: argparse.ArgumentParser, **defaults) -> None:
+def add_config_flags(parser: argparse.ArgumentParser, seed: int = 0, out_dir: str = "runs",
+                     **settings) -> None:
     """``--config``, ``--seed``, ``--out-dir`` and one flag per setting,
     named by its ``SCHEMA`` key, with the help and default of the field that
-    declares it: every setting ``resolve_config`` reads. ``defaults``, keyed
-    by ``seed``, ``out_dir`` or a ``SCHEMA`` key, replaces a flag's default
-    and the default its help shows; a replaced ``SCHEMA`` default counts as
-    a flag given, so it wins over a ``--config`` file's key."""
+    declares it: every setting ``resolve_config`` reads. ``settings``, keyed
+    by ``SCHEMA`` key, are the subcommand's own defaults, which its help
+    shows; they are kept apart from the flags as ``setting_defaults``, so a
+    ``--config`` file's key wins over them and a flag over both."""
     parser.add_argument("--config", help="JSON config file with flat dotted keys")
-    parser.add_argument("--seed", type=int, default=defaults.get("seed", 0),
+    parser.add_argument("--seed", type=int, default=seed,
                         help="root seed for all randomness (default %(default)s)")
-    parser.add_argument("--out-dir", dest="out_dir", default=defaults.get("out_dir", "runs"),
+    parser.add_argument("--out-dir", dest="out_dir", default=out_dir,
                         help="directory holding every pipeline artifact (default %(default)s)")
     for key, (_, default, help_text) in SCHEMA.items():
         # argparse %-formats help strings, so a literal % must be doubled
-        parser.add_argument(f"--{key}", dest=key, default=defaults.get(key), metavar="V",
-                            help=f"{help_text} (default {defaults.get(key, default)})"
+        parser.add_argument(f"--{key}", dest=key, metavar="V",
+                            help=f"{help_text} (default {settings.get(key, default)})"
                             .replace("%", "%%"))
+    parser.set_defaults(setting_defaults=settings)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -714,15 +716,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a dataset")
     p.add_argument("--model", required=True, help="checkpoint to evaluate")
-    scored = p.add_mutually_exclusive_group()
-    scored.add_argument("--dataset", default=None, help="dataset path (default: the eval grid)")
-    scored.add_argument("--zero-shot-language", dest="zero_shot_eval", default=None,
-                        help="evaluate on a language held out of training")
+    p.add_argument("--dataset", default=None, help="dataset path (default: the eval grid; "
+                   "the held-out language's is datasets/eval_zero_shot_<lang>.jsonl)")
     p.add_argument("--report", default=None, help="write the report JSON here")
     p.add_argument("--name", default="run", help="row name in the rendered table")
     add_config_flags(p)
     p.set_defaults(run=lambda cfg, a: op_evaluate(
-        cfg, a.model, a.dataset, a.zero_shot_eval, a.report, a.name))
+        cfg, a.model, a.dataset, report_path=a.report, name=a.name))
 
     p = sub.add_parser("ablate", help="run the teacher-set and strategy ablation matrix")
     add_config_flags(p)

@@ -341,7 +341,7 @@ def test_c08_end_to_end_regression(tmp_path):
     with criterion(8, "teachers >= 0.9 EM, student >= 0.88, zero-shot >= 0.85"):
         start = time.monotonic()
         cfg = pipeline_config(tmp_path / "run", seed=7)
-        reports = cli.run_pipeline(cfg, strategies=("imp",))
+        reports = cli.run_pipeline(cfg, strategies=("impurity",))
 
         for lang in cfg.languages:
             own = reports[f"teacher_{lang}"].cell(lang, lang).em

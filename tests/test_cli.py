@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import importlib
 import inspect
@@ -188,6 +189,23 @@ class TestBuild:
         assert not (tmp_path / "vocab.json").exists()
         assert not (tmp_path / "datasets").exists()
 
+    @pytest.mark.parametrize("mode", ["lbmrc", "mixmrc"])
+    def test_language_without_translate_train_is_config_error(self, tmp_path, mode,
+                                                              monkeypatch, capsys):
+        # only translate-train reads --language; any other mode refuses it
+        # before the corpus is read or anything is written
+        tiny("generate", tmp_path)
+        capsys.readouterr()
+
+        def read_corpus(path):
+            raise AssertionError(f"{path} was read")
+        monkeypatch.setattr(cp, "read_corpus", read_corpus)
+        assert tiny("build", tmp_path, "--mode", mode, "--language", "de") == 2
+        assert capsys.readouterr().err == (f"error: build --language applies only to "
+                                           f"--mode translate-train, not {mode}\n")
+        assert not (tmp_path / "vocab.json").exists()
+        assert not (tmp_path / "datasets").exists()
+
     def test_build_before_generate_is_missing_artifact(self, tmp_path):
         assert tiny("build", tmp_path) == 3
 
@@ -249,19 +267,7 @@ class TestPipelineCommands:
     def test_zero_shot_evaluate(self, pipeline_dir):
         assert tiny("evaluate", pipeline_dir,
                     "--model", str(pipeline_dir / "teachers" / "en" / "final.ckpt"),
-                    "--zero-shot-language", "zz") == 0
-
-    def test_evaluate_dataset_with_zero_shot_language_is_usage_error(self, pipeline_dir,
-                                                                     tmp_path, capsys):
-        # either flag names the evaluation set; given both, neither is scored
-        report = tmp_path / "report.json"
-        assert tiny("evaluate", pipeline_dir,
-                    "--model", str(pipeline_dir / "teachers" / "en" / "final.ckpt"),
-                    "--dataset", str(pipeline_dir / "datasets" / "branch_en.jsonl"),
-                    "--zero-shot-language", "zz", "--report", str(report)) == 2
-        captured = capsys.readouterr()
-        assert "not allowed with argument" in captured.err and captured.out == ""
-        assert not report.exists()
+                    "--dataset", str(pipeline_dir / "datasets" / "eval_zero_shot_zz.jsonl")) == 0
 
     @pytest.mark.parametrize("command, taken", [
         (["dump-logits", "--teacher", "en", "--store", "{taken}"], "taken"),
@@ -843,6 +849,40 @@ class TestConfigHandling:
         assert not (pipeline_dir / "teachers" / "out_of_range").exists()
         assert not (pipeline_dir / "students" / "out_of_range").exists()
 
+    def test_empty_out_dir_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # an empty --out-dir names no directory; it is refused, not replaced
+        monkeypatch.chdir(tmp_path)
+        assert run(["generate", "--out-dir", "", *TINY]) == 2
+        assert capsys.readouterr().err == "error: --out-dir must name a directory, got ''\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_two_flags_look_alike(self):
+        # a flag that differs from another only in - against _ is a second
+        # name that parses to another value
+        parser = cli.build_parser()
+        commands = next(action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction)).choices
+        for command, sub in commands.items():
+            names = [flag.replace("-", "_") for action in sub._actions
+                     for flag in action.option_strings]
+            assert len(names) == len(set(names)), command
+
+    def test_config_file_beats_a_subcommand_default(self, tmp_path):
+        # field default < subcommand default < --config file < flag
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"corpus.records": 100, "noise.token_drop_prob": 0.0,
+                                    "noise.token_swap_prob": 0.2}))
+
+        def resolved(*flags):
+            cfg = cli.resolve_config(cli.build_parser().parse_args(
+                ["noise-study", "--config", str(path), *flags]))
+            return (cfg.data.records, cfg.noise.token_drop_prob, cfg.noise.token_swap_prob,
+                    cfg.noise.marker_destroy_prob, cfg.data.eval_fraction)
+
+        assert resolved() == (100, 0.0, 0.2, 0.1, 0.2)
+        assert resolved("--corpus.records", "50", "--noise.token_swap_prob", "0.3") == \
+            (50, 0.0, 0.3, 0.1, 0.2)
+
     def test_unknown_mode_is_usage_error(self, tmp_path):
         assert run(["build", "--mode", "bogus", "--out-dir", str(tmp_path)]) == 2
 
@@ -941,8 +981,8 @@ class TestDrivers:
             assert ev.EvalReport.load(cfg.reports_dir / f"{stem}.json") == report
 
     def test_unknown_strategy_is_config_error(self, tmp_path):
-        with pytest.raises(InvalidConfig, match="unknown strategies"):
-            cli.run_pipeline(tiny_config(tmp_path), ("imp", "bogus"))
+        with pytest.raises(InvalidConfig, match="unknown selective strategy 'bogus'"):
+            cli.run_pipeline(tiny_config(tmp_path), ("impurity", "bogus"))
         assert list(tmp_path.iterdir()) == []
 
 
