@@ -20,6 +20,7 @@ import math
 import sys
 import time
 import traceback
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -296,15 +297,27 @@ def op_generate(cfg: PipelineConfig) -> Path:
     return cfg.corpus_path
 
 
+# A token gets an embedding row only when this many training records hold
+# it: a row that one record alone trains can only memorise that record.
+MIN_TOKEN_RECORDS = 2
+
+
 def _write_vocab(cfg: PipelineConfig, train_records) -> None:
-    tokens: set[str] = set()
+    """Write the vocabulary of the tokens found in at least
+    ``MIN_TOKEN_RECORDS`` of ``train_records``, a token counting once per
+    record over its renderings in ``cfg.languages``; any other token shares
+    the hash buckets."""
+    records_with: Counter[str] = Counter()
     for record in train_records:
+        tokens: set[str] = set()
         for lang in cfg.languages:
             rendering = record.renderings.get(lang)
             if rendering is not None:
                 tokens.update(rendering.passage_tokens)
                 tokens.update(rendering.question_tokens)
-    cp.write_json(cfg.vocab_path, Vocabulary(tokens).to_dict())
+        records_with.update(tokens)
+    kept = (token for token, count in records_with.items() if count >= MIN_TOKEN_RECORDS)
+    cp.write_json(cfg.vocab_path, Vocabulary(kept).to_dict())
 
 
 def op_build(cfg: PipelineConfig, mode: str, language: str | None = None) -> dict:
@@ -402,6 +415,9 @@ def _train_stage(cfg: PipelineConfig, run_name: str, run_dir: Path, dataset: Pat
 def op_train_teacher(cfg: PipelineConfig, branch: str | None = None,
                      dataset: Path | None = None, run_name: str | None = None,
                      seed: int | None = None) -> Path:
+    if branch is not None and dataset is not None:
+        raise InvalidConfig("train-teacher takes --branch or --dataset, not both: a teacher "
+                            "is named by its branch and trained on that branch's dataset")
     if dataset is None:
         if branch is None:
             raise InvalidConfig("train-teacher needs --branch or --dataset")

@@ -106,25 +106,32 @@ class ModelConfig:
 
 
 class Vocabulary:
-    """Token-to-id map with deterministic hash buckets for unseen tokens."""
+    """Token-to-id map with deterministic hash buckets for unseen tokens.
+
+    Each token of ``tokens`` has its own id, an embedding row; any other
+    token gets ``OOV_BASE_ID`` plus its SHA-1 modulo ``OOV_BUCKETS``. An
+    instance hashes each unseen token once: ``_ids`` holds the id of every
+    token it has looked up, so it grows by the distinct unseen tokens of the
+    data it encodes.
+    """
 
     def __init__(self, tokens):
         self.tokens = sorted(set(tokens))
         for token in self.tokens:
             if token in RESERVED_TOKENS:
                 raise InvalidConfig(f"reserved marker {token!r} cannot enter the vocabulary")
-        self._index = {t: FIRST_TOKEN_ID + i for i, t in enumerate(self.tokens)}
+        self._ids = {t: FIRST_TOKEN_ID + i for i, t in enumerate(self.tokens)}
 
     @property
     def size(self) -> int:
         return FIRST_TOKEN_ID + len(self.tokens)
 
     def token_id(self, token: str) -> int:
-        known = self._index.get(token)
-        if known is not None:
-            return known
-        bucket = int(hashlib.sha1(token.encode("utf-8")).hexdigest(), 16) % OOV_BUCKETS
-        return OOV_BASE_ID + bucket
+        found = self._ids.get(token)
+        if found is None:
+            bucket = int(hashlib.sha1(token.encode("utf-8")).hexdigest(), 16) % OOV_BUCKETS
+            found = self._ids[token] = OOV_BASE_ID + bucket
+        return found
 
     def to_dict(self) -> dict:
         return {"oov_buckets": OOV_BUCKETS, "tokens": self.tokens}
@@ -178,21 +185,22 @@ def encode_dataset(samples, vocab: Vocabulary, max_len: int):
     only the passage tokens that fit are looked up. Returns (``Encoded``
     rows of the kept samples, kept samples, skipped count).
     """
-    index, token_id = vocab._index, vocab.token_id
+    cached, token_id = vocab._ids, vocab.token_id
     tokens: list[int] = []
     columns: list[int] = []
     kept: list[Sample] = []
     skipped = 0
     for sample in samples:
-        # every known id is >= FIRST_TOKEN_ID, so ``or`` only falls through on a miss
-        row = [START_ID, *(index.get(t) or token_id(t) for t in sample.question_tokens), SEP_ID]
+        # every token id is >= OOV_BASE_ID, so ``or`` only falls through on a
+        # token the vocabulary has not looked up yet
+        row = [START_ID, *(cached.get(t) or token_id(t) for t in sample.question_tokens), SEP_ID]
         offset = len(row)
         end = min(offset + len(sample.passage_tokens), max_len)
         # a question that fills the window leaves end <= offset, so this skips it too
         if sample.gold_end + offset >= end:
             skipped += 1
             continue
-        row += [index.get(t) or token_id(t) for t in sample.passage_tokens[: end - offset]]
+        row += [cached.get(t) or token_id(t) for t in sample.passage_tokens[: end - offset]]
         tokens += row
         columns += (offset, end, sample.gold_start + offset, sample.gold_end + offset)
         kept.append(sample)

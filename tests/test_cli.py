@@ -228,6 +228,30 @@ class TestBuild:
         assert tiny("build", tmp_path, *build) == 0
         assert [path.stat().st_mtime_ns for path in shared] == [0, 0, 0]
 
+    def test_vocabulary_holds_the_tokens_of_two_training_records(self, tmp_path):
+        # five records, en and es trained and zz held out: records 0-3 train
+        # and record 4 is the evaluation split
+        extra = {
+            0: {"en": ["once", "twice"], "zz": ["held"]},
+            1: {"es": ["twice"], "zz": ["held"]},
+            # repeated within a passage and across renderings: one record
+            2: {"en": ["rep", "rep"], "es": ["rep"]},
+            3: {"en": ["late"]},
+            4: {"en": ["late", "evalonly"], "es": ["evalonly"]},
+        }
+        records = []
+        for i, tokens in extra.items():
+            renderings = {lang: cp.Rendering(("ans", *tokens.get(lang, ())), ("q",), (0, 0))
+                          for lang in ("en", "es", "zz")}
+            records.append(cp.AlignedRecord(f"r{i}", "en", renderings))
+        cp.write_corpus(records, tmp_path / "corpus.jsonl")
+        assert run(["build", "--out-dir", str(tmp_path), "--languages", "en,es"]) == 0
+        vocab = cp.read_json(tmp_path / "vocab.json", "vocabulary", md.Vocabulary.from_dict)
+        assert cli.MIN_TOKEN_RECORDS == 2
+        assert vocab.tokens == ["ans", "q", "twice"]
+        for token in ("once", "rep", "late", "evalonly", "held"):
+            assert vocab.token_id(token) < md.FIRST_TOKEN_ID
+
     def test_zero_shot_eval_set_written(self, tmp_path):
         tiny("generate", tmp_path)
         tiny("build", tmp_path)
@@ -547,6 +571,24 @@ class TestPipelineCommands:
         )
         assert proc.returncode == 2, proc.stderr
         assert "must be finite" in proc.stderr
+
+    def test_branch_with_dataset_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # a teacher is named by its branch, so another branch's dataset
+        # cannot train it; the pair is refused before anything is read
+        tiny("generate", tmp_path)
+        tiny("build", tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+
+        def read(path, *args):
+            raise AssertionError(f"{path} was read")
+        for name in ("read_samples", "read_json", "sha256_file"):
+            monkeypatch.setattr(cp, name, read)
+        dataset = tmp_path / "datasets" / "branch_de.jsonl"
+        assert tiny("train-teacher", tmp_path, "--branch", "en", "--dataset", str(dataset)) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: train-teacher takes --branch or --dataset, not both")
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_teacher_determinism_across_reruns(self, pipeline_dir, tmp_path):
         out = tmp_path / "again"

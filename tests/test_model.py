@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -51,6 +52,20 @@ class TestVocabulary:
         # deterministic across instances
         assert md.Vocabulary(["b"]).token_id("never-seen") == bucket
 
+    def test_unseen_tokens_are_hashed_once_to_their_buckets(self, monkeypatch):
+        vocab = md.Vocabulary(["a"])
+        unseen = [f"tok{i}" for i in range(300)]
+        expected = [md.OOV_BASE_ID + int(hashlib.sha1(t.encode("utf-8")).hexdigest(), 16)
+                    % md.OOV_BUCKETS for t in unseen]
+        assert [vocab.token_id(t) for t in unseen] == expected
+
+        def sha1(*args):
+            raise AssertionError("a token was hashed again")
+        monkeypatch.setattr(md.hashlib, "sha1", sha1)
+        assert [vocab.token_id(t) for t in unseen] == expected
+        # the memo gives no token a row
+        assert vocab.size == md.FIRST_TOKEN_ID + 1 and vocab.to_dict()["tokens"] == ["a"]
+
     def test_reserved_marker_rejected(self):
         with pytest.raises(InvalidConfig):
             md.Vocabulary([cp.ANSWER_OPEN])
@@ -63,6 +78,15 @@ class TestVocabulary:
 
 
 class TestEncodeDataset:
+    def test_ids_do_not_depend_on_the_memo(self):
+        samples = task_samples(n=12)
+        # half the samples' tokens get rows, so the rest hash to buckets
+        vocab = vocabulary_from_samples(samples[: len(samples) // 2])
+        first = md.encode_dataset(samples, vocab, max_len=32)[0].ids
+        assert ((first >= md.OOV_BASE_ID) & (first < md.FIRST_TOKEN_ID)).any()
+        again = md.encode_dataset(samples, vocab, max_len=32)[0].ids
+        assert again.tobytes() == first.tobytes()
+
     def test_packed_layout(self):
         sample = simple_sample()
         vocab = md.Vocabulary(["q1", "a", "b"])
