@@ -320,18 +320,13 @@ def _write_vocab(cfg: PipelineConfig, train_records) -> None:
     cp.write_json(cfg.vocab_path, Vocabulary(kept).to_dict())
 
 
-def op_build(cfg: PipelineConfig, mode: str, language: str | None = None) -> dict:
-    """Write each dataset of ``mode``, and the evaluation sets, to
-    ``cfg.dataset_path`` of its name, and a meta with their sizes. The
-    arguments are checked before anything is read or written."""
+def op_build(cfg: PipelineConfig, mode: str) -> dict:
+    """Write each dataset of ``mode`` (translate-train's are ``tt_<lang>`` for
+    every training language), and the evaluation sets, to ``cfg.dataset_path``
+    of its name, and their sizes to ``build_meta_<mode>.json``. The mode is
+    checked before anything is read or written."""
     if mode not in ("lbmrc", "mixmrc", "translate-train"):
         raise InvalidConfig(f"unknown build mode {mode!r}")
-    if mode == "translate-train" and language not in cfg.languages:
-        raise InvalidConfig(f"build --mode translate-train needs --language, one of the "
-                            f"training languages {cfg.languages}; got {language!r}")
-    if mode != "translate-train" and language is not None:
-        raise InvalidConfig(f"build --language applies only to --mode translate-train, "
-                            f"not {mode}")
     records = cp.read_corpus(_require(cfg.corpus_path, "corpus"))
     train_records, eval_records = cp.split_records(records, cfg.data.eval_fraction)
     cfg.datasets_dir.mkdir(parents=True, exist_ok=True)
@@ -346,8 +341,9 @@ def op_build(cfg: PipelineConfig, mode: str, language: str | None = None) -> dic
         result = cp.build_mix_dataset(train_records, cfg.languages, cfg.seed)
         datasets = {"mix": result.samples}
     else:
-        result = cp.build_translate_train(train_records, language)
-        datasets = {f"tt_{language}": result.samples}
+        result = cp.build_language_branches(train_records, cfg.languages)
+        datasets = {f"tt_{lang}": [s for s in branch if s.question_lang == lang]
+                    for lang, branch in result.branches.items()}
     eval_sets = {"eval_grid": cp.build_mix_dataset(eval_records, cfg.languages, cfg.seed).samples}
     zz = cfg.zero_shot_language
     if zz:
@@ -364,9 +360,7 @@ def op_build(cfg: PipelineConfig, mode: str, language: str | None = None) -> dic
         "unrecoverable": dict(result.unrecoverable),
         **{name: len(samples) for name, samples in eval_sets.items()},
     }
-    # one meta per dataset, so each translate-train language keeps its own
-    dataset = f"tt_{language}" if mode == "translate-train" else mode
-    cp.write_json(cfg.datasets_dir / f"build_meta_{dataset}.json", meta)
+    cp.write_json(cfg.datasets_dir / f"build_meta_{mode}.json", meta)
     for name, size in sorted(meta["sizes"].items()):
         print(f"build: {name} -> {size} samples")
     print(f"build: skipped {result.skipped} renderings "
@@ -413,8 +407,7 @@ def _train_stage(cfg: PipelineConfig, run_name: str, run_dir: Path, dataset: Pat
 
 
 def op_train_teacher(cfg: PipelineConfig, branch: str | None = None,
-                     dataset: Path | None = None, run_name: str | None = None,
-                     seed: int | None = None) -> Path:
+                     dataset: Path | None = None, run_name: str | None = None) -> Path:
     if branch is not None and dataset is not None:
         raise InvalidConfig("train-teacher takes --branch or --dataset, not both: a teacher "
                             "is named by its branch and trained on that branch's dataset")
@@ -425,8 +418,7 @@ def op_train_teacher(cfg: PipelineConfig, branch: str | None = None,
     run_name = run_name or branch or Path(dataset).stem
     run_dir = cfg.teacher_dir(run_name)
     dataset = _require(Path(dataset), "training dataset")
-    train_cfg = cfg.train if seed is None else replace(cfg.train, seed=seed)
-    manifest = _train_stage(cfg, run_name, run_dir, dataset, train_cfg)
+    manifest = _train_stage(cfg, run_name, run_dir, dataset, cfg.train)
     first, last = manifest.epoch_losses[0], manifest.epoch_losses[-1]
     print(f"train-teacher {run_name}: {manifest.n_samples} samples "
           f"({manifest.skipped_samples} skipped), "
@@ -550,13 +542,14 @@ def run_pipeline(cfg: PipelineConfig, strategies: tuple[str, ...] = ("fixed", "i
 def run_translate_train_baseline(cfg: PipelineConfig) -> ev.EvalReport:
     """Per-language translate-train models scored as one grid report.
 
-    Each grid cell (p, q) is scored by the model trained on language p, the
-    most favorable reading for this baseline.
+    One ``op_build`` writes every language's ``tt_<lang>`` set; the model
+    trained on language p scores each grid cell (p, q), the most favorable
+    reading for this baseline.
     """
     grid_samples = _read_dataset(cfg.eval_grid_path, "evaluation grid")
+    op_build(cfg, "translate-train")
     pairs, skipped = [], 0
     for lang in cfg.languages:
-        op_build(cfg, "translate-train", language=lang)
         run_dir = op_train_teacher(
             cfg, dataset=cfg.dataset_path(f"tt_{lang}"), run_name=f"tt_{lang}"
         )
@@ -590,11 +583,12 @@ def op_ablate(cfg: PipelineConfig) -> dict:
     _require(cfg.corpus_path, "corpus (run generate first)")
     teachers = _branch_teachers(cfg)
 
-    # teachers trained on the mixed dataset, one per branch slot
+    # teachers trained on the mixed dataset, one per branch slot, each with its own seed
     op_build(cfg, "mixmrc")
     mix_ids = [f"mix_{i}" for i in range(len(cfg.languages))]
     for i, name in enumerate(mix_ids):
-        op_train_teacher(cfg, dataset=cfg.dataset_path("mix"), run_name=name, seed=cfg.seed + 1 + i)
+        op_train_teacher(replace(cfg, seed=cfg.seed + 1 + i), dataset=cfg.dataset_path("mix"),
+                         run_name=name)
         op_dump_logits(cfg, name)
 
     settings: list[tuple[str, str, list[str]]] = [
@@ -646,6 +640,9 @@ def op_noise_study(cfg: PipelineConfig, seeds: str) -> list[tuple[float, float]]
         seed_list = [int(s) for s in seeds.split(",")]
     except ValueError as exc:
         raise InvalidConfig(f"bad value {seeds!r} for --seeds ({exc})") from exc
+    if len(set(seed_list)) != len(seed_list):
+        # each seed's run has one directory, and the verdict's mean one pair per seed
+        raise InvalidConfig(f"--seeds {seeds!r} repeats a seed")
     pairs = noise_study(cfg, seed_list)
     for seed, (student, baseline) in zip(seed_list, pairs):
         print(f"seed {seed}: student macro-EM {student:.4f} | "
@@ -673,6 +670,8 @@ def add_config_flags(parser: argparse.ArgumentParser, seed: int = 0, out_dir: st
     by ``SCHEMA`` key, are the subcommand's own defaults, which its help
     shows; they are kept apart from the flags as ``setting_defaults``, so a
     ``--config`` file's key wins over them and a flag over both."""
+    # a flag must be named in full: a prefix such as ``--language`` would set ``--languages``
+    parser.allow_abbrev = False
     parser.add_argument("--config", help="JSON config file with flat dotted keys")
     parser.add_argument("--seed", type=int, default=seed,
                         help="root seed for all randomness (default %(default)s)")
@@ -702,9 +701,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build branch / mixed / translate-train datasets")
     p.add_argument("--mode", choices=["lbmrc", "mixmrc", "translate-train"], default="lbmrc",
                    help="dataset construction strategy")
-    p.add_argument("--language", default=None, help="target language for translate-train")
     add_config_flags(p)
-    p.set_defaults(run=lambda cfg, a: op_build(cfg, a.mode, a.language))
+    p.set_defaults(run=lambda cfg, a: op_build(cfg, a.mode))
 
     p = sub.add_parser("train-teacher", help="train one branch model")
     p.add_argument("--branch", default=None, help="branch language to train on")

@@ -162,39 +162,34 @@ def predict(model: SpanModel, samples, config: EvalConfig):
     return pairs, skipped
 
 
+def _means(scores) -> tuple[float, float]:
+    """Mean EM and mean F1 of (EM, F1) ``scores``."""
+    ems, f1s = zip(*scores)
+    return sum(ems) / len(scores), math.fsum(f1s) / len(scores)
+
+
 def score(pairs, skipped: int) -> EvalReport:
     """Aggregate EM/F1 of (sample, answer tokens) pairs into the language
     grid, with ``skipped`` samples counted as skips.
 
-    Deterministic and invariant to the order of ``pairs``: per-cell results
-    are sorted by sample key before reduction.
+    Deterministic and invariant to the order of ``pairs``: EM is a sum of
+    integers and F1 a ``math.fsum``, which is correctly rounded, so neither
+    depends on the order of the scores it adds.
     """
-    by_cell: dict[tuple[str, str], list[tuple[str, int, float]]] = {}
+    by_cell: dict[tuple[str, str], list[tuple[int, float]]] = {}
     for sample, answer in pairs:
         gold = tuple(sample.passage_tokens[sample.gold_start : sample.gold_end + 1])
-        em = exact_match(answer, gold)
-        f1 = f1_score(answer, gold)
         by_cell.setdefault((sample.passage_lang, sample.question_lang), []).append(
-            (sample.key(), em, f1)
+            (exact_match(answer, gold), f1_score(answer, gold))
         )
 
     report = EvalReport(skips=skipped)
-    all_scores: list[tuple[str, int, float]] = []
-    for key in sorted(by_cell):
-        scores = sorted(by_cell[key])
-        all_scores.extend(scores)
-        n = len(scores)
-        report.cells.append(CellMetrics(
-            passage_lang=key[0],
-            question_lang=key[1],
-            em=sum(s[1] for s in scores) / n,
-            f1=math.fsum(s[2] for s in scores) / n,
-            n=n,
-        ))
+    for (passage_lang, question_lang), scores in sorted(by_cell.items()):
+        report.cells.append(CellMetrics(passage_lang, question_lang, *_means(scores), len(scores)))
+    all_scores = [s for scores in by_cell.values() for s in scores]
     if all_scores:
         report.n = len(all_scores)
-        report.overall_em = sum(s[1] for s in all_scores) / report.n
-        report.overall_f1 = math.fsum(s[2] for s in all_scores) / report.n
+        report.overall_em, report.overall_f1 = _means(all_scores)
     return report
 
 

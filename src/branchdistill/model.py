@@ -58,6 +58,7 @@ Everything else here trusts its inputs: ``forward_batch`` takes rows
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -105,14 +106,25 @@ class ModelConfig:
                 raise InvalidConfig(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
+@functools.cache
+def oov_id(token: str) -> int:
+    """The id of a token with no embedding row, ``OOV_BASE_ID`` plus its SHA-1
+    modulo ``OOV_BUCKETS``; hashed once per process, for every ``Vocabulary``."""
+    return OOV_BASE_ID + int(hashlib.sha1(token.encode("utf-8")).hexdigest(), 16) % OOV_BUCKETS
+
+
+class _RowIds(dict):
+    """Row ids by token; a lookup of any other token gives its ``oov_id``."""
+
+    __missing__ = staticmethod(oov_id)
+
+
 class Vocabulary:
     """Token-to-id map with deterministic hash buckets for unseen tokens.
 
     Each token of ``tokens`` has its own id, an embedding row; any other
-    token gets ``OOV_BASE_ID`` plus its SHA-1 modulo ``OOV_BUCKETS``. An
-    instance hashes each unseen token once: ``_ids`` holds the id of every
-    token it has looked up, so it grows by the distinct unseen tokens of the
-    data it encodes.
+    token gets its ``oov_id``. ``token_id`` is a dict lookup, which makes
+    no Python call for a token with a row.
     """
 
     def __init__(self, tokens):
@@ -120,18 +132,12 @@ class Vocabulary:
         for token in self.tokens:
             if token in RESERVED_TOKENS:
                 raise InvalidConfig(f"reserved marker {token!r} cannot enter the vocabulary")
-        self._ids = {t: FIRST_TOKEN_ID + i for i, t in enumerate(self.tokens)}
+        rows = _RowIds({t: FIRST_TOKEN_ID + i for i, t in enumerate(self.tokens)})
+        self.token_id = rows.__getitem__
 
     @property
     def size(self) -> int:
         return FIRST_TOKEN_ID + len(self.tokens)
-
-    def token_id(self, token: str) -> int:
-        found = self._ids.get(token)
-        if found is None:
-            bucket = int(hashlib.sha1(token.encode("utf-8")).hexdigest(), 16) % OOV_BUCKETS
-            found = self._ids[token] = OOV_BASE_ID + bucket
-        return found
 
     def to_dict(self) -> dict:
         return {"oov_buckets": OOV_BUCKETS, "tokens": self.tokens}
@@ -185,22 +191,20 @@ def encode_dataset(samples, vocab: Vocabulary, max_len: int):
     only the passage tokens that fit are looked up. Returns (``Encoded``
     rows of the kept samples, kept samples, skipped count).
     """
-    cached, token_id = vocab._ids, vocab.token_id
+    token_id = vocab.token_id
     tokens: list[int] = []
     columns: list[int] = []
     kept: list[Sample] = []
     skipped = 0
     for sample in samples:
-        # every token id is >= OOV_BASE_ID, so ``or`` only falls through on a
-        # token the vocabulary has not looked up yet
-        row = [START_ID, *(cached.get(t) or token_id(t) for t in sample.question_tokens), SEP_ID]
+        row = [START_ID, *map(token_id, sample.question_tokens), SEP_ID]
         offset = len(row)
         end = min(offset + len(sample.passage_tokens), max_len)
         # a question that fills the window leaves end <= offset, so this skips it too
         if sample.gold_end + offset >= end:
             skipped += 1
             continue
-        row += [cached.get(t) or token_id(t) for t in sample.passage_tokens[: end - offset]]
+        row += map(token_id, sample.passage_tokens[: end - offset])
         tokens += row
         columns += (offset, end, sample.gold_start + offset, sample.gold_end + offset)
         kept.append(sample)

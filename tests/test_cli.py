@@ -147,53 +147,44 @@ class TestBuild:
 
     def test_translate_train_pairs(self, tmp_path):
         tiny("generate", tmp_path)
-        assert tiny("build", tmp_path, "--mode", "translate-train", "--language", "de") == 0
+        assert tiny("build", tmp_path, "--mode", "translate-train") == 0
+        # one build writes each training language's set, as the language's
+        # own pairings write it
+        records = cp.read_corpus(tmp_path / "corpus.jsonl")
+        train_records, _ = cp.split_records(records, 0.2)
+        for lang in ("en", "es", "de"):
+            expected = tmp_path / f"expected_{lang}.jsonl"
+            cp.write_samples(cp.build_translate_train(train_records, lang).samples, expected)
+            written = (tmp_path / "datasets" / f"tt_{lang}.jsonl").read_bytes()
+            assert written == expected.read_bytes()
         samples = cp.read_samples(tmp_path / "datasets" / "tt_de.jsonl")
         assert len(samples) == 16
         assert all(s.passage_lang == s.question_lang == "de" for s in samples)
 
-    @pytest.mark.parametrize("builds, metas", [
-        ([["--mode", "lbmrc"]], ["lbmrc"]),
-        ([["--mode", "mixmrc"]], ["mixmrc"]),
-        # the baseline builds every language in turn into one datasets directory
-        ([["--mode", "translate-train", "--language", lang] for lang in ("en", "de")],
-         ["tt_en", "tt_de"]),
+    @pytest.mark.parametrize("mode, sizes", [
+        ("lbmrc", {"branch_en", "branch_es", "branch_de", "union"}),
+        ("mixmrc", {"mix"}),
+        ("translate-train", {"tt_en", "tt_es", "tt_de"}),
     ], ids=["lbmrc", "mixmrc", "translate-train"])
-    def test_builds_keep_one_meta_each(self, tmp_path, builds, metas):
-        # every dataset a meta sizes, and each evaluation set, is the file
+    def test_builds_keep_one_meta_each(self, tmp_path, mode, sizes):
+        # every dataset the meta sizes, and each evaluation set, is the file
         # datasets/<name>.jsonl with that many samples, and no other is written
         tiny("generate", tmp_path)
-        for args in builds:
-            assert tiny("build", tmp_path, *args) == 0
+        assert tiny("build", tmp_path, "--mode", mode) == 0
         datasets = tmp_path / "datasets"
-        sizes = {}
-        for name in metas:
-            meta = json.loads((datasets / f"build_meta_{name}.json").read_text())
-            assert set(meta["sizes"]) == {"lbmrc": {"branch_en", "branch_es", "branch_de", "union"},
-                                          "mixmrc": {"mix"}}.get(name, {name})
-            sizes.update(meta["sizes"], eval_grid=meta["eval_grid"],
-                         eval_zero_shot_zz=meta["eval_zero_shot_zz"])
+        assert [p.name for p in datasets.glob("build_meta_*")] == [f"build_meta_{mode}.json"]
+        meta = json.loads((datasets / f"build_meta_{mode}.json").read_text())
+        assert set(meta["sizes"]) == sizes
+        sizes = dict(meta["sizes"], eval_grid=meta["eval_grid"],
+                     eval_zero_shot_zz=meta["eval_zero_shot_zz"])
         assert {p.stem for p in datasets.glob("*.jsonl")} == set(sizes)
         for name, size in sizes.items():
             assert len(cp.read_samples(datasets / f"{name}.jsonl")) == size
 
-    @pytest.mark.parametrize("language", [[], ["--language", "fr"]], ids=["none", "untrained"])
-    def test_translate_train_needs_a_training_language(self, tmp_path, language, capsys):
-        tiny("generate", tmp_path)
-        capsys.readouterr()
-        assert tiny("build", tmp_path, "--mode", "translate-train", *language) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: build --mode translate-train needs --language")
-        assert err.count("\n") == 1
-        # refused before anything is written
-        assert not (tmp_path / "vocab.json").exists()
-        assert not (tmp_path / "datasets").exists()
-
-    @pytest.mark.parametrize("mode", ["lbmrc", "mixmrc"])
-    def test_language_without_translate_train_is_config_error(self, tmp_path, mode,
-                                                              monkeypatch, capsys):
-        # only translate-train reads --language; any other mode refuses it
-        # before the corpus is read or anything is written
+    @pytest.mark.parametrize("mode", ["lbmrc", "mixmrc", "translate-train"])
+    def test_language_flag_is_config_error(self, tmp_path, mode, monkeypatch, capsys):
+        # build has no --language: every mode refuses it before the corpus
+        # is read or anything is written
         tiny("generate", tmp_path)
         capsys.readouterr()
 
@@ -201,8 +192,7 @@ class TestBuild:
             raise AssertionError(f"{path} was read")
         monkeypatch.setattr(cp, "read_corpus", read_corpus)
         assert tiny("build", tmp_path, "--mode", mode, "--language", "de") == 2
-        assert capsys.readouterr().err == (f"error: build --language applies only to "
-                                           f"--mode translate-train, not {mode}\n")
+        assert "unrecognized arguments: --language de" in capsys.readouterr().err
         assert not (tmp_path / "vocab.json").exists()
         assert not (tmp_path / "datasets").exists()
 
@@ -219,7 +209,7 @@ class TestBuild:
 
     def test_rebuild_leaves_unchanged_shared_files_alone(self, tmp_path):
         tiny("generate", tmp_path)
-        build = ["--mode", "translate-train", "--language", "de"]
+        build = ["--mode", "translate-train"]
         assert tiny("build", tmp_path, *build) == 0
         shared = [tmp_path / "vocab.json", tmp_path / "datasets" / "eval_grid.jsonl",
                   tmp_path / "datasets" / "eval_zero_shot_zz.jsonl"]
@@ -1057,13 +1047,15 @@ class TestExperimentCommands:
         ("noise-study", ["--seeds", "x"], "--seeds"),
         ("noise-study", ["--seeds", "3,,4"], "--seeds"),
         ("noise-study", ["--seeds", "3,-1"], "seed"),
+        ("noise-study", ["--seeds", "3,3"], "--seeds"),
     ], ids=["pipeline", "pipeline-max_answer_length_0", "pipeline-epochs_0",
             "pipeline-batch_size_0", "pipeline-tau_0", "pipeline-strategy_bogus",
             "pipeline-impurity_sign_0", "pipeline-hidden_3", "pipeline-max_len_3",
             "pipeline-eval_fraction_1", "pipeline-no_training_record",
             "pipeline-no_evaluation_record", "pipeline-zero_shot_trained", "noise-study",
             "noise-study-max_answer_length_0",
-            "noise-study-seeds_text", "noise-study-seeds_empty", "noise-study-seeds_negative"])
+            "noise-study-seeds_text", "noise-study-seeds_empty", "noise-study-seeds_negative",
+            "noise-study-seeds_repeated"])
     def test_bad_setting_is_exit_2(self, tmp_path, command, setting, named, capsys):
         # refused before any stage writes, not at the first evaluate or after training
         out = tmp_path / "out"

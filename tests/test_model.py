@@ -63,6 +63,9 @@ class TestVocabulary:
             raise AssertionError("a token was hashed again")
         monkeypatch.setattr(md.hashlib, "sha1", sha1)
         assert [vocab.token_id(t) for t in unseen] == expected
+        # the memo is the process's: a fresh vocabulary, as each loaded
+        # checkpoint makes, hashes none of them again
+        assert [md.Vocabulary(["b"]).token_id(t) for t in unseen] == expected
         # the memo gives no token a row
         assert vocab.size == md.FIRST_TOKEN_ID + 1 and vocab.to_dict()["tokens"] == ["a"]
 
@@ -79,6 +82,7 @@ class TestVocabulary:
 
 class TestEncodeDataset:
     def test_ids_do_not_depend_on_the_memo(self):
+        md.oov_id.cache_clear()
         samples = task_samples(n=12)
         # half the samples' tokens get rows, so the rest hash to buckets
         vocab = vocabulary_from_samples(samples[: len(samples) // 2])
