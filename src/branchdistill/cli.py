@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import time
 import traceback
@@ -56,7 +57,8 @@ class DataConfig:
     """The settings no stage's own class holds: the corpus's languages and
     size, its evaluation split and the branches' source augmentation. The
     language list, with ``zero_shot_language`` outside it, and the split
-    ``records`` and ``eval_fraction`` make are checked here."""
+    ``records`` and ``eval_fraction`` make are checked here, and so is each
+    language name: it names files and is a field of ``Sample.key()``."""
 
     languages: str = cp.setting(
         "en,es,de", "languages", "comma-separated training languages; the first is the source")
@@ -75,14 +77,17 @@ class DataConfig:
             raise InvalidConfig("language list must be non-empty")
         if len(set(languages)) != len(languages):
             raise InvalidConfig("language list contains duplicates")
+        for name in [*languages, self.zero_shot_language]:
+            if name and not re.fullmatch(r"[A-Za-z0-9_-]+", name):
+                raise InvalidConfig(f"language name {name!r} may hold only ASCII letters, "
+                                    f"digits, '_' and '-'")
         if self.zero_shot_language in languages:
             raise InvalidConfig(f"zero_shot_language {self.zero_shot_language!r} is a training "
                                 f"language; it must be held out of {languages}")
         records, fraction = self.records, self.eval_fraction
         if not 0.0 <= fraction < 1.0:
             raise InvalidConfig(f"corpus.eval_fraction must be in [0, 1), got {fraction}")
-        # the evaluation side of ``cp.split_records``; each side needs a record
-        n_eval = round(records * fraction)
+        n_eval = cp.eval_count(records, fraction)   # each side of the split needs a record
         if not 0 < n_eval < records:
             raise InvalidConfig(f"corpus.records {records} with corpus.eval_fraction {fraction} "
                                 f"leaves {n_eval} evaluation and {records - n_eval} training "
@@ -320,52 +325,83 @@ def _write_vocab(cfg: PipelineConfig, train_records) -> None:
     cp.write_json(cfg.vocab_path, Vocabulary(kept).to_dict())
 
 
+def augmentation_source(records, languages) -> str:
+    """The one source language of ``records``, whose branch augments the
+    others; it must be in ``languages``."""
+    sources = {r.source_language for r in records}
+    if len(sources) > 1:
+        raise InvalidConfig(f"augmentation needs a single source language, got {sorted(sources)}")
+    source = sources.pop() if sources else None
+    if source not in languages:
+        raise InvalidConfig(f"source language {source!r} is not among the built branches")
+    return source
+
+
+def _shuffled(samples: list[cp.Sample], seed: int) -> list[cp.Sample]:
+    """``samples`` in the order ``seed`` draws, the mixed dataset's and the grid's."""
+    order = np.random.default_rng(np.random.SeedSequence([seed, 0x6D69])).permutation(len(samples))
+    return [samples[i] for i in order]
+
+
+def select_datasets(mode: str, samples: list[cp.Sample], languages: list[str], seed: int,
+                    source: str | None = None) -> dict[str, list[cp.Sample]]:
+    """The datasets of ``mode``, by name, selected from ``samples``, the
+    pairing walk over ``languages``. lbmrc: ``branch_<lang>``, the samples
+    whose passage is in ``lang``, each but the ``source`` language's followed
+    by the source's when ``source`` is given, and ``union``, every sample in
+    sorted passage-language order. mixmrc: ``mix``, every sample in the order
+    ``seed`` draws. translate-train: ``tt_<lang>``, the samples whose passage
+    and question are both in ``lang``."""
+    if mode == "mixmrc":
+        return {"mix": _shuffled(samples, seed)}
+    if mode == "translate-train":
+        return {f"tt_{lang}": [s for s in samples if s.passage_lang == s.question_lang == lang]
+                for lang in languages}
+    branches = {lang: [s for s in samples if s.passage_lang == lang] for lang in languages}
+    datasets = {f"branch_{lang}": branch + (branches[source] if source not in (None, lang) else [])
+                for lang, branch in branches.items()}
+    datasets["union"] = [s for lang in sorted(languages) for s in branches[lang]]
+    return datasets
+
+
 def op_build(cfg: PipelineConfig, mode: str) -> dict:
     """Write each dataset of ``mode`` (translate-train's are ``tt_<lang>`` for
     every training language), and the evaluation sets, to ``cfg.dataset_path``
-    of its name, and their sizes to ``build_meta_<mode>.json``. The mode is
-    checked before anything is read or written."""
+    of its name, and their sizes to ``build_meta_<mode>.json``: each is a
+    ``select_datasets`` selection of one ``cp.pair`` walk over the training or
+    evaluation records. The mode, and with augmentation the corpus's source
+    language, are checked before anything is written."""
     if mode not in ("lbmrc", "mixmrc", "translate-train"):
         raise InvalidConfig(f"unknown build mode {mode!r}")
     records = cp.read_corpus(_require(cfg.corpus_path, "corpus"))
     train_records, eval_records = cp.split_records(records, cfg.data.eval_fraction)
-    cfg.datasets_dir.mkdir(parents=True, exist_ok=True)
-    _write_vocab(cfg, train_records)
-    if mode == "lbmrc":
-        result = cp.build_language_branches(
-            train_records, cfg.languages, augment_with_source=cfg.data.augment_source
-        )
-        datasets = {f"branch_{lang}": branch for lang, branch in result.branches.items()}
-        datasets["union"] = cp.union_of_branches(result.branches)
-    elif mode == "mixmrc":
-        result = cp.build_mix_dataset(train_records, cfg.languages, cfg.seed)
-        datasets = {"mix": result.samples}
-    else:
-        result = cp.build_language_branches(train_records, cfg.languages)
-        datasets = {f"tt_{lang}": [s for s in branch if s.question_lang == lang]
-                    for lang, branch in result.branches.items()}
-    eval_sets = {"eval_grid": cp.build_mix_dataset(eval_records, cfg.languages, cfg.seed).samples}
+    augment = mode == "lbmrc" and cfg.data.augment_source
+    source = augmentation_source(train_records, cfg.languages) if augment else None
+    samples, missing, unrecoverable = cp.pair(train_records, cfg.languages)
+    datasets = select_datasets(mode, samples, cfg.languages, cfg.seed, source)
+    eval_sets = {"eval_grid": _shuffled(cp.pair(eval_records, cfg.languages)[0], cfg.seed)}
     zz = cfg.zero_shot_language
     if zz:
-        eval_sets[f"eval_zero_shot_{zz}"] = cp.build_translate_train(eval_records, zz).samples
-    for name, samples in {**datasets, **eval_sets}.items():
-        cp.write_samples(samples, cfg.dataset_path(name))
+        eval_sets[f"eval_zero_shot_{zz}"] = cp.pair(eval_records, [zz])[0]
+    cfg.datasets_dir.mkdir(parents=True, exist_ok=True)
+    _write_vocab(cfg, train_records)
+    for name, selected in {**datasets, **eval_sets}.items():
+        cp.write_samples(selected, cfg.dataset_path(name))
 
     meta = {
         "mode": mode,
         "train_records": len(train_records),
         "eval_records": len(eval_records),
-        "sizes": {name: len(samples) for name, samples in datasets.items()},
-        "missing": dict(result.missing),
-        "unrecoverable": dict(result.unrecoverable),
-        **{name: len(samples) for name, samples in eval_sets.items()},
+        "sizes": {name: len(selected) for name, selected in datasets.items()},
+        "missing": dict(missing),
+        "unrecoverable": dict(unrecoverable),
+        **{name: len(selected) for name, selected in eval_sets.items()},
     }
     cp.write_json(cfg.datasets_dir / f"build_meta_{mode}.json", meta)
     for name, size in sorted(meta["sizes"].items()):
         print(f"build: {name} -> {size} samples")
-    print(f"build: skipped {result.skipped} renderings "
-          f"(missing {sum(meta['missing'].values())}, "
-          f"unrecoverable {sum(meta['unrecoverable'].values())})")
+    print(f"build: skipped {missing.total() + unrecoverable.total()} renderings "
+          f"(missing {missing.total()}, unrecoverable {unrecoverable.total()})")
     return meta
 
 

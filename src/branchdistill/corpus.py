@@ -1,16 +1,17 @@
-"""Corpus data model, dataset builders, and the synthetic corpus generator.
+"""Corpus data model, the pairing walk, and the synthetic corpus generator.
 
 An aligned record holds parallel renderings of one QA instance in several
-languages. Builders turn aligned records into flat training samples by one
-pairing rule over a language list: a record pairs each passage language
-whose rendering has an answer span with every question language whose
-rendering exists.
+languages. One pairing walk, ``pair``, turns aligned records into flat
+samples over a language list: a record pairs each passage language whose
+rendering has an answer span with every question language whose rendering
+exists. Every dataset ``build`` writes is a selection of that walk:
 
 * language branches: the pairings grouped by passage language, so a branch
   holds passages and answers in one language and questions in all,
-* mixed dataset: the same pairings in one flat shuffled list,
-* translate-train: the pairings over a single language, so passage and
-  question are both in it.
+* union: every pairing, in sorted passage-language order,
+* mixed dataset and evaluation grid: every pairing, in one seeded order,
+* translate-train: the pairings whose passage and question are both in one
+  language.
 
 The synthetic generator produces aligned records for a marker-location task
 that a small encoder can learn: each passage contains one cue token followed
@@ -22,9 +23,10 @@ so translation noise can destroy answer markers and make a rendering
 unusable exactly as in the real construction process.
 
 Renderings, records, samples and the two specs check their invariants when
-they are made, so every one that exists is valid. The builders and the
-generator trust their other arguments, record counts and language lists,
-which ``cli.DataConfig`` checks once.
+they are made, so every one that exists is valid; ``read_corpus`` also
+refuses a repeated record id. The walk and the generator trust their other
+arguments, record counts and language lists, which ``cli.DataConfig``
+checks once.
 """
 
 from __future__ import annotations
@@ -207,114 +209,39 @@ def recover_answer(marked_tokens) -> tuple[list[str], tuple[int, int] | None]:
 
 
 # ---------------------------------------------------------------------------
-# Builders
+# Pairing walk
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BuildResult:
-    """Builder output plus the skip accounting needed to audit the discard rule."""
-
-    branches: dict[str, list[Sample]] = field(default_factory=dict)
-    samples: list[Sample] = field(default_factory=list)
-    missing: Counter = field(default_factory=Counter)
-    unrecoverable: Counter = field(default_factory=Counter)
-
-    @property
-    def skipped(self) -> int:
-        return sum(self.missing.values()) + sum(self.unrecoverable.values())
-
-
-def _pairings(records, languages) -> BuildResult:
-    """The pairing rule, walked once: every sample of ``records`` over
-    ``languages``, in record, passage-language, question-language order, in
-    ``samples``, with the renderings it skips counted per language.
+def pair(records, languages) -> tuple[list[Sample], Counter, Counter]:
+    """The pairing walk: every sample of ``records`` over ``languages``, in
+    record, passage-language, question-language order, and the renderings
+    it skips, counted per language, as missing and as unrecoverable.
 
     A record pairs each passage language whose rendering has an answer span
-    with every question language whose rendering exists.
+    with every question language whose rendering exists, so a rendering
+    unusable as a passage still gives its question to the other languages.
     """
-    result = BuildResult()
+    samples: list[Sample] = []
+    missing: Counter = Counter()
+    unrecoverable: Counter = Counter()
     for record in records:
         renderings = [(lang, record.renderings.get(lang)) for lang in languages]
         questions = [(lang, tuple(r.question_tokens)) for lang, r in renderings if r is not None]
         for passage_lang, passage in renderings:
             if passage is None:
-                result.missing[passage_lang] += 1
+                missing[passage_lang] += 1
             elif passage.answer_span is None:
-                result.unrecoverable[passage_lang] += 1
+                unrecoverable[passage_lang] += 1
             else:
                 start, end = passage.answer_span
                 passage_tokens = tuple(passage.passage_tokens)
-                result.samples.extend(
+                samples.extend(
                     Sample(record.id, question_tokens, passage_tokens, start, end,
                            passage_lang, question_lang)
                     for question_lang, question_tokens in questions
                 )
-    return result
-
-
-def build_language_branches(records, languages, augment_with_source: bool = False) -> BuildResult:
-    """Build one branch per language: the pairings grouped by passage language.
-
-    A rendering unusable in one language is skipped there but the record stays
-    usable in the other branches; question tokens only require the rendering
-    to exist. With ``augment_with_source`` every non-source branch also
-    receives the full source-language branch.
-    """
-    languages = list(languages)
-    records = list(records)
-    result = _pairings(records, languages)
-    result.branches = {lang: [] for lang in languages}
-    for sample in result.samples:
-        result.branches[sample.passage_lang].append(sample)
-    result.samples = []
-
-    if augment_with_source:
-        sources = {r.source_language for r in records}
-        if len(sources) > 1:
-            raise InvalidConfig(f"augmentation needs a single source language, got {sorted(sources)}")
-        source = sources.pop() if sources else None
-        if source not in result.branches:
-            raise InvalidConfig(f"source language {source!r} is not among the built branches")
-        source_samples = list(result.branches[source])
-        for lang, branch in result.branches.items():
-            if lang != source:
-                branch.extend(source_samples)
-    return result
-
-
-def build_mix_dataset(records, languages, seed: int) -> BuildResult:
-    """Flat cross-product dataset: the pairings over every language,
-    reproducibly shuffled by ``seed``."""
-    result = _pairings(records, list(languages))
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6D69]))
-    order = rng.permutation(len(result.samples))
-    result.samples = [result.samples[i] for i in order]
-    return result
-
-
-def build_translate_train(records, language: str) -> BuildResult:
-    """Single-language dataset: the pairings over ``language`` alone, so
-    passage and question are both in it."""
-    return _pairings(records, [language])
-
-
-def union_of_branches(branches: dict[str, list[Sample]]) -> list[Sample]:
-    """Multiset union of branches, deduplicated by (id, passage, question) key.
-
-    Augmented branches contain copies of the source branch; without
-    deduplication those samples would be silently double-weighted in the
-    distillation dataset.
-    """
-    seen: set[str] = set()
-    union: list[Sample] = []
-    for lang in sorted(branches):
-        for sample in branches[lang]:
-            key = sample.key()
-            if key not in seen:
-                seen.add(key)
-                union.append(sample)
-    return union
+    return samples, missing, unrecoverable
 
 
 # ---------------------------------------------------------------------------
@@ -448,12 +375,17 @@ def generate_synthetic_corpus(
     return records
 
 
+def eval_count(records: int, eval_fraction: float) -> int:
+    """How many of ``records`` records the split holds out for evaluation."""
+    return round(records * eval_fraction)
+
+
 def split_records(records, eval_fraction: float) -> tuple[list[AlignedRecord], list[AlignedRecord]]:
-    """Deterministic train/eval split by record position; ``cli.DataConfig``
-    checks that each side gets at least one record."""
+    """Deterministic train/eval split by record position, the last
+    ``eval_count`` records held out; ``cli.DataConfig`` checks that each
+    side gets at least one record."""
     records = list(records)
-    n_eval = int(round(len(records) * eval_fraction))
-    n_train = len(records) - n_eval
+    n_train = len(records) - eval_count(len(records), eval_fraction)
     return records[:n_train], records[n_train:]
 
 
@@ -544,11 +476,17 @@ def write_corpus(records, path) -> None:
 
 
 def read_corpus(path) -> list[AlignedRecord]:
+    """The records of the corpus file ``path``. A repeated record id is
+    refused: the samples of two records under one id would share their keys."""
     path = Path(path)
     records = []
+    ids: set[str] = set()
     with malformed_as_invalid(path, "corpus"), path.open("r", encoding="utf-8") as fh:
         for line in fh:
             raw = json.loads(line)
+            if raw["id"] in ids:
+                raise InvalidConfig(f"corpus {path} repeats the record id {raw['id']!r}")
+            ids.add(raw["id"])
             renderings = {}
             for lang, r in raw["renderings"].items():
                 start, end = r["answer_start"], r["answer_end"]

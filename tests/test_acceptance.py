@@ -129,7 +129,7 @@ def test_c02_loss_identities(tmp_path):
             100, ["en", "es"], cp.NoiseSpec(seed=5),
             cp.TaskSpec(seed=5, passage_min=5, passage_max=8, rare_vocab_size=100),
         )
-        dataset = cp.build_translate_train(records, "en").samples
+        dataset = cp.pair(records, ["en"])[0]
         assert len(dataset) == 100
         vocab = vocabulary_from_samples(dataset)
         config = md.ModelConfig(hidden=8, ffn=12, max_len=24)

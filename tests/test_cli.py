@@ -154,7 +154,7 @@ class TestBuild:
         train_records, _ = cp.split_records(records, 0.2)
         for lang in ("en", "es", "de"):
             expected = tmp_path / f"expected_{lang}.jsonl"
-            cp.write_samples(cp.build_translate_train(train_records, lang).samples, expected)
+            cp.write_samples(cp.pair(train_records, [lang])[0], expected)
             written = (tmp_path / "datasets" / f"tt_{lang}.jsonl").read_bytes()
             assert written == expected.read_bytes()
         samples = cp.read_samples(tmp_path / "datasets" / "tt_de.jsonl")
@@ -195,6 +195,38 @@ class TestBuild:
         assert "unrecognized arguments: --language de" in capsys.readouterr().err
         assert not (tmp_path / "vocab.json").exists()
         assert not (tmp_path / "datasets").exists()
+
+    def test_repeated_record_id_is_config_error(self, tmp_path, capsys):
+        # two records under one id would give samples of one key, which the
+        # union and a logit store cannot both hold; build writes nothing
+        tiny("generate", tmp_path, seed="1")
+        corpus = tmp_path / "corpus.jsonl"
+        lines = corpus.read_text().splitlines(keepends=True)
+        second = json.loads(lines[1])
+        second["id"] = json.loads(lines[0])["id"]
+        corpus.write_text(lines[0] + json.dumps(second) + "\n" + "".join(lines[2:]))
+        capsys.readouterr()
+        assert tiny("build", tmp_path, seed="1") == 2
+        assert capsys.readouterr().err == (f"error: corpus {corpus} repeats the record id "
+                                           f"{second['id']!r}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "corpus.jsonl.sha256"]
+
+    @pytest.mark.parametrize("key", ["languages", "zero_shot_language"])
+    @pytest.mark.parametrize("name", ["a/b", "e|s", " es", ".."],
+                             ids=["slash", "bar", "space", "dots"])
+    def test_language_name_that_is_no_file_name_is_config_error(self, tmp_path, key, name,
+                                                                capsys):
+        # a language name becomes file names and a field of a sample's key
+        value = f"en,{name}" if key == "languages" else name
+        error = f"error: language name {name!r} may hold only ASCII letters, digits, '_' and '-'\n"
+        assert tiny("generate", tmp_path / "bad", f"--{key}", value) == 2
+        assert capsys.readouterr().err == error
+        assert not (tmp_path / "bad").exists()
+        tiny("generate", tmp_path)
+        capsys.readouterr()
+        assert tiny("build", tmp_path, f"--{key}", value) == 2
+        assert capsys.readouterr().err == error
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "corpus.jsonl.sha256"]
 
     def test_build_before_generate_is_missing_artifact(self, tmp_path):
         assert tiny("build", tmp_path) == 3

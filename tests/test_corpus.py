@@ -1,12 +1,15 @@
 import ast
 import os
 import re
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from branchdistill import cli
 from branchdistill import corpus as cp
 from branchdistill.errors import InvalidConfig
 
@@ -76,18 +79,26 @@ class TestRecoverAnswer:
         assert span == (start, end)
 
 
+def select(mode, records, languages=LANGS, seed=0, augment=False):
+    """The datasets ``build`` selects in ``mode`` from one walk over ``records``."""
+    source = cli.augmentation_source(records, languages) if augment else None
+    samples, _, _ = cp.pair(records, languages)
+    return cli.select_datasets(mode, samples, list(languages), seed, source)
+
+
 class TestBranchBuilder:
     def test_counts_without_augmentation(self):
-        result = cp.build_language_branches(noiseless_records(10), LANGS)
-        assert {k: len(b) for k, b in result.branches.items()} == {
-            "en": 30, "es": 30, "de": 30,
+        samples, missing, unrecoverable = cp.pair(noiseless_records(10), LANGS)
+        branches = cli.select_datasets("lbmrc", samples, LANGS, 0)
+        assert {k: len(b) for k, b in branches.items()} == {
+            "branch_en": 30, "branch_es": 30, "branch_de": 30, "union": 90,
         }
-        assert result.skipped == 0
+        assert missing.total() + unrecoverable.total() == 0
 
     def test_counts_with_source_augmentation(self):
-        result = cp.build_language_branches(noiseless_records(10), LANGS, augment_with_source=True)
-        sizes = {k: len(b) for k, b in result.branches.items()}
-        assert sizes == {"en": 30, "es": 60, "de": 60}
+        branches = select("lbmrc", noiseless_records(10), augment=True)
+        sizes = {k: len(b) for k, b in branches.items()}
+        assert sizes == {"branch_en": 30, "branch_es": 60, "branch_de": 60, "union": 90}
 
     def test_unrecoverable_rendering_discarded_per_language(self):
         records = noiseless_records(10)
@@ -101,58 +112,57 @@ class TestBranchBuilder:
                 "es": cp.Rendering(es.passage_tokens, es.question_tokens, None),
             },
         )
-        result = cp.build_language_branches(records, LANGS)
-        sizes = {k: len(b) for k, b in result.branches.items()}
+        samples, _, unrecoverable = cp.pair(records, LANGS)
+        branches = cli.select_datasets("lbmrc", samples, LANGS, 0)
+        sizes = {k: len(b) for k, b in branches.items()}
         # es loses its 3 samples; other branches keep es questions
-        assert sizes == {"en": 30, "es": 27, "de": 30}
-        assert result.unrecoverable == {"es": 1}
+        assert sizes == {"branch_en": 30, "branch_es": 27, "branch_de": 30, "union": 87}
+        assert unrecoverable == {"es": 1}
 
     def test_every_sample_satisfies_invariants(self):
-        result = cp.build_language_branches(noiseless_records(6), LANGS, augment_with_source=True)
-        for lang, branch in result.branches.items():
-            for sample in branch:
+        branches = select("lbmrc", noiseless_records(6), augment=True)
+        for lang in LANGS:
+            for sample in branches[f"branch_{lang}"]:
                 assert sample.passage_lang == lang or sample.passage_lang == "en"
                 assert 0 <= sample.gold_start <= sample.gold_end < len(sample.passage_tokens)
 
     def test_question_languages_cover_all(self):
-        result = cp.build_language_branches(noiseless_records(4), LANGS)
-        qlangs = {s.question_lang for s in result.branches["de"]}
+        qlangs = {s.question_lang for s in select("lbmrc", noiseless_records(4))["branch_de"]}
         assert qlangs == set(LANGS)
 
 
 class TestMixBuilder:
     def test_cross_product_count(self):
-        result = cp.build_mix_dataset(noiseless_records(10), LANGS, seed=5)
-        assert len(result.samples) == 90
+        assert len(select("mixmrc", noiseless_records(10), seed=5)["mix"]) == 90
 
     def test_single_language_equals_branch(self):
         records = noiseless_records(8)
-        mix = cp.build_mix_dataset(records, ["en"], seed=1)
-        branch = cp.build_language_branches(records, ["en"]).branches["en"]
-        assert sorted(s.key() for s in mix.samples) == sorted(s.key() for s in branch)
+        mix = select("mixmrc", records, ["en"], seed=1)["mix"]
+        branch = select("lbmrc", records, ["en"])["branch_en"]
+        assert sorted(s.key() for s in mix) == sorted(s.key() for s in branch)
 
     def test_seed_reproducibility(self):
         records = noiseless_records(10)
-        a = cp.build_mix_dataset(records, LANGS, seed=3)
-        b = cp.build_mix_dataset(records, LANGS, seed=3)
-        assert [s.key() for s in a.samples] == [s.key() for s in b.samples]
+        a = select("mixmrc", records, seed=3)["mix"]
+        b = select("mixmrc", records, seed=3)["mix"]
+        assert [s.key() for s in a] == [s.key() for s in b]
 
 
 class TestTranslateTrainBuilder:
     def test_single_language_pairs(self):
-        result = cp.build_translate_train(noiseless_records(10), "de")
-        assert len(result.samples) == 10
-        assert all(s.passage_lang == s.question_lang == "de" for s in result.samples)
+        samples = select("translate-train", noiseless_records(10))["tt_de"]
+        assert len(samples) == 10
+        assert all(s.passage_lang == s.question_lang == "de" for s in samples)
 
     def test_missing_language_counts_skips(self):
-        result = cp.build_translate_train(noiseless_records(7), "fr")
-        assert result.samples == []
-        assert result.missing == {"fr": 7}
+        samples, missing, _ = cp.pair(noiseless_records(7), ["fr"])
+        assert samples == []
+        assert missing == {"fr": 7}
 
     def test_source_language_equals_original_dataset(self):
         records = noiseless_records(5)
-        result = cp.build_translate_train(records, "en")
-        for record, sample in zip(records, result.samples):
+        samples = select("translate-train", records)["tt_en"]
+        for record, sample in zip(records, samples):
             rendering = record.renderings["en"]
             assert sample.passage_tokens == rendering.passage_tokens
             assert sample.question_tokens == rendering.question_tokens
@@ -160,7 +170,7 @@ class TestTranslateTrainBuilder:
 
 
 # The three builder loops as they stood before one pairing walk replaced
-# them, kept as the oracle the walk must match sample for sample.
+# them, kept as the oracle the walk's selections must match sample for sample.
 
 
 def _oracle_status(records, languages):
@@ -180,7 +190,7 @@ def _oracle_status(records, languages):
 
 
 def _oracle_result(status, languages):
-    result = cp.BuildResult()
+    result = SimpleNamespace(branches={}, samples=[], missing=Counter(), unrecoverable=Counter())
     for row in status:
         for lang in languages:
             if row[lang] == "missing":
@@ -277,27 +287,71 @@ def pairing_cases(draw):
     return records, languages
 
 
+def oracle_union(branches):
+    """The union as it stood before it was a selection of the walk: the
+    branches in sorted language order, each key's first occurrence kept."""
+    seen, union = set(), []
+    for lang in sorted(branches):
+        for sample in branches[lang]:
+            if sample.key() not in seen:
+                seen.add(sample.key())
+                union.append(sample)
+    return union
+
+
 def outcome(build, *args):
-    """Everything a builder gives: its datasets and skip counts, or its error."""
+    """A builder's branches, or its error."""
     try:
-        r = build(*args)
+        return build(*args)
     except InvalidConfig as exc:
         return "error", str(exc)
-    return r.branches, r.samples, r.missing, r.unrecoverable, r.skipped
+
+
+def lbmrc_branches(records, languages, augment):
+    branches = select("lbmrc", records, languages, augment=augment)
+    return {lang: branches[f"branch_{lang}"] for lang in languages}
 
 
 class TestPairingWalk:
     @given(pairing_cases(), st.booleans(), st.sampled_from([0, 1, 7, 2**31 + 5]))
     @settings(deadline=None, max_examples=300)
-    def test_builders_match_the_three_loops(self, case, augment, seed):
+    def test_selections_match_the_three_loops(self, case, augment, seed):
         records, languages = case
-        assert (outcome(cp.build_language_branches, records, languages, augment)
-                == outcome(oracle_branches, records, languages, augment))
-        assert (outcome(cp.build_mix_dataset, records, languages, seed)
-                == outcome(oracle_mix, records, languages, seed))
+        expected = oracle_branches(records, languages)
+        _, missing, unrecoverable = cp.pair(records, languages)
+        assert (missing, unrecoverable) == (expected.missing, expected.unrecoverable)
+        assert (outcome(lbmrc_branches, records, languages, augment)
+                == outcome(lambda *a: oracle_branches(*a).branches, records, languages, augment))
+        assert select("mixmrc", records, languages, seed)["mix"] == oracle_mix(
+            records, languages, seed).samples
+        tt = select("translate-train", records, languages)
         for lang in languages:
-            assert (outcome(cp.build_translate_train, records, lang)
-                    == outcome(oracle_translate_train, records, lang))
+            assert tt[f"tt_{lang}"] == oracle_translate_train(records, lang).samples
+
+    @given(pairing_cases(), st.booleans())
+    @settings(deadline=None, max_examples=300)
+    def test_union_matches_the_first_occurrence_rule(self, case, augment):
+        records, languages = case
+        try:
+            union = select("lbmrc", records, languages, augment=augment)["union"]
+        except InvalidConfig:
+            return   # the source check, which test_selections_match_the_three_loops covers
+        # the union is the same with augmentation on or off ...
+        assert union == oracle_union(oracle_branches(records, languages).branches)
+        # ... and with it on, it is the old rule's union while the source
+        # language is first or second in sorted order
+        source = records[0].source_language if records else None
+        if augment and source in sorted(languages)[:2]:
+            assert union == oracle_union(oracle_branches(records, languages, True).branches)
+
+    def test_union_ignores_where_the_source_sorts(self):
+        # the old rule's union put the source's samples behind the first
+        # sorted branch, which they augmented: fr before en here
+        records = noiseless_records(3, ["fr", "de", "en"])
+        union = select("lbmrc", records, ["fr", "de", "en"], augment=True)["union"]
+        old = oracle_union(oracle_branches(records, ["fr", "de", "en"], True).branches)
+        assert [s.passage_lang for s in union] == ["de"] * 9 + ["en"] * 9 + ["fr"] * 9
+        assert [s.passage_lang for s in old] == ["de"] * 9 + ["fr"] * 9 + ["en"] * 9
 
 
 class TestSyntheticGenerator:
@@ -359,8 +413,7 @@ class TestSyntheticGenerator:
 
 class TestUnion:
     def test_union_deduplicates_augmented_branches(self):
-        result = cp.build_language_branches(noiseless_records(10), LANGS, augment_with_source=True)
-        union = cp.union_of_branches(result.branches)
+        union = select("lbmrc", noiseless_records(10), augment=True)["union"]
         assert len(union) == 90
         assert len({s.key() for s in union}) == 90
 
@@ -403,13 +456,13 @@ class TestFileFormats:
         assert loaded == records
 
     def test_samples_round_trip(self, tmp_path):
-        samples = cp.build_mix_dataset(noiseless_records(6), LANGS, seed=0).samples
+        samples, _, _ = cp.pair(noiseless_records(6), LANGS)
         path = tmp_path / "samples.jsonl"
         cp.write_samples(samples, path)
         assert cp.read_samples(path) == samples
 
     def test_interrupted_write_keeps_previous_file(self, tmp_path):
-        samples = cp.build_mix_dataset(noiseless_records(6), LANGS, seed=0).samples
+        samples, _, _ = cp.pair(noiseless_records(6), LANGS)
         path = tmp_path / "samples.jsonl"
         cp.write_samples(samples, path)
         before = path.read_bytes()

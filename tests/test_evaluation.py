@@ -188,7 +188,7 @@ class TestEvaluate:
             40, ["en"], cp.NoiseSpec(seed=1),
             cp.TaskSpec(seed=1, passage_min=4, passage_max=7, rare_vocab_size=20),
         )
-        samples = cp.build_translate_train(records, "en").samples
+        samples = cp.pair(records, ["en"])[0]
         vocab = vocabulary_from_samples(samples)
         model = self._zero_model(vocab, max_len=32)
         expected = sum(1 for s in samples if (s.gold_start, s.gold_end) == (0, 0)) / len(samples)

@@ -29,7 +29,8 @@ def task_samples(n=6, seed=0, **task_kwargs):
     records = cp.generate_synthetic_corpus(
         n, ["en", "es"], cp.NoiseSpec(seed=seed), cp.TaskSpec(seed=seed, **task_kwargs)
     )
-    return cp.build_language_branches(records, ["en", "es"]).branches["en"]
+    samples, _, _ = cp.pair(records, ["en", "es"])
+    return [s for s in samples if s.passage_lang == "en"]
 
 
 def small_model(samples, hidden=8, ffn=12, max_len=32, seed=0):

@@ -8,6 +8,7 @@ start/end block, must give the same bits, signed zeros included.
 import numpy as np
 import pytest
 
+from branchdistill import cli
 from branchdistill import corpus as cp
 from branchdistill import model as md
 
@@ -214,7 +215,8 @@ def oracle_encode_row(sample, vocab, max_len):
 def test_encode_dataset_matches_per_sample_oracle(max_len):
     records = cp.generate_synthetic_corpus(30, ["en", "es"], cp.NoiseSpec(seed=4),
                                            cp.TaskSpec(seed=4))
-    samples = cp.union_of_branches(cp.build_language_branches(records, ["en", "es"]).branches)
+    paired, _, _ = cp.pair(records, ["en", "es"])
+    samples = cli.select_datasets("lbmrc", paired, ["en", "es"], 0)["union"]
     # tokens outside the first third of the samples hash into OOV buckets
     vocab = vocabulary_from_samples(samples[: len(samples) // 3])
     encoded, kept, skipped = md.encode_dataset(samples, vocab, max_len)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from branchdistill import cli
 from branchdistill import corpus as cp
 from branchdistill import distill as ds
 from branchdistill import model as md
@@ -18,11 +19,12 @@ def small_task(n_records=12, seed=0, langs=("en", "es")):
         n_records, list(langs), cp.NoiseSpec(seed=seed),
         cp.TaskSpec(seed=seed, passage_min=5, passage_max=8, rare_vocab_size=50),
     )
-    result = cp.build_language_branches(records, list(langs))
-    union = cp.union_of_branches(result.branches)
-    vocab = vocabulary_from_samples(union)
+    samples, _, _ = cp.pair(records, list(langs))
+    datasets = cli.select_datasets("lbmrc", samples, list(langs), 0)
+    branches = {lang: datasets[f"branch_{lang}"] for lang in langs}
+    vocab = vocabulary_from_samples(datasets["union"])
     config = md.ModelConfig(hidden=8, ffn=12, max_len=24)
-    return result, union, vocab, config
+    return branches, datasets["union"], vocab, config
 
 
 class TestAdamW:
@@ -81,9 +83,9 @@ class TestAdamW:
 class TestFlatParameters:
     @pytest.mark.parametrize("source", ["init", "load", "train"])
     def test_views_write_through_to_flat_and_checkpoint(self, tmp_path, source):
-        result, _, vocab, config = small_task()
+        branches, _, vocab, config = small_task()
         if source == "train":
-            model, _ = tr.train(result.branches["en"], vocab, config,
+            model, _ = tr.train(branches["en"], vocab, config,
                                 tr.TrainConfig(epochs=1, seed=3, lr=1e-3), "teacher")
         else:
             model = md.init_model(config, 3, vocab)
@@ -137,13 +139,13 @@ class TestLearningRate:
 
 class TestTrainTeacher:
     def test_two_runs_are_bit_identical(self, tmp_path):
-        result, _, vocab, config = small_task()
+        branches, _, vocab, config = small_task()
         cfg = tr.TrainConfig(epochs=2, seed=5, lr=1e-3)
         model_a, manifest_a = tr.train(
-            result.branches["en"], vocab, config, cfg, "teacher", out_dir=tmp_path / "a"
+            branches["en"], vocab, config, cfg, "teacher", out_dir=tmp_path / "a"
         )
         model_b, manifest_b = tr.train(
-            result.branches["en"], vocab, config, cfg, "teacher", out_dir=tmp_path / "b"
+            branches["en"], vocab, config, cfg, "teacher", out_dir=tmp_path / "b"
         )
         for name in model_a.params:
             np.testing.assert_array_equal(model_a.params[name], model_b.params[name])
@@ -153,9 +155,9 @@ class TestTrainTeacher:
         ).read_bytes()
 
     def test_zero_learning_rate_freezes_the_model(self):
-        result, _, vocab, config = small_task()
+        branches, _, vocab, config = small_task()
         cfg = tr.TrainConfig(epochs=3, seed=1, lr=0.0)
-        _, manifest = tr.train(result.branches["en"], vocab, config, cfg, "teacher")
+        _, manifest = tr.train(branches["en"], vocab, config, cfg, "teacher")
         losses = [e["total"] for e in manifest.epoch_losses]
         assert abs(losses[-1] - losses[0]) <= 1e-12
 
@@ -171,12 +173,12 @@ class TestTrainTeacher:
             original_step(self, theta, grad)
 
         monkeypatch.setattr(tr.AdamW, "step", checked_step)
-        result, _, vocab, config = small_task()
+        branches, _, vocab, config = small_task()
         cfg = tr.TrainConfig(epochs=2, seed=0, lr=1e200, clip_norm=clip_norm)
         with np.errstate(all="ignore"), pytest.raises(
             InvalidConfig, match=r"run 'diverging'.* epoch \d+, step \d+ of \d+"
         ):
-            tr.train(result.branches["en"], vocab, config, cfg, "diverging")
+            tr.train(branches["en"], vocab, config, cfg, "diverging")
         assert stepped and all(stepped)
 
     @pytest.mark.parametrize("clip_norm", [0.05, 0.0])
@@ -189,9 +191,9 @@ class TestTrainTeacher:
             return norms[-1]
 
         monkeypatch.setattr(tr, "clip_gradients", observed_clip)
-        result, _, vocab, config = small_task()
+        branches, _, vocab, config = small_task()
         cfg = tr.TrainConfig(epochs=2, seed=4, lr=1e-3, clip_norm=clip_norm)
-        _, manifest = tr.train(result.branches["en"], vocab, config, cfg, "teacher",
+        _, manifest = tr.train(branches["en"], vocab, config, cfg, "teacher",
                                out_dir=tmp_path)
         steps = len(norms) // cfg.epochs
         assert steps * cfg.epochs == len(norms)
@@ -206,9 +208,9 @@ class TestTrainTeacher:
         assert saved.epoch_losses == manifest.epoch_losses
 
     def test_loss_decreases_over_ten_epochs(self):
-        result, _, vocab, config = small_task(n_records=30)
+        branches, _, vocab, config = small_task(n_records=30)
         cfg = tr.TrainConfig(epochs=10, seed=2, lr=5e-3)
-        _, manifest = tr.train(result.branches["en"], vocab, config, cfg, "teacher")
+        _, manifest = tr.train(branches["en"], vocab, config, cfg, "teacher")
         assert manifest.epoch_losses[-1]["total"] < manifest.epoch_losses[0]["total"]
 
     def test_empty_dataset_rejected(self):
@@ -222,9 +224,9 @@ class TestTrainTeacher:
             tr.DistillConfig(**weights)
 
     def test_run_directory_holds_one_checkpoint(self, tmp_path):
-        result, _, vocab, config = small_task()
+        branches, _, vocab, config = small_task()
         cfg = tr.TrainConfig(epochs=3, seed=0, lr=1e-3)
-        tr.train(result.branches["en"], vocab, config, cfg, "teacher", out_dir=tmp_path)
+        tr.train(branches["en"], vocab, config, cfg, "teacher", out_dir=tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["final.ckpt", "manifest.json"]
         saved = json.loads((tmp_path / "manifest.json").read_text())
         assert saved["format_version"] == tr.MANIFEST_VERSION == 4
@@ -236,9 +238,9 @@ class TestTrainTeacher:
 
 class TestDumpLogits:
     def test_record_count_and_round_trip(self, tmp_path):
-        result, union, vocab, config = small_task()
+        branches, union, vocab, config = small_task()
         cfg = tr.TrainConfig(epochs=1, seed=3, lr=1e-3)
-        model, _ = tr.train(result.branches["en"], vocab, config, cfg, "teacher")
+        model, _ = tr.train(branches["en"], vocab, config, cfg, "teacher")
         path = tmp_path / "en.logits"
         written, skipped = tr.dump_teacher_logits(model, union, path, "en")
         assert written == len(union) - skipped
@@ -256,8 +258,8 @@ class TestDumpLogits:
             10, ["en", "es", "de"], cp.NoiseSpec(seed=1),
             cp.TaskSpec(seed=1, passage_min=5, passage_max=8, rare_vocab_size=50),
         )
-        branches = cp.build_language_branches(records, ["en", "es", "de"]).branches
-        union = cp.union_of_branches(branches)
+        samples, _, _ = cp.pair(records, ["en", "es", "de"])
+        union = cli.select_datasets("lbmrc", samples, ["en", "es", "de"], 0)["union"]
         assert len(union) == 90
         vocab = vocabulary_from_samples(union)
         config = md.ModelConfig(hidden=8, ffn=12, max_len=24)
@@ -356,19 +358,19 @@ class TestTargetTables:
 
 
 class TestDistillStudent:
-    def _stores(self, tmp_path, result, union, vocab, config, langs=("en", "es")):
+    def _stores(self, tmp_path, branches, union, vocab, config, langs=("en", "es")):
         stores = {}
         for lang in langs:
             cfg = tr.TrainConfig(epochs=1, seed=4, lr=1e-3)
-            model, _ = tr.train(result.branches[lang], vocab, config, cfg, "teacher")
+            model, _ = tr.train(branches[lang], vocab, config, cfg, "teacher")
             path = tmp_path / f"{lang}.logits"
             tr.dump_teacher_logits(model, union, path, lang)
             stores[lang] = ds.LogitStore(path)
         return stores
 
     def test_hard_label_only_matches_teacher_training_bitwise(self, tmp_path):
-        result, union, vocab, config = small_task()
-        stores = self._stores(tmp_path, result, union, vocab, config)
+        branches, union, vocab, config = small_task()
+        stores = self._stores(tmp_path, branches, union, vocab, config)
         cfg = tr.TrainConfig(epochs=2, seed=9, lr=1e-3)
         student, student_manifest = tr.train(union, vocab, config, cfg, "student", stores=stores,
                                              distill=tr.DistillConfig(lambda1=1.0, lambda2=0.0))
@@ -380,8 +382,8 @@ class TestDistillStudent:
         ]
 
     def test_missing_teacher_logits(self, tmp_path):
-        result, union, vocab, config = small_task()
-        stores = self._stores(tmp_path, result, union, vocab, config)
+        branches, union, vocab, config = small_task()
+        stores = self._stores(tmp_path, branches, union, vocab, config)
         path = tmp_path / "partial.logits"
         keys = [s.key() for s in union[:5]]
         ds.write_logit_store(path, "en", keys, stores["en"].take(keys))
@@ -392,16 +394,16 @@ class TestDistillStudent:
                      distill=tr.DistillConfig())
 
     def test_store_length_mismatch(self, tmp_path):
-        result, union, vocab, config = small_task()
-        stores = self._stores(tmp_path, result, union, vocab, config)
+        branches, union, vocab, config = small_task()
+        stores = self._stores(tmp_path, branches, union, vocab, config)
         other = md.ModelConfig(hidden=8, ffn=12, max_len=32)
         with pytest.raises(InvalidConfig, match="has max_len"):
             tr.train(union, vocab, other, tr.TrainConfig(epochs=1), "student", stores=stores,
                      distill=tr.DistillConfig())
 
     def test_single_teacher_distillation_runs(self, tmp_path):
-        result, union, vocab, config = small_task()
-        stores = self._stores(tmp_path, result, union, vocab, config, langs=("en",))
+        branches, union, vocab, config = small_task()
+        stores = self._stores(tmp_path, branches, union, vocab, config, langs=("en",))
         cfg = tr.TrainConfig(epochs=1, seed=2, lr=1e-3)
         _, manifest = tr.train(union, vocab, config, cfg, "student", stores=stores,
                                distill=tr.DistillConfig(strategy="impurity"))
@@ -410,8 +412,8 @@ class TestDistillStudent:
         assert manifest.distill_config["strategy"] == "impurity"
 
     def test_run_reads_no_store_after_opening(self, tmp_path):
-        result, union, vocab, config = small_task()
-        stores = self._stores(tmp_path, result, union, vocab, config)
+        branches, union, vocab, config = small_task()
+        stores = self._stores(tmp_path, branches, union, vocab, config)
         cfg = tr.TrainConfig(epochs=2, seed=2, lr=1e-3)
         distill = tr.DistillConfig(strategy="impurity")
         _, present = tr.train(union, vocab, config, cfg, "student", stores=stores,
@@ -429,8 +431,8 @@ class TestDistillStudent:
         assert deleted.teacher_store_digests == present.teacher_store_digests
 
     def test_manifest_records_digests(self, tmp_path):
-        result, union, vocab, config = small_task()
-        stores = self._stores(tmp_path, result, union, vocab, config)
+        branches, union, vocab, config = small_task()
+        stores = self._stores(tmp_path, branches, union, vocab, config)
         cfg = tr.TrainConfig(epochs=1, seed=2, lr=1e-3)
         _, manifest = tr.train(
             union, vocab, config, cfg, "student", out_dir=tmp_path / "run", stores=stores,
